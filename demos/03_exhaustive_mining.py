@@ -10,7 +10,7 @@ even-cycle-free/geodetic implication is checked in both directions.
 
 import time
 
-from centaudit import audit_geodetic_equivalence, equality_census, mine_exhaustive, serialize_edge_list
+from centaudit import equality_census, mine_exhaustive, serialize_edge_list
 
 N_MAX = 5
 
@@ -39,8 +39,8 @@ print(f"  both={audit.ecf_and_geodetic}  geodetic-only={audit.geodetic_not_ecf} 
 print("  smallest geodetic graph with an even cycle:")
 print("    " + serialize_edge_list(audit.geodetic_not_ecf_witnesses[0].graph()).replace("\n", "  "))
 
-# the same harness exposed as a one-shot audit
-fresh = audit_geodetic_equivalence(4)
+# the predicate audit alone, with no relation evaluated
+fresh = mine_exhaustive(4, relation_ids=())
 assert fresh.geodetic_audit.ecf_not_geodetic == 0
 
 print("\nwhere is the stress identity tight? (R10 equality census, n<=4)")

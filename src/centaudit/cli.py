@@ -18,7 +18,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import relations as rel
-from .graphs import EdgeListError, Graph, generate, parse_edge_list, serialize_edge_list
+from .graphs import (
+    MODELS,
+    EdgeListError,
+    Graph,
+    generate,
+    parse_edge_list,
+    serialize_edge_list,
+)
 from .metrics import DisconnectedGraphError, apsp, profile
 from .mining import (
     DEFAULT_WITNESS_CAP,
@@ -59,14 +66,6 @@ def _subject_json(subject: rel.Subject):
     if isinstance(subject, int):
         return {"vertex": subject}
     return {"subset": list(subject)}
-
-
-def _subject_text(subject: rel.Subject) -> str:
-    if subject is None:
-        return "graph"
-    if isinstance(subject, int):
-        return f"vertex {subject}"
-    return "subset {" + ",".join(str(v) for v in subject) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +243,10 @@ def _subject_text_from_json(subject) -> str:
     return "subset {" + ",".join(str(v) for v in subject["subset"]) + "}"
 
 
+def _edges_text(edges) -> str:
+    return ",".join(f"{u}-{v}" for u, v in edges)
+
+
 def _render_mine_text(argv, payload: dict) -> str:
     pop = payload["population"]
     if pop["kind"] == "exhaustive":
@@ -266,9 +269,8 @@ def _render_mine_text(argv, payload: dict) -> str:
             f"violated={tally['violated']} skipped={tally['skipped']}{flag}"
         )
         for w in tally["witnesses"]:
-            edges = ",".join(f"{u}-{v}" for u, v in w["edges"])
             lines.append(
-                f"  witness n={w['n']} edges={edges} "
+                f"  witness n={w['n']} edges={_edges_text(w['edges'])} "
                 f"subject={_subject_text_from_json(w['subject'])} "
                 f"lhs={w['lhs']} rhs={w['rhs']}"
             )
@@ -282,12 +284,9 @@ def _render_mine_text(argv, payload: dict) -> str:
             audit["neither"],
         )
     )
-    for w in audit["geodetic_not_ecf_witnesses"]:
-        edges = ",".join(f"{u}-{v}" for u, v in w["edges"])
-        lines.append(f"  geodetic_not_ecf witness n={w['n']} edges={edges}")
-    for w in audit["ecf_not_geodetic_witnesses"]:
-        edges = ",".join(f"{u}-{v}" for u, v in w["edges"])
-        lines.append(f"  ecf_not_geodetic witness n={w['n']} edges={edges}")
+    for kind in ("geodetic_not_ecf", "ecf_not_geodetic"):
+        for w in audit[f"{kind}_witnesses"]:
+            lines.append(f"  {kind} witness n={w['n']} edges={_edges_text(w['edges'])}")
     lines.append(
         f"violations: non_audit={payload['non_audit_violations']} "
         f"audit={payload['audit_violations']}"
@@ -301,9 +300,18 @@ def _render_mine_text(argv, payload: dict) -> str:
 
 def _read_graph(path: str) -> Graph:
     if path == "-":
-        return parse_edge_list(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_edge_list(handle.read())
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    g = parse_edge_list(text)
+    # checked before any per-vertex structure is built, so a huge header
+    # over a few edges fails at once
+    if g.n > g.m + 1:
+        raise DisconnectedGraphError(
+            f"graph is disconnected: {g.n} vertices but only {g.m} edges"
+        )
+    return g
 
 
 def _cmd_compute(args, argv, out) -> int:
@@ -348,14 +356,7 @@ def _model_params(args) -> dict:
     if getattr(args, "p", None) is not None:
         params["p"] = args.p
     model = args.model
-    required = {
-        "path": {"n"},
-        "cycle": {"n"},
-        "star": {"leaves"},
-        "complete": {"n"},
-        "gnp": {"n", "p"},
-        "watts_strogatz": {"n", "k", "p"},
-    }[model]
+    required = set(MODELS[model][1])
     missing = required - set(params)
     if missing:
         raise ValueError(f"model {model!r} requires {sorted(missing)}")
@@ -428,8 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine = sub.add_parser("mine", help="verify relations over a graph population")
     mine.add_argument("--n-max", type=int, default=None, dest="n_max",
                       help="exhaustive mining over all connected graphs with 2..N vertices")
-    mine.add_argument("--model", choices=("path", "cycle", "star", "complete", "gnp",
-                                          "watts_strogatz"), default=None)
+    mine.add_argument("--model", choices=tuple(MODELS), default=None)
     mine.add_argument("--trials", type=int, default=None)
     mine.add_argument("--seed", type=int, default=0)
     mine.add_argument("--n", type=int, default=None)
@@ -443,8 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine.set_defaults(func=_cmd_mine)
 
     gen = sub.add_parser("gen", help="write a generated graph as an edge list")
-    gen.add_argument("--model", required=True,
-                     choices=("path", "cycle", "star", "complete", "gnp", "watts_strogatz"))
+    gen.add_argument("--model", required=True, choices=tuple(MODELS))
     gen.add_argument("--n", type=int, default=None)
     gen.add_argument("--k", type=int, default=None)
     gen.add_argument("--p", type=float, default=None)

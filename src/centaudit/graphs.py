@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from random import Random
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class EdgeListError(ValueError):
@@ -91,40 +91,6 @@ class Graph:
     def check_vertex(self, v: int) -> None:
         if not (isinstance(v, int) and 0 <= v < self.n):
             raise ValueError(f"invalid vertex id {v!r} for graph on {self.n} vertices")
-
-
-@dataclass(frozen=True)
-class SubgraphView:
-    """An ordered subset of a host graph's vertices, seen as an induced subgraph.
-
-    The view keeps host vertex ids; its induced edges are exactly the host
-    edges with both endpoints among ``members``.
-    """
-
-    host: Graph
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        seen = set()
-        for v in self.members:
-            self.host.check_vertex(v)
-            if v in seen:
-                raise ValueError(f"duplicate member {v}")
-            seen.add(v)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def induced_edges(self) -> tuple[tuple[int, int], ...]:
-        """Host edges with both endpoints in the view, in host ids, sorted."""
-        inside = set(self.members)
-        return tuple(e for e in self.host.edges if e[0] in inside and e[1] in inside)
-
-    def as_graph(self) -> Graph:
-        """The induced subgraph relabeled to 0..len-1 following member order."""
-        index = {v: i for i, v in enumerate(self.members)}
-        edges = [(index[u], index[v]) for u, v in self.induced_edges()]
-        return Graph.from_edges(len(self.members), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -284,30 +250,33 @@ def watts_strogatz_graph(n: int, k: int, p: float, seed: int = 0) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-GENERATOR_MODELS = ("path", "cycle", "star", "complete", "gnp", "watts_strogatz")
+# model name -> (builder, required parameter names); the builder takes the
+# parameters in that order, then the seed
+MODELS: dict[str, tuple[Callable[..., Graph], tuple[str, ...]]] = {
+    "path": (lambda n, seed: path_graph(n), ("n",)),
+    "cycle": (lambda n, seed: cycle_graph(n), ("n",)),
+    "star": (lambda leaves, seed: star_graph(leaves), ("leaves",)),
+    "complete": (lambda n, seed: complete_graph(n), ("n",)),
+    "gnp": (gnp_graph, ("n", "p")),
+    "watts_strogatz": (watts_strogatz_graph, ("n", "k", "p")),
+}
 
 
 def generate(model: str, params: Mapping[str, object], seed: int = 0) -> Graph:
-    """Dispatch to a named generator; deterministic for fixed (model, params, seed)."""
-    params = dict(params)
+    """Build a named model; deterministic for fixed (model, params, seed).
+
+    ``p`` is read as a float and every other parameter as an int; parameters
+    the model does not take are ignored.
+    """
     try:
-        if model == "path":
-            return path_graph(int(params.pop("n")))
-        if model == "cycle":
-            return cycle_graph(int(params.pop("n")))
-        if model == "star":
-            return star_graph(int(params.pop("leaves")))
-        if model == "complete":
-            return complete_graph(int(params.pop("n")))
-        if model == "gnp":
-            return gnp_graph(int(params.pop("n")), float(params.pop("p")), seed)
-        if model == "watts_strogatz":
-            return watts_strogatz_graph(
-                int(params.pop("n")), int(params.pop("k")), float(params.pop("p")), seed
-            )
-    except KeyError as missing:
-        raise ValueError(f"model {model!r} requires parameter {missing}") from None
-    raise ValueError(f"unknown model {model!r}; choose from {GENERATOR_MODELS}")
+        builder, required = MODELS[model]
+    except KeyError:
+        raise ValueError(f"unknown model {model!r}; choose from {tuple(MODELS)}") from None
+    missing = [name for name in required if name not in params]
+    if missing:
+        raise ValueError(f"model {model!r} requires parameter {missing[0]!r}")
+    args = [float(params[name]) if name == "p" else int(params[name]) for name in required]
+    return builder(*args, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +292,6 @@ MAX_ENUMERATION_N = 8
 
 def _pair_table(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
-def graph_from_mask(n: int, mask: int) -> Graph:
-    """Graph whose edge set is the given adjacency bitmask."""
-    pairs = _pair_table(n)
-    if not 0 <= mask < (1 << len(pairs)):
-        raise ValueError(f"mask {mask} out of range for n={n}")
-    return Graph(n, tuple(p for k, p in enumerate(pairs) if mask >> k & 1))
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
@@ -358,10 +319,12 @@ def enumerate_connected_range(n: int, start: int, stop: int | None) -> Iterator[
         if mask.bit_count() < min_edges:
             continue
         rows = [0] * n
+        edges = []
         for k, (u, v) in enumerate(pairs):
             if mask >> k & 1:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
+                edges.append((u, v))
         # bitmask BFS from vertex 0
         seen = 1
         frontier = rows[0] & ~seen
@@ -376,57 +339,37 @@ def enumerate_connected_range(n: int, start: int, stop: int | None) -> Iterator[
             frontier = reach & ~seen
             seen |= frontier
         if seen == full:
-            yield Graph(n, tuple(p for k, p in enumerate(pairs) if mask >> k & 1))
+            yield Graph(n, tuple(edges))
 
 
 # ---------------------------------------------------------------------------
-# Neighborhoods and vertex subsets
+# Vertex subsets
 # ---------------------------------------------------------------------------
-
-def neighborhood(g: Graph, v: int, closed: bool = False) -> SubgraphView:
-    """Open view: the neighbors of v. Closed view: neighbors plus v itself."""
-    g.check_vertex(v)
-    members = set(g.adj[v])
-    if closed:
-        members.add(v)
-    return SubgraphView(g, tuple(sorted(members)))
-
 
 SUBSET_ENUMERATION_MAX_N = 10
 SUBSET_SAMPLE_COUNT = 1000
 
 
-def induced_subsets(
-    g: Graph,
-    min_size: int,
-    sample_count: int = SUBSET_SAMPLE_COUNT,
-    seed: int = 0,
-) -> Iterator[SubgraphView]:
-    """Deterministic stream of vertex-subset views of a connected host.
+def induced_subsets(g: Graph, seed: int = 0) -> Iterator[tuple[int, ...]]:
+    """Deterministic stream of vertex subsets of size >= 2 of a connected host.
 
-    For hosts on at most 10 vertices this is every subset of size >= min_size
-    (by size, then lexicographically); larger hosts get ``sample_count``
-    distinct seeded random subsets. Subsets need not induce connected graphs.
+    For hosts on at most 10 vertices this is every such subset (by size, then
+    lexicographically); larger hosts get ``SUBSET_SAMPLE_COUNT`` distinct
+    seeded random subsets, always available since a host on n >= 11 vertices
+    has 2^n - n - 1 >= 2036 of them. Each subset is a sorted member tuple and
+    need not induce a connected graph.
     """
-    if min_size < 2:
-        raise ValueError(f"min_size must be >= 2, got {min_size}")
     if not g.is_connected():
         raise ValueError("host graph must be connected")
     if g.n <= SUBSET_ENUMERATION_MAX_N:
-        for size in range(min_size, g.n + 1):
-            for members in combinations(range(g.n), size):
-                yield SubgraphView(g, members)
+        for size in range(2, g.n + 1):
+            yield from combinations(range(g.n), size)
         return
     rng = Random(seed)
     seen: set[int] = set()
-    while len(seen) < sample_count:
+    while len(seen) < SUBSET_SAMPLE_COUNT:
         mask = rng.getrandbits(g.n)
-        if mask.bit_count() < min_size or mask in seen:
+        if mask.bit_count() < 2 or mask in seen:
             continue
         seen.add(mask)
-        yield SubgraphView(g, tuple(v for v in range(g.n) if mask >> v & 1))
-
-
-def pendant_vertices(g: Graph) -> frozenset[int]:
-    """The vertices of degree exactly 1."""
-    return frozenset(v for v in range(g.n) if len(g.adj[v]) == 1)
+        yield tuple(v for v in range(g.n) if mask >> v & 1)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .graphs import Graph, SubgraphView
+from .graphs import Graph
 
 
 class DisconnectedGraphError(ValueError):
@@ -89,18 +89,6 @@ def mean_pair_distance(dist: Sequence[Sequence[int]], members: Sequence[int]) ->
         for b in range(a + 1, k):
             total += row[members[b]]
     return Fraction(2 * total, k * (k - 1))
-
-
-def restricted_avg_path_length(view: SubgraphView, d: DistanceMatrix) -> Fraction:
-    """Mean host-graph distance over ordered pairs of distinct view members.
-
-    Distances are always taken in the host (ambient) graph, so the view itself
-    may induce a disconnected subgraph. Views with at most one member return 0
-    (empty-sum convention).
-    """
-    if d.n != view.host.n:
-        raise ValueError("distance matrix does not match the view's host graph")
-    return mean_pair_distance(d.dist, view.members)
 
 
 def local_clustering(g: Graph, i: int) -> Fraction:
@@ -329,10 +317,3 @@ def profile(g: Graph, d: DistanceMatrix | None = None) -> CentralityProfile:
         even_cycle_free=is_even_cycle_free(g),
     )
 
-
-def internal_distances(view: SubgraphView) -> DistanceMatrix:
-    """Distances measured inside the induced subgraph itself (not the host).
-
-    The view must induce a connected subgraph; indices follow member order.
-    """
-    return apsp(view.as_graph())

@@ -13,6 +13,7 @@ order, so multi-worker runs are byte-identical to single-worker runs.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -265,9 +266,11 @@ def mine_exhaustive(
     workers: int = 1,
 ) -> MiningReport:
     """Evaluate the selected relations on every labeled connected graph with
-    2..n_max vertices. Deterministic; reports carry replayable witnesses."""
+    2..n_max vertices. Deterministic; reports carry replayable witnesses.
+    ``workers`` is capped at the CPU count."""
     if not 2 <= n_max <= 8:
         raise ValueError(f"n_max must be in 2..8, got {n_max}")
+    workers = min(workers, os.cpu_count() or 1)
     ids = _validate_relation_ids(relation_ids)
     started = time.perf_counter()
     tasks = []
@@ -304,9 +307,11 @@ def mine_random(
     Each trial redraws (up to ``retry_cap`` times) until the sample is
     connected; every draw has its own derived seed, so runs are deterministic
     for a fixed (model, params, trials, seed) regardless of worker count.
+    ``workers`` is capped at the CPU count.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    workers = min(workers, os.cpu_count() or 1)
     ids = _validate_relation_ids(relation_ids)
     params = {key: params[key] for key in sorted(params)}
     started = time.perf_counter()
@@ -332,17 +337,6 @@ def mine_random(
         geodetic_audit=merged.audit,
         duration_seconds=time.perf_counter() - started,
     )
-
-
-def audit_geodetic_equivalence(
-    n_max: int, witness_cap: int = DEFAULT_WITNESS_CAP
-) -> MiningReport:
-    """Record the (even-cycle-free, geodetic) pair for every enumerated graph.
-
-    Expected outcome: no even-cycle-free graph fails to be geodetic, while
-    geodetic graphs with even cycles exist (K4 appears at n=4).
-    """
-    return mine_exhaustive(n_max, relation_ids=(), witness_cap=witness_cap)
 
 
 def equality_census(

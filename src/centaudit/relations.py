@@ -14,13 +14,11 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Optional, Union
 
-from .graphs import Graph, induced_subsets, neighborhood
+from .graphs import Graph, induced_subsets
 from .metrics import (
     CentralityProfile,
     DistanceMatrix,
     apsp,
-    diameter,
-    internal_distances,
     mean_pair_distance,
     profile,
 )
@@ -205,26 +203,6 @@ def relation(relation_id: str) -> RelationSpec:
         raise ValueError(f"unknown relation id {relation_id!r}") from None
 
 
-def restricted_radiality_sum(g: Graph, i: int) -> Fraction:
-    """Mean, over the neighbors of i, of their radiality measured inside the
-    closed neighborhood of i (internal distances and internal diameter)."""
-    g.check_vertex(i)
-    if len(g.adj[i]) == 0:
-        raise ValueError(f"vertex {i} has no neighbors")
-    view = neighborhood(g, i, closed=True)
-    dmat = internal_distances(view)  # closed neighborhoods are always connected
-    diam = diameter(dmat)
-    k = len(view.members)
-    index_of_i = view.members.index(i)
-    total = Fraction(0)
-    for a in range(k):
-        if a == index_of_i:
-            continue
-        row = dmat.dist[a]
-        total += Fraction((k - 1) * (diam + 1) - sum(row), k - 1)
-    return total / (k - 1)
-
-
 def _identity(lhs: Fraction, rhs: Fraction, ok: bool) -> tuple[str, Fraction]:
     slack = rhs - lhs
     if not ok:
@@ -331,13 +309,13 @@ def _eval_r5(g, prof, d):
 def _eval_r6(g, prof, d, max_subjects=None):
     lhs = prof.avg_path_length
     results = []
-    views = induced_subsets(g, min_size=2)
+    subsets = induced_subsets(g)
     if max_subjects is not None:
-        views = islice(views, max_subjects)
-    for view in views:
-        rhs = Fraction(len(view.members), g.n) * mean_pair_distance(d.dist, view.members)
+        subsets = islice(subsets, max_subjects)
+    for members in subsets:
+        rhs = Fraction(len(members), g.n) * mean_pair_distance(d.dist, members)
         status, slack = _at_least(lhs, rhs, True)
-        results.append(RelationResult("R6", view.members, status, lhs, rhs, slack))
+        results.append(RelationResult("R6", members, status, lhs, rhs, slack))
     return results
 
 
@@ -355,11 +333,25 @@ def _eval_r8(g, prof, d):
     return [RelationResult("R8", None, status, lhs, rhs, slack)]
 
 
+def _closed_neighborhood_radiality(prof: CentralityProfile, i: int) -> Fraction:
+    """Mean, over the neighbors of i, of their radiality measured inside the
+    subgraph induced by the closed neighborhood N[i].
+
+    Inside N[i] a neighbor is at distance 1 from i and from the neighbors it
+    is adjacent to, and 2 from the rest, so the internal diameter is 1 for a
+    clique and 2 otherwise, and the mean reduces to
+    (diam - 1) + 1/d + c (d - 1)/d with d the degree and c the clustering of i.
+    """
+    deg = prof.degrees[i]
+    diam = 1 if prof.complete_neighborhood[i] else 2
+    return diam - 1 + Fraction(1, deg) + prof.local_clustering[i] * Fraction(deg - 1, deg)
+
+
 def _eval_r9(g, prof, d):
     lhs = prof.average_clustering / 2
     complete = sum(prof.complete_neighborhood)
     rhs = (
-        sum(restricted_radiality_sum(g, i) for i in range(g.n)) / g.n
+        sum(_closed_neighborhood_radiality(prof, i) for i in range(g.n)) / g.n
         - 2
         + Fraction(complete, g.n)
     )

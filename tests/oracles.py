@@ -4,11 +4,13 @@ Everything here deliberately avoids the library's algorithms: connectivity is
 union-find instead of BFS, distances are Floyd-Warshall instead of per-source
 BFS, path counts come from explicitly enumerating every shortest path instead
 of the counting recurrence, and cycle parity is checked by enumerating simple
-cycles instead of block decomposition.
+cycles instead of block decomposition, and closed-neighborhood radiality is
+measured on the relabeled induced subgraph instead of read off the profile.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 from centaudit import Graph
@@ -164,3 +166,39 @@ def has_even_cycle(g: Graph) -> bool:
                 elif w > s and w not in path:
                     stack.append((w, path + (w,)))
     return False
+
+
+def closed_neighborhood_distances(g: Graph, i: int):
+    """The members of N[i] = {i} plus its neighbors, ascending, and the
+    Floyd-Warshall distances inside the subgraph they induce, indexed in
+    member order."""
+    members = sorted({i} | {v for e in g.edges if i in e for v in e})
+    index = {v: a for a, v in enumerate(members)}
+    inner = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+    return members, floyd_warshall(Graph.from_edges(len(members), inner))
+
+
+def restricted_radiality(g: Graph, i: int) -> Fraction:
+    """Mean, over the neighbors of i, of their radiality inside the closed
+    neighborhood of i, with internal distances and internal diameter."""
+    members, dist = closed_neighborhood_distances(g, i)
+    k = len(members)
+    if k < 2:
+        raise ValueError(f"vertex {i} has no neighbors")
+    diam = int(max(max(row) for row in dist))
+    total = Fraction(0)
+    for v, row in zip(members, dist):
+        if v != i:
+            total += Fraction((k - 1) * (diam + 1) - int(sum(row)), k - 1)
+    return total / (k - 1)
+
+
+def r9_rhs(g: Graph) -> Fraction:
+    """Right side of R9: mean restricted radiality minus 2 plus the share of
+    vertices whose closed neighborhood is a clique (internal diameter 1)."""
+    cliques = 0
+    for i in range(g.n):
+        _, dist = closed_neighborhood_distances(g, i)
+        cliques += max(max(row) for row in dist) <= 1
+    mean = sum(restricted_radiality(g, i) for i in range(g.n)) / Fraction(g.n)
+    return mean - 2 + Fraction(cliques, g.n)

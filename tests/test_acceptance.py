@@ -23,7 +23,6 @@ from centaudit import (
     SKIPPED,
     VIOLATED,
     apsp,
-    audit_geodetic_equivalence,
     complete_graph,
     cycle_graph,
     enumerate_connected,
@@ -192,7 +191,7 @@ def test_criterion_5_cli_stdin_variant(tmp_path):
 
 def test_criterion_6_predicate_implication():
     with criterion(6, "even-cycle-free vs geodetic implication n<=6"):
-        report = audit_geodetic_equivalence(6)
+        report = mine_exhaustive(6, relation_ids=())
         audit = report.geodetic_audit
         assert audit.graphs == 27475
         assert audit.ecf_not_geodetic == 0

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from centaudit import cli
+from centaudit.graphs import MODELS
 from centaudit.cli import (
     EXIT_DISCONNECTED,
     EXIT_OK,
@@ -108,6 +109,19 @@ class TestCompute:
         path.write_text("n 4\n0 1\n2 3\n")
         code, _, err = run(["compute", str(path)])
         assert code == EXIT_DISCONNECTED and "disconnected" in err
+
+    @pytest.mark.parametrize("command", ["compute", "check"])
+    def test_huge_header_rejected_before_distance_work(self, command, monkeypatch):
+        # n > m + 1 can never be connected; no distance pass may start
+        def no_apsp(g):
+            raise AssertionError("apsp called on a graph that cannot be connected")
+
+        monkeypatch.setattr(cli, "apsp", no_apsp)
+        monkeypatch.setattr(cli.rel, "apsp", no_apsp)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("n 1000000000\n0 1\n"))
+        code, out, err = run([command, "-"])
+        assert code == EXIT_DISCONNECTED and out == ""
+        assert "1000000000 vertices but only 1 edges" in err
 
     def test_missing_file_exit_2(self):
         code, _, _ = run(["compute", "no/such/file.edges"])
@@ -278,6 +292,16 @@ class TestGen:
         assert code == EXIT_USAGE
         code, _, _ = run(["gen", "--model", "star", "--n", "4"])
         assert code == EXIT_USAGE  # star takes --leaves, not --n
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_every_model_accepted(self, model):
+        flags = {"n": ["--n", "6"], "leaves": ["--leaves", "5"], "k": ["--k", "2"],
+                 "p": ["--p", "0.5"]}
+        argv = ["gen", "--model", model, "--seed", "1"]
+        for name in MODELS[model][1]:
+            argv += flags[name]
+        code, stdout, _ = run(argv)
+        assert code == EXIT_OK and stdout
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -6,22 +7,21 @@ from hypothesis import given, settings, strategies as st
 from centaudit import (
     EdgeListError,
     Graph,
-    SubgraphView,
     complete_graph,
     cycle_graph,
     enumerate_connected,
     generate,
     gnp_graph,
-    graph_from_mask,
     induced_subsets,
-    neighborhood,
+    local_clustering,
     parse_edge_list,
     path_graph,
-    pendant_vertices,
+    profile,
     serialize_edge_list,
     star_graph,
     watts_strogatz_graph,
 )
+from centaudit.graphs import SUBSET_SAMPLE_COUNT, enumerate_connected_range
 from oracles import count_connected_graphs, union_find_connected
 
 
@@ -232,95 +232,83 @@ class TestEnumeration:
             list(enumerate_connected(0))
 
     def test_graph_from_mask(self):
-        assert graph_from_mask(3, 7) == complete_graph(3)
-        with pytest.raises(ValueError):
-            graph_from_mask(3, 8)
+        # bits 0, 1, 2 are the pairs (0,1), (0,2), (1,2)
+        assert list(enumerate_connected_range(3, 7, 8)) == [complete_graph(3)]
+        assert list(enumerate_connected_range(3, 3, 4)) == [star_graph(2)]
+        assert list(enumerate_connected_range(3, 8, 9)) == []
 
 
 # ---------------------------------------------------------------------------
-# Views, subsets, pendants
+# Neighborhoods (as the profile sees them), subsets, pendants
 # ---------------------------------------------------------------------------
 
 class TestViews:
     def test_open_neighborhood_in_triangle(self):
-        view = neighborhood(complete_graph(3), 0)
-        assert view.members == (1, 2)
-        assert view.induced_edges() == ((1, 2),)
+        p = profile(complete_graph(3))
+        assert complete_graph(3).adj[0] == {1, 2}
+        assert p.local_clustering[0] == 1 and p.complete_neighborhood[0]
 
     def test_star_center_open_neighborhood(self):
-        view = neighborhood(star_graph(3), 0)
-        assert len(view) == 3
-        assert view.induced_edges() == ()
+        p = profile(star_graph(3))
+        assert p.degrees[0] == 3
+        assert p.local_clustering[0] == 0 and not p.complete_neighborhood[0]
 
     def test_path_end_closed_neighborhood(self):
-        view = neighborhood(path_graph(3), 0, closed=True)
-        assert view.members == (0, 1)
-        assert view.induced_edges() == ((0, 1),)
+        p = profile(path_graph(3))
+        assert p.degrees[0] == 1 and p.complete_neighborhood[0]
 
     def test_invalid_vertex(self):
         with pytest.raises(ValueError):
-            neighborhood(path_graph(3), 3)
+            local_clustering(path_graph(3), 3)
 
-    def test_as_graph_relabels(self):
-        view = SubgraphView(path_graph(4), (1, 2, 3))
-        assert view.as_graph() == path_graph(3)
-
-    def test_member_validation(self):
-        with pytest.raises(ValueError):
-            SubgraphView(path_graph(3), (0, 0))
-        with pytest.raises(ValueError):
-            SubgraphView(path_graph(3), (0, 5))
-
-    @given(arbitrary_graphs(min_n=2, max_n=6), st.data())
+    @given(arbitrary_graphs(min_n=2, max_n=6))
     @settings(max_examples=60)
-    def test_induced_edges_match_double_loop(self, g, data):
-        members = tuple(
-            sorted(data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n)))
-        )
-        view = SubgraphView(g, members)
-        expected = set()
-        for u in members:
-            for v in members:
-                if u < v and g.has_edge(u, v):
-                    expected.add((u, v))
-        assert set(view.induced_edges()) == expected
+    def test_induced_edges_match_double_loop(self, g):
+        # the edges induced by an open neighborhood, counted by a double loop,
+        # are the links that local clustering normalizes
+        for v in range(g.n):
+            members = sorted(g.adj[v])
+            links = sum(
+                1 for a in members for b in members if a < b and g.has_edge(a, b)
+            )
+            d = len(members)
+            expected = Fraction(2 * links, d * (d - 1)) if d >= 2 else 0
+            assert local_clustering(g, v) == expected
 
 
 class TestInducedSubsets:
     def test_path3_has_four_subsets(self):
-        views = list(induced_subsets(path_graph(3), 2))
-        assert [v.members for v in views] == [(0, 1), (0, 2), (1, 2), (0, 1, 2)]
+        subsets = list(induced_subsets(path_graph(3)))
+        assert subsets == [(0, 1), (0, 2), (1, 2), (0, 1, 2)]
 
     def test_c4_has_eleven_subsets(self):
-        assert sum(1 for _ in induced_subsets(cycle_graph(4), 2)) == 11
-
-    def test_triangle_min_size_three(self):
-        views = list(induced_subsets(complete_graph(3), 3))
-        assert [v.members for v in views] == [(0, 1, 2)]
+        assert sum(1 for _ in induced_subsets(cycle_graph(4))) == 11
 
     def test_min_size_validation(self):
-        with pytest.raises(ValueError):
-            list(induced_subsets(path_graph(3), 1))
+        # size-1 subsets never appear, enumerated or sampled
+        small = list(induced_subsets(complete_graph(4)))
+        sampled = list(induced_subsets(watts_strogatz_graph(12, 4, 0.0)))
+        assert min(len(members) for members in small + sampled) == 2
 
     def test_requires_connected_host(self):
         with pytest.raises(ValueError, match="connected"):
-            list(induced_subsets(Graph.from_edges(4, [(0, 1), (2, 3)]), 2))
+            list(induced_subsets(Graph.from_edges(4, [(0, 1), (2, 3)])))
 
     def test_large_host_sampling_is_deterministic(self):
         g = watts_strogatz_graph(14, 4, 0.0)
-        first = [v.members for v in induced_subsets(g, 2, sample_count=50, seed=4)]
-        second = [v.members for v in induced_subsets(g, 2, sample_count=50, seed=4)]
+        first = list(induced_subsets(g, seed=4))
+        second = list(induced_subsets(g, seed=4))
         assert first == second
-        assert len(first) == len(set(first)) == 50
-        assert all(len(members) >= 2 for members in first)
+        assert len(first) == len(set(first)) == SUBSET_SAMPLE_COUNT
+        assert first != list(induced_subsets(g, seed=5))
 
 
 class TestPendants:
     def test_star_leaves(self):
-        assert pendant_vertices(star_graph(3)) == {1, 2, 3}
+        assert profile(star_graph(3)).pendant == (False, True, True, True)
 
     def test_cycle_has_none(self):
-        assert pendant_vertices(cycle_graph(5)) == frozenset()
+        assert not any(profile(cycle_graph(5)).pendant)
 
     def test_path_ends(self):
-        assert pendant_vertices(path_graph(3)) == {0, 2}
+        assert profile(path_graph(3)).pendant == (True, False, True)

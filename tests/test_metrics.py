@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from centaudit import (
     DisconnectedGraphError,
     Graph,
-    SubgraphView,
     apsp,
     average_clustering,
     avg_path_length,
@@ -18,19 +17,22 @@ from centaudit import (
     diameter,
     enumerate_connected,
     global_clustering,
-    internal_distances,
     is_even_cycle_free,
     is_geodetic,
     local_clustering,
-    neighborhood,
     path_graph,
     profile,
     radiality,
-    restricted_avg_path_length,
     star_graph,
     stress,
 )
-from oracles import brute_force_geodetic, brute_force_stress, has_even_cycle
+from centaudit.metrics import mean_pair_distance
+from oracles import (
+    brute_force_geodetic,
+    brute_force_stress,
+    closed_neighborhood_distances,
+    has_even_cycle,
+)
 
 # triangle 0-1-2 with a tail 2-3
 PAW = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -142,24 +144,19 @@ class TestGraphLevelMetrics:
 
 
 class TestRestrictedLength:
+    """Mean ambient distance over a member set, as R1, R3, R5 and R6 use it."""
+
     def test_star_center_neighborhood(self):
         g = star_graph(3)
-        view = neighborhood(g, 0)
-        assert restricted_avg_path_length(view, apsp(g)) == F(2)
+        assert mean_pair_distance(apsp(g).dist, (1, 2, 3)) == F(2)
 
     def test_triangle_neighborhood(self):
         g = complete_graph(3)
-        assert restricted_avg_path_length(neighborhood(g, 0), apsp(g)) == F(1)
+        assert mean_pair_distance(apsp(g).dist, (1, 2)) == F(1)
 
     def test_single_member_is_zero(self):
         g = path_graph(3)
-        assert restricted_avg_path_length(SubgraphView(g, (1,)), apsp(g)) == F(0)
-
-    def test_host_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            restricted_avg_path_length(
-                SubgraphView(path_graph(3), (0, 1)), apsp(path_graph(4))
-            )
+        assert mean_pair_distance(apsp(g).dist, (1,)) == F(0)
 
 
 class TestClustering:
@@ -334,11 +331,10 @@ class TestProfile:
     def test_closed_neighborhood_diameter(self, g):
         p = profile(g)
         for v in range(g.n):
-            view = neighborhood(g, v, closed=True)
-            diam = diameter(internal_distances(view))
+            _, dist = closed_neighborhood_distances(g, v)
+            diam = max(max(row) for row in dist)
             assert diam <= 2
-            if len(view) >= 2:
-                assert (diam == 1) == p.complete_neighborhood[v]
+            assert (diam == 1) == p.complete_neighborhood[v]
 
 
 class TestEvenCycleFreeExhaustive:

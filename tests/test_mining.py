@@ -2,13 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from centaudit import mining
 from centaudit import (
     EQUALITY,
     VIOLATED,
     ConnectivityRetryError,
     Graph,
     apsp,
-    audit_geodetic_equivalence,
     complete_graph,
     cycle_graph,
     equality_census,
@@ -164,9 +164,49 @@ class TestMineRandom:
             mine_random("gnp", {"n": 4, "p": 0.5}, trials=0)
 
 
+class TestWorkerBound:
+    """``workers`` is capped at the CPU count; an in-process stand-in for the
+    process pool records the requested size, so no process is started."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                sizes.append(len(tasks))
+                return map(fn, tasks)
+
+        monkeypatch.setattr(mining, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(mining.os, "cpu_count", lambda: 2)
+        return sizes
+
+    def test_exhaustive_clamped(self, pools):
+        report = mine_exhaustive(3, workers=10**6)
+        # pool size 2, then 2 chunks for each of n = 2 and n = 3
+        assert pools == [2, 4]
+        assert report_fingerprint(report) == report_fingerprint(mine_exhaustive(3))
+
+    def test_random_clamped(self, pools):
+        report = mine_random("gnp", {"n": 5, "p": 0.6}, trials=6, workers=10**6)
+        assert pools == [2, 2]
+        single = mine_random("gnp", {"n": 5, "p": 0.6}, trials=6)
+        assert report_fingerprint(report) == report_fingerprint(single)
+
+
 class TestGeodeticAudit:
     def test_k4_is_a_witness_at_n4(self):
-        report = audit_geodetic_equivalence(4)
+        report = mine_exhaustive(4, relation_ids=())
         k4 = complete_graph(4)
         assert report.geodetic_audit.ecf_not_geodetic == 0
         found = [
@@ -176,14 +216,14 @@ class TestGeodeticAudit:
         assert found
 
     def test_no_counterexamples_at_n3(self):
-        report = audit_geodetic_equivalence(3)
+        report = mine_exhaustive(3, relation_ids=())
         assert report.geodetic_audit.graphs == 5
         assert report.geodetic_audit.geodetic_not_ecf == 0
         assert report.geodetic_audit.ecf_not_geodetic == 0
         assert report.geodetic_audit.ecf_and_geodetic == 5
 
     def test_tallies_empty_without_relations(self):
-        report = audit_geodetic_equivalence(3)
+        report = mine_exhaustive(3, relation_ids=())
         assert report.relation_ids == ()
         assert report.tallies == {}
 

@@ -19,13 +19,15 @@ from centaudit import (
     complete_graph,
     cycle_graph,
     evaluate,
+    enumerate_connected,
     evaluate_all,
     path_graph,
     profile,
     relation,
-    restricted_radiality_sum,
     star_graph,
 )
+from centaudit.relations import _closed_neighborhood_radiality
+from oracles import r9_rhs, restricted_radiality
 
 
 @st.composite
@@ -177,18 +179,37 @@ class TestExamples:
 
 
 class TestRestrictedRadialitySum:
+    """Hand values of the per-vertex R9 term, from the oracle (relabeled
+    induced subgraph) and from R9's closed form over the profile."""
+
+    @staticmethod
+    def both(g, i):
+        return restricted_radiality(g, i), _closed_neighborhood_radiality(profile(g), i)
+
     def test_triangle(self):
-        assert restricted_radiality_sum(complete_graph(3), 0) == F(1)
+        assert self.both(complete_graph(3), 0) == (F(1), F(1))
 
     def test_star_center(self):
-        assert restricted_radiality_sum(star_graph(3), 0) == F(4, 3)
+        assert self.both(star_graph(3), 0) == (F(4, 3), F(4, 3))
 
     def test_star_leaf(self):
-        assert restricted_radiality_sum(star_graph(3), 1) == F(1)
+        assert self.both(star_graph(3), 1) == (F(1), F(1))
 
     def test_rejects_isolated_vertex(self):
         with pytest.raises(ValueError):
-            restricted_radiality_sum(Graph.from_edges(1, []), 0)
+            restricted_radiality(Graph.from_edges(1, []), 0)
+
+
+class TestR9AgainstOracle:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_labeled_graph(self, n):
+        for g in enumerate_connected(n):
+            assert single(g, "R9").rhs == r9_rhs(g), g.edges
+
+    @given(connected_graphs(max_n=8))
+    @settings(max_examples=60)
+    def test_random_graphs(self, g):
+        assert single(g, "R9").rhs == r9_rhs(g)
 
 
 class TestProperties:
