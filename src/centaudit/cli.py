@@ -110,15 +110,8 @@ def _result_payload(result: rel.RelationResult) -> dict:
 
 
 def _check_payload(g: Graph, results: list[rel.RelationResult]) -> dict:
-    non_audit = sum(
-        1
-        for r in results
-        if r.status == rel.VIOLATED and not rel.relation(r.relation_id).audit
-    )
-    audit = sum(
-        1
-        for r in results
-        if r.status == rel.VIOLATED and rel.relation(r.relation_id).audit
+    non_audit, audit = rel.violation_counts(
+        (r.relation_id, r.status == rel.VIOLATED) for r in results
     )
     return {
         "graph": {"n": g.n, "m": g.m},
@@ -371,6 +364,13 @@ def _cmd_mine(args, argv, out) -> int:
     if (args.n_max is None) == (args.model is None):
         raise ValueError("give exactly one of --n-max (exhaustive) or --model (random)")
     if args.n_max is not None:
+        ignored = [
+            f"--{key}"
+            for key in ("trials", "n", "k", "p", "leaves")
+            if getattr(args, key) is not None
+        ]
+        if ignored:
+            raise ValueError(f"--n-max mining takes no {', '.join(ignored)}")
         report = mine_exhaustive(
             args.n_max,
             relation_ids=relation_ids,

@@ -7,17 +7,18 @@ replayed exactly, and audits the implication between the even-cycle-free and
 geodetic predicates.
 
 Work is embarrassingly parallel: the enumeration bitmask range (or the trial
-range) is split into contiguous chunks, and chunk reports merge in a fixed
-order, so multi-worker runs are byte-identical to single-worker runs.
+range) is split into contiguous chunks, each a graph source mined as one
+shard, and shard reports merge in a fixed order, so multi-worker runs are
+byte-identical to single-worker runs.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, Mapping, Sequence
 
 from . import relations as rel
@@ -28,6 +29,7 @@ from .relations import RelationResult, Subject
 DEFAULT_WITNESS_CAP = 16
 SUBSET_BUDGET_PER_GRAPH = 512  # at most this many R6 subsets per graph
 CONNECTIVITY_RETRY_CAP = 1000
+MAX_RETRY_CAP = 1 << 20  # the attempt index fills 20 bits of a derived seed
 
 
 class ConnectivityRetryError(RuntimeError):
@@ -143,21 +145,19 @@ class MiningReport:
     graphs_evaluated: int
     tallies: dict[str, RelationTally]
     geodetic_audit: GeodeticAudit
-    duration_seconds: float  # informational; not part of the serialized report
+
+    @property
+    def violations(self) -> tuple[int, int]:
+        """(non-audit, audit) violation counts."""
+        return rel.violation_counts((rid, t.violated) for rid, t in self.tallies.items())
 
     @property
     def non_audit_violations(self) -> int:
-        return sum(
-            t.violated
-            for rid, t in self.tallies.items()
-            if not rel.relation(rid).audit
-        )
+        return self.violations[0]
 
     @property
     def audit_violations(self) -> int:
-        return sum(
-            t.violated for rid, t in self.tallies.items() if rel.relation(rid).audit
-        )
+        return self.violations[1]
 
     @property
     def ok(self) -> bool:
@@ -202,33 +202,25 @@ def _new_tallies(relation_ids: tuple[str, ...]) -> dict[str, RelationTally]:
     return {rid: RelationTally() for rid in relation_ids}
 
 
-def _mine_mask_range(args) -> _Shard:
-    n, start, stop, relation_ids, cap = args
-    tallies = _new_tallies(relation_ids)
-    audit = GeodeticAudit()
-    graphs = 0
-    for g in enumerate_connected_range(n, start, stop):
-        graphs += 1
-        _evaluate_into(g, relation_ids, tallies, audit, cap)
-    return _Shard(graphs, tallies, audit)
+def _mine_shard(args) -> _Shard:
+    """Evaluate every graph of one source, a picklable zero-argument callable."""
+    source, relation_ids, cap = args
+    shard = _Shard(0, _new_tallies(relation_ids), GeodeticAudit())
+    for g in source():
+        shard.graphs += 1
+        _evaluate_into(g, relation_ids, shard.tallies, shard.audit, cap)
+    return shard
 
 
-def _mine_trial_range(args) -> _Shard:
-    model, params, trial_start, trial_stop, seed, relation_ids, cap, retry_cap = args
-    tallies = _new_tallies(relation_ids)
-    audit = GeodeticAudit()
-    graphs = 0
-    for trial in range(trial_start, trial_stop):
-        g = _connected_sample(model, params, seed, trial, retry_cap)
-        graphs += 1
-        _evaluate_into(g, relation_ids, tallies, audit, cap)
-    return _Shard(graphs, tallies, audit)
+def _trial_graphs(model, params, seed, start, stop, retry_cap) -> Iterator[Graph]:
+    for trial in range(start, stop):
+        yield _connected_sample(model, params, seed, trial, retry_cap)
 
 
 def _connected_sample(
     model: str, params: Mapping[str, object], seed: int, trial: int, retry_cap: int
 ) -> Graph:
-    for attempt in range(min(retry_cap, 1 << 20)):
+    for attempt in range(retry_cap):
         # distinct derived seed per (seed, trial, attempt)
         derived = (seed << 56) + (trial << 20) + attempt
         g = generate(model, params, derived)
@@ -252,11 +244,35 @@ def _merge_shards(
     return merged
 
 
-def _run_tasks(tasks, worker, workers: int) -> list[_Shard]:
+def _run_tasks(tasks, workers: int) -> list[_Shard]:
     if workers <= 1:
-        return [worker(task) for task in tasks]
+        return [_mine_shard(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
+        return list(pool.map(_mine_shard, tasks))
+
+
+def _check_limits(witness_cap: int, workers: int) -> int:
+    """Reject a negative witness cap or fewer than one worker; return
+    ``workers`` capped at the CPU count."""
+    if witness_cap < 0:
+        raise ValueError(f"witness_cap must be >= 0, got {witness_cap}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return min(workers, os.cpu_count() or 1)
+
+
+def _report(population, sources, ids, cap, workers) -> MiningReport:
+    """Mine each graph source as one shard and merge the shards in order."""
+    shards = _run_tasks([(source, ids, cap) for source in sources], workers)
+    merged = _merge_shards(shards, ids, cap)
+    return MiningReport(
+        population=population,
+        relation_ids=ids,
+        witness_cap=cap,
+        graphs_evaluated=merged.graphs,
+        tallies=merged.tallies,
+        geodetic_audit=merged.audit,
+    )
 
 
 def mine_exhaustive(
@@ -270,26 +286,16 @@ def mine_exhaustive(
     ``workers`` is capped at the CPU count."""
     if not 2 <= n_max <= 8:
         raise ValueError(f"n_max must be in 2..8, got {n_max}")
-    workers = min(workers, os.cpu_count() or 1)
+    workers = _check_limits(witness_cap, workers)
     ids = _validate_relation_ids(relation_ids)
-    started = time.perf_counter()
-    tasks = []
+    sources = []
     for n in range(2, n_max + 1):
         total = 1 << (n * (n - 1) // 2)
-        chunk = -(-total // max(workers, 1))
+        chunk = -(-total // workers)
         for lo in range(0, total, chunk):
-            tasks.append((n, lo, min(lo + chunk, total), ids, witness_cap))
-    shards = _run_tasks(tasks, _mine_mask_range, workers)
-    merged = _merge_shards(shards, ids, witness_cap)
-    return MiningReport(
-        population={"kind": "exhaustive", "n_min": 2, "n_max": n_max},
-        relation_ids=ids,
-        witness_cap=witness_cap,
-        graphs_evaluated=merged.graphs,
-        tallies=merged.tallies,
-        geodetic_audit=merged.audit,
-        duration_seconds=time.perf_counter() - started,
-    )
+            sources.append(partial(enumerate_connected_range, n, lo, min(lo + chunk, total)))
+    population = {"kind": "exhaustive", "n_min": 2, "n_max": n_max}
+    return _report(population, sources, ids, witness_cap, workers)
 
 
 def mine_random(
@@ -307,36 +313,29 @@ def mine_random(
     Each trial redraws (up to ``retry_cap`` times) until the sample is
     connected; every draw has its own derived seed, so runs are deterministic
     for a fixed (model, params, trials, seed) regardless of worker count.
-    ``workers`` is capped at the CPU count.
+    ``workers`` is capped at the CPU count; ``retry_cap`` must be in
+    1..``MAX_RETRY_CAP``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    workers = min(workers, os.cpu_count() or 1)
+    if not 1 <= retry_cap <= MAX_RETRY_CAP:
+        raise ValueError(f"retry_cap must be in 1..{MAX_RETRY_CAP}, got {retry_cap}")
+    workers = _check_limits(witness_cap, workers)
     ids = _validate_relation_ids(relation_ids)
     params = {key: params[key] for key in sorted(params)}
-    started = time.perf_counter()
-    chunk = -(-trials // max(workers, 1))
-    tasks = [
-        (model, params, lo, min(lo + chunk, trials), seed, ids, witness_cap, retry_cap)
+    chunk = -(-trials // workers)
+    sources = [
+        partial(_trial_graphs, model, params, seed, lo, min(lo + chunk, trials), retry_cap)
         for lo in range(0, trials, chunk)
     ]
-    shards = _run_tasks(tasks, _mine_trial_range, workers)
-    merged = _merge_shards(shards, ids, witness_cap)
-    return MiningReport(
-        population={
-            "kind": "random",
-            "model": model,
-            "params": params,
-            "trials": trials,
-            "seed": seed,
-        },
-        relation_ids=ids,
-        witness_cap=witness_cap,
-        graphs_evaluated=merged.graphs,
-        tallies=merged.tallies,
-        geodetic_audit=merged.audit,
-        duration_seconds=time.perf_counter() - started,
-    )
+    population = {
+        "kind": "random",
+        "model": model,
+        "params": params,
+        "trials": trials,
+        "seed": seed,
+    }
+    return _report(population, sources, ids, witness_cap, workers)
 
 
 def equality_census(

@@ -5,6 +5,9 @@ radiality, or stress quantity to another. Relations are evaluated in exact
 rational arithmetic; a result is ``equality`` only when both sides agree
 exactly. Two catalog entries are marked ``audit-inequality``: their statements
 are checked empirically and violations are reported without failing a run.
+
+Each catalog row holds a relation's comparison and its evaluator, and
+:func:`evaluate` decides every status.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .graphs import Graph, induced_subsets
 from .metrics import (
@@ -40,15 +43,21 @@ PER_GRAPH = "per-graph"
 PER_SUBGRAPH = "per-subgraph"
 
 Subject = Union[None, int, tuple[int, ...]]
+# (graph, profile, distances) -> (subject, lhs, rhs, precondition_ok) per subject
+Evaluator = Callable[..., Iterator[tuple[Subject, Fraction, Fraction, bool]]]
 
 
 @dataclass(frozen=True)
 class RelationSpec:
+    """One catalog row; ``sense`` compares lhs to rhs: ``=``, ``>=`` or ``<=``."""
+
     id: str
     description: str
     preconditions: tuple[str, ...]
     kind: str
     scope: str
+    sense: str
+    evaluator: Evaluator
 
     @property
     def audit(self) -> bool:
@@ -71,163 +80,6 @@ class RelationResult:
     lhs: Fraction
     rhs: Fraction
     slack: Fraction
-
-
-_CATALOG = (
-    RelationSpec(
-        "R1",
-        "mean ambient distance within an open neighborhood equals 2 minus the "
-        "local clustering coefficient",
-        ("degree>=2",),
-        EXACT_IDENTITY,
-        PER_VERTEX,
-    ),
-    RelationSpec(
-        "R2",
-        "average clustering equals 2 minus the mean over vertices of the open-"
-        "neighborhood mean distance",
-        ("min-degree>=2",),
-        EXACT_IDENTITY,
-        PER_GRAPH,
-    ),
-    RelationSpec(
-        "R3",
-        "closed-neighborhood mean distance equals ((d-1) * open-neighborhood "
-        "mean distance + 2) / (d+1)",
-        ("degree>=1",),
-        EXACT_IDENTITY,
-        PER_VERTEX,
-    ),
-    RelationSpec(
-        "R4",
-        "graph mean distance is at least (n-1)/n times the ambient mean "
-        "distance after deleting one vertex",
-        (),
-        INEQUALITY,
-        PER_VERTEX,
-    ),
-    RelationSpec(
-        "R5",
-        "closed-neighborhood mean distance is at least d/(d+1) times the open-"
-        "neighborhood mean distance",
-        (),
-        INEQUALITY,
-        PER_VERTEX,
-    ),
-    RelationSpec(
-        "R6",
-        "graph mean distance is at least |S|/n times the ambient mean distance "
-        "over any vertex subset S",
-        (),
-        INEQUALITY,
-        PER_SUBGRAPH,
-    ),
-    RelationSpec(
-        "R7",
-        "graph mean distance is at least n divided by the sum of closeness "
-        "centralities",
-        (),
-        INEQUALITY,
-        PER_GRAPH,
-    ),
-    RelationSpec(
-        "R8",
-        "graph mean distance equals diameter + 1 minus the mean radiality",
-        (),
-        EXACT_IDENTITY,
-        PER_GRAPH,
-    ),
-    RelationSpec(
-        "R9",
-        "half the average clustering is at least the mean closed-neighborhood "
-        "radiality average minus 2 plus the share of complete neighborhoods",
-        (),
-        AUDIT_INEQUALITY,
-        PER_GRAPH,
-    ),
-    RelationSpec(
-        "R10",
-        "on geodetic graphs the mean distance equals 1 + total stress / (n(n-1))",
-        ("geodetic",),
-        EXACT_IDENTITY,
-        PER_GRAPH,
-    ),
-    RelationSpec(
-        "R10b",
-        "the mean distance is at most 1 + total stress / (n(n-1))",
-        (),
-        INEQUALITY,
-        PER_GRAPH,
-    ),
-    RelationSpec(
-        "R11",
-        "without pendant vertices, average clustering is at least 1 minus the "
-        "mean of stress / (d(d-1))",
-        ("pendant-free",),
-        INEQUALITY,
-        PER_GRAPH,
-    ),
-    RelationSpec(
-        "R11b",
-        "average clustering is at least 1 minus the mean of stress / (d(d-1)) "
-        "over non-pendant vertices minus the pendant share",
-        (),
-        INEQUALITY,
-        PER_GRAPH,
-    ),
-    RelationSpec(
-        "R12",
-        "on geodetic graphs with degree-monotone stress, 1 minus average "
-        "clustering is at most the mean of (L-1)(n-1)/(d(d-1)) over non-pendant "
-        "vertices plus the pendant share",
-        ("geodetic", "degree-stress-monotone"),
-        AUDIT_INEQUALITY,
-        PER_GRAPH,
-    ),
-)
-
-_BY_ID = {spec.id: spec for spec in _CATALOG}
-
-RELATION_IDS = tuple(spec.id for spec in _CATALOG)
-
-
-def catalog() -> tuple[RelationSpec, ...]:
-    """All fourteen relations, in catalog order."""
-    return _CATALOG
-
-
-def relation(relation_id: str) -> RelationSpec:
-    try:
-        return _BY_ID[relation_id]
-    except KeyError:
-        raise ValueError(f"unknown relation id {relation_id!r}") from None
-
-
-def _identity(lhs: Fraction, rhs: Fraction, ok: bool) -> tuple[str, Fraction]:
-    slack = rhs - lhs
-    if not ok:
-        return SKIPPED, slack
-    return (EQUALITY if lhs == rhs else VIOLATED), slack
-
-
-def _at_least(lhs: Fraction, rhs: Fraction, ok: bool) -> tuple[str, Fraction]:
-    """Status and slack for a relation shaped lhs >= rhs."""
-    slack = lhs - rhs
-    if not ok:
-        return SKIPPED, slack
-    if lhs == rhs:
-        return EQUALITY, slack
-    return (HOLDS if lhs > rhs else VIOLATED), slack
-
-
-def _at_most(lhs: Fraction, rhs: Fraction, ok: bool) -> tuple[str, Fraction]:
-    """Status and slack for a relation shaped lhs <= rhs."""
-    slack = rhs - lhs
-    if not ok:
-        return SKIPPED, slack
-    if lhs == rhs:
-        return EQUALITY, slack
-    return (HOLDS if lhs < rhs else VIOLATED), slack
 
 
 def _open_neighborhood_L(g: Graph, d: DistanceMatrix, i: int) -> Fraction:
@@ -257,80 +109,53 @@ def _degree_stress_monotone(prof: CentralityProfile) -> bool:
 
 
 def _eval_r1(g, prof, d):
-    results = []
     for i in range(g.n):
         lhs = _open_neighborhood_L(g, d, i)
-        rhs = 2 - prof.local_clustering[i]
-        status, slack = _identity(lhs, rhs, prof.degrees[i] >= 2)
-        results.append(RelationResult("R1", i, status, lhs, rhs, slack))
-    return results
+        yield i, lhs, 2 - prof.local_clustering[i], prof.degrees[i] >= 2
 
 
 def _eval_r2(g, prof, d):
     lhs = prof.average_clustering
     rhs = 2 - sum(_open_neighborhood_L(g, d, i) for i in range(g.n)) / Fraction(g.n)
-    status, slack = _identity(lhs, rhs, min(prof.degrees) >= 2)
-    return [RelationResult("R2", None, status, lhs, rhs, slack)]
+    yield None, lhs, rhs, min(prof.degrees) >= 2
 
 
 def _eval_r3(g, prof, d):
-    results = []
     for i in range(g.n):
         deg = prof.degrees[i]
         lhs = _closed_neighborhood_L(g, d, i)
         rhs = ((deg - 1) * _open_neighborhood_L(g, d, i) + 2) / Fraction(deg + 1)
-        status, slack = _identity(lhs, rhs, deg >= 1)
-        results.append(RelationResult("R3", i, status, lhs, rhs, slack))
-    return results
+        yield i, lhs, rhs, deg >= 1
 
 
 def _eval_r4(g, prof, d):
     lhs = prof.avg_path_length
-    results = []
     for v in range(g.n):
         rest = [u for u in range(g.n) if u != v]
-        rhs = Fraction(g.n - 1, g.n) * mean_pair_distance(d.dist, rest)
-        status, slack = _at_least(lhs, rhs, True)
-        results.append(RelationResult("R4", v, status, lhs, rhs, slack))
-    return results
+        yield v, lhs, Fraction(g.n - 1, g.n) * mean_pair_distance(d.dist, rest), True
 
 
 def _eval_r5(g, prof, d):
-    results = []
     for i in range(g.n):
         deg = prof.degrees[i]
         lhs = _closed_neighborhood_L(g, d, i)
-        rhs = Fraction(deg, deg + 1) * _open_neighborhood_L(g, d, i)
-        status, slack = _at_least(lhs, rhs, True)
-        results.append(RelationResult("R5", i, status, lhs, rhs, slack))
-    return results
+        yield i, lhs, Fraction(deg, deg + 1) * _open_neighborhood_L(g, d, i), True
 
 
-def _eval_r6(g, prof, d, max_subjects=None):
+def _eval_r6(g, prof, d):
     lhs = prof.avg_path_length
-    results = []
-    subsets = induced_subsets(g)
-    if max_subjects is not None:
-        subsets = islice(subsets, max_subjects)
-    for members in subsets:
+    for members in induced_subsets(g):
         rhs = Fraction(len(members), g.n) * mean_pair_distance(d.dist, members)
-        status, slack = _at_least(lhs, rhs, True)
-        results.append(RelationResult("R6", members, status, lhs, rhs, slack))
-    return results
+        yield members, lhs, rhs, True
 
 
 def _eval_r7(g, prof, d):
-    lhs = prof.avg_path_length
-    rhs = g.n / sum(prof.closeness)
-    status, slack = _at_least(lhs, rhs, True)
-    return [RelationResult("R7", None, status, lhs, rhs, slack)]
+    yield None, prof.avg_path_length, g.n / sum(prof.closeness), True
 
 
 def _eval_r8(g, prof, d):
-    lhs = prof.avg_path_length
     rhs = prof.diameter + 1 - sum(prof.radiality) / Fraction(g.n)
-    status, slack = _identity(lhs, rhs, True)
-    return [RelationResult("R8", None, status, lhs, rhs, slack)]
+    yield None, prof.avg_path_length, rhs, True
 
 
 def _closed_neighborhood_radiality(prof: CentralityProfile, i: int) -> Fraction:
@@ -355,8 +180,7 @@ def _eval_r9(g, prof, d):
         - 2
         + Fraction(complete, g.n)
     )
-    status, slack = _at_least(lhs, rhs, True)
-    return [RelationResult("R9", None, status, lhs, rhs, slack)]
+    yield None, lhs, rhs, True
 
 
 def _stress_bound(prof: CentralityProfile) -> Fraction:
@@ -365,34 +189,24 @@ def _stress_bound(prof: CentralityProfile) -> Fraction:
 
 
 def _eval_r10(g, prof, d):
-    lhs = prof.avg_path_length
-    rhs = _stress_bound(prof)
-    status, slack = _identity(lhs, rhs, prof.geodetic)
-    return [RelationResult("R10", None, status, lhs, rhs, slack)]
+    yield None, prof.avg_path_length, _stress_bound(prof), prof.geodetic
 
 
 def _eval_r10b(g, prof, d):
-    lhs = prof.avg_path_length
-    rhs = _stress_bound(prof)
-    status, slack = _at_most(lhs, rhs, True)
-    return [RelationResult("R10b", None, status, lhs, rhs, slack)]
+    yield None, prof.avg_path_length, _stress_bound(prof), True
 
 
 def _eval_r11(g, prof, d):
     # pendant terms are 0/0 in the statement; report them as 0 so that the
     # skipped results still carry both sides
-    lhs = prof.average_clustering
     rhs = 1 - _stress_over_pairs_sum(prof) / g.n
-    status, slack = _at_least(lhs, rhs, not any(prof.pendant))
-    return [RelationResult("R11", None, status, lhs, rhs, slack)]
+    yield None, prof.average_clustering, rhs, not any(prof.pendant)
 
 
 def _eval_r11b(g, prof, d):
-    lhs = prof.average_clustering
     pendants = sum(prof.pendant)
     rhs = 1 - _stress_over_pairs_sum(prof) / g.n - Fraction(pendants, g.n)
-    status, slack = _at_least(lhs, rhs, True)
-    return [RelationResult("R11b", None, status, lhs, rhs, slack)]
+    yield None, prof.average_clustering, rhs, True
 
 
 def _eval_r12(g, prof, d):
@@ -405,27 +219,173 @@ def _eval_r12(g, prof, d):
             total += scale / (deg * (deg - 1))
     pendants = sum(prof.pendant)
     rhs = total / n + Fraction(pendants, n)
-    ok = prof.geodetic and _degree_stress_monotone(prof)
-    status, slack = _at_most(lhs, rhs, ok)
-    return [RelationResult("R12", None, status, lhs, rhs, slack)]
+    yield None, lhs, rhs, prof.geodetic and _degree_stress_monotone(prof)
 
 
-_EVALUATORS = {
-    "R1": _eval_r1,
-    "R2": _eval_r2,
-    "R3": _eval_r3,
-    "R4": _eval_r4,
-    "R5": _eval_r5,
-    "R6": _eval_r6,
-    "R7": _eval_r7,
-    "R8": _eval_r8,
-    "R9": _eval_r9,
-    "R10": _eval_r10,
-    "R10b": _eval_r10b,
-    "R11": _eval_r11,
-    "R11b": _eval_r11b,
-    "R12": _eval_r12,
-}
+_CATALOG = (
+    RelationSpec(
+        "R1",
+        "mean ambient distance within an open neighborhood equals 2 minus the "
+        "local clustering coefficient",
+        ("degree>=2",),
+        EXACT_IDENTITY,
+        PER_VERTEX,
+        "=",
+        _eval_r1,
+    ),
+    RelationSpec(
+        "R2",
+        "average clustering equals 2 minus the mean over vertices of the open-"
+        "neighborhood mean distance",
+        ("min-degree>=2",),
+        EXACT_IDENTITY,
+        PER_GRAPH,
+        "=",
+        _eval_r2,
+    ),
+    RelationSpec(
+        "R3",
+        "closed-neighborhood mean distance equals ((d-1) * open-neighborhood "
+        "mean distance + 2) / (d+1)",
+        ("degree>=1",),
+        EXACT_IDENTITY,
+        PER_VERTEX,
+        "=",
+        _eval_r3,
+    ),
+    RelationSpec(
+        "R4",
+        "graph mean distance is at least (n-1)/n times the ambient mean "
+        "distance after deleting one vertex",
+        (),
+        INEQUALITY,
+        PER_VERTEX,
+        ">=",
+        _eval_r4,
+    ),
+    RelationSpec(
+        "R5",
+        "closed-neighborhood mean distance is at least d/(d+1) times the open-"
+        "neighborhood mean distance",
+        (),
+        INEQUALITY,
+        PER_VERTEX,
+        ">=",
+        _eval_r5,
+    ),
+    RelationSpec(
+        "R6",
+        "graph mean distance is at least |S|/n times the ambient mean distance "
+        "over any vertex subset S",
+        (),
+        INEQUALITY,
+        PER_SUBGRAPH,
+        ">=",
+        _eval_r6,
+    ),
+    RelationSpec(
+        "R7",
+        "graph mean distance is at least n divided by the sum of closeness "
+        "centralities",
+        (),
+        INEQUALITY,
+        PER_GRAPH,
+        ">=",
+        _eval_r7,
+    ),
+    RelationSpec(
+        "R8",
+        "graph mean distance equals diameter + 1 minus the mean radiality",
+        (),
+        EXACT_IDENTITY,
+        PER_GRAPH,
+        "=",
+        _eval_r8,
+    ),
+    RelationSpec(
+        "R9",
+        "half the average clustering is at least the mean closed-neighborhood "
+        "radiality average minus 2 plus the share of complete neighborhoods",
+        (),
+        AUDIT_INEQUALITY,
+        PER_GRAPH,
+        ">=",
+        _eval_r9,
+    ),
+    RelationSpec(
+        "R10",
+        "on geodetic graphs the mean distance equals 1 + total stress / (n(n-1))",
+        ("geodetic",),
+        EXACT_IDENTITY,
+        PER_GRAPH,
+        "=",
+        _eval_r10,
+    ),
+    RelationSpec(
+        "R10b",
+        "the mean distance is at most 1 + total stress / (n(n-1))",
+        (),
+        INEQUALITY,
+        PER_GRAPH,
+        "<=",
+        _eval_r10b,
+    ),
+    RelationSpec(
+        "R11",
+        "without pendant vertices, average clustering is at least 1 minus the "
+        "mean of stress / (d(d-1))",
+        ("pendant-free",),
+        INEQUALITY,
+        PER_GRAPH,
+        ">=",
+        _eval_r11,
+    ),
+    RelationSpec(
+        "R11b",
+        "average clustering is at least 1 minus the mean of stress / (d(d-1)) "
+        "over non-pendant vertices minus the pendant share",
+        (),
+        INEQUALITY,
+        PER_GRAPH,
+        ">=",
+        _eval_r11b,
+    ),
+    RelationSpec(
+        "R12",
+        "on geodetic graphs with degree-monotone stress, 1 minus average "
+        "clustering is at most the mean of (L-1)(n-1)/(d(d-1)) over non-pendant "
+        "vertices plus the pendant share",
+        ("geodetic", "degree-stress-monotone"),
+        AUDIT_INEQUALITY,
+        PER_GRAPH,
+        "<=",
+        _eval_r12,
+    ),
+)
+
+_BY_ID = {spec.id: spec for spec in _CATALOG}
+
+RELATION_IDS = tuple(spec.id for spec in _CATALOG)
+
+
+def catalog() -> tuple[RelationSpec, ...]:
+    """All fourteen relations, in catalog order."""
+    return _CATALOG
+
+
+def relation(relation_id: str) -> RelationSpec:
+    try:
+        return _BY_ID[relation_id]
+    except KeyError:
+        raise ValueError(f"unknown relation id {relation_id!r}") from None
+
+
+def violation_counts(violated: Iterable[tuple[str, int]]) -> tuple[int, int]:
+    """(non-audit, audit) totals of ``(relation id, violations)`` pairs."""
+    totals = [0, 0]
+    for rid, count in violated:
+        totals[relation(rid).audit] += count
+    return totals[0], totals[1]
 
 
 def evaluate(
@@ -442,16 +402,26 @@ def evaluate(
     """
     if g.n < 2:
         raise ValueError("relation evaluation needs at least 2 vertices")
-    evaluator = _EVALUATORS[spec.id]
+    rows = spec.evaluator(g, prof, d)
     if spec.scope == PER_SUBGRAPH:
-        return evaluator(g, prof, d, max_subjects)
-    return evaluator(g, prof, d)
+        rows = islice(rows, max_subjects)
+    results = []
+    for subject, lhs, rhs, ok in rows:
+        slack = lhs - rhs if spec.sense == ">=" else rhs - lhs
+        if not ok:
+            status = SKIPPED
+        elif slack == 0:
+            status = EQUALITY
+        elif slack > 0 and spec.sense != "=":
+            status = HOLDS
+        else:
+            status = VIOLATED
+        results.append(RelationResult(spec.id, subject, status, lhs, rhs, slack))
+    return results
 
 
 def evaluate_all(
-    g: Graph,
-    relation_ids: Iterable[str] | None = None,
-    max_subjects: Optional[int] = None,
+    g: Graph, relation_ids: Iterable[str] | None = None
 ) -> list[RelationResult]:
     """Convenience wrapper: profile the graph and evaluate the given relations
     (default: the whole catalog) in catalog order."""
@@ -460,5 +430,5 @@ def evaluate_all(
     ids = RELATION_IDS if relation_ids is None else tuple(relation_ids)
     results = []
     for rid in ids:
-        results.extend(evaluate(relation(rid), g, prof, d, max_subjects))
+        results.extend(evaluate(relation(rid), g, prof, d))
     return results

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from centaudit import cli
+from centaudit import cli, mining
 from centaudit.graphs import MODELS
 from centaudit.cli import (
     EXIT_DISCONNECTED,
@@ -172,7 +172,7 @@ class TestCheck:
         # to pin the exit-code contract
         from centaudit.relations import RelationResult
 
-        def fake_evaluate_all(g, relation_ids=None, max_subjects=None):
+        def fake_evaluate_all(g, relation_ids=None):
             return [RelationResult("R8", None, "violated", F(1), F(2), F(-1))]
 
         monkeypatch.setattr(cli.rel, "evaluate_all", fake_evaluate_all)
@@ -239,6 +239,33 @@ class TestMine:
     def test_random_without_trials_rejected(self):
         code, _, err = run(["mine", "--model", "gnp", "--n", "5", "--p", "0.5"])
         assert code == EXIT_USAGE and "trials" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--n-max", "3", "--witness-cap", "-1", "--relations", "R12"], "witness_cap"),
+        (["--n-max", "3", "--workers", "0"], "workers"),
+        (["--n-max", "3", "--workers", "-4"], "workers"),
+        (["--model", "gnp", "--n", "5", "--p", "0.5", "--trials", "2",
+          "--witness-cap", "-1"], "witness_cap"),
+        (["--model", "gnp", "--n", "5", "--p", "0.5", "--trials", "2",
+          "--workers", "0"], "workers"),
+        (["--n-max", "3", "--trials", "5"], "--trials"),
+        (["--n-max", "3", "--n", "5"], "no --n"),
+        (["--n-max", "3", "--k", "2"], "--k"),
+        (["--n-max", "3", "--p", "0.5"], "--p"),
+        (["--n-max", "3", "--leaves", "3"], "--leaves"),
+        (["--n-max", "3", "--trials", "5", "--p", "0.5"], "--trials, --p"),
+    ])
+    def test_invalid_values_exit_2_before_mining(self, argv, message, monkeypatch):
+        # stubs that refuse to work: nothing may be mined, no pool may start
+        def refuse(*args, **kwargs):
+            raise AssertionError("mining started")
+
+        monkeypatch.setattr(mining, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(mining, "enumerate_connected_range", refuse)
+        monkeypatch.setattr(mining, "generate", refuse)
+        code, out, err = run(["mine"] + argv)
+        assert code == EXIT_USAGE and out == ""
+        assert message in err
 
     def test_sparse_model_retry_error(self):
         code, _, err = run(["mine", "--model", "gnp", "--n", "5", "--p", "0",

@@ -204,6 +204,42 @@ class TestWorkerBound:
         assert report_fingerprint(report) == report_fingerprint(single)
 
 
+class TestLimits:
+    """Out-of-range budgets raise ValueError before any graph is mined; the
+    pool, the enumerator and the generator are stubs that refuse to work, so
+    nothing is started."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mining started")
+
+        monkeypatch.setattr(mining, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(mining, "enumerate_connected_range", refuse)
+        monkeypatch.setattr(mining, "generate", refuse)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"witness_cap": -1}, "witness_cap"),
+        ({"workers": 0}, "workers"),
+        ({"workers": -4}, "workers"),
+    ])
+    def test_exhaustive(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            mine_exhaustive(3, **kwargs)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"witness_cap": -1}, "witness_cap"),
+        ({"workers": 0}, "workers"),
+        ({"workers": -4}, "workers"),
+        ({"retry_cap": 0}, "retry_cap"),
+        ({"retry_cap": -3}, "retry_cap"),
+        ({"retry_cap": (1 << 20) + 1}, "retry_cap"),
+    ])
+    def test_random(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            mine_random("gnp", {"n": 5, "p": 0.6}, trials=2, **kwargs)
+
+
 class TestGeodeticAudit:
     def test_k4_is_a_witness_at_n4(self):
         report = mine_exhaustive(4, relation_ids=())

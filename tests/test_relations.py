@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -26,7 +27,7 @@ from centaudit import (
     relation,
     star_graph,
 )
-from centaudit.relations import _closed_neighborhood_radiality
+from centaudit.relations import _closed_neighborhood_radiality, violation_counts
 from oracles import r9_rhs, restricted_radiality
 
 
@@ -79,9 +80,50 @@ class TestCatalog:
         assert pre["R11"] == ("pendant-free",)
         assert pre["R12"] == ("geodetic", "degree-stress-monotone")
 
+    def test_senses(self):
+        for spec in catalog():
+            assert spec.sense in ("=", ">=", "<=")
+            assert (spec.sense == "=") == (spec.kind == EXACT_IDENTITY)
+        assert [spec.id for spec in catalog() if spec.sense == "<="] == ["R10b", "R12"]
+
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown relation"):
             relation("R99")
+
+    def test_violation_counts_split_by_audit(self):
+        pairs = [("R8", 2), ("R12", 3), ("R1", 0), ("R9", 1), ("R6", True)]
+        assert violation_counts(pairs) == (3, 4)
+        assert violation_counts([]) == (0, 0)
+
+
+class TestStatus:
+    """One function decides every status; a catalog row with a stand-in
+    evaluator pins its table for each comparison."""
+
+    @pytest.mark.parametrize("sense,lhs,rhs,ok,status,slack", [
+        ("=", 1, 1, True, EQUALITY, 0),
+        ("=", 1, 2, True, VIOLATED, 1),
+        ("=", 2, 1, True, VIOLATED, -1),
+        ("=", 1, 2, False, SKIPPED, 1),
+        (">=", 2, 1, True, HOLDS, 1),
+        (">=", 1, 1, True, EQUALITY, 0),
+        (">=", 1, 2, True, VIOLATED, -1),
+        (">=", 1, 2, False, SKIPPED, -1),
+        ("<=", 1, 2, True, HOLDS, 1),
+        ("<=", 2, 2, True, EQUALITY, 0),
+        ("<=", 2, 1, True, VIOLATED, -1),
+        ("<=", 2, 1, False, SKIPPED, -1),
+    ])
+    def test_decision(self, sense, lhs, rhs, ok, status, slack):
+        def stand_in(g, prof, d):
+            yield None, F(lhs), F(rhs), ok
+
+        spec = replace(relation("R7"), sense=sense, evaluator=stand_in)
+        g = path_graph(3)
+        d = apsp(g)
+        (result,) = evaluate(spec, g, profile(g, d), d)
+        assert (result.relation_id, result.status) == ("R7", status)
+        assert (result.lhs, result.rhs, result.slack) == (F(lhs), F(rhs), F(slack))
 
 
 class TestExamples:
