@@ -320,12 +320,10 @@ def _cmd_compute(args, argv, out) -> int:
 def _parse_relation_ids(text: str) -> tuple[str, ...]:
     if text == "all":
         return rel.RELATION_IDS
-    ids = tuple(token.strip() for token in text.split(",") if token.strip())
+    ids = [token.strip() for token in text.split(",") if token.strip()]
     if not ids:
         raise ValueError("no relation ids given")
-    for rid in ids:
-        rel.relation(rid)
-    return ids
+    return rel.select_ids(ids)
 
 
 def _cmd_check(args, argv, out) -> int:
@@ -366,7 +364,7 @@ def _cmd_mine(args, argv, out) -> int:
     if args.n_max is not None:
         ignored = [
             f"--{key}"
-            for key in ("trials", "n", "k", "p", "leaves")
+            for key in ("trials", "seed", "n", "k", "p", "leaves")
             if getattr(args, key) is not None
         ]
         if ignored:
@@ -384,7 +382,7 @@ def _cmd_mine(args, argv, out) -> int:
             args.model,
             _model_params(args),
             trials=args.trials,
-            seed=args.seed,
+            seed=0 if args.seed is None else args.seed,
             relation_ids=relation_ids,
             witness_cap=args.witness_cap,
             workers=args.workers,
@@ -431,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="exhaustive mining over all connected graphs with 2..N vertices")
     mine.add_argument("--model", choices=tuple(MODELS), default=None)
     mine.add_argument("--trials", type=int, default=None)
-    mine.add_argument("--seed", type=int, default=0)
+    mine.add_argument("--seed", type=int, default=None,
+                      help="random mining seed (default 0)")
     mine.add_argument("--n", type=int, default=None)
     mine.add_argument("--k", type=int, default=None)
     mine.add_argument("--p", type=float, default=None)

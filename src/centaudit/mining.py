@@ -172,16 +172,6 @@ class _Shard:
     audit: GeodeticAudit
 
 
-def _validate_relation_ids(relation_ids: Sequence[str] | None) -> tuple[str, ...]:
-    if relation_ids is None:
-        return rel.RELATION_IDS
-    ids = tuple(relation_ids)
-    for rid in ids:
-        rel.relation(rid)  # raises on unknown ids
-    # evaluate in catalog order regardless of the order given
-    return tuple(rid for rid in rel.RELATION_IDS if rid in set(ids))
-
-
 def _evaluate_into(
     g: Graph,
     relation_ids: tuple[str, ...],
@@ -287,7 +277,7 @@ def mine_exhaustive(
     if not 2 <= n_max <= 8:
         raise ValueError(f"n_max must be in 2..8, got {n_max}")
     workers = _check_limits(witness_cap, workers)
-    ids = _validate_relation_ids(relation_ids)
+    ids = rel.select_ids(relation_ids)
     sources = []
     for n in range(2, n_max + 1):
         total = 1 << (n * (n - 1) // 2)
@@ -321,7 +311,7 @@ def mine_random(
     if not 1 <= retry_cap <= MAX_RETRY_CAP:
         raise ValueError(f"retry_cap must be in 1..{MAX_RETRY_CAP}, got {retry_cap}")
     workers = _check_limits(witness_cap, workers)
-    ids = _validate_relation_ids(relation_ids)
+    ids = rel.select_ids(relation_ids)
     params = {key: params[key] for key in sorted(params)}
     chunk = -(-trials // workers)
     sources = [

@@ -380,6 +380,17 @@ def relation(relation_id: str) -> RelationSpec:
         raise ValueError(f"unknown relation id {relation_id!r}") from None
 
 
+def select_ids(relation_ids: Iterable[str] | None = None) -> tuple[str, ...]:
+    """The given relation ids (default: all), each once, in catalog order.
+
+    Raises ValueError on an unknown id.
+    """
+    if relation_ids is None:
+        return RELATION_IDS
+    chosen = {relation(rid).id for rid in relation_ids}
+    return tuple(rid for rid in RELATION_IDS if rid in chosen)
+
+
 def violation_counts(violated: Iterable[tuple[str, int]]) -> tuple[int, int]:
     """(non-audit, audit) totals of ``(relation id, violations)`` pairs."""
     totals = [0, 0]
@@ -424,10 +435,10 @@ def evaluate_all(
     g: Graph, relation_ids: Iterable[str] | None = None
 ) -> list[RelationResult]:
     """Convenience wrapper: profile the graph and evaluate the given relations
-    (default: the whole catalog) in catalog order."""
+    (default: the whole catalog), each once, in catalog order."""
+    ids = select_ids(relation_ids)
     d = apsp(g)
     prof = profile(g, d)
-    ids = RELATION_IDS if relation_ids is None else tuple(relation_ids)
     results = []
     for rid in ids:
         results.extend(evaluate(relation(rid), g, prof, d))

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's algorithms: connectivity is
 union-find instead of BFS, distances are Floyd-Warshall instead of per-source
 BFS, path counts come from explicitly enumerating every shortest path instead
-of the counting recurrence, and cycle parity is checked by enumerating simple
+of the counting recurrence, stress is summed pair by pair instead of
+accumulated per source, cycle parity is checked by enumerating simple
 cycles instead of block decomposition, and closed-neighborhood radiality is
 measured on the relabeled induced subgraph instead of read off the profile.
 """
@@ -146,6 +147,21 @@ def brute_force_stress(g: Graph) -> list[int]:
             for path in enumerate_shortest_paths(g, s, t, dist):
                 for v in path[1:-1]:
                     counts[v] += 1
+    return counts
+
+
+def pair_stress(g: Graph) -> list[int]:
+    """Stress by its pair definition: sigma(s,i) * sigma(i,t) summed over
+    ordered s != i != t with dist(s,i) + dist(i,t) = dist(s,t)."""
+    dist = floyd_warshall(g)
+    sigma = brute_force_sigma(g)
+    n = g.n
+    counts = [0] * n
+    for i in range(n):
+        for s in range(n):
+            for t in range(n):
+                if len({s, i, t}) == 3 and dist[s][i] + dist[i][t] == dist[s][t]:
+                    counts[i] += sigma[s][i] * sigma[i][t]
     return counts
 
 

@@ -163,6 +163,13 @@ class TestCheck:
         assert code == EXIT_OK
         assert payload["non_audit_violations"] == 0
 
+    def test_relation_ids_deduplicated_in_catalog_order(self, star_file):
+        code, payload = run_json(["check", star_file, "--relations", "R12,R12,R7",
+                                  "--format", "json"])
+        assert code == EXIT_OK
+        assert [r["relation"] for r in payload["results"]] == ["R7", "R12"]
+        assert payload["audit_violations"] == 1
+
     def test_unknown_relation_exit_2(self, star_file):
         code, _, err = run(["check", star_file, "--relations", "R99"])
         assert code == EXIT_USAGE and "unknown relation" in err
@@ -227,6 +234,14 @@ class TestMine:
         assert payload["graphs_evaluated"] == 8
         assert payload["relations"]["R8"]["equality"] == 8
 
+    def test_random_mining_seed_defaults_to_zero(self):
+        argv = ["mine", "--model", "star", "--leaves", "3", "--trials", "1",
+                "--relations", "R8", "--format", "json"]
+        _, payload = run_json(argv)
+        _, seeded = run_json(argv + ["--seed", "0"])
+        assert payload["population"]["seed"] == 0
+        assert payload["population"] == seeded["population"]
+
     def test_both_modes_rejected(self):
         code, _, err = run(["mine", "--n-max", "4", "--model", "gnp", "--n", "5",
                             "--p", "0.5", "--trials", "3"])
@@ -254,6 +269,8 @@ class TestMine:
         (["--n-max", "3", "--p", "0.5"], "--p"),
         (["--n-max", "3", "--leaves", "3"], "--leaves"),
         (["--n-max", "3", "--trials", "5", "--p", "0.5"], "--trials, --p"),
+        (["--n-max", "3", "--seed", "5", "--relations", "R8"], "--seed"),
+        (["--n-max", "3", "--seed", "0"], "--seed"),
     ])
     def test_invalid_values_exit_2_before_mining(self, argv, message, monkeypatch):
         # stubs that refuse to work: nothing may be mined, no pool may start

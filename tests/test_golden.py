@@ -1,7 +1,8 @@
 """Golden output: SHA-256 of fixed CLI documents. The first six were recorded
-before the subset-view layer was removed, the rest before the relation catalog
-became the single table of evaluators and comparisons. Any refactor must leave
-these bytes unchanged.
+before the subset-view layer was removed, the next seven before the relation
+catalog became the single table of evaluators and comparisons, and the two
+Watts-Strogatz compute documents at n = 150 and 400 before stress moved to
+Brandes accumulation. Any refactor must leave these bytes unchanged.
 
 The graphs are fed on stdin so that the echoed ``command`` holds no file path.
 """
@@ -21,6 +22,8 @@ GRAPHS = {
     "cycle5": cycle_graph(5),
     "complete4": complete_graph(4),
     "ws14": watts_strogatz_graph(14, 4, 0.1, seed=0),
+    "ws150": watts_strogatz_graph(150, 4, 0.1, seed=0),
+    "ws400": watts_strogatz_graph(400, 6, 0.1, seed=0),
 }
 
 GOLDEN = {
@@ -35,6 +38,8 @@ GOLDEN = {
     "compute-star3-text": "01b35d2324f7eed1cf977f8e6d40783b7a8465c6346eab84a6f8b886f3c6ad96",
     "compute-ws14-json": "91ef53c6fd9e3969f1d3e333ccb9401b0de93160013bc1a19deef72837c76bc0",
     "compute-ws14-text": "7128330cd4e94f074ba599b484f915235611bc2955815938f7d4333efb2969f9",
+    "compute-ws150-json": "9baf46f301852896f2d00fc9aa82d84c36d1a1211af5346fe53b4e704cf370d6",
+    "compute-ws400-json": "8c25b318e174c8c9b0160cd255ae46d46d8f59e9e6fcc075802e826ba85558b1",
     # one worker; six trials cover the trial shard and R6's 512-subject budget
     "mine-ws24-json": "0011fcaa42280519dcc1001c32b19703b56424e526bf0c43395de1f6f2cd565b",
 }

@@ -17,6 +17,7 @@ from centaudit import (
     diameter,
     enumerate_connected,
     global_clustering,
+    gnp_graph,
     is_even_cycle_free,
     is_geodetic,
     local_clustering,
@@ -25,6 +26,7 @@ from centaudit import (
     radiality,
     star_graph,
     stress,
+    watts_strogatz_graph,
 )
 from centaudit.metrics import mean_pair_distance
 from oracles import (
@@ -32,6 +34,7 @@ from oracles import (
     brute_force_stress,
     closed_neighborhood_distances,
     has_even_cycle,
+    pair_stress,
 )
 
 # triangle 0-1-2 with a tail 2-3
@@ -206,23 +209,41 @@ class TestVertexMetrics:
 
     @pytest.mark.parametrize("leaves", [3, 4, 5, 6])
     def test_star_center_stress(self, leaves):
-        d = apsp(star_graph(leaves))
-        assert stress(d, 0) == leaves * (leaves - 1)
-        assert all(stress(d, v) == 0 for v in range(1, leaves + 1))
+        g = star_graph(leaves)
+        values = stress(g, apsp(g))
+        assert values[0] == leaves * (leaves - 1)
+        assert all(values[v] == 0 for v in range(1, leaves + 1))
 
     def test_path_end_stress_zero(self):
-        d = apsp(path_graph(3))
-        assert stress(d, 0) == 0 and stress(d, 2) == 0
+        g = path_graph(3)
+        values = stress(g, apsp(g))
+        assert values[0] == 0 and values[2] == 0
 
     def test_c4_stress(self):
-        d = apsp(cycle_graph(4))
-        assert [stress(d, i) for i in range(4)] == [2, 2, 2, 2]
+        g = cycle_graph(4)
+        assert list(stress(g, apsp(g))) == [2, 2, 2, 2]
 
     @given(connected_graphs(max_n=6))
     @settings(max_examples=60)
     def test_stress_matches_path_enumeration(self, g):
         d = apsp(g)
-        assert [stress(d, i) for i in range(g.n)] == brute_force_stress(g)
+        assert list(stress(g, d)) == brute_force_stress(g)
+
+    @given(connected_graphs(max_n=12))
+    @settings(max_examples=60)
+    def test_stress_matches_pair_definition(self, g):
+        assert list(stress(g, apsp(g))) == pair_stress(g)
+
+    @pytest.mark.parametrize("g", [
+        *(watts_strogatz_graph(40, 4, 0.2, seed) for seed in range(3)),
+        *(gnp_graph(30, 0.15, seed) for seed in range(2)),
+    ])
+    def test_stress_on_sampled_graphs(self, g):
+        assert list(stress(g, apsp(g))) == pair_stress(g)
+
+    def test_stress_rejects_foreign_distances(self):
+        with pytest.raises(ValueError):
+            stress(path_graph(4), apsp(path_graph(3)))
 
 
 class TestPredicates:

@@ -27,7 +27,11 @@ from centaudit import (
     relation,
     star_graph,
 )
-from centaudit.relations import _closed_neighborhood_radiality, violation_counts
+from centaudit.relations import (
+    _closed_neighborhood_radiality,
+    select_ids,
+    violation_counts,
+)
 from oracles import r9_rhs, restricted_radiality
 
 
@@ -57,6 +61,17 @@ class TestCatalog:
             "R1", "R2", "R3", "R4", "R5", "R6", "R7",
             "R8", "R9", "R10", "R10b", "R11", "R11b", "R12",
         )
+
+    def test_select_ids(self):
+        assert select_ids() == RELATION_IDS
+        assert select_ids(["R12", "R12", "R7", "R10b", "R10"]) == ("R7", "R10", "R10b", "R12")
+        assert select_ids([]) == ()
+        with pytest.raises(ValueError):
+            select_ids(["R1", "R99"])
+
+    def test_evaluate_all_dedups_in_catalog_order(self):
+        results = evaluate_all(star_graph(3), ["R12", "R12", "R7"])
+        assert [r.relation_id for r in results] == ["R7", "R12"]
 
     def test_kinds(self):
         kinds = {spec.id: spec.kind for spec in catalog()}
