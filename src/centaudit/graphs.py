@@ -266,8 +266,11 @@ def generate(model: str, params: Mapping[str, object], seed: int = 0) -> Graph:
     """Build a named model; deterministic for fixed (model, params, seed).
 
     ``p`` is read as a float and every other parameter as an int; parameters
-    the model does not take are ignored.
+    the model does not take are ignored. The seed must be >= 0, since
+    ``random.Random`` would give ``-s`` the stream of ``s``.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     try:
         builder, required = MODELS[model]
     except KeyError:

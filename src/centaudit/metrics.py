@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from .graphs import Graph
@@ -78,17 +79,12 @@ def avg_path_length(d: DistanceMatrix) -> Fraction:
     return Fraction(total, d.n * (d.n - 1))
 
 
-def mean_pair_distance(dist: Sequence[Sequence[int]], members: Sequence[int]) -> Fraction:
-    """Mean of dist over ordered pairs of distinct members; 0 for <= 1 member."""
-    k = len(members)
-    if k <= 1:
-        return Fraction(0)
+def pair_distance_sum(dist: Sequence[Sequence[int]], members: Sequence[int]) -> int:
+    """Sum of dist over the unordered pairs of distinct members; 0 for <= 1 member."""
     total = 0
-    for a in range(k):
-        row = dist[members[a]]
-        for b in range(a + 1, k):
-            total += row[members[b]]
-    return Fraction(2 * total, k * (k - 1))
+    for u, v in combinations(members, 2):
+        total += dist[u][v]
+    return total
 
 
 def local_clustering(g: Graph, i: int) -> Fraction:

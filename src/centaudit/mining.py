@@ -304,10 +304,12 @@ def mine_random(
     connected; every draw has its own derived seed, so runs are deterministic
     for a fixed (model, params, trials, seed) regardless of worker count.
     ``workers`` is capped at the CPU count; ``retry_cap`` must be in
-    1..``MAX_RETRY_CAP``.
+    1..``MAX_RETRY_CAP``; ``seed`` must be >= 0.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 1 <= retry_cap <= MAX_RETRY_CAP:
         raise ValueError(f"retry_cap must be in 1..{MAX_RETRY_CAP}, got {retry_cap}")
     workers = _check_limits(witness_cap, workers)

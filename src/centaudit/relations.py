@@ -1,13 +1,19 @@
 """Catalog of centrality relations and their exact evaluation.
 
 Each relation couples an average-path-length, clustering, closeness,
-radiality, or stress quantity to another. Relations are evaluated in exact
-rational arithmetic; a result is ``equality`` only when both sides agree
-exactly. Two catalog entries are marked ``audit-inequality``: their statements
-are checked empirically and violations are reported without failing a run.
+radiality, or stress quantity to another. Relations are evaluated exactly; a
+result is ``equality`` only when both sides agree exactly. Two catalog
+entries are marked ``audit-inequality``: their statements are checked
+empirically and violations are reported without failing a run.
 
-Each catalog row holds a relation's comparison and its evaluator, and
-:func:`evaluate` decides every status.
+Each catalog row holds a relation's comparison and its evaluator. An
+evaluator yields, per subject, each side as an integer numerator and a
+positive denominator (not necessarily in lowest terms): neighborhood, subset
+and vertex-deletion means come from integer pair-distance sums over the
+ambient distance matrix, and per-graph sums over vertices share one common
+denominator. :func:`evaluate` decides every status from the sign of
+``lhs_num * rhs_den - rhs_num * lhs_den``, oriented by the comparison, and a
+:class:`RelationResult` builds its sides as Fractions only when they are read.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .graphs import Graph, induced_subsets
@@ -22,7 +29,7 @@ from .metrics import (
     CentralityProfile,
     DistanceMatrix,
     apsp,
-    mean_pair_distance,
+    pair_distance_sum,
     profile,
 )
 
@@ -43,8 +50,13 @@ PER_GRAPH = "per-graph"
 PER_SUBGRAPH = "per-subgraph"
 
 Subject = Union[None, int, tuple[int, ...]]
-# (graph, profile, distances) -> (subject, lhs, rhs, precondition_ok) per subject
-Evaluator = Callable[..., Iterator[tuple[Subject, Fraction, Fraction, bool]]]
+# An exact rational as an integer numerator and a positive denominator, in
+# any common scale (not necessarily lowest terms).
+Ratio = tuple[int, int]
+# (graph, profile, distances) -> per subject:
+# (subject, lhs numerator, lhs denominator, rhs numerator, rhs denominator,
+#  precondition_ok)
+Evaluator = Callable[..., Iterator[tuple[Subject, int, int, int, int, bool]]]
 
 
 @dataclass(frozen=True)
@@ -68,39 +80,73 @@ class RelationSpec:
 class RelationResult:
     """Outcome of one relation on one subject.
 
-    ``slack`` is oriented so that a satisfied inequality has slack >= 0 (it is
-    ``lhs - rhs`` for >=-shaped relations and ``rhs - lhs`` for <=-shaped ones
-    and identities). lhs and rhs are reported even when the status is
-    ``skipped-precondition``.
+    Both sides are kept as the evaluator's integer pairs; ``lhs``, ``rhs``
+    and ``slack`` build Fractions only when read. ``slack`` is oriented so
+    that a satisfied inequality has slack >= 0 (it is ``lhs - rhs`` for
+    >=-shaped relations and ``rhs - lhs`` for <=-shaped ones and identities).
+    Both sides are reported even when the status is ``skipped-precondition``.
     """
 
     relation_id: str
     subject: Subject
     status: str
-    lhs: Fraction
-    rhs: Fraction
-    slack: Fraction
+    sense: str
+    lhs_num: int
+    lhs_den: int
+    rhs_num: int
+    rhs_den: int
+
+    @property
+    def lhs(self) -> Fraction:
+        return Fraction(self.lhs_num, self.lhs_den)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.rhs_num, self.rhs_den)
+
+    @property
+    def slack(self) -> Fraction:
+        return Fraction(_oriented_difference(self.sense, self.lhs_num, self.lhs_den,
+                                             self.rhs_num, self.rhs_den),
+                        self.lhs_den * self.rhs_den)
 
 
-def _open_neighborhood_L(g: Graph, d: DistanceMatrix, i: int) -> Fraction:
-    return mean_pair_distance(d.dist, sorted(g.adj[i]))
+def _oriented_difference(sense: str, ln: int, ld: int, rn: int, rd: int) -> int:
+    """``slack * ld * rd``: an integer with the sign of the slack."""
+    diff = ln * rd - rn * ld
+    return diff if sense == ">=" else -diff
 
 
-def _closed_neighborhood_L(g: Graph, d: DistanceMatrix, i: int) -> Fraction:
-    return mean_pair_distance(d.dist, sorted(g.adj[i] | {i}))
+def _ratio_sum(terms: Iterable[Ratio]) -> Ratio:
+    """Exact sum of integer ratios over the lcm of their denominators."""
+    terms = list(terms)
+    den = lcm(*(d for _, d in terms))
+    return sum(num * (den // d) for num, d in terms), den
 
 
-def _stress_over_pairs_sum(prof: CentralityProfile) -> Fraction:
-    """Sum over non-pendant vertices of stress / (d(d-1))."""
-    total = Fraction(0)
-    for deg, str_i in zip(prof.degrees, prof.stress):
-        if deg >= 2:
-            total += Fraction(str_i, deg * (deg - 1))
-    return total
+def _ratio(value: Fraction) -> Ratio:
+    return value.numerator, value.denominator
+
+
+def _mean_pairs(pair_sum: int, k: int) -> Ratio:
+    """Mean over the ordered pairs of k members whose unordered pairs sum to
+    ``pair_sum``; 0 for k <= 1."""
+    return (2 * pair_sum, k * (k - 1)) if k >= 2 else (0, 1)
+
+
+def _neighborhood_means(g: Graph, d: DistanceMatrix, i: int) -> tuple[int, Ratio, Ratio]:
+    """(degree, open mean, closed mean) of i: the mean ambient distance over
+    the pairs of N(i) and over those of N[i] = N(i) + {i}."""
+    members = tuple(g.adj[i])
+    deg = len(members)
+    open_sum = pair_distance_sum(d.dist, members)
+    row = d.dist[i]
+    closed_sum = open_sum + sum(row[j] for j in members)
+    return deg, _mean_pairs(open_sum, deg), _mean_pairs(closed_sum, deg + 1)
 
 
 def _degree_stress_monotone(prof: CentralityProfile) -> bool:
-    """True when sorting by degree also sorts stress: d_i <= d_j implies Str_i <= Str_j."""
+    """True when sorting by degree also sorts stress: d_i < d_j implies Str_i <= Str_j."""
     pairs = sorted(zip(prof.degrees, prof.stress))
     for (da, sa), (db, sb) in zip(pairs, pairs[1:]):
         if sa > sb:
@@ -110,55 +156,64 @@ def _degree_stress_monotone(prof: CentralityProfile) -> bool:
 
 def _eval_r1(g, prof, d):
     for i in range(g.n):
-        lhs = _open_neighborhood_L(g, d, i)
-        yield i, lhs, 2 - prof.local_clustering[i], prof.degrees[i] >= 2
+        deg, open_mean, _ = _neighborhood_means(g, d, i)
+        cn, cd = _ratio(prof.local_clustering[i])
+        yield i, *open_mean, 2 * cd - cn, cd, deg >= 2
 
 
 def _eval_r2(g, prof, d):
-    lhs = prof.average_clustering
-    rhs = 2 - sum(_open_neighborhood_L(g, d, i) for i in range(g.n)) / Fraction(g.n)
-    yield None, lhs, rhs, min(prof.degrees) >= 2
+    num, den = _ratio_sum(_neighborhood_means(g, d, i)[1] for i in range(g.n))
+    n = g.n
+    yield (None, *_ratio(prof.average_clustering),
+           2 * n * den - num, n * den, min(prof.degrees) >= 2)
 
 
 def _eval_r3(g, prof, d):
     for i in range(g.n):
-        deg = prof.degrees[i]
-        lhs = _closed_neighborhood_L(g, d, i)
-        rhs = ((deg - 1) * _open_neighborhood_L(g, d, i) + 2) / Fraction(deg + 1)
-        yield i, lhs, rhs, deg >= 1
+        deg, (on, od), closed_mean = _neighborhood_means(g, d, i)
+        yield i, *closed_mean, (deg - 1) * on + 2 * od, (deg + 1) * od, deg >= 1
 
 
 def _eval_r4(g, prof, d):
-    lhs = prof.avg_path_length
-    for v in range(g.n):
-        rest = [u for u in range(g.n) if u != v]
-        yield v, lhs, Fraction(g.n - 1, g.n) * mean_pair_distance(d.dist, rest), True
+    n = g.n
+    ln, ld = _ratio(prof.avg_path_length)
+    row_sums = [sum(row) for row in d.dist]
+    half = sum(row_sums) // 2  # each unordered pair once
+    for v in range(n):
+        # T(V - v): the pairs that avoid v
+        mn, md = _mean_pairs(half - row_sums[v], n - 1)
+        yield v, ln, ld, (n - 1) * mn, n * md, True
 
 
 def _eval_r5(g, prof, d):
     for i in range(g.n):
-        deg = prof.degrees[i]
-        lhs = _closed_neighborhood_L(g, d, i)
-        yield i, lhs, Fraction(deg, deg + 1) * _open_neighborhood_L(g, d, i), True
+        deg, (on, od), closed_mean = _neighborhood_means(g, d, i)
+        yield i, *closed_mean, deg * on, (deg + 1) * od, True
 
 
 def _eval_r6(g, prof, d):
-    lhs = prof.avg_path_length
+    ln, ld = _ratio(prof.avg_path_length)
+    n = g.n
+    dist = d.dist
     for members in induced_subsets(g):
-        rhs = Fraction(len(members), g.n) * mean_pair_distance(d.dist, members)
-        yield members, lhs, rhs, True
+        k = len(members)  # >= 2
+        mn, md = _mean_pairs(pair_distance_sum(dist, members), k)
+        yield members, ln, ld, k * mn, n * md, True
 
 
 def _eval_r7(g, prof, d):
-    yield None, prof.avg_path_length, g.n / sum(prof.closeness), True
+    num, den = _ratio_sum(_ratio(c) for c in prof.closeness)
+    yield (None, *_ratio(prof.avg_path_length), g.n * den, num, True)
 
 
 def _eval_r8(g, prof, d):
-    rhs = prof.diameter + 1 - sum(prof.radiality) / Fraction(g.n)
-    yield None, prof.avg_path_length, rhs, True
+    num, den = _ratio_sum(_ratio(r) for r in prof.radiality)
+    n = g.n
+    yield (None, *_ratio(prof.avg_path_length),
+           (prof.diameter + 1) * n * den - num, n * den, True)
 
 
-def _closed_neighborhood_radiality(prof: CentralityProfile, i: int) -> Fraction:
+def _closed_neighborhood_radiality(prof: CentralityProfile, i: int) -> Ratio:
     """Mean, over the neighbors of i, of their radiality measured inside the
     subgraph induced by the closed neighborhood N[i].
 
@@ -169,57 +224,65 @@ def _closed_neighborhood_radiality(prof: CentralityProfile, i: int) -> Fraction:
     """
     deg = prof.degrees[i]
     diam = 1 if prof.complete_neighborhood[i] else 2
-    return diam - 1 + Fraction(1, deg) + prof.local_clustering[i] * Fraction(deg - 1, deg)
+    cn, cd = _ratio(prof.local_clustering[i])
+    return (diam - 1) * deg * cd + cd + cn * (deg - 1), deg * cd
 
 
 def _eval_r9(g, prof, d):
-    lhs = prof.average_clustering / 2
+    cn, cd = _ratio(prof.average_clustering)
+    n = g.n
+    num, den = _ratio_sum(_closed_neighborhood_radiality(prof, i) for i in range(n))
     complete = sum(prof.complete_neighborhood)
-    rhs = (
-        sum(_closed_neighborhood_radiality(prof, i) for i in range(g.n)) / g.n
-        - 2
-        + Fraction(complete, g.n)
+    yield None, cn, 2 * cd, num + (complete - 2 * n) * den, n * den, True
+
+
+def _stress_over_pairs_sum(prof: CentralityProfile) -> Ratio:
+    """Sum over non-pendant vertices of stress / (d(d-1))."""
+    return _ratio_sum(
+        (str_i, deg * (deg - 1))
+        for deg, str_i in zip(prof.degrees, prof.stress)
+        if deg >= 2
     )
-    yield None, lhs, rhs, True
-
-
-def _stress_bound(prof: CentralityProfile) -> Fraction:
-    n = prof.n
-    return 1 + Fraction(sum(prof.stress), n * (n - 1))
 
 
 def _eval_r10(g, prof, d):
-    yield None, prof.avg_path_length, _stress_bound(prof), prof.geodetic
+    pairs = g.n * (g.n - 1)
+    yield (None, *_ratio(prof.avg_path_length),
+           pairs + sum(prof.stress), pairs, prof.geodetic)
 
 
 def _eval_r10b(g, prof, d):
-    yield None, prof.avg_path_length, _stress_bound(prof), True
+    pairs = g.n * (g.n - 1)
+    yield (None, *_ratio(prof.avg_path_length), pairs + sum(prof.stress), pairs, True)
 
 
 def _eval_r11(g, prof, d):
     # pendant terms are 0/0 in the statement; report them as 0 so that the
     # skipped results still carry both sides
-    rhs = 1 - _stress_over_pairs_sum(prof) / g.n
-    yield None, prof.average_clustering, rhs, not any(prof.pendant)
+    num, den = _stress_over_pairs_sum(prof)
+    n = g.n
+    yield (None, *_ratio(prof.average_clustering),
+           n * den - num, n * den, not any(prof.pendant))
 
 
 def _eval_r11b(g, prof, d):
+    num, den = _stress_over_pairs_sum(prof)
+    n = g.n
     pendants = sum(prof.pendant)
-    rhs = 1 - _stress_over_pairs_sum(prof) / g.n - Fraction(pendants, g.n)
-    yield None, prof.average_clustering, rhs, True
+    yield (None, *_ratio(prof.average_clustering),
+           (n - pendants) * den - num, n * den, True)
 
 
 def _eval_r12(g, prof, d):
-    lhs = 1 - prof.average_clustering
+    cn, cd = _ratio(prof.average_clustering)
     n = g.n
-    scale = (prof.avg_path_length - 1) * (n - 1)
-    total = Fraction(0)
-    for deg in prof.degrees:
-        if deg >= 2:
-            total += scale / (deg * (deg - 1))
+    # (L - 1)(n - 1) = (ln - ld) (n - 1) / ld, summed with 1 / (d(d-1))
+    ln, ld = _ratio(prof.avg_path_length)
+    num, den = _ratio_sum((1, deg * (deg - 1)) for deg in prof.degrees if deg >= 2)
     pendants = sum(prof.pendant)
-    rhs = total / n + Fraction(pendants, n)
-    yield None, lhs, rhs, prof.geodetic and _degree_stress_monotone(prof)
+    yield (None, cd - cn, cd,
+           (ln - ld) * (n - 1) * num + pendants * ld * den, n * ld * den,
+           prof.geodetic and _degree_stress_monotone(prof))
 
 
 _CATALOG = (
@@ -416,18 +479,19 @@ def evaluate(
     rows = spec.evaluator(g, prof, d)
     if spec.scope == PER_SUBGRAPH:
         rows = islice(rows, max_subjects)
+    sense = spec.sense
     results = []
-    for subject, lhs, rhs, ok in rows:
-        slack = lhs - rhs if spec.sense == ">=" else rhs - lhs
+    for subject, ln, ld, rn, rd, ok in rows:
+        diff = _oriented_difference(sense, ln, ld, rn, rd)
         if not ok:
             status = SKIPPED
-        elif slack == 0:
+        elif diff == 0:
             status = EQUALITY
-        elif slack > 0 and spec.sense != "=":
+        elif diff > 0 and sense != "=":
             status = HOLDS
         else:
             status = VIOLATED
-        results.append(RelationResult(spec.id, subject, status, lhs, rhs, slack))
+        results.append(RelationResult(spec.id, subject, status, sense, ln, ld, rn, rd))
     return results
 
 

@@ -5,8 +5,10 @@ union-find instead of BFS, distances are Floyd-Warshall instead of per-source
 BFS, path counts come from explicitly enumerating every shortest path instead
 of the counting recurrence, stress is summed pair by pair instead of
 accumulated per source, cycle parity is checked by enumerating simple
-cycles instead of block decomposition, and closed-neighborhood radiality is
-measured on the relabeled induced subgraph instead of read off the profile.
+cycles instead of block decomposition, closed-neighborhood radiality is
+measured on the relabeled induced subgraph instead of read off the profile,
+and the relation sides are stated in Fractions straight from the catalog
+statements instead of as integer pairs over common denominators.
 """
 
 from __future__ import annotations
@@ -218,3 +220,108 @@ def r9_rhs(g: Graph) -> Fraction:
         cliques += max(max(row) for row in dist) <= 1
     mean = sum(restricted_radiality(g, i) for i in range(g.n)) / Fraction(g.n)
     return mean - 2 + Fraction(cliques, g.n)
+
+
+# comparison of lhs to rhs in each catalog statement
+SENSE = {
+    "R1": "=", "R2": "=", "R3": "=", "R4": ">=", "R5": ">=", "R6": ">=",
+    "R7": ">=", "R8": "=", "R9": ">=", "R10": "=", "R10b": "<=", "R11": ">=",
+    "R11b": ">=", "R12": "<=",
+}
+
+
+def relation_status(sense: str, lhs: Fraction, rhs: Fraction, ok: bool) -> tuple[str, Fraction]:
+    """(status, slack) of one outcome; slack is >= 0 when the comparison holds."""
+    slack = lhs - rhs if sense == ">=" else rhs - lhs
+    if not ok:
+        return "skipped-precondition", slack
+    if slack == 0:
+        return "equality", slack
+    if slack > 0 and sense != "=":
+        return "holds", slack
+    return "violated", slack
+
+
+def relation_sides(g: Graph) -> dict[str, dict[object, tuple[Fraction, Fraction, bool]]]:
+    """Every relation's (lhs, rhs, precondition_ok) per subject, as the catalog
+    states it: vertices for per-vertex relations, None for per-graph ones, and
+    every sorted vertex subset of size >= 2 for R6.
+
+    Distances are Floyd-Warshall, clustering counts the edges among each
+    vertex's neighbors, stress is :func:`pair_stress`, geodesy is
+    :func:`brute_force_geodetic` and R9's right side is :func:`r9_rhs`.
+    """
+    n = g.n
+    dist = [[int(x) for x in row] for row in floyd_warshall(g)]
+    nbrs = [{v for e in g.edges if u in e for v in e if v != u} for u in range(n)]
+    deg = [len(nb) for nb in nbrs]
+    stress = pair_stress(g)
+
+    def mean_dist(members) -> Fraction:
+        members = list(members)
+        pairs = [(a, b) for a in members for b in members if a != b]
+        return Fraction(sum(dist[a][b] for a, b in pairs), len(pairs)) if pairs else Fraction(0)
+
+    def clustering(i: int) -> Fraction:
+        if deg[i] <= 1:
+            return Fraction(0)
+        links = sum(1 for u, v in g.edges if u in nbrs[i] and v in nbrs[i])
+        return Fraction(links, deg[i] * (deg[i] - 1) // 2)
+
+    c = [clustering(i) for i in range(n)]
+    c_avg = sum(c, Fraction(0)) / n
+    L = mean_dist(range(n))
+    diam = max(max(row) for row in dist)
+    closeness = [Fraction(n - 1, sum(dist[v])) for v in range(n)]
+    radiality = [
+        Fraction(sum(diam + 1 - dist[v][t] for t in range(n) if t != v), n - 1)
+        for v in range(n)
+    ]
+    geodetic = brute_force_geodetic(g)
+    pendants = sum(1 for i in range(n) if deg[i] == 1)
+    monotone = all(
+        stress[i] <= stress[j] for i in range(n) for j in range(n) if deg[i] < deg[j]
+    )
+    stress_term = sum(
+        (Fraction(stress[i], deg[i] * (deg[i] - 1)) for i in range(n) if deg[i] >= 2),
+        Fraction(0),
+    )
+    length_term = sum(
+        (Fraction((L - 1) * (n - 1), deg[i] * (deg[i] - 1)) for i in range(n) if deg[i] >= 2),
+        Fraction(0),
+    )
+    stress_bound = 1 + Fraction(sum(stress), n * (n - 1))
+    open_L = [mean_dist(nbrs[i]) for i in range(n)]
+    closed_L = [mean_dist(nbrs[i] | {i}) for i in range(n)]
+
+    return {
+        "R1": {i: (open_L[i], 2 - c[i], deg[i] >= 2) for i in range(n)},
+        "R2": {None: (c_avg, 2 - sum(open_L, Fraction(0)) / n, min(deg) >= 2)},
+        "R3": {
+            i: (closed_L[i], ((deg[i] - 1) * open_L[i] + 2) / (deg[i] + 1), deg[i] >= 1)
+            for i in range(n)
+        },
+        "R4": {
+            v: (L, Fraction(n - 1, n) * mean_dist(t for t in range(n) if t != v), True)
+            for v in range(n)
+        },
+        "R5": {
+            i: (closed_L[i], Fraction(deg[i], deg[i] + 1) * open_L[i], True)
+            for i in range(n)
+        },
+        "R6": {
+            subset: (L, Fraction(len(subset), n) * mean_dist(subset), True)
+            for size in range(2, n + 1)
+            for subset in combinations(range(n), size)
+        },
+        "R7": {None: (L, n / sum(closeness, Fraction(0)), True)},
+        "R8": {None: (L, diam + 1 - sum(radiality, Fraction(0)) / n, True)},
+        "R9": {None: (c_avg / 2, r9_rhs(g), True)},
+        "R10": {None: (L, stress_bound, geodetic)},
+        "R10b": {None: (L, stress_bound, True)},
+        "R11": {None: (c_avg, 1 - stress_term / n, pendants == 0)},
+        "R11b": {None: (c_avg, 1 - stress_term / n - Fraction(pendants, n), True)},
+        "R12": {
+            None: (1 - c_avg, length_term / n + Fraction(pendants, n), geodetic and monotone)
+        },
+    }

@@ -220,7 +220,7 @@ def test_criterion_7_oracle_equivalence():
         assert checked == 771
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, src_env):
     with criterion(8, "byte-identical command output"):
         star_path = tmp_path / "star.edges"
         star_path.write_text("0 1\n0 2\n0 3\n")
@@ -246,7 +246,7 @@ def test_criterion_8_determinism(tmp_path):
         # multi-worker mining is also stable across whole processes
         argv = [sys.executable, "-m", "centaudit", "mine", "--n-max", "4",
                 "--workers", "2", "--format", "json"]
-        first = subprocess.run(argv, capture_output=True)
-        second = subprocess.run(argv, capture_output=True)
+        first = subprocess.run(argv, capture_output=True, env=src_env)
+        second = subprocess.run(argv, capture_output=True, env=src_env)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout

@@ -180,7 +180,7 @@ class TestCheck:
         from centaudit.relations import RelationResult
 
         def fake_evaluate_all(g, relation_ids=None):
-            return [RelationResult("R8", None, "violated", F(1), F(2), F(-1))]
+            return [RelationResult("R8", None, "violated", "=", 1, 1, 2, 1)]
 
         monkeypatch.setattr(cli.rel, "evaluate_all", fake_evaluate_all)
         code, payload = run_json(["check", star_file, "--format", "json"])
@@ -271,6 +271,8 @@ class TestMine:
         (["--n-max", "3", "--trials", "5", "--p", "0.5"], "--trials, --p"),
         (["--n-max", "3", "--seed", "5", "--relations", "R8"], "--seed"),
         (["--n-max", "3", "--seed", "0"], "--seed"),
+        (["--model", "gnp", "--n", "5", "--p", "0.5", "--trials", "2", "--seed", "-1"],
+         "seed must be >= 0"),
     ])
     def test_invalid_values_exit_2_before_mining(self, argv, message, monkeypatch):
         # stubs that refuse to work: nothing may be mined, no pool may start
@@ -352,6 +354,13 @@ class TestGen:
             run(["gen", "--model", "star", "--bogus", "1"])
         assert excinfo.value.code == 2
 
+    def test_negative_seed_exits_2(self):
+        # Random(-3) draws the stream of Random(3); a negative seed is refused
+        code, stdout, err = run(["gen", "--model", "gnp", "--n", "8", "--p", "0.4",
+                                 "--seed", "-3"])
+        assert code == EXIT_USAGE and stdout == ""
+        assert "seed must be >= 0" in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
@@ -384,10 +393,10 @@ class TestDeterminism:
         _, multi = run_json(argv + ["--workers", "2"])
         assert single == multi
 
-    def test_subprocess_byte_identical(self):
+    def test_subprocess_byte_identical(self, src_env):
         argv = [sys.executable, "-m", "centaudit", "mine", "--n-max", "4",
                 "--relations", "R12", "--workers", "2", "--format", "json"]
-        first = subprocess.run(argv, capture_output=True)
-        second = subprocess.run(argv, capture_output=True)
+        first = subprocess.run(argv, capture_output=True, env=src_env)
+        second = subprocess.run(argv, capture_output=True, env=src_env)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout

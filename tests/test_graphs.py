@@ -147,6 +147,16 @@ class TestGenerators:
         assert set(g.edges) == expected
         assert set(g.degrees()) == {4}
 
+    @pytest.mark.parametrize("model,params", [
+        ("gnp", {"n": 8, "p": 0.4}),
+        ("watts_strogatz", {"n": 10, "k": 4, "p": 0.3}),
+        ("path", {"n": 4}),
+    ])
+    def test_negative_seed_rejected(self, model, params):
+        # Random(-s) would repeat the stream of Random(s)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            generate(model, params, seed=-3)
+
     @pytest.mark.parametrize("n,k", [(8, 2), (10, 4), (13, 6)])
     def test_ws_p0_is_k_regular(self, n, k):
         g = watts_strogatz_graph(n, k, 0.0)

@@ -28,7 +28,7 @@ from centaudit import (
     stress,
     watts_strogatz_graph,
 )
-from centaudit.metrics import mean_pair_distance
+from centaudit.metrics import pair_distance_sum
 from oracles import (
     brute_force_geodetic,
     brute_force_stress,
@@ -147,19 +147,25 @@ class TestGraphLevelMetrics:
 
 
 class TestRestrictedLength:
-    """Mean ambient distance over a member set, as R1, R3, R5 and R6 use it."""
+    """Ambient distance summed over the unordered pairs of a member set, as
+    R1-R6 use it."""
 
     def test_star_center_neighborhood(self):
         g = star_graph(3)
-        assert mean_pair_distance(apsp(g).dist, (1, 2, 3)) == F(2)
+        assert pair_distance_sum(apsp(g).dist, (1, 2, 3)) == 6
 
     def test_triangle_neighborhood(self):
         g = complete_graph(3)
-        assert mean_pair_distance(apsp(g).dist, (1, 2)) == F(1)
+        assert pair_distance_sum(apsp(g).dist, (1, 2)) == 1
 
     def test_single_member_is_zero(self):
         g = path_graph(3)
-        assert mean_pair_distance(apsp(g).dist, (1,)) == F(0)
+        assert pair_distance_sum(apsp(g).dist, (1,)) == 0
+        assert pair_distance_sum(apsp(g).dist, ()) == 0
+
+    def test_member_order_is_irrelevant(self):
+        d = apsp(path_graph(5)).dist
+        assert pair_distance_sum(d, (4, 0, 2)) == pair_distance_sum(d, (0, 2, 4)) == 8
 
 
 class TestClustering:

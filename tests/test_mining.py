@@ -234,6 +234,7 @@ class TestLimits:
         ({"retry_cap": 0}, "retry_cap"),
         ({"retry_cap": -3}, "retry_cap"),
         ({"retry_cap": (1 << 20) + 1}, "retry_cap"),
+        ({"seed": -1}, "seed"),
     ])
     def test_random(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

@@ -32,7 +32,8 @@ from centaudit.relations import (
     select_ids,
     violation_counts,
 )
-from oracles import r9_rhs, restricted_radiality
+from centaudit.graphs import SUBSET_SAMPLE_COUNT, watts_strogatz_graph
+from oracles import SENSE, r9_rhs, relation_sides, relation_status, restricted_radiality
 
 
 @st.composite
@@ -130,15 +131,37 @@ class TestStatus:
         ("<=", 2, 1, False, SKIPPED, -1),
     ])
     def test_decision(self, sense, lhs, rhs, ok, status, slack):
+        result = self.decide(sense, (lhs, 1), (rhs, 1), ok)
+        assert (result.relation_id, result.status) == ("R7", status)
+        assert (result.lhs, result.rhs, result.slack) == (F(lhs), F(rhs), F(slack))
+
+    @pytest.mark.parametrize("sense,lhs,rhs,status,slack", [
+        ("=", (2, 4), (1, 2), EQUALITY, F(0)),
+        (">=", (2, 4), (1, 2), EQUALITY, F(0)),
+        ("<=", (2, 4), (1, 2), EQUALITY, F(0)),
+        ("=", (-1, 3), (0, 5), VIOLATED, F(1, 3)),
+        (">=", (-1, 3), (0, 5), VIOLATED, F(-1, 3)),
+        ("<=", (-1, 3), (0, 5), HOLDS, F(1, 3)),
+        (">=", (6, 4), (-9, 6), HOLDS, F(3)),
+        ("<=", (0, 7), (0, 1), EQUALITY, F(0)),
+    ])
+    def test_decision_on_unreduced_sides(self, sense, lhs, rhs, status, slack):
+        """Sides are integer pairs in any scale; cross-multiplication decides."""
+        result = self.decide(sense, lhs, rhs, True)
+        assert result.status == status
+        assert (result.lhs, result.rhs, result.slack) == (F(*lhs), F(*rhs), slack)
+        assert (result.lhs_num, result.lhs_den, result.rhs_num, result.rhs_den) == (*lhs, *rhs)
+
+    @staticmethod
+    def decide(sense, lhs, rhs, ok):
         def stand_in(g, prof, d):
-            yield None, F(lhs), F(rhs), ok
+            yield (None, *lhs, *rhs, ok)
 
         spec = replace(relation("R7"), sense=sense, evaluator=stand_in)
         g = path_graph(3)
         d = apsp(g)
         (result,) = evaluate(spec, g, profile(g, d), d)
-        assert (result.relation_id, result.status) == ("R7", status)
-        assert (result.lhs, result.rhs, result.slack) == (F(lhs), F(rhs), F(slack))
+        return result
 
 
 class TestExamples:
@@ -241,7 +264,7 @@ class TestRestrictedRadialitySum:
 
     @staticmethod
     def both(g, i):
-        return restricted_radiality(g, i), _closed_neighborhood_radiality(profile(g), i)
+        return restricted_radiality(g, i), F(*_closed_neighborhood_radiality(profile(g), i))
 
     def test_triangle(self):
         assert self.both(complete_graph(3), 0) == (F(1), F(1))
@@ -267,6 +290,45 @@ class TestR9AgainstOracle:
     @settings(max_examples=60)
     def test_random_graphs(self, g):
         assert single(g, "R9").rhs == r9_rhs(g)
+
+
+def assert_matches_oracle(g):
+    """Every result's sides, status and slack equal the oracle's statement of
+    its relation; per-vertex and per-graph subjects are all present."""
+    sides = relation_sides(g)
+    results = evaluate_all(g)
+    for r in results:
+        lhs, rhs, ok = sides[r.relation_id][r.subject]
+        status, slack = relation_status(SENSE[r.relation_id], lhs, rhs, ok)
+        assert (r.lhs, r.rhs, r.status, r.slack) == (lhs, rhs, status, slack), (
+            g.edges, r.relation_id, r.subject)
+    for rid in RELATION_IDS:
+        subjects = [r.subject for r in results if r.relation_id == rid]
+        if rid == "R6" and g.n > 10:
+            assert len(set(subjects)) == SUBSET_SAMPLE_COUNT
+        else:
+            assert subjects == list(sides[rid]), (g.edges, rid)
+    return results
+
+
+class TestAgainstOracle:
+    """The integer kernels against every relation stated in Fractions over
+    Floyd-Warshall distances (tests/oracles.relation_sides)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_labeled_graph(self, n):
+        for g in enumerate_connected(n):
+            assert_matches_oracle(g)
+
+    @given(connected_graphs(max_n=8))
+    @settings(max_examples=40, deadline=None)
+    def test_random_graphs(self, g):
+        assert_matches_oracle(g)
+
+    def test_sampled_subsets_on_twelve_vertices(self):
+        g = watts_strogatz_graph(12, 4, 0.3, seed=2)
+        results = assert_matches_oracle(g)
+        assert sum(r.relation_id == "R6" for r in results) == SUBSET_SAMPLE_COUNT
 
 
 class TestProperties:
