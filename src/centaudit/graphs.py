@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from random import Random
 from typing import Callable, Iterable, Iterator, Mapping
@@ -250,16 +250,24 @@ def watts_strogatz_graph(n: int, k: int, p: float, seed: int = 0) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-# model name -> (builder, required parameter names); the builder takes the
-# parameters in that order, then the seed
-MODELS: dict[str, tuple[Callable[..., Graph], tuple[str, ...]]] = {
-    "path": (lambda n, seed: path_graph(n), ("n",)),
-    "cycle": (lambda n, seed: cycle_graph(n), ("n",)),
-    "star": (lambda leaves, seed: star_graph(leaves), ("leaves",)),
-    "complete": (lambda n, seed: complete_graph(n), ("n",)),
-    "gnp": (gnp_graph, ("n", "p")),
-    "watts_strogatz": (watts_strogatz_graph, ("n", "k", "p")),
+# model name -> (builder, required parameter names, seeded); the builder takes
+# the parameters in that order, then the seed, which only seeded models read
+MODELS: dict[str, tuple[Callable[..., Graph], tuple[str, ...], bool]] = {
+    "path": (lambda n, seed: path_graph(n), ("n",), False),
+    "cycle": (lambda n, seed: cycle_graph(n), ("n",), False),
+    "star": (lambda leaves, seed: star_graph(leaves), ("leaves",), False),
+    "complete": (lambda n, seed: complete_graph(n), ("n",), False),
+    "gnp": (gnp_graph, ("n", "p"), True),
+    "watts_strogatz": (watts_strogatz_graph, ("n", "k", "p"), True),
 }
+
+
+def model_row(model: str) -> tuple[Callable[..., Graph], tuple[str, ...], bool]:
+    """The ``MODELS`` row of a model name; ValueError for an unknown name."""
+    try:
+        return MODELS[model]
+    except KeyError:
+        raise ValueError(f"unknown model {model!r}; choose from {tuple(MODELS)}") from None
 
 
 def generate(model: str, params: Mapping[str, object], seed: int = 0) -> Graph:
@@ -271,10 +279,7 @@ def generate(model: str, params: Mapping[str, object], seed: int = 0) -> Graph:
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    try:
-        builder, required = MODELS[model]
-    except KeyError:
-        raise ValueError(f"unknown model {model!r}; choose from {tuple(MODELS)}") from None
+    builder, required, _ = model_row(model)
     missing = [name for name in required if name not in params]
     if missing:
         raise ValueError(f"model {model!r} requires parameter {missing[0]!r}")
@@ -353,11 +358,27 @@ SUBSET_ENUMERATION_MAX_N = 10
 SUBSET_SAMPLE_COUNT = 1000
 
 
+@cache
+def subset_masks(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every vertex subset of size >= 2 of ``range(n)``, by size and then
+    lexicographically, as (sorted member tuple, bitmask) pairs; n must be at
+    most ``SUBSET_ENUMERATION_MAX_N``. Cached per n."""
+    if not 0 <= n <= SUBSET_ENUMERATION_MAX_N:
+        raise ValueError(
+            f"subset enumeration supports 0 <= n <= {SUBSET_ENUMERATION_MAX_N}, got {n}"
+        )
+    return tuple(
+        (members, sum(1 << v for v in members))
+        for size in range(2, n + 1)
+        for members in combinations(range(n), size)
+    )
+
+
 def induced_subsets(g: Graph, seed: int = 0) -> Iterator[tuple[int, ...]]:
     """Deterministic stream of vertex subsets of size >= 2 of a connected host.
 
-    For hosts on at most 10 vertices this is every such subset (by size, then
-    lexicographically); larger hosts get ``SUBSET_SAMPLE_COUNT`` distinct
+    For hosts on at most 10 vertices this is every such subset, in the order
+    of :func:`subset_masks`; larger hosts get ``SUBSET_SAMPLE_COUNT`` distinct
     seeded random subsets, always available since a host on n >= 11 vertices
     has 2^n - n - 1 >= 2036 of them. Each subset is a sorted member tuple and
     need not induce a connected graph.
@@ -365,8 +386,8 @@ def induced_subsets(g: Graph, seed: int = 0) -> Iterator[tuple[int, ...]]:
     if not g.is_connected():
         raise ValueError("host graph must be connected")
     if g.n <= SUBSET_ENUMERATION_MAX_N:
-        for size in range(2, g.n + 1):
-            yield from combinations(range(g.n), size)
+        for members, _ in subset_masks(g.n):
+            yield members
         return
     rng = Random(seed)
     seen: set[int] = set()

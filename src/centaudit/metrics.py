@@ -268,6 +268,12 @@ class CentralityProfile:
 
     ``global_clustering`` is None when every vertex has degree <= 1 (only the
     single-edge graph among connected graphs), where the measure is undefined.
+
+    ``open_pair_sums[i]`` is the sum of ambient distances over the unordered
+    pairs of i's neighbors, and ``closed_pair_sums[i]`` the same over N(i) plus
+    i itself. Both are read off the distance matrix entry by entry, never
+    derived from degree or clustering, so the relations that compare them to
+    clustering (R1, R3) test the distances rather than hold by construction.
     """
 
     degrees: tuple[int, ...]
@@ -277,6 +283,8 @@ class CentralityProfile:
     stress: tuple[int, ...]
     pendant: tuple[bool, ...]
     complete_neighborhood: tuple[bool, ...]
+    open_pair_sums: tuple[int, ...]
+    closed_pair_sums: tuple[int, ...]
     diameter: int
     avg_path_length: Fraction
     average_clustering: Fraction
@@ -287,6 +295,24 @@ class CentralityProfile:
     @property
     def n(self) -> int:
         return len(self.degrees)
+
+
+def _neighborhood_pair_sums(
+    g: Graph, d: DistanceMatrix
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per vertex, the pair-distance sums over its open and its closed
+    neighborhood; the closed sum adds the matrix's distance from i to each
+    neighbor."""
+    dist = d.dist
+    open_sums = []
+    closed_sums = []
+    for i, nbrs in enumerate(g.adj):
+        members = tuple(nbrs)
+        open_sum = pair_distance_sum(dist, members)
+        row = dist[i]
+        open_sums.append(open_sum)
+        closed_sums.append(open_sum + sum([row[j] for j in members]))
+    return tuple(open_sums), tuple(closed_sums)
 
 
 def profile(g: Graph, d: DistanceMatrix | None = None) -> CentralityProfile:
@@ -305,6 +331,7 @@ def profile(g: Graph, d: DistanceMatrix | None = None) -> CentralityProfile:
         c_global = global_clustering(g)
     except ValueError:
         c_global = None
+    open_sums, closed_sums = _neighborhood_pair_sums(g, d)
     return CentralityProfile(
         degrees=degrees,
         local_clustering=clustering,
@@ -313,6 +340,8 @@ def profile(g: Graph, d: DistanceMatrix | None = None) -> CentralityProfile:
         stress=stress(g, d),
         pendant=tuple(deg == 1 for deg in degrees),
         complete_neighborhood=complete_nbhd,
+        open_pair_sums=open_sums,
+        closed_pair_sums=closed_sums,
         diameter=diam,
         avg_path_length=avg_path_length(d),
         average_clustering=Fraction(sum(clustering), g.n),

@@ -22,9 +22,9 @@ from functools import partial
 from typing import Iterator, Mapping, Sequence
 
 from . import relations as rel
-from .graphs import Graph, enumerate_connected_range, generate
+from .graphs import Graph, enumerate_connected_range, generate, model_row
 from .metrics import apsp, profile
-from .relations import RelationResult, Subject
+from .relations import Outcome, RelationSpec, Subject
 
 DEFAULT_WITNESS_CAP = 16
 SUBSET_BUDGET_PER_GRAPH = 512  # at most this many R6 subsets per graph
@@ -62,19 +62,22 @@ class RelationTally:
     def subjects(self) -> int:
         return self.holds + self.equality + self.violated + self.skipped
 
-    def record(self, result: RelationResult, g: Graph, cap: int) -> None:
-        if result.status == rel.HOLDS:
-            self.holds += 1
-        elif result.status == rel.EQUALITY:
-            self.equality += 1
-        elif result.status == rel.VIOLATED:
-            self.violated += 1
-            if len(self.witnesses) < cap:
-                self.witnesses.append(
-                    Witness(g.n, g.edges, result.subject, result.lhs, result.rhs)
-                )
-        else:
-            self.skipped += 1
+    def fold(self, spec: RelationSpec, outcomes: list[Outcome], g: Graph, cap: int) -> None:
+        """Count one graph's outcomes of ``spec`` and keep its violations as
+        witnesses while fewer than ``cap`` are kept."""
+        statuses = [status for status, _ in outcomes]
+        self.holds += statuses.count(rel.HOLDS)
+        self.equality += statuses.count(rel.EQUALITY)
+        self.skipped += statuses.count(rel.SKIPPED)
+        violated = statuses.count(rel.VIOLATED)
+        self.violated += violated
+        if violated:
+            for status, row in outcomes:
+                if status == rel.VIOLATED and len(self.witnesses) < cap:
+                    result = rel.make_result(spec, status, row)
+                    self.witnesses.append(
+                        Witness(g.n, g.edges, result.subject, result.lhs, result.rhs)
+                    )
 
     def merge(self, other: "RelationTally", cap: int) -> None:
         self.holds += other.holds
@@ -184,8 +187,7 @@ def _evaluate_into(
     audit.record(g, prof.geodetic, prof.even_cycle_free, cap)
     for rid in relation_ids:
         spec = rel.relation(rid)
-        for result in rel.evaluate(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH):
-            tallies[rid].record(result, g, cap)
+        tallies[rid].fold(spec, rel.evaluate(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH), g, cap)
 
 
 def _new_tallies(relation_ids: tuple[str, ...]) -> dict[str, RelationTally]:
@@ -202,15 +204,15 @@ def _mine_shard(args) -> _Shard:
     return shard
 
 
-def _trial_graphs(model, params, seed, start, stop, retry_cap) -> Iterator[Graph]:
+def _trial_graphs(model, params, seed, start, stop, attempts) -> Iterator[Graph]:
     for trial in range(start, stop):
-        yield _connected_sample(model, params, seed, trial, retry_cap)
+        yield _connected_sample(model, params, seed, trial, attempts)
 
 
 def _connected_sample(
-    model: str, params: Mapping[str, object], seed: int, trial: int, retry_cap: int
+    model: str, params: Mapping[str, object], seed: int, trial: int, attempts: int
 ) -> Graph:
-    for attempt in range(retry_cap):
+    for attempt in range(attempts):
         # distinct derived seed per (seed, trial, attempt)
         derived = (seed << 56) + (trial << 20) + attempt
         g = generate(model, params, derived)
@@ -218,7 +220,7 @@ def _connected_sample(
             return g
     raise ConnectivityRetryError(
         f"model {model!r} produced no connected graph on >= 2 vertices in "
-        f"{retry_cap} attempts (trial {trial}, seed {seed})"
+        f"{attempts} attempt{'s' if attempts != 1 else ''} (trial {trial}, seed {seed})"
     )
 
 
@@ -300,9 +302,11 @@ def mine_random(
 ) -> MiningReport:
     """Evaluate the selected relations on seeded random connected graphs.
 
-    Each trial redraws (up to ``retry_cap`` times) until the sample is
-    connected; every draw has its own derived seed, so runs are deterministic
-    for a fixed (model, params, trials, seed) regardless of worker count.
+    Each trial of a seeded model redraws (up to ``retry_cap`` times) until
+    the sample is connected; every draw has its own derived seed, so runs are
+    deterministic for a fixed (model, params, trials, seed) regardless of
+    worker count. A seedless model (path, cycle, star, complete) draws the
+    same graph every time, so its first failed draw is final.
     ``workers`` is capped at the CPU count; ``retry_cap`` must be in
     1..``MAX_RETRY_CAP``; ``seed`` must be >= 0.
     """
@@ -314,10 +318,11 @@ def mine_random(
         raise ValueError(f"retry_cap must be in 1..{MAX_RETRY_CAP}, got {retry_cap}")
     workers = _check_limits(witness_cap, workers)
     ids = rel.select_ids(relation_ids)
+    attempts = retry_cap if model_row(model)[2] else 1
     params = {key: params[key] for key in sorted(params)}
     chunk = -(-trials // workers)
     sources = [
-        partial(_trial_graphs, model, params, seed, lo, min(lo + chunk, trials), retry_cap)
+        partial(_trial_graphs, model, params, seed, lo, min(lo + chunk, trials), attempts)
         for lo in range(0, trials, chunk)
     ]
     population = {
@@ -342,6 +347,6 @@ def equality_census(
         for g in enumerate_connected_range(n, 0, None):
             d = apsp(g)
             prof = profile(g, d)
-            for result in rel.evaluate(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH):
-                if result.status == rel.EQUALITY:
-                    yield g, result.subject
+            for status, row in rel.evaluate(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH):
+                if status == rel.EQUALITY:
+                    yield g, row[0]

@@ -7,24 +7,32 @@ entries are marked ``audit-inequality``: their statements are checked
 empirically and violations are reported without failing a run.
 
 Each catalog row holds a relation's comparison and its evaluator. An
-evaluator yields, per subject, each side as an integer numerator and a
-positive denominator (not necessarily in lowest terms): neighborhood, subset
-and vertex-deletion means come from integer pair-distance sums over the
-ambient distance matrix, and per-graph sums over vertices share one common
-denominator. :func:`evaluate` decides every status from the sign of
-``lhs_num * rhs_den - rhs_num * lhs_den``, oriented by the comparison, and a
-:class:`RelationResult` builds its sides as Fractions only when they are read.
+evaluator yields one row per subject, ``(subject, lhs_num, lhs_den, rhs_num,
+rhs_den, precondition_ok)``: each side is an integer numerator over a positive
+denominator, not necessarily in lowest terms. Neighborhood, subset and
+vertex-deletion means come from integer pair-distance sums over the ambient
+distance matrix, and per-graph sums over vertices share one common
+denominator.
+
+:func:`evaluate` decides every status, from the sign of
+``lhs_num * rhs_den - rhs_num * lhs_den`` oriented by the comparison, and
+returns one outcome per subject: the pair ``(status, row)``. Callers that only
+count statuses (the miner's tallies, the equality census) read outcomes as
+they are. :func:`make_result` turns one outcome into a :class:`RelationResult`,
+whose sides become Fractions only when read; :func:`evaluate_all` (the
+``check`` path) and the miner's capped witnesses are its callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from math import lcm
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .graphs import Graph, induced_subsets
+from .graphs import SUBSET_ENUMERATION_MAX_N, Graph, induced_subsets, subset_masks
 from .metrics import (
     CentralityProfile,
     DistanceMatrix,
@@ -53,10 +61,13 @@ Subject = Union[None, int, tuple[int, ...]]
 # An exact rational as an integer numerator and a positive denominator, in
 # any common scale (not necessarily lowest terms).
 Ratio = tuple[int, int]
-# (graph, profile, distances) -> per subject:
 # (subject, lhs numerator, lhs denominator, rhs numerator, rhs denominator,
 #  precondition_ok)
-Evaluator = Callable[..., Iterator[tuple[Subject, int, int, int, int, bool]]]
+Row = tuple[Subject, int, int, int, int, bool]
+# (status, row): what evaluate returns per subject
+Outcome = tuple[str, Row]
+# (graph, profile, distances) -> one row per subject
+Evaluator = Callable[..., Iterator[Row]]
 
 
 @dataclass(frozen=True)
@@ -134,17 +145,6 @@ def _mean_pairs(pair_sum: int, k: int) -> Ratio:
     return (2 * pair_sum, k * (k - 1)) if k >= 2 else (0, 1)
 
 
-def _neighborhood_means(g: Graph, d: DistanceMatrix, i: int) -> tuple[int, Ratio, Ratio]:
-    """(degree, open mean, closed mean) of i: the mean ambient distance over
-    the pairs of N(i) and over those of N[i] = N(i) + {i}."""
-    members = tuple(g.adj[i])
-    deg = len(members)
-    open_sum = pair_distance_sum(d.dist, members)
-    row = d.dist[i]
-    closed_sum = open_sum + sum(row[j] for j in members)
-    return deg, _mean_pairs(open_sum, deg), _mean_pairs(closed_sum, deg + 1)
-
-
 def _degree_stress_monotone(prof: CentralityProfile) -> bool:
     """True when sorting by degree also sorts stress: d_i < d_j implies Str_i <= Str_j."""
     pairs = sorted(zip(prof.degrees, prof.stress))
@@ -154,24 +154,32 @@ def _degree_stress_monotone(prof: CentralityProfile) -> bool:
     return True
 
 
+# R1, R2, R3 and R5 compare the mean ambient distance over the pairs of N(i)
+# and over those of N[i] = N(i) + {i}, from the profile's pair sums
+
+
 def _eval_r1(g, prof, d):
-    for i in range(g.n):
-        deg, open_mean, _ = _neighborhood_means(g, d, i)
-        cn, cd = _ratio(prof.local_clustering[i])
-        yield i, *open_mean, 2 * cd - cn, cd, deg >= 2
+    for i, (deg, open_sum, c) in enumerate(
+        zip(prof.degrees, prof.open_pair_sums, prof.local_clustering)
+    ):
+        cn, cd = _ratio(c)
+        yield i, *_mean_pairs(open_sum, deg), 2 * cd - cn, cd, deg >= 2
 
 
 def _eval_r2(g, prof, d):
-    num, den = _ratio_sum(_neighborhood_means(g, d, i)[1] for i in range(g.n))
+    num, den = _ratio_sum(map(_mean_pairs, prof.open_pair_sums, prof.degrees))
     n = g.n
     yield (None, *_ratio(prof.average_clustering),
            2 * n * den - num, n * den, min(prof.degrees) >= 2)
 
 
 def _eval_r3(g, prof, d):
-    for i in range(g.n):
-        deg, (on, od), closed_mean = _neighborhood_means(g, d, i)
-        yield i, *closed_mean, (deg - 1) * on + 2 * od, (deg + 1) * od, deg >= 1
+    for i, (deg, open_sum, closed_sum) in enumerate(
+        zip(prof.degrees, prof.open_pair_sums, prof.closed_pair_sums)
+    ):
+        on, od = _mean_pairs(open_sum, deg)
+        yield (i, *_mean_pairs(closed_sum, deg + 1),
+               (deg - 1) * on + 2 * od, (deg + 1) * od, deg >= 1)
 
 
 def _eval_r4(g, prof, d):
@@ -186,18 +194,42 @@ def _eval_r4(g, prof, d):
 
 
 def _eval_r5(g, prof, d):
-    for i in range(g.n):
-        deg, (on, od), closed_mean = _neighborhood_means(g, d, i)
-        yield i, *closed_mean, deg * on, (deg + 1) * od, True
+    for i, (deg, open_sum, closed_sum) in enumerate(
+        zip(prof.degrees, prof.open_pair_sums, prof.closed_pair_sums)
+    ):
+        on, od = _mean_pairs(open_sum, deg)
+        yield i, *_mean_pairs(closed_sum, deg + 1), deg * on, (deg + 1) * od, True
+
+
+@cache
+def _pair_sum_steps(n: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
+    """(S, S - a, S - b, S - a - b, a, b) for each subset mask S of
+    :func:`subset_masks`, in its order, with a < b the two lowest members."""
+    steps = []
+    for members, mask in subset_masks(n):
+        a, b = members[0], members[1]
+        without_a = mask ^ (1 << a)
+        steps.append((mask, without_a, mask ^ (1 << b), without_a ^ (1 << b), a, b))
+    return tuple(steps)
 
 
 def _eval_r6(g, prof, d):
     ln, ld = _ratio(prof.avg_path_length)
     n = g.n
     dist = d.dist
-    for members in induced_subsets(g):
+    if n > SUBSET_ENUMERATION_MAX_N:
+        sums = ((members, pair_distance_sum(dist, members)) for members in induced_subsets(g))
+    else:
+        # T(S), the pair-distance sum of S, for every mask: the pairs of S are
+        # those of S - a and of S - b, less those of S - a - b, counted in
+        # both, plus {a, b}. Smaller subsets come first in subset_masks order.
+        table = [0] * (1 << n)
+        for mask, without_a, without_b, without_ab, a, b in _pair_sum_steps(n):
+            table[mask] = table[without_a] + table[without_b] - table[without_ab] + dist[a][b]
+        sums = ((members, table[mask]) for members, mask in subset_masks(n))
+    for members, pair_sum in sums:
         k = len(members)  # >= 2
-        mn, md = _mean_pairs(pair_distance_sum(dist, members), k)
+        mn, md = _mean_pairs(pair_sum, k)
         yield members, ln, ld, k * mn, n * md, True
 
 
@@ -462,14 +494,19 @@ def violation_counts(violated: Iterable[tuple[str, int]]) -> tuple[int, int]:
     return totals[0], totals[1]
 
 
+# sign of lhs - rhs under which each comparison holds strictly; 0: never
+_HOLDS_SIGN = {">=": 1, "<=": -1, "=": 0}
+
+
 def evaluate(
     spec: RelationSpec,
     g: Graph,
     prof: CentralityProfile,
     d: DistanceMatrix,
     max_subjects: Optional[int] = None,
-) -> list[RelationResult]:
-    """Evaluate one relation on a connected graph, one result per subject.
+) -> list[Outcome]:
+    """Evaluate one relation on a connected graph: one ``(status, row)``
+    outcome per subject, in the evaluator's subject order.
 
     ``max_subjects`` truncates the subset stream of per-subgraph relations
     (used by the miner to bound work per graph); other scopes ignore it.
@@ -479,31 +516,43 @@ def evaluate(
     rows = spec.evaluator(g, prof, d)
     if spec.scope == PER_SUBGRAPH:
         rows = islice(rows, max_subjects)
-    sense = spec.sense
-    results = []
-    for subject, ln, ld, rn, rd, ok in rows:
-        diff = _oriented_difference(sense, ln, ld, rn, rd)
+    holds_sign = _HOLDS_SIGN[spec.sense]
+    outcomes = []
+    for row in rows:
+        _, ln, ld, rn, rd, ok = row
         if not ok:
             status = SKIPPED
-        elif diff == 0:
-            status = EQUALITY
-        elif diff > 0 and sense != "=":
-            status = HOLDS
         else:
-            status = VIOLATED
-        results.append(RelationResult(spec.id, subject, status, sense, ln, ld, rn, rd))
-    return results
+            diff = ln * rd - rn * ld
+            if diff == 0:
+                status = EQUALITY
+            elif diff * holds_sign > 0:
+                status = HOLDS
+            else:
+                status = VIOLATED
+        outcomes.append((status, row))
+    return outcomes
+
+
+def make_result(spec: RelationSpec, status: str, row: Row) -> RelationResult:
+    """The :class:`RelationResult` of one outcome of ``spec``."""
+    subject, ln, ld, rn, rd, _ = row
+    return RelationResult(spec.id, subject, status, spec.sense, ln, ld, rn, rd)
 
 
 def evaluate_all(
     g: Graph, relation_ids: Iterable[str] | None = None
 ) -> list[RelationResult]:
     """Convenience wrapper: profile the graph and evaluate the given relations
-    (default: the whole catalog), each once, in catalog order."""
+    (default: the whole catalog), each once, in catalog order, one
+    :class:`RelationResult` per subject."""
     ids = select_ids(relation_ids)
     d = apsp(g)
     prof = profile(g, d)
     results = []
     for rid in ids:
-        results.extend(evaluate(relation(rid), g, prof, d))
+        spec = relation(rid)
+        results.extend(
+            make_result(spec, status, row) for status, row in evaluate(spec, g, prof, d)
+        )
     return results

@@ -28,6 +28,7 @@ from centaudit import (
     enumerate_connected,
     evaluate,
     is_even_cycle_free,
+    make_result,
     mine_exhaustive,
     profile,
     relation,
@@ -40,6 +41,11 @@ from oracles import brute_force_geodetic, brute_force_stress, has_even_cycle
 TWELVE_PROVED = ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R10", "R10b", "R11", "R11b")
 
 EXHAUSTIVE_RUNTIME_BUDGET_SECONDS = 300.0
+
+
+def results(spec, g, prof, d):
+    """One RelationResult per outcome of ``evaluate``."""
+    return [make_result(spec, status, row) for status, row in evaluate(spec, g, prof, d)]
 
 
 @contextmanager
@@ -101,8 +107,8 @@ def sweep6():
                 facts.geodetic_flag_mismatches += 1
             if prof.geodetic:
                 facts.geodetic += 1
-            (res10,) = evaluate(r10, g, prof, d)
-            (res10b,) = evaluate(r10b, g, prof, d)
+            (res10,) = results(r10, g, prof, d)
+            (res10b,) = results(r10b, g, prof, d)
             if prof.geodetic:
                 if res10.status != EQUALITY or res10b.status != EQUALITY:
                     facts.r10_census_mismatches += 1
@@ -113,7 +119,7 @@ def sweep6():
                     facts.r10b_slack_mismatches += 1
             if not any(prof.pendant) and prof.diameter == 2:
                 facts.diam2_pendant_free += 1
-                (res11,) = evaluate(r11, g, prof, d)
+                (res11,) = results(r11, g, prof, d)
                 if res11.status != EQUALITY:
                     facts.r11_diam2_failures += 1
     return facts
@@ -135,7 +141,7 @@ def test_criterion_4_diameter_two_equality(sweep6):
         # named fixture: the 4-cycle sits exactly on the bound
         c4 = cycle_graph(4)
         d = apsp(c4)
-        (res,) = evaluate(relation("R11"), c4, profile(c4, d), d)
+        (res,) = results(relation("R11"), c4, profile(c4, d), d)
         assert res.status == EQUALITY
         assert res.lhs == res.rhs == F(0)
         print(f"  (pendant-free diameter-2 graphs: {sweep6.diam2_pendant_free})")
@@ -145,7 +151,7 @@ def test_criterion_5_audit_findings():
     with criterion(5, "audit findings (R12 star, R9 population)"):
         star = star_graph(3)
         d = apsp(star)
-        (res,) = evaluate(relation("R12"), star, profile(star, d), d)
+        (res,) = results(relation("R12"), star, profile(star, d), d)
         assert res.status == VIOLATED
         assert res.lhs == F(1) and res.rhs == F(13, 16)
         assert relation("R12").audit
@@ -172,7 +178,7 @@ def test_criterion_5_audit_findings():
         for witness in report.tallies["R9"].witnesses:
             g = witness.graph()
             dm = apsp(g)
-            (replayed,) = evaluate(relation("R9"), g, profile(g, dm), dm)
+            (replayed,) = results(relation("R9"), g, profile(g, dm), dm)
             assert replayed.status == VIOLATED
             assert (replayed.lhs, replayed.rhs) == (witness.lhs, witness.rhs)
 

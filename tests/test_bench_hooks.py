@@ -1,8 +1,10 @@
 """The benchmark's tracer wraps program functions at the module attributes
 their callers look them up by (``perfbench/spans.py``). These tests keep those
-hooks live: every wrapped attribute must exist and be callable, and a traced
+hooks live: every wrapped attribute must exist and be callable, a traced
 ``compute`` must report the stress layer, which ``profile`` enters once per
-graph. ``perfbench/`` is only read here, never modified.
+graph, and a traced ``mine`` must report one span per relation evaluation,
+whose sized result counts the subjects. ``perfbench/`` is only read here, never
+modified.
 """
 
 import importlib
@@ -68,6 +70,27 @@ def test_traced_compute_reports_stress_span(spans):
     assert tracer.counts["metrics.stress"] == 1
     (parent,) = [tracer.spans[s[1]][0] for s in tracer.spans if s[0] == "metrics.stress"]
     assert parent == "metrics.profile"
+
+
+def test_traced_mine_reports_relation_spans(spans):
+    tracer = spans.Tracer()
+    out = io.StringIO()
+    with spans.traced(tracer):
+        root = tracer.open(tracer.ROOT)
+        assert main(["mine", "--n-max", "3", "--format", "json"], out=out) == 0
+        tracer.close(root)
+    assert not spans.nesting_errors(tracer.spans)
+    parents = {tracer.spans[parent][0] for name, parent, *_ in tracer.spans
+               if name.startswith("relations.")}
+    assert parents == {"mining"}
+    payload = json.loads(out.getvalue())["payload"]
+    tallies = payload["relations"].values()
+    assert tracer.counts["relations.subjects"] == sum(
+        t["holds"] + t["equality"] + t["violated"] + t["skipped"] for t in tallies
+    )
+    assert {name for name, *_ in tracer.spans if name.startswith("relations.")} == {
+        f"relations.{rid}" for rid in payload["relations"]
+    }
 
 
 def test_profile_calls_stress_once(stress_calls):

@@ -1,8 +1,9 @@
 """Golden output: SHA-256 of fixed CLI documents. The first six were recorded
 before the subset-view layer was removed, the next seven before the relation
-catalog became the single table of evaluators and comparisons, and the two
+catalog became the single table of evaluators and comparisons, the two
 Watts-Strogatz compute documents at n = 150 and 400 before stress moved to
-Brandes accumulation. Any refactor must leave these bytes unchanged.
+Brandes accumulation, and the two-worker n = 6 mining document before R6 moved
+to a subset-mask table. Any refactor must leave these bytes unchanged.
 
 The graphs are fed on stdin so that the echoed ``command`` holds no file path.
 """
@@ -42,10 +43,13 @@ GOLDEN = {
     "compute-ws400-json": "8c25b318e174c8c9b0160cd255ae46d46d8f59e9e6fcc075802e826ba85558b1",
     # one worker; six trials cover the trial shard and R6's 512-subject budget
     "mine-ws24-json": "0011fcaa42280519dcc1001c32b19703b56424e526bf0c43395de1f6f2cd565b",
+    # every labeled connected graph on up to 6 vertices, two shards per n
+    "mine-n6w2-json": "8406239124d86064bd424cf1ec9b52be4b56dabcb82c450385b493f7623dbd4c",
 }
 
 MINE_ARGV = {
     "n5": ["mine", "--n-max", "5"],
+    "n6w2": ["mine", "--n-max", "6", "--workers", "2"],
     "ws24": ["mine", "--model", "watts_strogatz", "--n", "24", "--k", "4",
              "--p", "0.1", "--trials", "6", "--seed", "1"],
 }

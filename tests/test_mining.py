@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -8,11 +9,15 @@ from centaudit import (
     VIOLATED,
     ConnectivityRetryError,
     Graph,
+    RELATION_IDS,
     apsp,
     complete_graph,
     cycle_graph,
+    enumerate_connected,
     equality_census,
     evaluate,
+    evaluate_all,
+    make_result,
     mine_exhaustive,
     mine_random,
     path_graph,
@@ -49,7 +54,9 @@ def replay(relation_id, witness):
     g = witness.graph()
     d = apsp(g)
     prof = profile(g, d)
-    for result in evaluate(relation(relation_id), g, prof, d):
+    spec = relation(relation_id)
+    for status, row in evaluate(spec, g, prof, d):
+        result = make_result(spec, status, row)
         if result.subject == witness.subject:
             return result
     raise AssertionError(f"subject {witness.subject} not found on replay")
@@ -125,6 +132,26 @@ class TestMineExhaustive:
         with pytest.raises(ValueError):
             mine_exhaustive(3, relation_ids=("R99",))
 
+    def test_tallies_fold_the_check_results(self):
+        """Counts and witnesses equal those of evaluate_all over the same
+        graphs in enumeration order."""
+        report = mine_exhaustive(5, witness_cap=5)
+        counts = {rid: Counter() for rid in RELATION_IDS}
+        violated = {rid: [] for rid in RELATION_IDS}
+        for n in range(2, 6):
+            for g in enumerate_connected(n):
+                for r in evaluate_all(g):
+                    counts[r.relation_id][r.status] += 1
+                    if r.status == VIOLATED:
+                        violated[r.relation_id].append((g.n, g.edges, r.subject, r.lhs, r.rhs))
+        assert len(violated["R12"]) > 5  # the cap truncates
+        for rid, t in report.tallies.items():
+            c = counts[rid]
+            assert (t.holds, t.equality, t.violated, t.skipped) == (
+                c["holds"], c["equality"], c["violated"], c["skipped-precondition"]), rid
+            assert [(w.n, w.edges, w.subject, w.lhs, w.rhs) for w in t.witnesses] == \
+                violated[rid][:report.witness_cap], rid
+
 
 class TestMineRandom:
     def test_identities_hold_on_gnp(self):
@@ -158,6 +185,26 @@ class TestMineRandom:
     def test_retry_cap_exhausted(self):
         with pytest.raises(ConnectivityRetryError):
             mine_random("gnp", {"n": 4, "p": 0.0}, trials=1, seed=0, retry_cap=10)
+
+    @pytest.mark.parametrize("model,params", [
+        ("path", {"n": 1}),
+        ("complete", {"n": 1}),
+        ("star", {"leaves": 0}),
+    ], ids=["path", "complete", "star"])
+    def test_seedless_model_draws_once(self, monkeypatch, model, params):
+        """A model that ignores the seed builds the same graph every draw, so
+        one failed draw is final."""
+        calls = []
+        original = mining.generate
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(mining, "generate", counting)
+        with pytest.raises(ConnectivityRetryError, match="in 1 attempt "):
+            mine_random(model, params, trials=1)
+        assert len(calls) == 1
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
@@ -284,8 +331,9 @@ class TestEqualityCensus:
         for g, subject in equality_census("R11", 4):
             d = apsp(g)
             prof = profile(g, d)
-            results = [r for r in evaluate(relation("R11"), g, prof, d)
-                       if r.subject == subject]
+            spec = relation("R11")
+            results = [make_result(spec, *outcome) for outcome in evaluate(spec, g, prof, d)]
+            results = [r for r in results if r.subject == subject]
             assert results and results[0].status == EQUALITY
 
     def test_census_bounds(self):

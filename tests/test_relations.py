@@ -22,6 +22,7 @@ from centaudit import (
     evaluate,
     enumerate_connected,
     evaluate_all,
+    make_result,
     path_graph,
     profile,
     relation,
@@ -32,7 +33,9 @@ from centaudit.relations import (
     select_ids,
     violation_counts,
 )
-from centaudit.graphs import SUBSET_SAMPLE_COUNT, watts_strogatz_graph
+from centaudit.graphs import SUBSET_SAMPLE_COUNT, gnp_graph, watts_strogatz_graph
+from centaudit.metrics import DistanceMatrix
+from centaudit.mining import SUBSET_BUDGET_PER_GRAPH
 from oracles import SENSE, r9_rhs, relation_sides, relation_status, restricted_radiality
 
 
@@ -160,8 +163,8 @@ class TestStatus:
         spec = replace(relation("R7"), sense=sense, evaluator=stand_in)
         g = path_graph(3)
         d = apsp(g)
-        (result,) = evaluate(spec, g, profile(g, d), d)
-        return result
+        ((status, row),) = evaluate(spec, g, profile(g, d), d)
+        return make_result(spec, status, row)
 
 
 class TestExamples:
@@ -325,10 +328,68 @@ class TestAgainstOracle:
     def test_random_graphs(self, g):
         assert_matches_oracle(g)
 
+    @pytest.mark.parametrize("g", [
+        watts_strogatz_graph(9, 4, 0.3, seed=1),
+        gnp_graph(10, 0.4, seed=3),
+    ], ids=["ws9", "gnp10"])
+    def test_largest_enumerated_hosts(self, g):
+        """n = 9 and 10 sit at the top of R6's subset-mask table."""
+        assert g.is_connected()
+        results = assert_matches_oracle(g)
+        assert sum(r.relation_id == "R6" for r in results) == 2 ** g.n - g.n - 1
+
+    def test_miner_budget_on_ten_vertices(self):
+        """The miner's R6 budget keeps the first 512 subsets of the stream."""
+        g = gnp_graph(10, 0.4, seed=3)
+        d = apsp(g)
+        outcomes = evaluate(relation("R6"), g, profile(g, d), d,
+                            max_subjects=SUBSET_BUDGET_PER_GRAPH)
+        sides = relation_sides(g)["R6"]
+        expected = list(sides)[:SUBSET_BUDGET_PER_GRAPH]
+        assert len(expected) == 512 < len(sides)
+        assert [row[0] for _, row in outcomes] == expected
+        assert [status for status, _ in outcomes] == [
+            relation_status(SENSE["R6"], *sides[subset])[0] for subset in expected
+        ]
+
     def test_sampled_subsets_on_twelve_vertices(self):
         g = watts_strogatz_graph(12, 4, 0.3, seed=2)
         results = assert_matches_oracle(g)
         assert sum(r.relation_id == "R6" for r in results) == SUBSET_SAMPLE_COUNT
+
+
+def _with_distance(d, i, j, value):
+    """A copy of ``d`` with the symmetric entry (i, j) set to ``value``."""
+    dist = [list(row) for row in d.dist]
+    dist[i][j] = dist[j][i] = value
+    return DistanceMatrix(d.n, tuple(map(tuple, dist)), d.sigma)
+
+
+class TestNeighborhoodSumsReadDistances:
+    """R1 and R3 compare distances inside a neighborhood with clustering and
+    degree. Their sides must be measured from the distance matrix: with one
+    entry of the matrix altered, the identity has to fail at that vertex.
+    Sums derived from degree or clustering would keep it holding."""
+
+    @staticmethod
+    def status_at(rid, g, d, vertex):
+        (status,) = [status for status, row in evaluate(relation(rid), g, profile(g, d), d)
+                     if row[0] == vertex]
+        return status
+
+    def test_r3_reads_the_distance_to_each_neighbor(self):
+        g = cycle_graph(5)
+        d = apsp(g)
+        assert d.dist[0][1] == 1
+        assert self.status_at("R3", g, d, 0) == EQUALITY
+        assert self.status_at("R3", g, _with_distance(d, 0, 1, 2), 0) == VIOLATED
+
+    def test_r1_reads_the_distance_between_neighbors(self):
+        g = cycle_graph(5)  # the neighbors 1 and 4 of vertex 0 are not adjacent
+        d = apsp(g)
+        assert d.dist[1][4] == 2
+        assert self.status_at("R1", g, d, 0) == EQUALITY
+        assert self.status_at("R1", g, _with_distance(d, 1, 4, 3), 0) == VIOLATED
 
 
 class TestProperties:
