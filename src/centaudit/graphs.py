@@ -374,26 +374,37 @@ def subset_masks(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     )
 
 
-def induced_subsets(g: Graph, seed: int = 0) -> Iterator[tuple[int, ...]]:
-    """Deterministic stream of vertex subsets of size >= 2 of a connected host.
+def subset_stream(n: int, seed: int = 0) -> Iterable[tuple[tuple[int, ...], int]]:
+    """R6's subjects on a host with n vertices: vertex subsets of size >= 2 as
+    (sorted member tuple, bitmask) pairs, in a fixed order.
 
-    For hosts on at most 10 vertices this is every such subset, in the order
-    of :func:`subset_masks`; larger hosts get ``SUBSET_SAMPLE_COUNT`` distinct
-    seeded random subsets, always available since a host on n >= 11 vertices
-    has 2^n - n - 1 >= 2036 of them. Each subset is a sorted member tuple and
-    need not induce a connected graph.
+    For n <= ``SUBSET_ENUMERATION_MAX_N`` this is the cached
+    :func:`subset_masks` list of every such subset. Larger hosts get
+    ``SUBSET_SAMPLE_COUNT`` distinct seeded random subsets, always available
+    since a host on n >= 11 vertices has 2^n - n - 1 >= 2036 of them. Subsets
+    need not induce connected graphs.
     """
-    if not g.is_connected():
-        raise ValueError("host graph must be connected")
-    if g.n <= SUBSET_ENUMERATION_MAX_N:
-        for members, _ in subset_masks(g.n):
-            yield members
-        return
+    if n <= SUBSET_ENUMERATION_MAX_N:
+        return subset_masks(n)
+    return _sampled_subsets(n, seed)
+
+
+# the set bits of each byte value, lowest first
+_BYTE_BITS = tuple(tuple(v for v in range(8) if byte >> v & 1) for byte in range(256))
+
+
+def _sampled_subsets(n: int, seed: int) -> Iterator[tuple[tuple[int, ...], int]]:
     rng = Random(seed)
     seen: set[int] = set()
+    offsets = range(0, n, 8)
+    width = (n + 7) // 8
     while len(seen) < SUBSET_SAMPLE_COUNT:
-        mask = rng.getrandbits(g.n)
+        mask = rng.getrandbits(n)
         if mask.bit_count() < 2 or mask in seen:
             continue
         seen.add(mask)
-        yield tuple(v for v in range(g.n) if mask >> v & 1)
+        members = []
+        for base, byte in zip(offsets, mask.to_bytes(width, "little")):
+            if byte:
+                members += [base + v for v in _BYTE_BITS[byte]]
+        yield tuple(members), mask

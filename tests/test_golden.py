@@ -2,8 +2,10 @@
 before the subset-view layer was removed, the next seven before the relation
 catalog became the single table of evaluators and comparisons, the two
 Watts-Strogatz compute documents at n = 150 and 400 before stress moved to
-Brandes accumulation, and the two-worker n = 6 mining document before R6 moved
-to a subset-mask table. Any refactor must leave these bytes unchanged.
+Brandes accumulation, the two-worker n = 6 mining document before R6 moved
+to a subset-mask table, and the Watts-Strogatz n = 150 check document, whose
+1000 sampled R6 subjects span four distance bits, before R6 on sampled hosts
+moved to digit rows. Any refactor must leave these bytes unchanged.
 
 The graphs are fed on stdin so that the echoed ``command`` holds no file path.
 """
@@ -35,6 +37,7 @@ GOLDEN = {
     "check-complete4-json": "819b92633eed7008158bb06f515c3e8737911233b1692c274a90655ddc0bda24",
     "check-ws14-json": "6111e5cd012fc425ec5e03720363f11f63d678dd836995b415117174458c1974",
     "check-ws14-text": "1760b90f3673484786d3f7cb9f478a66b7eeec0bf4f235da4d2a5c103a58cba1",
+    "check-ws150-json": "4a590ef9c2e678c74dc80071b1162057c0dc3d3ef97b9d235da3fc6e301140bd",
     "compute-star3-json": "1a22807088f51d5ae0053a794b04b2f61ce0ff961ba94bdd23b622f64d9533d9",
     "compute-star3-text": "01b35d2324f7eed1cf977f8e6d40783b7a8465c6346eab84a6f8b886f3c6ad96",
     "compute-ws14-json": "91ef53c6fd9e3969f1d3e333ccb9401b0de93160013bc1a19deef72837c76bc0",

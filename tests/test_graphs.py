@@ -1,3 +1,5 @@
+import io
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,7 +14,6 @@ from centaudit import (
     enumerate_connected,
     generate,
     gnp_graph,
-    induced_subsets,
     local_clustering,
     parse_edge_list,
     path_graph,
@@ -21,7 +22,8 @@ from centaudit import (
     star_graph,
     watts_strogatz_graph,
 )
-from centaudit.graphs import SUBSET_SAMPLE_COUNT, enumerate_connected_range
+from centaudit.cli import EXIT_DISCONNECTED, main
+from centaudit.graphs import SUBSET_SAMPLE_COUNT, enumerate_connected_range, subset_stream
 from oracles import count_connected_graphs, union_find_connected
 
 
@@ -287,30 +289,46 @@ class TestViews:
 
 
 class TestInducedSubsets:
+    """R6's subjects: ``subset_stream`` yields (members, mask) pairs."""
+
     def test_path3_has_four_subsets(self):
-        subsets = list(induced_subsets(path_graph(3)))
-        assert subsets == [(0, 1), (0, 2), (1, 2), (0, 1, 2)]
+        assert list(subset_stream(3)) == [
+            ((0, 1), 0b011), ((0, 2), 0b101), ((1, 2), 0b110), ((0, 1, 2), 0b111),
+        ]
 
     def test_c4_has_eleven_subsets(self):
-        assert sum(1 for _ in induced_subsets(cycle_graph(4))) == 11
+        assert sum(1 for _ in subset_stream(4)) == 11
 
     def test_min_size_validation(self):
         # size-1 subsets never appear, enumerated or sampled
-        small = list(induced_subsets(complete_graph(4)))
-        sampled = list(induced_subsets(watts_strogatz_graph(12, 4, 0.0)))
-        assert min(len(members) for members in small + sampled) == 2
+        small = list(subset_stream(4))
+        sampled = list(subset_stream(12))
+        assert min(len(members) for members, _ in small + sampled) == 2
 
-    def test_requires_connected_host(self):
-        with pytest.raises(ValueError, match="connected"):
-            list(induced_subsets(Graph.from_edges(4, [(0, 1), (2, 3)])))
+    def test_requires_connected_host(self, monkeypatch):
+        # the stream takes no graph: a disconnected host is refused by the
+        # distance pass, so check exits 3 before any subset is drawn
+        two_triangles = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(two_triangles))
+        out, err = io.StringIO(), io.StringIO()
+        assert main(["check", "-", "--relations", "R6"], out=out, err=err) == EXIT_DISCONNECTED
+        assert out.getvalue() == "" and "disconnected" in err.getvalue()
 
     def test_large_host_sampling_is_deterministic(self):
-        g = watts_strogatz_graph(14, 4, 0.0)
-        first = list(induced_subsets(g, seed=4))
-        second = list(induced_subsets(g, seed=4))
+        first = list(subset_stream(14, seed=4))
+        second = list(subset_stream(14, seed=4))
         assert first == second
-        assert len(first) == len(set(first)) == SUBSET_SAMPLE_COUNT
-        assert first != list(induced_subsets(g, seed=5))
+        assert len(first) == len({mask for _, mask in first}) == SUBSET_SAMPLE_COUNT
+        assert first != list(subset_stream(14, seed=5))
+
+    @pytest.mark.parametrize("n", [11, 16, 17, 24, 150])
+    def test_sampled_members_match_bitwise_decode(self, n):
+        # byte boundaries (16, 17), several bytes (24) and the top bit (150)
+        stream = list(subset_stream(n))
+        for members, mask in stream:
+            assert 0 < mask < 1 << n
+            assert members == tuple(v for v in range(n) if mask >> v & 1)
+        assert any(members[-1] == n - 1 for members, _ in stream)
 
 
 class TestPendants:

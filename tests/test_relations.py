@@ -33,10 +33,22 @@ from centaudit.relations import (
     select_ids,
     violation_counts,
 )
-from centaudit.graphs import SUBSET_SAMPLE_COUNT, gnp_graph, watts_strogatz_graph
-from centaudit.metrics import DistanceMatrix
+from centaudit.graphs import (
+    SUBSET_SAMPLE_COUNT,
+    gnp_graph,
+    subset_stream,
+    watts_strogatz_graph,
+)
+from centaudit.metrics import DistanceMatrix, pair_distance_sum
 from centaudit.mining import SUBSET_BUDGET_PER_GRAPH
-from oracles import SENSE, r9_rhs, relation_sides, relation_status, restricted_radiality
+from oracles import (
+    SENSE,
+    floyd_warshall,
+    r9_rhs,
+    relation_sides,
+    relation_status,
+    restricted_radiality,
+)
 
 
 @st.composite
@@ -390,6 +402,59 @@ class TestNeighborhoodSumsReadDistances:
         assert d.dist[1][4] == 2
         assert self.status_at("R1", g, d, 0) == EQUALITY
         assert self.status_at("R1", g, _with_distance(d, 1, 4, 3), 0) == VIOLATED
+
+
+def r6_pair_sums(g, d):
+    """Each R6 subject with the pair-distance sum T(S) its row carries: the
+    rhs is k * 2T / (n * k (k - 1)) for a subject of k members."""
+    sums = []
+    for _, (members, _, _, rn, rd, _) in evaluate(relation("R6"), g, profile(g, d), d):
+        k = len(members)
+        assert rd == g.n * k * (k - 1) and rn % (2 * k) == 0
+        sums.append((members, rn // (2 * k)))
+    return sums
+
+
+class TestSampledPairSums:
+    """On hosts with n >= 11, R6 reads each subset's pair sum off digit rows
+    of the distance matrix (one bit plane per distance bit for n > 341, bits
+    packed into unary digits below). Every one of the sampled subjects must
+    carry the pair sum summed directly over its members."""
+
+    @pytest.mark.parametrize("g, planes", [
+        (complete_graph(12), 1),
+        (star_graph(11), 2),
+        (watts_strogatz_graph(150, 4, 0.1, seed=0), 4),
+        (cycle_graph(33), 5),
+        (path_graph(40), 6),
+        (cycle_graph(342), 8),
+    ], ids=["K12", "star11", "ws150", "C33", "P40", "C342"])
+    def test_every_subject_matches_a_direct_sum(self, g, planes):
+        d = apsp(g)
+        assert max(map(max, d.dist)).bit_length() == planes
+        sums = r6_pair_sums(g, d)
+        assert [members for members, _ in sums] == [m for m, _ in subset_stream(g.n)]
+        assert len(sums) == SUBSET_SAMPLE_COUNT
+        if g.n <= 40:
+            fw = floyd_warshall(g)
+            direct = [int(sum(fw[u][v] for u, v in combinations(members, 2)))
+                      for members, _ in sums]
+        else:
+            direct = [pair_distance_sum(d.dist, members) for members, _ in sums]
+        assert [pair_sum for _, pair_sum in sums] == direct
+
+    def test_kernel_follows_the_matrix_it_is_given(self):
+        # one entry raised above the diameter, past the host's top distance bit
+        g = cycle_graph(33)
+        d = apsp(g)
+        mutated = _with_distance(d, 0, 1, 40)
+        sums = r6_pair_sums(g, mutated)
+        assert [pair_sum for _, pair_sum in sums] == [
+            pair_distance_sum(mutated.dist, members) for members, _ in sums
+        ]
+        changed = [a != b for a, b in zip(sums, r6_pair_sums(g, d))]
+        assert changed == [members[:2] == (0, 1) for members, _ in sums]
+        assert any(changed)
 
 
 class TestProperties:
