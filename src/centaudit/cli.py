@@ -12,9 +12,10 @@ Exit codes: 0 success (audit findings included), 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import Sequence
 
 from . import relations as rel
@@ -54,10 +55,26 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
-def _rat_fields(name: str, value: Fraction | None) -> list[tuple[str, object]]:
+def _put_rational(entry: dict, name: str, num: int, den: int) -> None:
+    """Set ``entry[name]`` and ``entry[name + "_approx"]`` for the rational
+    num/den, without building it: the string is
+    ``format_rational(Fraction(num, den))`` and the float is ``num / den`` in
+    lowest terms, which is ``float(Fraction(num, den))``."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    num //= g
+    den //= g
+    entry[name] = f"{num}/{den}"
+    entry[name + "_approx"] = num / den
+
+
+def _put_fraction(entry: dict, name: str, value: Fraction | None) -> None:
     if value is None:
-        return [(name, None), (f"{name}_approx", None)]
-    return [(name, format_rational(value)), (f"{name}_approx", float(value))]
+        entry[name] = None
+        entry[name + "_approx"] = None
+    else:
+        _put_rational(entry, name, value.numerator, value.denominator)
 
 
 def _subject_json(subject: rel.Subject):
@@ -75,17 +92,17 @@ def _subject_json(subject: rel.Subject):
 def _profile_payload(g: Graph) -> dict:
     prof = profile(g, apsp(g))
     payload: dict[str, object] = {"n": g.n, "m": g.m, "diameter": prof.diameter}
-    payload.update(_rat_fields("L", prof.avg_path_length))
-    payload.update(_rat_fields("C_WS", prof.average_clustering))
-    payload.update(_rat_fields("C_global", prof.global_clustering))
+    _put_fraction(payload, "L", prof.avg_path_length)
+    _put_fraction(payload, "C_WS", prof.average_clustering)
+    _put_fraction(payload, "C_global", prof.global_clustering)
     payload["geodetic"] = prof.geodetic
     payload["even_cycle_free"] = prof.even_cycle_free
     vertices = []
     for v in range(g.n):
         entry: dict[str, object] = {"id": v, "degree": prof.degrees[v]}
-        entry.update(_rat_fields("clustering", prof.local_clustering[v]))
-        entry.update(_rat_fields("closeness", prof.closeness[v]))
-        entry.update(_rat_fields("radiality", prof.radiality[v]))
+        _put_fraction(entry, "clustering", prof.local_clustering[v])
+        _put_fraction(entry, "closeness", prof.closeness[v])
+        _put_fraction(entry, "radiality", prof.radiality[v])
         entry["stress"] = prof.stress[v]
         entry["pendant"] = prof.pendant[v]
         entry["complete_neighborhood"] = prof.complete_neighborhood[v]
@@ -103,9 +120,9 @@ def _result_payload(result: rel.RelationResult) -> dict:
         "subject": _subject_json(result.subject),
         "status": result.status,
     }
-    entry.update(_rat_fields("lhs", result.lhs))
-    entry.update(_rat_fields("rhs", result.rhs))
-    entry.update(_rat_fields("slack", result.slack))
+    _put_rational(entry, "lhs", result.lhs_num, result.lhs_den)
+    _put_rational(entry, "rhs", result.rhs_num, result.rhs_den)
+    _put_rational(entry, "slack", *result.slack_pair)
     return entry
 
 
@@ -128,8 +145,8 @@ def _witness_payload(w: Witness, with_sides: bool = True) -> dict:
         "subject": _subject_json(w.subject),
     }
     if with_sides:
-        entry.update(_rat_fields("lhs", w.lhs))
-        entry.update(_rat_fields("rhs", w.rhs))
+        _put_fraction(entry, "lhs", w.lhs)
+        _put_fraction(entry, "rhs", w.rhs)
     return entry
 
 
@@ -180,7 +197,75 @@ def _document(argv: Sequence[str], payload: dict) -> dict:
 
 
 def _render_json(argv: Sequence[str], payload: dict) -> str:
-    return json.dumps(_document(argv, payload), indent=2) + "\n"
+    """The bytes of ``json.dumps(document, indent=2) + "\\n"``."""
+    parts: list[str] = []
+    _write_json(_document(argv, payload), "", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+_INFINITY = float("inf")
+_INT_ONLY = frozenset([int])
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return repr(value)
+
+
+def _write_json(value, pad: str, out) -> None:
+    """Pass ``value`` to ``out`` in pieces, laid out as ``json.dumps`` lays it
+    out with ``indent=2`` when the value starts on a line indented by ``pad``.
+
+    Takes the types the payload builders emit: dicts with str keys, lists,
+    tuples, str, int, float, bool and None. Anything else raises TypeError
+    instead of being converted, so the layout cannot drift from json's.
+    """
+    kind = type(value)
+    if kind is str:
+        out(encode_basestring_ascii(value))
+    elif kind is int:
+        out(repr(value))
+    elif kind is float:
+        out(_json_float(value))
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif kind is dict or kind is list or kind is tuple:
+        if not value:
+            out("{}" if kind is dict else "[]")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if kind is dict:
+            lead = "{\n" + inner
+            for key, item in value.items():
+                if type(key) is not str:
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                out(lead + encode_basestring_ascii(key) + ": ")
+                _write_json(item, inner, out)
+                lead = sep
+            out("\n" + pad + "}")
+        elif _INT_ONLY.issuperset(map(type, value)):
+            # R6 subsets and edge pairs: one join, not a call per item
+            out("[\n" + inner + sep.join(map(repr, value)) + "\n" + pad + "]")
+        else:
+            lead = "[\n" + inner
+            for item in value:
+                out(lead)
+                _write_json(item, inner, out)
+                lead = sep
+            out("\n" + pad + "]")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _fmt_value(value) -> str:
@@ -426,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mine = sub.add_parser("mine", help="verify relations over a graph population")
     mine.add_argument("--n-max", type=int, default=None, dest="n_max",
-                      help="exhaustive mining over all connected graphs with 2..N vertices")
+                      help="exhaustive mining over all connected graphs with 2..N vertices, N <= 7")
     mine.add_argument("--model", choices=tuple(MODELS), default=None)
     mine.add_argument("--trials", type=int, default=None)
     mine.add_argument("--seed", type=int, default=None,

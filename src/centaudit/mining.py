@@ -30,6 +30,17 @@ DEFAULT_WITNESS_CAP = 16
 SUBSET_BUDGET_PER_GRAPH = 512  # at most this many R6 subsets per graph
 CONNECTIVITY_RETRY_CAP = 1000
 MAX_RETRY_CAP = 1 << 20  # the attempt index fills 20 bits of a derived seed
+# largest exhaustive n: n = 8 has 251,548,592 labeled connected graphs, about
+# two days of mining on one core (extrapolated from n = 7)
+EXHAUSTIVE_N_MAX = 7
+
+
+def _check_n_max(n_max: int) -> None:
+    if not 2 <= n_max <= EXHAUSTIVE_N_MAX:
+        raise ValueError(
+            f"n_max must be in 2..{EXHAUSTIVE_N_MAX}, got {n_max} "
+            '(see "Notes on scale" in README.md)'
+        )
 
 
 class ConnectivityRetryError(RuntimeError):
@@ -276,8 +287,7 @@ def mine_exhaustive(
     """Evaluate the selected relations on every labeled connected graph with
     2..n_max vertices. Deterministic; reports carry replayable witnesses.
     ``workers`` is capped at the CPU count."""
-    if not 2 <= n_max <= 8:
-        raise ValueError(f"n_max must be in 2..8, got {n_max}")
+    _check_n_max(n_max)
     workers = _check_limits(witness_cap, workers)
     ids = rel.select_ids(relation_ids)
     sources = []
@@ -341,8 +351,7 @@ def equality_census(
     """Stream every (graph, subject) with an exact-equality outcome for one
     relation over all labeled connected graphs with 2..n_max vertices."""
     spec = rel.relation(relation_id)
-    if not 2 <= n_max <= 7:
-        raise ValueError(f"n_max must be in 2..7, got {n_max}")
+    _check_n_max(n_max)
     for n in range(2, n_max + 1):
         for g in enumerate_connected_range(n, 0, None):
             d = apsp(g)

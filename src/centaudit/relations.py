@@ -115,10 +115,15 @@ class RelationResult:
         return Fraction(self.rhs_num, self.rhs_den)
 
     @property
+    def slack_pair(self) -> Ratio:
+        """``slack`` as an integer pair, not reduced."""
+        return (_oriented_difference(self.sense, self.lhs_num, self.lhs_den,
+                                     self.rhs_num, self.rhs_den),
+                self.lhs_den * self.rhs_den)
+
+    @property
     def slack(self) -> Fraction:
-        return Fraction(_oriented_difference(self.sense, self.lhs_num, self.lhs_den,
-                                             self.rhs_num, self.rhs_den),
-                        self.lhs_den * self.rhs_den)
+        return Fraction(*self.slack_pair)
 
 
 def _oriented_difference(sense: str, ln: int, ld: int, rn: int, rd: int) -> int:

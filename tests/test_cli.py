@@ -3,11 +3,14 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from centaudit import cli, mining
-from centaudit.graphs import MODELS
+from centaudit import cli, mining, watts_strogatz_graph
+from centaudit.graphs import MODELS, enumerate_connected_range
+from centaudit.relations import evaluate_all
 from centaudit.cli import (
     EXIT_DISCONNECTED,
     EXIT_OK,
@@ -273,6 +276,9 @@ class TestMine:
         (["--n-max", "3", "--seed", "0"], "--seed"),
         (["--model", "gnp", "--n", "5", "--p", "0.5", "--trials", "2", "--seed", "-1"],
          "seed must be >= 0"),
+        (["--n-max", "1"], "Notes on scale"),
+        (["--n-max", "8"], "n_max must be in 2..7, got 8"),
+        (["--n-max", "8", "--workers", "2"], "Notes on scale"),
     ])
     def test_invalid_values_exit_2_before_mining(self, argv, message, monkeypatch):
         # stubs that refuse to work: nothing may be mined, no pool may start
@@ -290,6 +296,97 @@ class TestMine:
         code, _, err = run(["mine", "--model", "gnp", "--n", "5", "--p", "0",
                             "--trials", "1"])
         assert code == EXIT_USAGE and "no connected graph" in err
+
+
+class TestResultFields:
+    """Result entries are formatted from the evaluator's integer pairs; they
+    must read as the Fractions ``RelationResult`` builds from those pairs."""
+
+    @staticmethod
+    def check_fields(results, seen):
+        for result in results:
+            entry = cli._result_payload(result)
+            for side, pair in (("lhs", (result.lhs_num, result.lhs_den)),
+                               ("rhs", (result.rhs_num, result.rhs_den)),
+                               ("slack", result.slack_pair)):
+                value = getattr(result, side)
+                assert entry[side] == format_rational(value)
+                assert entry[f"{side}_approx"] == float(value)
+                seen["zero"] |= value == 0
+                seen["negative"] |= value < 0
+                seen["unreduced"] |= gcd(*pair) != 1
+
+    def test_every_graph_up_to_five_vertices_and_ws14(self):
+        seen = dict.fromkeys(("zero", "negative", "unreduced"), False)
+        for n in range(2, 6):
+            for g in enumerate_connected_range(n, 0, None):
+                self.check_fields(evaluate_all(g), seen)
+        self.check_fields(evaluate_all(watts_strogatz_graph(14, 4, 0.1, seed=0)), seen)
+        assert all(seen.values()), seen
+
+
+SPECIAL_STRINGS = ["", "\"", "\\", "\x00\x1f\x7f", "\n\t\r\b\f", "ñ€😀",
+                   "\u2028", "\ud800", "a\"b\\c/d"]
+SPECIAL_FLOATS = [-0.0, 0.0, 1e-7, 1e22, 1e16, 0.1, -2.5, float("nan"),
+                  float("inf"), float("-inf"), 5e-324, 1.7976931348623157e308]
+BIG_INTS = st.one_of(st.integers(), st.integers(min_value=2**64, max_value=2**200),
+                     st.integers(max_value=-(2**64)))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), BIG_INTS, st.floats(), st.sampled_from(SPECIAL_FLOATS),
+    st.text(), st.sampled_from(SPECIAL_STRINGS),
+)
+JSON_KEYS = st.one_of(st.text(), st.sampled_from(SPECIAL_STRINGS))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(BIG_INTS, max_size=5),
+        st.lists(BIG_INTS, max_size=5).map(tuple),
+        st.dictionaries(JSON_KEYS, inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+def rendered(value):
+    parts = []
+    cli._write_json(value, "", parts.append)
+    return "".join(parts)
+
+
+class TestJsonRenderer:
+    @given(JSON_VALUES)
+    @settings(max_examples=300)
+    @example({"a": [], "b": {}, "c": (), "d": [1, -2, 2**70], "e": [True, 1, None]})
+    @example([[], {}, [[]], {"": {"": []}}, (1, (2, 3)), [0.0, -0.0, 1]])
+    @example({"s": SPECIAL_STRINGS, "f": SPECIAL_FLOATS, "k": {s: s for s in SPECIAL_STRINGS}})
+    def test_matches_json_dumps(self, value):
+        assert rendered(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [{1: "a"}, {"a": {None: 1}}, {"a": [{True: 1}]},
+                                       {("a",): 1}])
+    def test_non_str_key_raises(self, value):
+        with pytest.raises(TypeError):
+            rendered(value)
+
+    @pytest.mark.parametrize("value", [F(1, 2), {"a": {1, 2}}, [b"x"], {"a": [1, object()]},
+                                       {"a": [1, 1.5, F(1)]}])
+    def test_unsupported_type_raises(self, value):
+        with pytest.raises(TypeError):
+            rendered(value)
+
+    def test_escaped_command_end_to_end(self, tmp_path):
+        path = tmp_path / 'ñ "star".edges'
+        path.write_text(STAR)
+        argv = ["check", str(path), "--format", "json"]
+        code, stdout, _ = run(argv)
+        assert code == EXIT_OK
+        doc = json.loads(stdout)
+        assert doc["command"] == argv
+        assert stdout == json.dumps(doc, indent=2) + "\n"
+        assert json.dumps(str(path)) in stdout
+        assert '\\u00f1 \\"star\\".edges' in stdout
 
 
 class TestGen:

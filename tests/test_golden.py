@@ -3,9 +3,12 @@ before the subset-view layer was removed, the next seven before the relation
 catalog became the single table of evaluators and comparisons, the two
 Watts-Strogatz compute documents at n = 150 and 400 before stress moved to
 Brandes accumulation, the two-worker n = 6 mining document before R6 moved
-to a subset-mask table, and the Watts-Strogatz n = 150 check document, whose
+to a subset-mask table, the Watts-Strogatz n = 150 check document, whose
 1000 sampled R6 subjects span four distance bits, before R6 on sampled hosts
-moved to digit rows. Any refactor must leave these bytes unchanged.
+moved to digit rows, and the Watts-Strogatz n = 400 check document (4.3 MB,
+R6 on plain bit planes) and the n = 150 check text before JSON documents
+were written by the CLI's own renderer instead of ``json.dumps``. Any
+refactor must leave these bytes unchanged.
 
 The graphs are fed on stdin so that the echoed ``command`` holds no file path.
 """
@@ -38,6 +41,8 @@ GOLDEN = {
     "check-ws14-json": "6111e5cd012fc425ec5e03720363f11f63d678dd836995b415117174458c1974",
     "check-ws14-text": "1760b90f3673484786d3f7cb9f478a66b7eeec0bf4f235da4d2a5c103a58cba1",
     "check-ws150-json": "4a590ef9c2e678c74dc80071b1162057c0dc3d3ef97b9d235da3fc6e301140bd",
+    "check-ws150-text": "4dab1e2b9da380dd8cab3d5790047c3937b2fc6c4948e349a44c09608b3273d0",
+    "check-ws400-json": "7a07306863e695a067d2ccc9b4fac000c25fcf7e93d5524990230ed007a6e64c",
     "compute-star3-json": "1a22807088f51d5ae0053a794b04b2f61ce0ff961ba94bdd23b622f64d9533d9",
     "compute-star3-text": "01b35d2324f7eed1cf977f8e6d40783b7a8465c6346eab84a6f8b886f3c6ad96",
     "compute-ws14-json": "91ef53c6fd9e3969f1d3e333ccb9401b0de93160013bc1a19deef72837c76bc0",
