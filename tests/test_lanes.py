@@ -1,0 +1,237 @@
+"""The packed-lane kernels behind ``apsp`` and ``stress``.
+
+Graphs with at least ``LANE_MIN_N`` vertices and few breadth-first levels run
+every source at once on packed integer lanes; the rest run the per-source
+search. These tests hold the lane kernels to the per-source path, called
+directly, and to the independent oracles, on hosts on both sides of that
+choice, and pin which path each kind of host takes.
+"""
+
+import io
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from centaudit import (
+    DisconnectedGraphError,
+    Graph,
+    apsp,
+    complete_graph,
+    cycle_graph,
+    gnp_graph,
+    path_graph,
+    profile,
+    star_graph,
+    stress,
+    watts_strogatz_graph,
+)
+from centaudit import metrics
+from centaudit.cli import main
+from oracles import brute_force_sigma, floyd_warshall, pair_stress
+
+
+def layered_chain(layers: int, size: int, zero_layer: int) -> tuple[Graph, list[int]]:
+    """Consecutive layers of ``size`` vertices, each joined to the next by a
+    complete bipartite graph, and the layer of every vertex. Vertex 0 sits in
+    ``zero_layer``, so the path counts from vertex 0, which pick the starting
+    lane width, stay below those between the end layers."""
+    order = [zero_layer] + [i for i in range(layers) if i != zero_layer]
+    layer_of = [layer for layer in order for _ in range(size)]
+    members = [[v for v, i in enumerate(layer_of) if i == layer] for layer in range(layers)]
+    edges = [(u, w) for a, b in zip(members, members[1:]) for u in a for w in b]
+    return Graph.from_edges(layers * size, edges), layer_of
+
+
+def chain_sigma(layer_of, layers, size, s, t):
+    """Shortest-path count between s and t in a layered chain, in closed form."""
+    p, q = layer_of[s], layer_of[t]
+    if s == t:
+        return 1
+    if p != q:
+        return size ** (abs(p - q) - 1)
+    return size * ((p >= 1) + (p <= layers - 2))
+
+
+def chain_stress(layer_of, layers, size, v):
+    """Stress of v in a layered chain, in closed form: pairs across v's layer
+    route through it with sigma(s, v) * sigma(v, t) paths, and pairs inside
+    each neighboring layer have v as one of their middle vertices."""
+    i = layer_of[v]
+    across = sum(
+        size ** (q - p) for p in range(i) for q in range(i + 1, layers)
+    )  # size * size pairs, each with size**(i-p-1) * size**(q-i-1) paths
+    inside = size * (size - 1) * ((i >= 1) + (i <= layers - 2))
+    return 2 * across + inside
+
+
+def reference(g):
+    """The per-source path's matrix and stress."""
+    d = metrics._apsp_bfs(g)
+    return d, metrics._stress_brandes(g, d)
+
+
+def lanes(g):
+    """The lane kernels' matrix and stress, with no fallback to search."""
+    d = metrics._apsp_lanes(g)
+    return d, metrics._stress_lanes(g, d)
+
+
+def assert_matches_oracles(g, d, total):
+    dist = floyd_warshall(g)
+    assert [list(row) for row in d.dist] == [[int(x) for x in row] for row in dist]
+    assert [list(row) for row in d.sigma] == brute_force_sigma(g)
+    assert list(total) == pair_stress(g)
+
+
+class TestLaneRoundTrip:
+    @pytest.mark.parametrize("width", metrics.LANE_WIDTHS)
+    def test_pack_unpack(self, width):
+        values = [0, 1, (1 << (width - 1)) - 1, 1, 0, (1 << (width - 1)) - 1]
+        packed = metrics._pack_lanes(values, width)
+        assert packed == sum(v << (i * width) for i, v in enumerate(values))
+        assert list(metrics._unpack_lanes(packed, len(values), width)) == values
+
+    @pytest.mark.parametrize("width", metrics.LANE_WIDTHS)
+    def test_unpack_keeps_high_zero_lanes(self, width):
+        assert list(metrics._unpack_lanes(1, 3, width)) == [1, 0, 0]
+
+
+class TestLanesMatchSearchAndOracles:
+    @pytest.mark.parametrize("n,k,seed", [(64, 4, 0), (96, 6, 1)])
+    def test_small_world_hosts_against_oracles(self, n, k, seed):
+        g = watts_strogatz_graph(n, k, 0.1, seed=seed)
+        d, total = lanes(g)
+        assert (d, total) == reference(g)
+        assert_matches_oracles(g, d, total)
+
+    @pytest.mark.parametrize("n,k,seed", [(100, 4, 2), (150, 4, 3), (150, 6, 4)])
+    def test_small_world_hosts_against_search(self, n, k, seed):
+        g = watts_strogatz_graph(n, k, 0.1, seed=seed)
+        assert lanes(g) == reference(g)
+
+    @given(
+        n=st.integers(64, 96),
+        p=st.floats(0.06, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_random_connected_hosts(self, n, p, seed):
+        g = gnp_graph(n, p, seed=seed)
+        g = Graph.from_edges(n, set(g.edges) | set(path_graph(n).edges))
+        d, total = lanes(g)
+        assert (d, total) == reference(g)
+        assert [list(row) for row in d.dist] == [
+            [int(x) for x in row] for row in floyd_warshall(g)
+        ]
+
+    def test_complete_graph(self):
+        g = complete_graph(80)
+        d, total = lanes(g)
+        assert (d, total) == reference(g)
+        assert_matches_oracles(g, d, total)
+        assert total == (0,) * 80
+
+    def test_star(self):
+        g = star_graph(100)
+        d, total = lanes(g)
+        assert (d, total) == reference(g)
+        assert_matches_oracles(g, d, total)
+        assert total[0] == 100 * 99
+
+    @pytest.mark.parametrize("g", [path_graph(100), cycle_graph(101)], ids=["P100", "C101"])
+    def test_long_hosts_go_to_search(self, g):
+        with pytest.raises(metrics._UseSearch):
+            metrics._apsp_lanes(g)
+        d = apsp(g)
+        with pytest.raises(metrics._UseSearch):
+            metrics._stress_lanes(g, d)
+        total = stress(g, d)
+        assert (d, total) == reference(g)
+        assert_matches_oracles(g, d, total)
+
+
+class TestLaneWidths:
+    """Layered chains whose path counts pass the guard of 16-bit lanes, of
+    32-bit lanes, and of every width; the last reaches per-source search
+    through the level bound of 64-bit lanes. Vertex 0 sits in a middle
+    layer, so the kernels start narrower than the chain needs and the guard
+    has to catch the growth."""
+
+    @staticmethod
+    def assert_chain(layers, size, zero_layer, sources):
+        g, layer_of = layered_chain(layers, size, zero_layer)
+        d = apsp(g)
+        total = stress(g, d)
+        assert (d, total) == reference(g)
+        for s in sources(g.n):
+            assert list(d.sigma[s]) == [
+                chain_sigma(layer_of, layers, size, s, t) for t in range(g.n)
+            ]
+        assert list(total) == [chain_stress(layer_of, layers, size, v) for v in range(g.n)]
+        return g, d
+
+    def test_chain_needs_32_bits(self):
+        g, d = self.assert_chain(8, 8, 3, range)
+        assert lanes(g) == reference(g)
+        assert max(d.sigma[0]) < 1 << 10 <= max(map(max, d.sigma)) < 1 << 26
+
+    def test_chain_needs_64_bits(self):
+        g, d = self.assert_chain(9, 24, 4, range)
+        assert lanes(g) == reference(g)
+        assert max(d.sigma[0]) < 1 << 25 and 1 << 32 < max(map(max, d.sigma)) < 1 << 57
+
+    def test_chain_needs_more_than_64_bits(self):
+        g, d = self.assert_chain(24, 8, 12, lambda n: range(0, n, 7))
+        assert max(map(max, d.sigma)) > 1 << 64
+        with pytest.raises(metrics._UseSearch):
+            metrics._apsp_lanes(g)
+
+    def test_blocks_give_up_past_the_widest_lanes(self):
+        blocks = metrics._lane_blocks(100, 1, 2, lambda lo, hi, width: None)
+        with pytest.raises(metrics._UseSearch):
+            next(blocks)
+
+    def test_blocks_cover_every_source_once(self, monkeypatch):
+        monkeypatch.setattr(metrics, "LANE_BUDGET", 70 * 32)  # 2 lanes at W = 16, 1 at 32
+
+        def run(lo, hi, width):
+            return None if (lo, width) == (20, 16) else ()
+
+        seen = [(lo, hi, w) for lo, hi, w, _ in metrics._lane_blocks(70, 1, 2, run)]
+        assert [x for lo, hi, _ in seen for x in range(lo, hi)] == list(range(70))
+        assert all(w == 16 and hi - lo == 2 for lo, hi, w in seen if lo < 20)
+        assert all(w == 32 and hi - lo == 1 for lo, hi, w in seen if lo >= 20)
+
+
+def refuse(*args):
+    raise AssertionError("this path must not run")
+
+
+class TestDispatch:
+    def test_large_small_world_host_stays_on_lanes(self, monkeypatch):
+        g = watts_strogatz_graph(400, 6, 0.1, seed=0)
+        expected = reference(g)
+        monkeypatch.setattr(metrics, "_apsp_bfs", refuse)
+        monkeypatch.setattr(metrics, "_stress_brandes", refuse)
+        d = apsp(g)
+        assert (d, profile(g, d).stress) == expected
+
+    def test_mining_hosts_stay_on_search(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_apsp_lanes", refuse)
+        monkeypatch.setattr(metrics, "_stress_lanes", refuse)
+        assert main(["mine", "--n-max", "5", "--format", "json"], out=io.StringIO()) == 0
+        argv = ["mine", "--model", "watts_strogatz", "--n", "24", "--k", "4", "--p", "0.1",
+                "--trials", "5", "--seed", "0", "--format", "json"]
+        assert main(argv, out=io.StringIO()) == 0
+        profile(watts_strogatz_graph(24, 4, 0.1, seed=0))
+
+    def test_disconnected_host_raises_on_lane_path(self, monkeypatch):
+        k40 = complete_graph(40).edges
+        g = Graph.from_edges(80, [*k40, *((u + 40, v + 40) for u, v in k40)])
+        with pytest.raises(DisconnectedGraphError) as searched:
+            metrics._apsp_bfs(g)
+        monkeypatch.setattr(metrics, "_apsp_bfs", refuse)
+        with pytest.raises(DisconnectedGraphError) as laned:
+            apsp(g)
+        assert str(laned.value) == str(searched.value)
+        assert str(laned.value) == "graph is disconnected: vertex 0 reaches only 40 of 80 vertices"
