@@ -69,12 +69,8 @@ def _put_rational(entry: dict, name: str, num: int, den: int) -> None:
     entry[name + "_approx"] = num / den
 
 
-def _put_fraction(entry: dict, name: str, value: Fraction | None) -> None:
-    if value is None:
-        entry[name] = None
-        entry[name + "_approx"] = None
-    else:
-        _put_rational(entry, name, value.numerator, value.denominator)
+def _put_fraction(entry: dict, name: str, value: Fraction) -> None:
+    _put_rational(entry, name, value.numerator, value.denominator)
 
 
 def _subject_json(subject: rel.Subject):
@@ -90,22 +86,33 @@ def _subject_json(subject: rel.Subject):
 # ---------------------------------------------------------------------------
 
 def _profile_payload(g: Graph) -> dict:
+    """The ``compute`` payload, formatted from the profile's integer pairs."""
     prof = profile(g, apsp(g))
-    payload: dict[str, object] = {"n": g.n, "m": g.m, "diameter": prof.diameter}
-    _put_fraction(payload, "L", prof.avg_path_length)
-    _put_fraction(payload, "C_WS", prof.average_clustering)
-    _put_fraction(payload, "C_global", prof.global_clustering)
+    n = g.n
+    payload: dict[str, object] = {"n": n, "m": g.m, "diameter": prof.diameter}
+    _put_rational(payload, "L", prof.distance_total, n * (n - 1))
+    _put_rational(payload, "C_WS", *prof.average_clustering_pair)
+    if prof.global_clustering_pair is None:
+        payload["C_global"] = None
+        payload["C_global_approx"] = None
+    else:
+        _put_rational(payload, "C_global", *prof.global_clustering_pair)
     payload["geodetic"] = prof.geodetic
     payload["even_cycle_free"] = prof.even_cycle_free
     vertices = []
-    for v in range(g.n):
-        entry: dict[str, object] = {"id": v, "degree": prof.degrees[v]}
-        _put_fraction(entry, "clustering", prof.local_clustering[v])
-        _put_fraction(entry, "closeness", prof.closeness[v])
-        _put_fraction(entry, "radiality", prof.radiality[v])
-        entry["stress"] = prof.stress[v]
-        entry["pendant"] = prof.pendant[v]
-        entry["complete_neighborhood"] = prof.complete_neighborhood[v]
+    columns = zip(
+        prof.degrees, prof.clustering_pairs(), prof.closeness_pairs(),
+        prof.radiality_pairs(), prof.stress, prof.pendant, prof.complete_neighborhood,
+    )
+    for v, row in enumerate(columns):
+        deg, clustering, closeness, radiality, stress, pendant, complete = row
+        entry: dict[str, object] = {"id": v, "degree": deg}
+        _put_rational(entry, "clustering", *clustering)
+        _put_rational(entry, "closeness", *closeness)
+        _put_rational(entry, "radiality", *radiality)
+        entry["stress"] = stress
+        entry["pendant"] = pendant
+        entry["complete_neighborhood"] = complete
         vertices.append(entry)
     payload["vertices"] = vertices
     return payload

@@ -1,7 +1,10 @@
 """Exact distance and centrality computations.
 
-Every quantity that is not an integer is a :class:`fractions.Fraction`, so all
-identities can be checked with zero tolerance. Floating point never enters;
+Every quantity is exact, so all identities can be checked with zero tolerance.
+:func:`profile` keeps each one as integers: counts and sums per vertex, and
+each graph-level rational as an integer pair over a positive denominator. Its
+Fraction views, like the public functions here, build a
+:class:`fractions.Fraction` only when read. Floating point never enters;
 callers that want decimals convert at display time.
 """
 
@@ -10,9 +13,10 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from operator import mul
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -29,11 +33,17 @@ class DistanceMatrix:
 
     ``dist[s][t]`` is the length of a shortest s-t path; ``sigma[s][t]`` is the
     number of distinct shortest s-t paths (1 on the diagonal by convention).
+    ``diameter`` is the largest entry of ``dist`` (0 for a single vertex),
+    found once when the matrix is built.
     """
 
     n: int
     dist: tuple[tuple[int, ...], ...]
     sigma: tuple[tuple[int, ...], ...]
+    diameter: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "diameter", max(map(max, self.dist), default=0))
 
 
 def apsp(g: Graph) -> DistanceMatrix:
@@ -279,7 +289,7 @@ def _apsp_block(
 
 def diameter(d: DistanceMatrix) -> int:
     """Largest entry of the distance matrix (0 for a single vertex)."""
-    return max((max(row) for row in d.dist), default=0)
+    return d.diameter
 
 
 def avg_path_length(d: DistanceMatrix) -> Fraction:
@@ -412,7 +422,7 @@ def _stress_lanes(g: Graph, d: DistanceMatrix) -> tuple[int, ...]:
     the dot product of its path counts with its decoded below-lanes."""
     n = d.n
     nbrs = [tuple(a) for a in g.adj]
-    depth = diameter(d)
+    depth = d.diameter
     spread = max(map(len, nbrs)).bit_length() + 1
     total = [0] * n
     blocks = _lane_blocks(
@@ -570,31 +580,49 @@ def is_even_cycle_free(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class CentralityProfile:
-    """Per-vertex and graph-level centralities of one connected graph.
+    """Per-vertex and graph-level centralities of one connected graph, as
+    integers.
 
-    ``global_clustering`` is None when every vertex has degree <= 1 (only the
-    single-edge graph among connected graphs), where the measure is undefined.
+    Per vertex: ``degrees``; ``links``, the edges among the vertex's
+    neighbors; ``row_sums``, its distance sum; ``stress``; and the pair sums
+    below. Per graph: ``diameter``, ``distance_total`` (the sum of
+    ``row_sums``, over ordered pairs) and three rationals as integer pairs
+    ``(numerator, positive denominator)``, not necessarily in lowest terms:
+
+    - ``average_clustering_pair``, over n times the lcm of the distinct
+      d(d-1) of the vertices of degree >= 2;
+    - ``global_clustering_pair``, (2 * total links, sum of d(d-1)), or None
+      when every vertex has degree <= 1 (only the single-edge graph among
+      connected graphs), where the measure is undefined;
+    - ``stress_pair_sum``, the sum over vertices of degree >= 2 of
+      stress / (d(d-1)), over the same lcm.
 
     ``open_pair_sums[i]`` is the sum of ambient distances over the unordered
     pairs of i's neighbors, and ``closed_pair_sums[i]`` the same over N(i) plus
     i itself. Both are read off the distance matrix entry by entry, never
     derived from degree or clustering, so the relations that compare them to
     clustering (R1, R3) test the distances rather than hold by construction.
+
+    ``local_clustering``, ``closeness``, ``radiality``, ``avg_path_length``,
+    ``average_clustering`` and ``global_clustering`` are read-only views that
+    build the Fractions from these integers each time they are read; the
+    per-vertex ones read the integer pairs of :meth:`clustering_pairs`,
+    :meth:`closeness_pairs` and :meth:`radiality_pairs`.
     """
 
     degrees: tuple[int, ...]
-    local_clustering: tuple[Fraction, ...]
-    closeness: tuple[Fraction, ...]
-    radiality: tuple[Fraction, ...]
+    links: tuple[int, ...]
+    row_sums: tuple[int, ...]
     stress: tuple[int, ...]
     pendant: tuple[bool, ...]
     complete_neighborhood: tuple[bool, ...]
     open_pair_sums: tuple[int, ...]
     closed_pair_sums: tuple[int, ...]
     diameter: int
-    avg_path_length: Fraction
-    average_clustering: Fraction
-    global_clustering: Fraction | None
+    distance_total: int
+    average_clustering_pair: tuple[int, int]
+    global_clustering_pair: tuple[int, int] | None
+    stress_pair_sum: tuple[int, int]
     geodetic: bool
     even_cycle_free: bool
 
@@ -602,57 +630,98 @@ class CentralityProfile:
     def n(self) -> int:
         return len(self.degrees)
 
+    def clustering_pairs(self) -> Iterator[tuple[int, int]]:
+        """Per vertex, local clustering as (2 links, d(d-1)); (0, 1) below
+        degree 2."""
+        for deg, links in zip(self.degrees, self.links):
+            yield 2 * links, deg * (deg - 1) or 1
 
-def _neighborhood_pair_sums(
-    g: Graph, d: DistanceMatrix
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per vertex, the pair-distance sums over its open and its closed
-    neighborhood; the closed sum adds the matrix's distance from i to each
-    neighbor."""
-    dist = d.dist
-    open_sums = []
-    closed_sums = []
-    for i, nbrs in enumerate(g.adj):
-        members = tuple(nbrs)
-        open_sum = pair_distance_sum(dist, members)
-        row = dist[i]
-        open_sums.append(open_sum)
-        closed_sums.append(open_sum + sum([row[j] for j in members]))
-    return tuple(open_sums), tuple(closed_sums)
+    def closeness_pairs(self) -> Iterator[tuple[int, int]]:
+        """Per vertex, closeness as (n - 1, row sum)."""
+        for total in self.row_sums:
+            yield self.n - 1, total
+
+    def radiality_pairs(self) -> Iterator[tuple[int, int]]:
+        """Per vertex, radiality as ((n - 1)(diameter + 1) - row sum, n - 1)."""
+        others = self.n - 1
+        top = others * (self.diameter + 1)
+        for total in self.row_sums:
+            yield top - total, others
+
+    @property
+    def local_clustering(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(*pair) for pair in self.clustering_pairs())
+
+    @property
+    def closeness(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(*pair) for pair in self.closeness_pairs())
+
+    @property
+    def radiality(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(*pair) for pair in self.radiality_pairs())
+
+    @property
+    def avg_path_length(self) -> Fraction:
+        return Fraction(self.distance_total, self.n * (self.n - 1))
+
+    @property
+    def average_clustering(self) -> Fraction:
+        return Fraction(*self.average_clustering_pair)
+
+    @property
+    def global_clustering(self) -> Fraction | None:
+        pair = self.global_clustering_pair
+        return None if pair is None else Fraction(*pair)
 
 
 def profile(g: Graph, d: DistanceMatrix | None = None) -> CentralityProfile:
-    """Compute every centrality of a connected graph from one distance pass."""
+    """Compute every centrality of a connected graph from one distance pass,
+    each quantity once and in integers."""
     if g.n < 2:
         raise ValueError("profile needs at least 2 vertices")
     if d is None:
         d = apsp(g)
-    diam = diameter(d)
-    degrees = g.degrees()
-    clustering = tuple(local_clustering(g, i) for i in range(g.n))
-    complete_nbhd = tuple(
-        c == 1 if degrees[i] >= 2 else True for i, c in enumerate(clustering)
-    )
-    try:
-        c_global = global_clustering(g)
-    except ValueError:
-        c_global = None
-    open_sums, closed_sums = _neighborhood_pair_sums(g, d)
+    adj = g.adj
+    dist = d.dist
+    degrees = []
+    links = []
+    open_sums = []
+    closed_sums = []
+    for nbrs, row in zip(adj, dist):
+        members = tuple(nbrs)
+        degrees.append(len(members))
+        # an edge among the neighbors is seen from both of its ends
+        links.append(sum([len(nbrs & adj[j]) for j in members]) >> 1)
+        open_sum = pair_distance_sum(dist, members)
+        open_sums.append(open_sum)
+        closed_sums.append(open_sum + sum([row[j] for j in members]))
+    row_sums = tuple(map(sum, dist))
+    stresses = stress(g, d)
+    # d(d-1) per vertex: 0 below degree 2, where clustering is 0 and the
+    # stress term is left out
+    triplets = [deg * (deg - 1) for deg in degrees]
+    den = lcm(*set(triplets).difference((0,)))
+    clustering_num = stress_num = 0
+    for t, t_links, t_stress in zip(triplets, links, stresses):
+        if t:
+            scale = den // t
+            clustering_num += t_links * scale
+            stress_num += t_stress * scale
+    triplet_total = sum(triplets)
     return CentralityProfile(
-        degrees=degrees,
-        local_clustering=clustering,
-        closeness=tuple(closeness(d, v) for v in range(g.n)),
-        radiality=tuple(radiality(d, diam, v) for v in range(g.n)),
-        stress=stress(g, d),
+        degrees=tuple(degrees),
+        links=tuple(links),
+        row_sums=row_sums,
+        stress=stresses,
         pendant=tuple(deg == 1 for deg in degrees),
-        complete_neighborhood=complete_nbhd,
-        open_pair_sums=open_sums,
-        closed_pair_sums=closed_sums,
-        diameter=diam,
-        avg_path_length=avg_path_length(d),
-        average_clustering=Fraction(sum(clustering), g.n),
-        global_clustering=c_global,
+        complete_neighborhood=tuple(2 * k == t for k, t in zip(links, triplets)),
+        open_pair_sums=tuple(open_sums),
+        closed_pair_sums=tuple(closed_sums),
+        diameter=d.diameter,
+        distance_total=sum(row_sums),
+        average_clustering_pair=(2 * clustering_num, g.n * den),
+        global_clustering_pair=(2 * sum(links), triplet_total) if triplet_total else None,
+        stress_pair_sum=(stress_num, den),
         geodetic=is_geodetic(d),
         even_cycle_free=is_even_cycle_free(g),
     )
-

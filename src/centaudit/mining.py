@@ -100,6 +100,10 @@ class RelationTally:
             self.witnesses.extend(other.witnesses[:room])
 
 
+# both sides of a geodetic-audit witness, which has no relation to report
+_NO_SIDE = Fraction(0)
+
+
 @dataclass
 class GeodeticAudit:
     """Tally of the (even-cycle-free, geodetic) predicate pairs.
@@ -125,13 +129,13 @@ class GeodeticAudit:
             self.geodetic_not_ecf += 1
             if len(self.geodetic_not_ecf_witnesses) < cap:
                 self.geodetic_not_ecf_witnesses.append(
-                    Witness(g.n, g.edges, None, Fraction(0), Fraction(0))
+                    Witness(g.n, g.edges, None, _NO_SIDE, _NO_SIDE)
                 )
         elif ecf:
             self.ecf_not_geodetic += 1
             if len(self.ecf_not_geodetic_witnesses) < cap:
                 self.ecf_not_geodetic_witnesses.append(
-                    Witness(g.n, g.edges, None, Fraction(0), Fraction(0))
+                    Witness(g.n, g.edges, None, _NO_SIDE, _NO_SIDE)
                 )
         else:
             self.neither += 1

@@ -9,10 +9,12 @@ empirically and violations are reported without failing a run.
 Each catalog row holds a relation's comparison and its evaluator. An
 evaluator yields one row per subject, ``(subject, lhs_num, lhs_den, rhs_num,
 rhs_den, precondition_ok)``: each side is an integer numerator over a positive
-denominator, not necessarily in lowest terms. Neighborhood, subset and
-vertex-deletion means come from integer pair-distance sums over the ambient
-distance matrix, and per-graph sums over vertices share one common
-denominator.
+denominator, not necessarily in lowest terms. Evaluators read the integer
+fields of the :class:`CentralityProfile` and never its Fraction views.
+Neighborhood, subset and vertex-deletion means come from integer
+pair-distance sums over the ambient distance matrix, clustering from the
+profile's edge counts among neighbors and its average-clustering pair, and
+per-graph sums over vertices share one common denominator.
 
 :func:`evaluate` decides every status, from the sign of
 ``lhs_num * rhs_den - rhs_num * lhs_den`` oriented by the comparison, and
@@ -139,10 +141,6 @@ def _ratio_sum(terms: Iterable[Ratio]) -> Ratio:
     return sum(num * (den // d) for num, d in terms), den
 
 
-def _ratio(value: Fraction) -> Ratio:
-    return value.numerator, value.denominator
-
-
 def _mean_pairs(pair_sum: int, k: int) -> Ratio:
     """Mean over the ordered pairs of k members whose unordered pairs sum to
     ``pair_sum``; 0 for k <= 1."""
@@ -163,17 +161,19 @@ def _degree_stress_monotone(prof: CentralityProfile) -> bool:
 
 
 def _eval_r1(g, prof, d):
-    for i, (deg, open_sum, c) in enumerate(
-        zip(prof.degrees, prof.open_pair_sums, prof.local_clustering)
+    # local clustering is 2 links / (d(d-1)) (0 below degree 2), over the
+    # open mean's denominator
+    for i, (deg, open_sum, links) in enumerate(
+        zip(prof.degrees, prof.open_pair_sums, prof.links)
     ):
-        cn, cd = _ratio(c)
-        yield i, *_mean_pairs(open_sum, deg), 2 * cd - cn, cd, deg >= 2
+        pairs = deg * (deg - 1) or 1
+        yield i, 2 * open_sum, pairs, 2 * (pairs - links), pairs, deg >= 2
 
 
 def _eval_r2(g, prof, d):
     num, den = _ratio_sum(map(_mean_pairs, prof.open_pair_sums, prof.degrees))
     n = g.n
-    yield (None, *_ratio(prof.average_clustering),
+    yield (None, *prof.average_clustering_pair,
            2 * n * den - num, n * den, min(prof.degrees) >= 2)
 
 
@@ -188,13 +188,12 @@ def _eval_r3(g, prof, d):
 
 def _eval_r4(g, prof, d):
     n = g.n
-    ln, ld = _ratio(prof.avg_path_length)
-    row_sums = [sum(row) for row in d.dist]
-    half = sum(row_sums) // 2  # each unordered pair once
-    for v in range(n):
+    total = prof.distance_total
+    half = total // 2  # each unordered pair once
+    for v, row_sum in enumerate(prof.row_sums):
         # T(V - v): the pairs that avoid v
-        mn, md = _mean_pairs(half - row_sums[v], n - 1)
-        yield v, ln, ld, (n - 1) * mn, n * md, True
+        mn, md = _mean_pairs(half - row_sum, n - 1)
+        yield v, total, n * (n - 1), (n - 1) * mn, n * md, True
 
 
 def _eval_r5(g, prof, d):
@@ -224,9 +223,9 @@ def _pair_sum_steps(n: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
 _DIGIT_ROW_BITS = 1024
 
 
-def _distance_digits(dist) -> list[tuple[int, list[int], int]]:
-    """Digit rows of a distance matrix for subset pair sums, as
-    ``(shift, rows, replicate)`` per digit.
+def _distance_digits(dist, top: int) -> list[tuple[int, list[int], int]]:
+    """Digit rows of a distance matrix whose largest entry is ``top``, for
+    subset pair sums, as ``(shift, rows, replicate)`` per digit.
 
     Each distance is cut into digits of r bits, r the largest for which a
     digit written in unary on n vertices fits in ``_DIGIT_ROW_BITS`` bits
@@ -237,7 +236,6 @@ def _distance_digits(dist) -> list[tuple[int, list[int], int]]:
     replicate)`` is the sum of that digit over the v in S.
     """
     n = len(dist)
-    top = max(map(max, dist))
     r = 1
     while ((1 << (r + 1)) - 1) * n <= _DIGIT_ROW_BITS:
         r += 1
@@ -254,12 +252,12 @@ def _distance_digits(dist) -> list[tuple[int, list[int], int]]:
     return digits
 
 
-def _digit_pair_sums(dist, stream):
+def _digit_pair_sums(dist, top, stream):
     """``(members, T(S))`` for each ``(members, mask)`` of the stream, T(S)
     the pair-distance sum of S: each ordered pair (u, v) of S adds d(u, v)
     digit by digit, so T(S) is half the sum, over the digits and over the u
     in S, of the row popcounts."""
-    digits = _distance_digits(dist)
+    digits = _distance_digits(dist, top)
     for members, mask in stream:
         total = 0
         for shift, rows, replicate in digits:
@@ -269,12 +267,12 @@ def _digit_pair_sums(dist, stream):
 
 
 def _eval_r6(g, prof, d):
-    ln, ld = _ratio(prof.avg_path_length)
     n = g.n
+    ln, ld = prof.distance_total, n * (n - 1)
     dist = d.dist
     stream = subset_stream(n)
     if n > SUBSET_ENUMERATION_MAX_N:
-        sums = _digit_pair_sums(dist, stream)
+        sums = _digit_pair_sums(dist, d.diameter, stream)
     else:
         # T(S), the pair-distance sum of S, for every mask: the pairs of S are
         # those of S - a and of S - b, less those of S - a - b, counted in
@@ -290,15 +288,19 @@ def _eval_r6(g, prof, d):
 
 
 def _eval_r7(g, prof, d):
-    num, den = _ratio_sum(_ratio(c) for c in prof.closeness)
-    yield (None, *_ratio(prof.avg_path_length), g.n * den, num, True)
+    n = g.n
+    num, den = _ratio_sum(prof.closeness_pairs())
+    yield None, prof.distance_total, n * (n - 1), n * den, num, True
 
 
 def _eval_r8(g, prof, d):
-    num, den = _ratio_sum(_ratio(r) for r in prof.radiality)
     n = g.n
-    yield (None, *_ratio(prof.avg_path_length),
-           (prof.diameter + 1) * n * den - num, n * den, True)
+    pairs = n * (n - 1)
+    total = prof.distance_total
+    # radiality is ((n - 1)(diam + 1) - row sum) / (n - 1); summed over the
+    # vertices that is (n(n - 1)(diam + 1) - total) / (n - 1)
+    num, den = pairs * (prof.diameter + 1) - total, n - 1
+    yield None, total, pairs, (prof.diameter + 1) * n * den - num, n * den, True
 
 
 def _closed_neighborhood_radiality(prof: CentralityProfile, i: int) -> Ratio:
@@ -308,64 +310,57 @@ def _closed_neighborhood_radiality(prof: CentralityProfile, i: int) -> Ratio:
     Inside N[i] a neighbor is at distance 1 from i and from the neighbors it
     is adjacent to, and 2 from the rest, so the internal diameter is 1 for a
     clique and 2 otherwise, and the mean reduces to
-    (diam - 1) + 1/d + c (d - 1)/d with d the degree and c the clustering of i.
+    (diam - 1) + 1/d + c (d - 1)/d with d the degree and c the clustering of
+    i. With c = 2 links / (d(d - 1)) that is
+    ((diam - 1) d^2 + d + 2 links) / d^2.
     """
     deg = prof.degrees[i]
     diam = 1 if prof.complete_neighborhood[i] else 2
-    cn, cd = _ratio(prof.local_clustering[i])
-    return (diam - 1) * deg * cd + cd + cn * (deg - 1), deg * cd
+    return (diam - 1) * deg * deg + deg + 2 * prof.links[i], deg * deg
 
 
 def _eval_r9(g, prof, d):
-    cn, cd = _ratio(prof.average_clustering)
+    cn, cd = prof.average_clustering_pair
     n = g.n
     num, den = _ratio_sum(_closed_neighborhood_radiality(prof, i) for i in range(n))
     complete = sum(prof.complete_neighborhood)
     yield None, cn, 2 * cd, num + (complete - 2 * n) * den, n * den, True
 
 
-def _stress_over_pairs_sum(prof: CentralityProfile) -> Ratio:
-    """Sum over non-pendant vertices of stress / (d(d-1))."""
-    return _ratio_sum(
-        (str_i, deg * (deg - 1))
-        for deg, str_i in zip(prof.degrees, prof.stress)
-        if deg >= 2
-    )
-
-
 def _eval_r10(g, prof, d):
     pairs = g.n * (g.n - 1)
-    yield (None, *_ratio(prof.avg_path_length),
+    yield (None, prof.distance_total, pairs,
            pairs + sum(prof.stress), pairs, prof.geodetic)
 
 
 def _eval_r10b(g, prof, d):
     pairs = g.n * (g.n - 1)
-    yield (None, *_ratio(prof.avg_path_length), pairs + sum(prof.stress), pairs, True)
+    yield None, prof.distance_total, pairs, pairs + sum(prof.stress), pairs, True
 
 
 def _eval_r11(g, prof, d):
-    # pendant terms are 0/0 in the statement; report them as 0 so that the
-    # skipped results still carry both sides
-    num, den = _stress_over_pairs_sum(prof)
+    # pendant terms are 0/0 in the statement; the profile's sum over
+    # non-pendant vertices reports them as 0, so that the skipped results
+    # still carry both sides
+    num, den = prof.stress_pair_sum
     n = g.n
-    yield (None, *_ratio(prof.average_clustering),
+    yield (None, *prof.average_clustering_pair,
            n * den - num, n * den, not any(prof.pendant))
 
 
 def _eval_r11b(g, prof, d):
-    num, den = _stress_over_pairs_sum(prof)
+    num, den = prof.stress_pair_sum
     n = g.n
     pendants = sum(prof.pendant)
-    yield (None, *_ratio(prof.average_clustering),
+    yield (None, *prof.average_clustering_pair,
            (n - pendants) * den - num, n * den, True)
 
 
 def _eval_r12(g, prof, d):
-    cn, cd = _ratio(prof.average_clustering)
+    cn, cd = prof.average_clustering_pair
     n = g.n
     # (L - 1)(n - 1) = (ln - ld) (n - 1) / ld, summed with 1 / (d(d-1))
-    ln, ld = _ratio(prof.avg_path_length)
+    ln, ld = prof.distance_total, n * (n - 1)
     num, den = _ratio_sum((1, deg * (deg - 1)) for deg in prof.degrees if deg >= 2)
     pendants = sum(prof.pendant)
     yield (None, cd - cn, cd,

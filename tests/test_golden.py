@@ -7,8 +7,11 @@ to a subset-mask table, the Watts-Strogatz n = 150 check document, whose
 1000 sampled R6 subjects span four distance bits, before R6 on sampled hosts
 moved to digit rows, and the Watts-Strogatz n = 400 check document (4.3 MB,
 R6 on plain bit planes) and the n = 150 check text before JSON documents
-were written by the CLI's own renderer instead of ``json.dumps``. Any
-refactor must leave these bytes unchanged.
+were written by the CLI's own renderer instead of ``json.dumps``. The
+compute documents of K2 (global clustering undefined) and of a seeded
+G(12, 0.3) graph with degrees 1..7 (clustering over six denominators) were
+recorded before the profile kept its quantities as integers. Any refactor
+must leave these bytes unchanged.
 
 The graphs are fed on stdin so that the echoed ``command`` holds no file path.
 """
@@ -19,14 +22,16 @@ import sys
 
 import pytest
 
-from centaudit import complete_graph, cycle_graph, serialize_edge_list, star_graph
-from centaudit import watts_strogatz_graph
+from centaudit import complete_graph, cycle_graph, gnp_graph, path_graph
+from centaudit import serialize_edge_list, star_graph, watts_strogatz_graph
 from centaudit.cli import main
 
 GRAPHS = {
     "star3": star_graph(3),
     "cycle5": cycle_graph(5),
     "complete4": complete_graph(4),
+    "k2": path_graph(2),
+    "gnp12": gnp_graph(12, 0.3, seed=5),
     "ws14": watts_strogatz_graph(14, 4, 0.1, seed=0),
     "ws150": watts_strogatz_graph(150, 4, 0.1, seed=0),
     "ws400": watts_strogatz_graph(400, 6, 0.1, seed=0),
@@ -49,6 +54,10 @@ GOLDEN = {
     "compute-ws14-text": "7128330cd4e94f074ba599b484f915235611bc2955815938f7d4333efb2969f9",
     "compute-ws150-json": "9baf46f301852896f2d00fc9aa82d84c36d1a1211af5346fe53b4e704cf370d6",
     "compute-ws400-json": "8c25b318e174c8c9b0160cd255ae46d46d8f59e9e6fcc075802e826ba85558b1",
+    "compute-k2-json": "203ab50c76e29265e3971fe330f9b6c4f8f17ad23d7e5067dec4cd12000e6aab",
+    "compute-k2-text": "ffda514c2f32a01b7569191059707ea1645fecd858f902a592709aeccaab9aa7",
+    "compute-gnp12-json": "cd5c2fa629adfec375b6bd80e289e7316722d0c697f050d31eadfd083f2203c9",
+    "compute-gnp12-text": "cf63026866f40e896809cd109840d20c5735a0c3537c934012e13325c949f167",
     # one worker; six trials cover the trial shard and R6's 512-subject budget
     "mine-ws24-json": "0011fcaa42280519dcc1001c32b19703b56424e526bf0c43395de1f6f2cd565b",
     # every labeled connected graph on up to 6 vertices, two shards per n

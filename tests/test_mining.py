@@ -153,6 +153,37 @@ class TestMineExhaustive:
                 violated[rid][:report.witness_cap], rid
 
 
+class TestFractionsBuilt:
+    """The miner decides every status on integers: it builds Fractions only
+    for the two sides of each violation witness it keeps."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        original = F.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(cls)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counting)
+        return calls
+
+    def test_none_without_witnesses(self, built):
+        ids = [rid for rid in RELATION_IDS if rid != "R12"]
+        report = mine_exhaustive(5, relation_ids=ids)
+        assert report.graphs_evaluated == 771
+        assert not any(t.witnesses for t in report.tallies.values())
+        assert report.geodetic_audit.geodetic_not_ecf_witnesses
+        assert len(built) == 0
+
+    def test_two_per_kept_witness(self, built):
+        report = mine_exhaustive(5, relation_ids=["R12"])
+        witnesses = report.tallies["R12"].witnesses
+        assert len(witnesses) == report.tallies["R12"].violated == 12
+        assert len(built) == 2 * len(witnesses)
+
+
 class TestMineRandom:
     def test_identities_hold_on_gnp(self):
         report = mine_random("gnp", {"n": 12, "p": 0.4}, trials=25, seed=7,
