@@ -8,7 +8,7 @@ decimals. The same random population then feeds the relation miner: the
 identities and proved bounds hold on every sample, rewired or not.
 """
 
-from centaudit import apsp, avg_path_length, average_clustering, mine_random, watts_strogatz_graph
+from centaudit import mine_random, profile, watts_strogatz_graph
 
 N, K = 24, 4
 
@@ -16,8 +16,9 @@ print(f"Watts-Strogatz sweep, n={N}, k={K} (exact values shown to 4 decimals)")
 print(f"{'p':>6}  {'C_WS':>8}  {'L':>8}")
 
 base = watts_strogatz_graph(N, K, 0.0)
-c0 = average_clustering(base)
-l0 = avg_path_length(apsp(base))
+base_prof = profile(base)
+c0 = base_prof.average_clustering
+l0 = base_prof.avg_path_length
 
 for p in (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0):
     # average a few seeds per p; connectivity is the norm at these parameters
@@ -28,8 +29,9 @@ for p in (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0):
         seed += 1
         if g.is_connected():
             samples.append(g)
-    c = sum(average_clustering(g) for g in samples) / len(samples)
-    l = sum(avg_path_length(apsp(g)) for g in samples) / len(samples)
+    profs = [profile(g) for g in samples]
+    c = sum(prof.average_clustering for prof in profs) / len(profs)
+    l = sum(prof.avg_path_length for prof in profs) / len(profs)
     print(f"{p:>6}  {float(c):>8.4f}  {float(l):>8.4f}"
           f"   (C/C0={float(c / c0):.3f}, L/L0={float(l / l0):.3f})")
 

@@ -20,6 +20,7 @@ from typing import Sequence
 
 from . import relations as rel
 from .graphs import (
+    MODEL_PARAMS,
     MODELS,
     EdgeListError,
     Graph,
@@ -431,13 +432,8 @@ def _cmd_check(args, argv, out) -> int:
 
 
 def _model_params(args) -> dict:
-    params = {}
-    for key in ("n", "k", "leaves"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    if getattr(args, "p", None) is not None:
-        params["p"] = args.p
+    given = {key: getattr(args, key) for key in MODEL_PARAMS}
+    params = {key: value for key, value in given.items() if value is not None}
     model = args.model
     required = set(MODELS[model][1])
     missing = required - set(params)
@@ -456,7 +452,7 @@ def _cmd_mine(args, argv, out) -> int:
     if args.n_max is not None:
         ignored = [
             f"--{key}"
-            for key in ("trials", "seed", "n", "k", "p", "leaves")
+            for key in ("trials", "seed", *MODEL_PARAMS)
             if getattr(args, key) is not None
         ]
         if ignored:
@@ -498,6 +494,11 @@ def _cmd_gen(args, argv, out) -> int:
     return EXIT_OK
 
 
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    for name, kind in MODEL_PARAMS.items():
+        parser.add_argument(f"--{name}", type=kind, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="centaudit",
@@ -523,10 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--trials", type=int, default=None)
     mine.add_argument("--seed", type=int, default=None,
                       help="random mining seed (default 0)")
-    mine.add_argument("--n", type=int, default=None)
-    mine.add_argument("--k", type=int, default=None)
-    mine.add_argument("--p", type=float, default=None)
-    mine.add_argument("--leaves", type=int, default=None)
+    _add_model_flags(mine)
     mine.add_argument("--relations", default="all")
     mine.add_argument("--witness-cap", type=int, default=DEFAULT_WITNESS_CAP)
     mine.add_argument("--workers", type=int, default=1)
@@ -535,10 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="write a generated graph as an edge list")
     gen.add_argument("--model", required=True, choices=tuple(MODELS))
-    gen.add_argument("--n", type=int, default=None)
-    gen.add_argument("--k", type=int, default=None)
-    gen.add_argument("--p", type=float, default=None)
-    gen.add_argument("--leaves", type=int, default=None)
+    _add_model_flags(gen)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("output", nargs="?", default="-", help="output path, or - for stdout")
     gen.set_defaults(func=_cmd_gen)

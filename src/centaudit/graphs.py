@@ -6,12 +6,11 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from random import Random
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class EdgeListError(ValueError):
@@ -65,32 +64,39 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.adj)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def is_connected(self) -> bool:
         """True iff every vertex is reachable from vertex 0 (vacuously for n <= 1)."""
-        if self.n <= 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in self.adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
+        rows = [0] * self.n
+        for u, v in self.edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return _rows_connected(rows)
 
     def check_vertex(self, v: int) -> None:
         if not (isinstance(v, int) and 0 <= v < self.n):
             raise ValueError(f"invalid vertex id {v!r} for graph on {self.n} vertices")
+
+
+def _rows_connected(rows: Sequence[int]) -> bool:
+    """True iff breadth-first search from vertex 0 reaches every vertex, over
+    adjacency bit rows (bit v of ``rows[u]`` set for each edge u-v); vacuously
+    true for n <= 1."""
+    if len(rows) <= 1:
+        return True
+    frontier = rows[0]
+    seen = frontier | 1
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << len(rows)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +256,10 @@ def watts_strogatz_graph(n: int, k: int, p: float, seed: int = 0) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+# every model parameter and the type it is read as; MODELS rows name theirs
+# from here, and the CLI's model flags follow this order
+MODEL_PARAMS: dict[str, type] = {"n": int, "k": int, "p": float, "leaves": int}
+
 # model name -> (builder, required parameter names, seeded); the builder takes
 # the parameters in that order, then the seed, which only seeded models read
 MODELS: dict[str, tuple[Callable[..., Graph], tuple[str, ...], bool]] = {
@@ -273,8 +283,8 @@ def model_row(model: str) -> tuple[Callable[..., Graph], tuple[str, ...], bool]:
 def generate(model: str, params: Mapping[str, object], seed: int = 0) -> Graph:
     """Build a named model; deterministic for fixed (model, params, seed).
 
-    ``p`` is read as a float and every other parameter as an int; parameters
-    the model does not take are ignored. The seed must be >= 0, since
+    Each parameter is read as its ``MODEL_PARAMS`` type; parameters the model
+    does not take are ignored. The seed must be >= 0, since
     ``random.Random`` would give ``-s`` the stream of ``s``.
     """
     if seed < 0:
@@ -283,7 +293,7 @@ def generate(model: str, params: Mapping[str, object], seed: int = 0) -> Graph:
     missing = [name for name in required if name not in params]
     if missing:
         raise ValueError(f"model {model!r} requires parameter {missing[0]!r}")
-    args = [float(params[name]) if name == "p" else int(params[name]) for name in required]
+    args = [MODEL_PARAMS[name](params[name]) for name in required]
     return builder(*args, seed)
 
 
@@ -321,7 +331,6 @@ def enumerate_connected_range(n: int, start: int, stop: int | None) -> Iterator[
     if stop is None or stop > total:
         stop = total
     start = max(start, 0)
-    full = (1 << n) - 1
     min_edges = n - 1
     for mask in range(start, stop):
         if mask.bit_count() < min_edges:
@@ -333,20 +342,7 @@ def enumerate_connected_range(n: int, start: int, stop: int | None) -> Iterator[
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
                 edges.append((u, v))
-        # bitmask BFS from vertex 0
-        seen = 1
-        frontier = rows[0] & ~seen
-        seen |= frontier
-        while frontier:
-            reach = 0
-            m = frontier
-            while m:
-                low = m & -m
-                reach |= rows[low.bit_length() - 1]
-                m ^= low
-            frontier = reach & ~seen
-            seen |= frontier
-        if seen == full:
+        if _rows_connected(rows):
             yield Graph(n, tuple(edges))
 
 

@@ -3,9 +3,8 @@
 Every quantity is exact, so all identities can be checked with zero tolerance.
 :func:`profile` keeps each one as integers: counts and sums per vertex, and
 each graph-level rational as an integer pair over a positive denominator. Its
-Fraction views, like the public functions here, build a
-:class:`fractions.Fraction` only when read. Floating point never enters;
-callers that want decimals convert at display time.
+Fraction views build a :class:`fractions.Fraction` only when read. Floating
+point never enters; callers that want decimals convert at display time.
 """
 
 from __future__ import annotations
@@ -287,19 +286,6 @@ def _apsp_block(
     raise _UseSearch
 
 
-def diameter(d: DistanceMatrix) -> int:
-    """Largest entry of the distance matrix (0 for a single vertex)."""
-    return d.diameter
-
-
-def avg_path_length(d: DistanceMatrix) -> Fraction:
-    """Mean distance over ordered pairs of distinct vertices."""
-    if d.n < 2:
-        raise ValueError("average path length needs at least 2 vertices")
-    total = sum(sum(row) for row in d.dist)
-    return Fraction(total, d.n * (d.n - 1))
-
-
 def pair_distance_sum(dist: Sequence[Sequence[int]], members: Sequence[int]) -> int:
     """Sum of dist over the unordered pairs of distinct members; 0 for <= 1 member."""
     total = 0
@@ -308,6 +294,7 @@ def pair_distance_sum(dist: Sequence[Sequence[int]], members: Sequence[int]) -> 
     return total
 
 
+# wrapped by perfbench's metrics.clustering span, pinned by tests/test_bench_hooks.py
 def local_clustering(g: Graph, i: int) -> Fraction:
     """Fraction of realized edges among pairs of neighbors of i; 0 when deg <= 1."""
     g.check_vertex(i)
@@ -325,13 +312,6 @@ def local_clustering(g: Graph, i: int) -> Fraction:
     return Fraction(2 * links, d * (d - 1))
 
 
-def average_clustering(g: Graph) -> Fraction:
-    """Mean of the local clustering coefficients over all vertices."""
-    if g.n < 1:
-        raise ValueError("average clustering needs at least one vertex")
-    return Fraction(sum(local_clustering(g, i) for i in range(g.n)), g.n)
-
-
 def global_clustering(g: Graph) -> Fraction:
     """Closed triplets over all triplets: 6 * triangles / sum_i d_i (d_i - 1)."""
     open_triplets = sum(d * (d - 1) for d in g.degrees())
@@ -343,25 +323,6 @@ def global_clustering(g: Graph) -> Fraction:
         per_edge_common += len(adj[u] & adj[v])
     # each triangle is seen from its three edges: closed triplets = 2 * the sum
     return Fraction(2 * per_edge_common, open_triplets)
-
-
-def closeness(d: DistanceMatrix, v: int) -> Fraction:
-    """(n-1) divided by the sum of distances from v."""
-    if d.n < 2:
-        raise ValueError("closeness needs at least 2 vertices")
-    if not 0 <= v < d.n:
-        raise ValueError(f"invalid vertex id {v}")
-    return Fraction(d.n - 1, sum(d.dist[v]))
-
-
-def radiality(d: DistanceMatrix, diam: int, v: int) -> Fraction:
-    """Mean of (diam + 1 - dist(v, t)) over the other vertices t."""
-    if d.n < 2:
-        raise ValueError("radiality needs at least 2 vertices")
-    if not 0 <= v < d.n:
-        raise ValueError(f"invalid vertex id {v}")
-    total = (d.n - 1) * (diam + 1) - sum(d.dist[v])
-    return Fraction(total, d.n - 1)
 
 
 def stress(g: Graph, d: DistanceMatrix) -> tuple[int, ...]:

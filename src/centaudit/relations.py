@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import islice, repeat
 from math import lcm
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -141,6 +141,15 @@ def _ratio_sum(terms: Iterable[Ratio]) -> Ratio:
     return sum(num * (den // d) for num, d in terms), den
 
 
+def _triplet_sum(prof: CentralityProfile, nums: Iterable[int]) -> Ratio:
+    """Sum of ``nums[i] / (d(d-1))`` over the vertices i of degree d >= 2,
+    over the profile's lcm of the distinct d(d-1), the denominator of its
+    stress pair sum."""
+    den = prof.stress_pair_sum[1]
+    num = sum(x * (den // (k * (k - 1))) for x, k in zip(nums, prof.degrees) if k >= 2)
+    return num, den
+
+
 def _mean_pairs(pair_sum: int, k: int) -> Ratio:
     """Mean over the ordered pairs of k members whose unordered pairs sum to
     ``pair_sum``; 0 for k <= 1."""
@@ -171,7 +180,8 @@ def _eval_r1(g, prof, d):
 
 
 def _eval_r2(g, prof, d):
-    num, den = _ratio_sum(map(_mean_pairs, prof.open_pair_sums, prof.degrees))
+    # the open means, 2 T(N(i)) / (d(d-1)), and 0 below degree 2
+    num, den = _triplet_sum(prof, [2 * t for t in prof.open_pair_sums])
     n = g.n
     yield (None, *prof.average_clustering_pair,
            2 * n * den - num, n * den, min(prof.degrees) >= 2)
@@ -361,7 +371,7 @@ def _eval_r12(g, prof, d):
     n = g.n
     # (L - 1)(n - 1) = (ln - ld) (n - 1) / ld, summed with 1 / (d(d-1))
     ln, ld = prof.distance_total, n * (n - 1)
-    num, den = _ratio_sum((1, deg * (deg - 1)) for deg in prof.degrees if deg >= 2)
+    num, den = _triplet_sum(prof, repeat(1))
     pendants = sum(prof.pendant)
     yield (None, cd - cn, cd,
            (ln - ld) * (n - 1) * num + pendants * ld * den, n * ld * den,

@@ -5,10 +5,12 @@ union-find instead of BFS, distances are Floyd-Warshall instead of per-source
 BFS, path counts come from explicitly enumerating every shortest path instead
 of the counting recurrence, stress is summed pair by pair instead of
 accumulated per source, cycle parity is checked by enumerating simple
-cycles instead of block decomposition, closed-neighborhood radiality is
-measured on the relabeled induced subgraph instead of read off the profile,
-and the relation sides are stated in Fractions straight from the catalog
-statements instead of as integer pairs over common denominators.
+cycles instead of block decomposition, clustering scans the edge list for
+edges among each vertex's neighbors and for triangles among all vertex
+triples instead of intersecting adjacency sets, closed-neighborhood
+radiality is measured on the relabeled induced subgraph instead of read off
+the profile, and the relation sides are stated in Fractions straight from
+the catalog statements instead of as integer pairs over common denominators.
 """
 
 from __future__ import annotations
@@ -50,6 +52,34 @@ def count_connected_graphs(n: int) -> int:
         if union_find_connected(n, edges):
             total += 1
     return total
+
+
+def neighbor_sets(g: Graph) -> list[set[int]]:
+    """Each vertex's neighbors, read off the edge list."""
+    return [{v for e in g.edges if u in e for v in e if v != u} for u in range(g.n)]
+
+
+def brute_force_clustering(g: Graph) -> list[Fraction]:
+    """Local clustering per vertex: the edges among its neighbors over the
+    pairs of its neighbors, 0 below degree 2."""
+    values = []
+    for nb in neighbor_sets(g):
+        k = len(nb)
+        links = sum(1 for u, v in g.edges if u in nb and v in nb)
+        values.append(Fraction(links, k * (k - 1) // 2) if k >= 2 else Fraction(0))
+    return values
+
+
+def brute_force_global_clustering(g: Graph) -> Fraction | None:
+    """Three times the triangles, found among all vertex triples, over the
+    paths of length 2; None when there is no such path."""
+    edges = set(g.edges)
+    triangles = sum(
+        1 for a, b, c in combinations(range(g.n), 3)
+        if (a, b) in edges and (a, c) in edges and (b, c) in edges
+    )
+    paths = sum(len(nb) * (len(nb) - 1) // 2 for nb in neighbor_sets(g))
+    return Fraction(3 * triangles, paths) if paths else None
 
 
 def floyd_warshall(g: Graph) -> list[list[float]]:
@@ -247,13 +277,13 @@ def relation_sides(g: Graph) -> dict[str, dict[object, tuple[Fraction, Fraction,
     states it: vertices for per-vertex relations, None for per-graph ones, and
     every sorted vertex subset of size >= 2 for R6.
 
-    Distances are Floyd-Warshall, clustering counts the edges among each
-    vertex's neighbors, stress is :func:`pair_stress`, geodesy is
+    Distances are Floyd-Warshall, clustering is
+    :func:`brute_force_clustering`, stress is :func:`pair_stress`, geodesy is
     :func:`brute_force_geodetic` and R9's right side is :func:`r9_rhs`.
     """
     n = g.n
     dist = [[int(x) for x in row] for row in floyd_warshall(g)]
-    nbrs = [{v for e in g.edges if u in e for v in e if v != u} for u in range(n)]
+    nbrs = neighbor_sets(g)
     deg = [len(nb) for nb in nbrs]
     stress = pair_stress(g)
 
@@ -262,13 +292,7 @@ def relation_sides(g: Graph) -> dict[str, dict[object, tuple[Fraction, Fraction,
         pairs = [(a, b) for a in members for b in members if a != b]
         return Fraction(sum(dist[a][b] for a, b in pairs), len(pairs)) if pairs else Fraction(0)
 
-    def clustering(i: int) -> Fraction:
-        if deg[i] <= 1:
-            return Fraction(0)
-        links = sum(1 for u, v in g.edges if u in nbrs[i] and v in nbrs[i])
-        return Fraction(links, deg[i] * (deg[i] - 1) // 2)
-
-    c = [clustering(i) for i in range(n)]
+    c = brute_force_clustering(g)
     c_avg = sum(c, Fraction(0)) / n
     L = mean_dist(range(n))
     diam = max(max(row) for row in dist)

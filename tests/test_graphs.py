@@ -46,7 +46,7 @@ class TestGraph:
         assert g.m == 2
         assert g.edges == ((0, 1), (1, 2))
         assert g.degrees() == (1, 2, 1)
-        assert g.has_edge(2, 1) and not g.has_edge(0, 2)
+        assert g.adj == ({1}, {0, 2}, {1})
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -69,6 +69,15 @@ class TestGraph:
         assert path_graph(5).is_connected()
         assert not Graph.from_edges(4, [(0, 1), (2, 3)]).is_connected()
         assert Graph.from_edges(1, []).is_connected()
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_connectivity_matches_union_find(self, n):
+        # every edge set on n vertices, disconnected ones included
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+            g = Graph.from_edges(n, edges)
+            assert g.is_connected() == union_find_connected(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +138,7 @@ class TestEdgeList:
 class TestGenerators:
     def test_star_shape(self):
         g = generate("star", {"leaves": 3})
-        assert (g.n, g.m, g.degree(0)) == (4, 3, 3)
+        assert (g.n, g.m, g.degrees()[0]) == (4, 3, 3)
 
     def test_cycle_shape(self):
         g = generate("cycle", {"n": 5})
@@ -281,7 +290,7 @@ class TestViews:
         for v in range(g.n):
             members = sorted(g.adj[v])
             links = sum(
-                1 for a in members for b in members if a < b and g.has_edge(a, b)
+                1 for a in members for b in members if a < b and b in g.adj[a]
             )
             d = len(members)
             expected = Fraction(2 * links, d * (d - 1)) if d >= 2 else 0

@@ -9,12 +9,8 @@ from centaudit import (
     DisconnectedGraphError,
     Graph,
     apsp,
-    average_clustering,
-    avg_path_length,
-    closeness,
     complete_graph,
     cycle_graph,
-    diameter,
     enumerate_connected,
     global_clustering,
     gnp_graph,
@@ -23,7 +19,6 @@ from centaudit import (
     local_clustering,
     path_graph,
     profile,
-    radiality,
     star_graph,
     stress,
     watts_strogatz_graph,
@@ -83,7 +78,7 @@ class TestApsp:
             assert d.dist[s][s] == 0 and d.sigma[s][s] == 1
             for t in range(n):
                 assert d.dist[s][t] == d.dist[t][s]
-                assert (d.dist[s][t] == 1) == g.has_edge(s, t) if s != t else True
+                assert (d.dist[s][t] == 1) == (t in g.adj[s]) if s != t else True
                 if s != t:
                     assert d.sigma[s][t] >= 1
                 for u in range(n):
@@ -125,7 +120,7 @@ class TestGraphLevelMetrics:
         (cycle_graph(5), 2),
     ])
     def test_diameter(self, g, expected):
-        assert diameter(apsp(g)) == expected
+        assert apsp(g).diameter == expected
 
     @pytest.mark.parametrize("g,expected", [
         (complete_graph(3), F(1)),
@@ -133,17 +128,17 @@ class TestGraphLevelMetrics:
         (cycle_graph(5), F(3, 2)),
     ])
     def test_avg_path_length(self, g, expected):
-        assert avg_path_length(apsp(g)) == expected
+        assert profile(g).avg_path_length == expected
 
     def test_avg_path_length_needs_two_vertices(self):
-        with pytest.raises(ValueError):
-            avg_path_length(apsp(Graph.from_edges(1, [])))
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            profile(Graph.from_edges(1, []))
 
     @pytest.mark.parametrize("leaves", [3, 4, 5, 6])
     def test_star_formula(self, leaves):
         # closed form for the star: L = 2 * leaves / (leaves + 1)
         g = star_graph(leaves)
-        assert avg_path_length(apsp(g)) == F(2 * leaves, leaves + 1)
+        assert profile(g).avg_path_length == F(2 * leaves, leaves + 1)
 
 
 class TestRestrictedLength:
@@ -190,7 +185,7 @@ class TestClustering:
         (PAW, F(7, 12), F(3, 5)),
     ])
     def test_averages(self, g, c_ws, c_glob):
-        assert average_clustering(g) == c_ws
+        assert profile(g).average_clustering == c_ws
         assert global_clustering(g) == c_glob
 
     def test_global_undefined_on_single_edge(self):
@@ -200,18 +195,19 @@ class TestClustering:
 
 class TestVertexMetrics:
     def test_closeness(self):
-        d = apsp(path_graph(3))
-        assert closeness(d, 1) == F(1)
-        assert closeness(d, 0) == F(2, 3)
-        assert closeness(apsp(complete_graph(4)), 2) == F(1)
-        assert closeness(apsp(cycle_graph(5)), 0) == F(2, 3)
+        p = profile(path_graph(3))
+        assert p.closeness[1] == F(1)
+        assert p.closeness[0] == F(2, 3)
+        assert profile(complete_graph(4)).closeness[2] == F(1)
+        assert profile(cycle_graph(5)).closeness[0] == F(2, 3)
 
     def test_radiality(self):
-        d = apsp(path_graph(3))
-        assert radiality(d, 2, 1) == F(2)
-        assert radiality(d, 2, 0) == F(3, 2)
-        assert radiality(apsp(complete_graph(3)), 1, 0) == F(1)
-        assert radiality(apsp(cycle_graph(5)), 2, 3) == F(3, 2)
+        # diameters 2, 1 and 2
+        p = profile(path_graph(3))
+        assert p.radiality[1] == F(2)
+        assert p.radiality[0] == F(3, 2)
+        assert profile(complete_graph(3)).radiality[0] == F(1)
+        assert profile(cycle_graph(5)).radiality[3] == F(3, 2)
 
     @pytest.mark.parametrize("leaves", [3, 4, 5, 6])
     def test_star_center_stress(self, leaves):

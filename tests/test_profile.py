@@ -3,10 +3,9 @@
 ``profile`` keeps every quantity as integers: per-vertex counts and sums, and
 each graph-level rational as an integer pair. Every field and pair, read as a
 Fraction, must equal the brute-force oracles of ``oracles.py`` (Floyd-Warshall
-distances, stress by its pair definition, path enumeration for geodesy, cycle
-enumeration for parity) or, for clustering, where no oracle exists, the
-public Fraction functions of ``centaudit.metrics``. The Fraction views must
-read the same values.
+distances, stress by its pair definition, clustering from edge and triangle
+counts, path enumeration for geodesy, cycle enumeration for parity). The
+Fraction views must read the same values.
 """
 
 from fractions import Fraction as F
@@ -18,18 +17,22 @@ import pytest
 from centaudit import (
     DistanceMatrix,
     apsp,
-    average_clustering,
-    diameter,
     enumerate_connected,
-    global_clustering,
     gnp_graph,
-    local_clustering,
     path_graph,
     profile,
     star_graph,
     watts_strogatz_graph,
 )
-from oracles import brute_force_geodetic, floyd_warshall, has_even_cycle, pair_stress
+from oracles import (
+    brute_force_clustering,
+    brute_force_geodetic,
+    brute_force_global_clustering,
+    floyd_warshall,
+    has_even_cycle,
+    neighbor_sets,
+    pair_stress,
+)
 
 # path enumeration for geodesy and cycle enumeration for parity grow too fast
 # beyond this many vertices
@@ -40,7 +43,7 @@ def assert_profile_matches_oracles(g):
     n = g.n
     p = profile(g)
     dist = [[int(x) for x in row] for row in floyd_warshall(g)]
-    nbrs = [{v for e in g.edges if u in e for v in e if v != u} for u in range(n)]
+    nbrs = neighbor_sets(g)
     deg = [len(nb) for nb in nbrs]
     stress = pair_stress(g)
     diam = max(map(max, dist))
@@ -63,15 +66,13 @@ def assert_profile_matches_oracles(g):
     assert p.diameter == diam
     assert p.distance_total == total
 
-    clustering = tuple(local_clustering(g, i) for i in range(n))
+    clustering = tuple(brute_force_clustering(g))
+    c_avg = sum(clustering, F(0)) / n
     assert p.complete_neighborhood == tuple(
         k <= 1 or c == 1 for k, c in zip(deg, clustering)
     )
-    assert F(*p.average_clustering_pair) == average_clustering(g)
-    try:
-        c_global = global_clustering(g)
-    except ValueError:
-        c_global = None
+    assert F(*p.average_clustering_pair) == c_avg
+    c_global = brute_force_global_clustering(g)
     pair = p.global_clustering_pair
     assert (None if pair is None else F(*pair)) == c_global
     assert F(*p.stress_pair_sum) == sum(
@@ -85,7 +86,7 @@ def assert_profile_matches_oracles(g):
         for v in range(n)
     )
     assert p.avg_path_length == F(total, n * (n - 1))
-    assert p.average_clustering == average_clustering(g)
+    assert p.average_clustering == c_avg
     assert p.global_clustering == c_global
 
     if n <= PREDICATE_ORACLE_MAX_N:
@@ -138,9 +139,9 @@ def test_lane_hosts(n, k, seed):
 def test_diameter_follows_the_matrix_it_is_given():
     g = path_graph(4)
     d = apsp(g)
-    assert diameter(d) == d.diameter == 3
+    assert d.diameter == 3
     dist = [list(row) for row in d.dist]
     dist[0][1] = dist[1][0] = 7
     altered = DistanceMatrix(d.n, tuple(map(tuple, dist)), d.sigma)
-    assert diameter(altered) == altered.diameter == 7
+    assert altered.diameter == 7
     assert profile(g, altered).diameter == 7
