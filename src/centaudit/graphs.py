@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from random import Random
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -385,22 +385,27 @@ def subset_stream(n: int, seed: int = 0) -> Iterable[tuple[tuple[int, ...], int]
     return _sampled_subsets(n, seed)
 
 
-# the set bits of each byte value, lowest first
-_BYTE_BITS = tuple(tuple(v for v in range(8) if byte >> v & 1) for byte in range(256))
-
-
-def _sampled_subsets(n: int, seed: int) -> Iterator[tuple[tuple[int, ...], int]]:
+def sampled_masks(n: int, seed: int = 0) -> Iterator[int]:
+    """The bitmasks of :func:`subset_stream`'s seeded sample on a host with
+    n >= 11 vertices, in stream order, without decoding their members."""
     rng = Random(seed)
     seen: set[int] = set()
-    offsets = range(0, n, 8)
-    width = (n + 7) // 8
     while len(seen) < SUBSET_SAMPLE_COUNT:
         mask = rng.getrandbits(n)
         if mask.bit_count() < 2 or mask in seen:
             continue
         seen.add(mask)
-        members = []
-        for base, byte in zip(offsets, mask.to_bytes(width, "little")):
-            if byte:
-                members += [base + v for v in _BYTE_BITS[byte]]
-        yield tuple(members), mask
+        yield mask
+
+
+# "0" -> 0 and "1" -> 1, so that a mask's binary digits select its members
+_BIT_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _sampled_subsets(n: int, seed: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    vertices = range(n)
+    digits = f"0{n}b"
+    for mask in sampled_masks(n, seed):
+        # the digits lowest vertex first, as 0/1 bytes
+        selected = format(mask, digits)[::-1].encode().translate(_BIT_DIGITS)
+        yield tuple(compress(vertices, selected)), mask

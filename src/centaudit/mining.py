@@ -24,7 +24,7 @@ from typing import Iterator, Mapping, Sequence
 from . import relations as rel
 from .graphs import Graph, enumerate_connected_range, generate, model_row
 from .metrics import apsp, profile
-from .relations import Outcome, RelationSpec, Subject
+from .relations import RelationSpec, Subject
 
 DEFAULT_WITNESS_CAP = 16
 SUBSET_BUDGET_PER_GRAPH = 512  # at most this many R6 subsets per graph
@@ -73,22 +73,18 @@ class RelationTally:
     def subjects(self) -> int:
         return self.holds + self.equality + self.violated + self.skipped
 
-    def fold(self, spec: RelationSpec, outcomes: list[Outcome], g: Graph, cap: int) -> None:
-        """Count one graph's outcomes of ``spec`` and keep its violations as
-        witnesses while fewer than ``cap`` are kept."""
-        statuses = [status for status, _ in outcomes]
-        self.holds += statuses.count(rel.HOLDS)
-        self.equality += statuses.count(rel.EQUALITY)
-        self.skipped += statuses.count(rel.SKIPPED)
-        violated = statuses.count(rel.VIOLATED)
+    def fold(self, spec: RelationSpec, counts: tuple, g: Graph, cap: int) -> None:
+        """Add one graph's :func:`relations.tally` of ``spec`` and keep its
+        violations as witnesses while fewer than ``cap`` are kept."""
+        holds, equality, violated, skipped, violations = counts
+        self.holds += holds
+        self.equality += equality
         self.violated += violated
-        if violated:
-            for status, row in outcomes:
-                if status == rel.VIOLATED and len(self.witnesses) < cap:
-                    result = rel.make_result(spec, status, row)
-                    self.witnesses.append(
-                        Witness(g.n, g.edges, result.subject, result.lhs, result.rhs)
-                    )
+        self.skipped += skipped
+        if violations:
+            for status, row in violations[:cap - len(self.witnesses)]:
+                result = rel.make_result(spec, status, row)
+                self.witnesses.append(Witness(g.n, g.edges, result.subject, result.lhs, result.rhs))
 
     def merge(self, other: "RelationTally", cap: int) -> None:
         self.holds += other.holds
@@ -192,7 +188,7 @@ class _Shard:
 
 def _evaluate_into(
     g: Graph,
-    relation_ids: tuple[str, ...],
+    specs: Sequence[RelationSpec],
     tallies: dict[str, RelationTally],
     audit: GeodeticAudit,
     cap: int,
@@ -200,9 +196,8 @@ def _evaluate_into(
     d = apsp(g)
     prof = profile(g, d)
     audit.record(g, prof.geodetic, prof.even_cycle_free, cap)
-    for rid in relation_ids:
-        spec = rel.relation(rid)
-        tallies[rid].fold(spec, rel.evaluate(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH), g, cap)
+    for spec in specs:
+        tallies[spec.id].fold(spec, rel.tally(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH), g, cap)
 
 
 def _new_tallies(relation_ids: tuple[str, ...]) -> dict[str, RelationTally]:
@@ -212,10 +207,11 @@ def _new_tallies(relation_ids: tuple[str, ...]) -> dict[str, RelationTally]:
 def _mine_shard(args) -> _Shard:
     """Evaluate every graph of one source, a picklable zero-argument callable."""
     source, relation_ids, cap = args
+    specs = [rel.relation(rid) for rid in relation_ids]
     shard = _Shard(0, _new_tallies(relation_ids), GeodeticAudit())
     for g in source():
         shard.graphs += 1
-        _evaluate_into(g, relation_ids, shard.tallies, shard.audit, cap)
+        _evaluate_into(g, specs, shard.tallies, shard.audit, cap)
     return shard
 
 

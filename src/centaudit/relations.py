@@ -18,11 +18,16 @@ per-graph sums over vertices share one common denominator.
 
 :func:`evaluate` decides every status, from the sign of
 ``lhs_num * rhs_den - rhs_num * lhs_den`` oriented by the comparison, and
-returns one outcome per subject: the pair ``(status, row)``. Callers that only
-count statuses (the miner's tallies, the equality census) read outcomes as
-they are. :func:`make_result` turns one outcome into a :class:`RelationResult`,
-whose sides become Fractions only when read; :func:`evaluate_all` (the
-``check`` path) and the miner's capped witnesses are its callers.
+returns one outcome per subject: the pair ``(status, row)``. :func:`tally`
+gives the miner what it keeps of one graph: the four status counts and the
+violated outcomes. It counts :func:`evaluate`'s outcomes for every relation
+and host but one: R6 on a sampled host (11 to SUBSET_LANE_MAX_N vertices)
+has a count kernel, which decides each sampled subset from its pair sum on
+subset lanes without building rows, and hands over to :func:`evaluate` on a
+graph where a subset is violated. :func:`make_result` turns one outcome into a
+:class:`RelationResult`, whose sides become Fractions only when read;
+:func:`evaluate_all` (the ``check`` path) and the miner's capped witnesses are
+its callers.
 """
 
 from __future__ import annotations
@@ -32,13 +37,22 @@ from fractions import Fraction
 from functools import cache
 from itertools import islice, repeat
 from math import lcm
+from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .graphs import SUBSET_ENUMERATION_MAX_N, Graph, subset_masks, subset_stream
+from .graphs import (
+    SUBSET_ENUMERATION_MAX_N,
+    Graph,
+    sampled_masks,
+    subset_masks,
+    subset_stream,
+)
 from .metrics import (
     CentralityProfile,
     DistanceMatrix,
+    _unpack_lanes,
     apsp,
+    byte_lanes,
     profile,
 )
 
@@ -276,13 +290,63 @@ def _digit_pair_sums(dist, top, stream):
         yield members, total >> 1
 
 
+# Up to this many vertices a sampled host's subset pair sums come from
+# transposed subset lanes (_lane_pair_sums), above it from digit rows
+# (_digit_pair_sums). The lanes take n^2 big-int operations over all subsets
+# at once, the rows about n/2 small ones per subset. Measured as the miner's
+# R6 per graph on Watts-Strogatz, G(n, 0.3) and path hosts (README, "Notes
+# on scale"), the lanes were faster on all three up to 72 vertices; from 80
+# on G(n, 0.3), whose distances are 1 and 2, went as fast or slower.
+SUBSET_LANE_MAX_N = 72
+_SUBSET_LANE_WIDTHS = (8, 16, 32, 64)
+
+
+def _lane_pair_sums(dist, top: int, masks: list[int]):
+    """``2 T(S)``, twice the pair-distance sum, for each vertex mask S, as an
+    array in mask order; ``top`` is the largest entry of the matrix ``dist``.
+
+    The subsets are the lanes: one W-bit lane per mask, with X_v holding 1 in
+    lane i when v is in mask i (the masks transposed, a byte column at a
+    time). Then sum_v d(u, v) X_v holds, in each lane, the sum of the
+    distances from u to the members of that lane's subset; keeping the lanes
+    whose subset holds u and summing over u gives 2 T(S) in every lane at
+    once. No lane carries: 2 T(S) is at most n (n - 1) top, and W is the
+    narrowest width above that.
+    """
+    n = len(dist)
+    width = next(w for w in _SUBSET_LANE_WIDTHS if n * (n - 1) * top < 1 << w)
+    nbytes = (n + 7) // 8
+    raw = b"".join([mask.to_bytes(nbytes, "little") for mask in masks])
+    ones = byte_lanes(b"\1" * len(masks), width)
+    member = []  # member[v] = X_v
+    for c in range(nbytes):
+        column = byte_lanes(raw[c::nbytes], width)  # byte c of every mask
+        member += [column >> b & ones for b in range(min(8, n - 8 * c))]
+    full = (1 << width) - 1
+    doubled = 0
+    for x, row in zip(member, dist):
+        doubled += x * full & sum(map(mul, row, member))
+    return _unpack_lanes(doubled, len(masks), width)
+
+
+def _sampled_pair_sums(dist, top: int, stream):
+    """``(members, T(S))`` for each ``(members, mask)`` of a sampled subset
+    stream: on subset lanes up to SUBSET_LANE_MAX_N vertices, from digit rows
+    above."""
+    if len(dist) > SUBSET_LANE_MAX_N:
+        return _digit_pair_sums(dist, top, stream)
+    subjects = list(stream)
+    doubled = _lane_pair_sums(dist, top, [mask for _, mask in subjects])
+    return ((members, t >> 1) for (members, _), t in zip(subjects, doubled))
+
+
 def _eval_r6(g, prof, d):
     n = g.n
     ln, ld = prof.distance_total, n * (n - 1)
     dist = d.dist
     stream = subset_stream(n)
     if n > SUBSET_ENUMERATION_MAX_N:
-        sums = _digit_pair_sums(dist, d.diameter, stream)
+        sums = _sampled_pair_sums(dist, d.diameter, stream)
     else:
         # T(S), the pair-distance sum of S, for every mask: the pairs of S are
         # those of S - a and of S - b, less those of S - a - b, counted in
@@ -593,6 +657,53 @@ def evaluate(
                 status = VIOLATED
         outcomes.append((status, row))
     return outcomes
+
+
+def _r6_lane_counts(g: Graph, prof: CentralityProfile, d: DistanceMatrix,
+                    budget: Optional[int]) -> tuple[int, int, int]:
+    """(holds, equality, violated) of R6 over the first ``budget`` subsets
+    of a sampled host's stream, read off subset lanes.
+
+    A subset S of k members holds exactly when (k - 1) * distance_total -
+    (n - 1) * 2 T(S) > 0: that is :func:`evaluate`'s ``ln * rd - rn * ld``
+    divided by the positive n k.
+    """
+    masks = list(islice(sampled_masks(g.n), budget))
+    total, n1 = prof.distance_total, g.n - 1
+    diffs = [total * (mask.bit_count() - 1) - n1 * t
+             for mask, t in zip(masks, _lane_pair_sums(d.dist, d.diameter, masks))]
+    equality = diffs.count(0)
+    violated = sum(map((0).__gt__, diffs))  # the differences below 0
+    return len(diffs) - equality - violated, equality, violated
+
+
+def tally(
+    spec: RelationSpec,
+    g: Graph,
+    prof: CentralityProfile,
+    d: DistanceMatrix,
+    budget: Optional[int],
+) -> tuple[int, int, int, int, list[Outcome]]:
+    """``(holds, equality, violated, skipped, violations)`` of ``spec`` on
+    one connected graph: the status counts of :func:`evaluate`'s outcomes
+    with ``max_subjects=budget``, and its violated outcomes in order.
+
+    R6 on a sampled host with at most SUBSET_LANE_MAX_N vertices is counted
+    on subset lanes without building its rows, and falls back to
+    :func:`evaluate` on a graph where any subset is violated, so that the
+    violations carry their rows. Every other relation and host counts
+    :func:`evaluate`'s outcomes.
+    """
+    if spec.evaluator is _eval_r6 and SUBSET_ENUMERATION_MAX_N < g.n <= SUBSET_LANE_MAX_N:
+        holds, equality, violated = _r6_lane_counts(g, prof, d, budget)
+        if not violated:
+            return holds, equality, 0, 0, []
+    outcomes = evaluate(spec, g, prof, d, budget)
+    statuses = [status for status, _ in outcomes]
+    violated = statuses.count(VIOLATED)
+    violations = [out for out in outcomes if out[0] == VIOLATED] if violated else []
+    return (statuses.count(HOLDS), statuses.count(EQUALITY), violated,
+            statuses.count(SKIPPED), violations)
 
 
 def make_result(spec: RelationSpec, status: str, row: Row) -> RelationResult:

@@ -10,8 +10,11 @@ R6 on plain bit planes) and the n = 150 check text before JSON documents
 were written by the CLI's own renderer instead of ``json.dumps``. The
 compute documents of K2 (global clustering undefined) and of a seeded
 G(12, 0.3) graph with degrees 1..7 (clustering over six denominators) were
-recorded before the profile kept its quantities as integers. Any refactor
-must leave these bytes unchanged.
+recorded before the profile kept its quantities as integers. The three
+random mines of G(40, 0.15), P72 (R6 alone) and WS(73, 4, 0.1) were recorded
+before the miner counted R6 on sampled hosts of at most 72 vertices on subset
+lanes: the first two run on its 16- and 32-bit lanes, the third on the digit
+rows just above that bound. Any refactor must leave these bytes unchanged.
 
 The graphs are fed on stdin so that the echoed ``command`` holds no file path.
 """
@@ -62,6 +65,9 @@ GOLDEN = {
     "mine-ws24-json": "0011fcaa42280519dcc1001c32b19703b56424e526bf0c43395de1f6f2cd565b",
     # every labeled connected graph on up to 6 vertices, two shards per n
     "mine-n6w2-json": "8406239124d86064bd424cf1ec9b52be4b56dabcb82c450385b493f7623dbd4c",
+    "mine-gnp40-json": "7d716f6817ab4f075365a5cf492d781c0a566f66714df2fac318640d441d5e2a",
+    "mine-path72-json": "72e392bbc2fae34333407c4bc595caa6456cca032f5eb50a911269f04883b249",
+    "mine-ws73-json": "12a995c87c0584fedd833e13c6db2066b8f75adf39883f7a65809bc84280043d",
 }
 
 MINE_ARGV = {
@@ -69,6 +75,11 @@ MINE_ARGV = {
     "n6w2": ["mine", "--n-max", "6", "--workers", "2"],
     "ws24": ["mine", "--model", "watts_strogatz", "--n", "24", "--k", "4",
              "--p", "0.1", "--trials", "6", "--seed", "1"],
+    "gnp40": ["mine", "--model", "gnp", "--n", "40", "--p", "0.15", "--trials", "8",
+              "--seed", "2"],
+    "path72": ["mine", "--model", "path", "--n", "72", "--trials", "1", "--relations", "R6"],
+    "ws73": ["mine", "--model", "watts_strogatz", "--n", "73", "--k", "4", "--p", "0.1",
+             "--trials", "3", "--seed", "3"],
 }
 
 

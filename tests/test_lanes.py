@@ -86,9 +86,12 @@ def assert_matches_oracles(g, d, total):
 class TestLaneRoundTrip:
     @pytest.mark.parametrize("width", metrics.LANE_WIDTHS)
     def test_pack_unpack(self, width):
-        values = [0, 1, (1 << (width - 1)) - 1, 1, 0, (1 << (width - 1)) - 1]
-        packed = metrics._pack_lanes(values, width)
-        assert packed == sum(v << (i * width) for i, v in enumerate(values))
+        row = [0, 1, 255, 1, 0, 255]
+        packed = metrics.byte_lanes(bytes(row), width)
+        assert packed == sum(v << (i * width) for i, v in enumerate(row))
+        assert list(metrics._unpack_lanes(packed, len(row), width)) == row
+        values = [0, 1, (1 << (width - 1)) - 1, 1, 0, (1 << width) - 1]
+        packed = sum(v << (i * width) for i, v in enumerate(values))
         assert list(metrics._unpack_lanes(packed, len(values), width)) == values
 
     @pytest.mark.parametrize("width", metrics.LANE_WIDTHS)

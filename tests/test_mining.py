@@ -208,6 +208,35 @@ class TestMineRandom:
         c = mine_random("gnp", {"n": 9, "p": 0.45}, workers=2, **kwargs)
         assert report_fingerprint(a) == report_fingerprint(b) == report_fingerprint(c)
 
+    def test_tallies_fold_evaluate_on_sampled_hosts(self):
+        """On WS(24) hosts, where R6 is counted on subset lanes, the counts
+        and witnesses equal a fold over evaluate's outcomes, trial by trial
+        (no relation is violated on these hosts; witnesses kept from a
+        count path are checked in test_relations.TestTally)."""
+        params = {"n": 24, "k": 4, "p": 0.1}
+        report = mine_random("watts_strogatz", params, trials=10, seed=4, witness_cap=3)
+        counts = {rid: Counter() for rid in RELATION_IDS}
+        violated = {rid: [] for rid in RELATION_IDS}
+        for trial in range(10):
+            g = mining._connected_sample("watts_strogatz", params, 4, trial,
+                                         mining.CONNECTIVITY_RETRY_CAP)
+            d = apsp(g)
+            prof = profile(g, d)
+            for rid in RELATION_IDS:
+                spec = relation(rid)
+                for status, row in evaluate(spec, g, prof, d, mining.SUBSET_BUDGET_PER_GRAPH):
+                    counts[rid][status] += 1
+                    if status == VIOLATED:
+                        r = make_result(spec, status, row)
+                        violated[rid].append((g.n, g.edges, r.subject, r.lhs, r.rhs))
+        assert counts["R6"]["holds"] == 10 * mining.SUBSET_BUDGET_PER_GRAPH
+        for rid, t in report.tallies.items():
+            c = counts[rid]
+            assert (t.holds, t.equality, t.violated, t.skipped) == (
+                c["holds"], c["equality"], c["violated"], c["skipped-precondition"]), rid
+            assert [(w.n, w.edges, w.subject, w.lhs, w.rhs) for w in t.witnesses] == \
+                violated[rid][:report.witness_cap], rid
+
     def test_different_seeds_differ(self):
         a = mine_random("gnp", {"n": 10, "p": 0.5}, trials=5, seed=1, relation_ids=("R8",))
         b = mine_random("gnp", {"n": 10, "p": 0.5}, trials=5, seed=2, relation_ids=("R8",))

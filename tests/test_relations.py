@@ -1,6 +1,9 @@
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import partial
 from itertools import combinations
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,9 +31,12 @@ from centaudit import (
     relation,
     star_graph,
 )
+from centaudit import relations
 from centaudit.relations import (
+    SUBSET_LANE_MAX_N,
     _closed_neighborhood_radiality,
     select_ids,
+    tally,
     violation_counts,
 )
 from centaudit.graphs import (
@@ -40,7 +46,7 @@ from centaudit.graphs import (
     watts_strogatz_graph,
 )
 from centaudit.metrics import DistanceMatrix, pair_distance_sum
-from centaudit.mining import SUBSET_BUDGET_PER_GRAPH
+from centaudit.mining import SUBSET_BUDGET_PER_GRAPH, RelationTally
 from oracles import (
     SENSE,
     floyd_warshall,
@@ -416,7 +422,9 @@ def r6_pair_sums(g, d):
 
 
 class TestSampledPairSums:
-    """On hosts with n >= 11, R6 reads each subset's pair sum off digit rows
+    """On hosts with 11 <= n <= SUBSET_LANE_MAX_N, R6 reads the sampled
+    subsets' pair sums off transposed subset lanes (8-bit lanes on K12 and
+    star11, 16-bit on C33 and P40, 32-bit on P72); above that bound, off digit rows
     of the distance matrix (one bit plane per distance bit for n > 341, bits
     packed into unary digits below). Every one of the sampled subjects must
     carry the pair sum summed directly over its members."""
@@ -428,7 +436,8 @@ class TestSampledPairSums:
         (cycle_graph(33), 5),
         (path_graph(40), 6),
         (cycle_graph(342), 8),
-    ], ids=["K12", "star11", "ws150", "C33", "P40", "C342"])
+        (path_graph(72), 7),
+    ], ids=["K12", "star11", "ws150", "C33", "P40", "C342", "P72"])
     def test_every_subject_matches_a_direct_sum(self, g, planes):
         d = apsp(g)
         assert max(map(max, d.dist)).bit_length() == planes
@@ -455,6 +464,104 @@ class TestSampledPairSums:
         changed = [a != b for a, b in zip(sums, r6_pair_sums(g, d))]
         assert changed == [members[:2] == (0, 1) for members, _ in sums]
         assert any(changed)
+
+
+def counted(spec, g, prof, d, budget, keep=lambda outcomes: None):
+    """What tally must return: the statuses of evaluate's outcomes counted,
+    and its violated outcomes in order; ``keep`` receives the outcomes."""
+    outcomes = evaluate(spec, g, prof, d, budget)
+    keep(outcomes)
+    c = Counter(map(itemgetter(0), outcomes))
+    return (c[HOLDS], c[EQUALITY], c[VIOLATED], c[SKIPPED],
+            [outcome for outcome in outcomes if outcome[0] == VIOLATED])
+
+
+def _gnp_connected(n, p):
+    return next(g for g in (gnp_graph(n, p, seed=s) for s in range(100)) if g.is_connected())
+
+
+class TestTally:
+    """relations.tally, the miner's count path, against a count of evaluate's
+    outcomes. R6 on sampled hosts of at most SUBSET_LANE_MAX_N vertices is
+    counted on subset lanes, every other relation and host through evaluate."""
+
+    def test_every_graph_up_to_six_vertices(self, monkeypatch):
+        # tally reads the outcomes evaluate gave the reference count, so that
+        # each graph is evaluated once
+        last = [None]
+        monkeypatch.setattr(relations, "evaluate", lambda *args: last[0])
+        keep = partial(last.__setitem__, 0)
+        for n in range(2, 7):
+            for g in enumerate_connected(n):
+                d = apsp(g)
+                prof = profile(g, d)
+                for spec in catalog():
+                    expected = counted(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH, keep)
+                    assert tally(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH) == expected, (
+                        g.edges, spec.id)
+
+    # width: the subset lane width n (n - 1) diameter calls for, None above
+    # the lane bound
+    @pytest.mark.parametrize("g, width", [
+        (watts_strogatz_graph(11, 4, 0.1, seed=0), 16),
+        (watts_strogatz_graph(12, 4, 0.1, seed=0), 16),
+        (watts_strogatz_graph(24, 4, 0.1, seed=0), 16),
+        (watts_strogatz_graph(64, 4, 0.1, seed=0), 16),
+        (_gnp_connected(24, 0.3), 16),
+        (_gnp_connected(64, 0.3), 16),
+        (complete_graph(16), 8),
+        (complete_graph(40), 16),
+        (path_graph(60), 32),
+        (path_graph(72), 32),
+        (watts_strogatz_graph(73, 4, 0.1, seed=0), None),
+        (path_graph(90), None),
+        (watts_strogatz_graph(96, 4, 0.1, seed=0), None),
+    ], ids=["ws11", "ws12", "ws24", "ws64", "gnp24", "gnp64", "K16", "K40", "P60", "P72",
+            "ws73", "P90", "ws96"])
+    def test_sampled_hosts(self, g, width, monkeypatch):
+        d = apsp(g)
+        prof = profile(g, d)
+        spread = g.n * (g.n - 1) * d.diameter
+        if width is None:
+            assert g.n > SUBSET_LANE_MAX_N
+        else:
+            assert g.n <= SUBSET_LANE_MAX_N and width // 2 < spread.bit_length() <= width
+        evaluated = []
+        monkeypatch.setattr(relations, "evaluate", lambda spec, *args: evaluated.append(
+            spec.id) or evaluate(spec, *args))
+        for budget in (SUBSET_BUDGET_PER_GRAPH, None):
+            for spec in catalog():
+                got = tally(spec, g, prof, d, budget)
+                assert got == counted(spec, g, prof, d, budget), spec.id
+                if spec.id == "R6":
+                    assert sum(got[:4]) == (budget or SUBSET_SAMPLE_COUNT)
+                    # the whole vertex set, the stream's 964th draw at n = 11
+                    assert got[1] == (g.n == 11 and budget is None)
+        # the kernel counts R6 without evaluate, up to the lane bound
+        assert evaluated.count("R6") == (2 if width is None else 0)
+        assert len(evaluated) == 2 * len(catalog()) - (width is not None) * 2
+
+    def test_violations_on_a_doctored_matrix(self):
+        """With d(0, 1) of C33 raised far past the diameter, the subsets
+        holding both 0 and 1 violate R6. The count path must see them in
+        the matrix it is given, and hand back evaluate's rows, so that the
+        miner's witnesses equal evaluate's results."""
+        g = cycle_graph(33)
+        d = _with_distance(apsp(g), 0, 1, 10 ** 4)
+        prof = profile(g, d)
+        spec = relation("R6")
+        for budget in (SUBSET_BUDGET_PER_GRAPH, None):
+            got = tally(spec, g, prof, d, budget)
+            assert got[0] > 0 and got[2] > 0
+            assert got == counted(spec, g, prof, d, budget)
+            assert all(row[0][:2] == (0, 1) for _, row in got[4])
+            kept = RelationTally()
+            kept.fold(spec, got, g, 5)
+            assert [(w.n, w.edges, w.subject, w.lhs, w.rhs) for w in kept.witnesses] == [
+                (g.n, g.edges, r.subject, r.lhs, r.rhs)
+                for r in (make_result(spec, status, row) for status, row in got[4][:5])
+            ]
+            assert len(kept.witnesses) == 5 and kept.violated == got[2]
 
 
 class TestProperties:
