@@ -347,6 +347,81 @@ def enumerate_connected_range(n: int, start: int, stop: int | None) -> Iterator[
 
 
 # ---------------------------------------------------------------------------
+# Isomorphism classes of adjacency bitmasks
+# ---------------------------------------------------------------------------
+
+# n = 7 has 2^21 masks; n = 8 would take a 2^28-entry table
+MASK_CLASSES_MAX_N = 7
+
+
+@cache
+def _pair_bits(n: int) -> dict[tuple[int, int], int]:
+    return {pair: 1 << k for k, pair in enumerate(_pair_table(n))}
+
+
+def adjacency_mask(g: Graph) -> int:
+    """The adjacency bitmask of g, in the enumerator's bit order."""
+    return sum(map(_pair_bits(g.n).__getitem__, g.edges))
+
+
+def _plain_changes(n: int) -> list[int]:
+    """The n! - 1 adjacent swaps of plain changes (Steinhaus-Johnson-Trotter):
+    swapping positions i and i + 1 for each i in turn, starting from any
+    arrangement of n items, passes through every arrangement exactly once.
+    The largest item sweeps across the others between the swaps of the
+    n - 1 smaller items' own plain changes."""
+    if n <= 1:
+        return []
+    inner = _plain_changes(n - 1)
+    swaps = []
+    for k in range(len(inner) + 1):
+        # even k: sweep the largest item to the front, after which the
+        # smaller items sit one position higher
+        swaps.extend(range(n - 2, -1, -1) if k % 2 == 0 else range(n - 1))
+        if k < len(inner):
+            swaps.append(inner[k] + (k % 2 == 0))
+    return swaps
+
+
+@cache
+def mask_classes(n: int) -> tuple[int, ...]:
+    """For each adjacency bitmask on n vertices (the enumerator's bit order),
+    the least mask of its orbit under vertex relabelling, so that two masks
+    share an entry exactly when their graphs are isomorphic. n must be at
+    most ``MASK_CLASSES_MAX_N``. Cached per n.
+
+    Masks are walked in ascending order, so the first mask of each orbit met
+    is its least; the orbit is then flooded by plain changes, n! - 1
+    transpositions of adjacent vertices that together reach every
+    relabelling, each applied to a mask through per-byte lookup tables.
+    """
+    if not 0 <= n <= MASK_CLASSES_MAX_N:
+        raise ValueError(f"mask classes support 0 <= n <= {MASK_CLASSES_MAX_N}, got {n}")
+    pairs = _pair_table(n)
+    bit = _pair_bits(n)
+    # per transposition (i, i + 1): what it makes of each value of bytes 0..2
+    # of a mask (21 bits at n = 7)
+    transpositions = []
+    for i in range(n - 1):
+        swap = {i: i + 1, i + 1: i}
+        image = [bit[tuple(sorted((swap.get(u, u), swap.get(v, v))))] for u, v in pairs]
+        image += [0] * (24 - len(image))
+        transpositions.append(tuple(
+            [sum(image[8 * b + j] for j in range(8) if byte >> j & 1) for byte in range(256)]
+            for b in range(3)
+        ))
+    steps = [transpositions[i] for i in _plain_changes(n)]
+    classes = [-1] * (1 << len(pairs))
+    for mask in range(len(classes)):
+        if classes[mask] < 0:
+            x = classes[mask] = mask
+            for low, mid, high in steps:
+                x = low[x & 255] | mid[x >> 8 & 255] | high[x >> 16]
+                classes[x] = mask
+    return tuple(classes)
+
+
+# ---------------------------------------------------------------------------
 # Vertex subsets
 # ---------------------------------------------------------------------------
 

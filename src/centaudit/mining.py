@@ -10,19 +10,36 @@ Work is embarrassingly parallel: the enumeration bitmask range (or the trial
 range) is split into contiguous chunks, each a graph source mined as one
 shard, and shard reports merge in a fixed order, so multi-worker runs are
 byte-identical to single-worker runs.
+
+An exhaustive shard evaluates one graph per isomorphism class
+(:func:`graphs.mask_classes`): every status count, and both audit
+predicates, are the same on all relabelled copies of a graph, whose subject
+statuses are a permutation of each other's. The other graphs of a class
+reuse its counts, in a memo that lives for one shard. Witnesses are kept per
+labeled graph, so a graph whose class violates a relation that still has
+witness room is evaluated again for that relation, and reports stay
+byte-identical to evaluating every graph. Random shards evaluate every graph.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import relations as rel
-from .graphs import Graph, enumerate_connected_range, generate, model_row
+from .graphs import (
+    Graph,
+    adjacency_mask,
+    enumerate_connected_range,
+    generate,
+    mask_classes,
+    model_row,
+)
 from .metrics import apsp, profile
 from .relations import RelationSpec, Subject
 
@@ -30,9 +47,14 @@ DEFAULT_WITNESS_CAP = 16
 SUBSET_BUDGET_PER_GRAPH = 512  # at most this many R6 subsets per graph
 CONNECTIVITY_RETRY_CAP = 1000
 MAX_RETRY_CAP = 1 << 20  # the attempt index fills 20 bits of a derived seed
-# largest exhaustive n: n = 8 has 251,548,592 labeled connected graphs, about
-# two days of mining on one core (extrapolated from n = 7)
+# largest exhaustive n: n = 8 has 251,548,592 labeled connected graphs to walk
+# and a 2^28-entry class table; an exact n = 8 audit needs isomorph-free
+# generation instead
 EXHAUSTIVE_N_MAX = 7
+# Exhaustive shards reuse one graph's counts for all its relabelled copies.
+# For R6 that is exact only while the budget covers every vertex subset of a
+# host, 2^n - n - 1 of them (n <= 9), so that relabelling permutes them.
+assert (1 << EXHAUSTIVE_N_MAX) - EXHAUSTIVE_N_MAX - 1 <= SUBSET_BUDGET_PER_GRAPH
 
 
 def _check_n_max(n_max: int) -> None:
@@ -73,24 +95,28 @@ class RelationTally:
     def subjects(self) -> int:
         return self.holds + self.equality + self.violated + self.skipped
 
-    def fold(self, spec: RelationSpec, counts: tuple, g: Graph, cap: int) -> None:
-        """Add one graph's :func:`relations.tally` of ``spec`` and keep its
-        violations as witnesses while fewer than ``cap`` are kept."""
-        holds, equality, violated, skipped, violations = counts
+    def add(self, holds: int, equality: int, violated: int, skipped: int) -> None:
         self.holds += holds
         self.equality += equality
         self.violated += violated
         self.skipped += skipped
-        if violations:
-            for status, row in violations[:cap - len(self.witnesses)]:
-                result = rel.make_result(spec, status, row)
-                self.witnesses.append(Witness(g.n, g.edges, result.subject, result.lhs, result.rhs))
+
+    def fold(self, spec: RelationSpec, counts: tuple, g: Graph, cap: int) -> None:
+        """Add one graph's :func:`relations.tally` of ``spec`` and keep its
+        violations as witnesses while fewer than ``cap`` are kept."""
+        *statuses, violations = counts
+        self.add(*statuses)
+        self.keep(spec, violations, g, cap)
+
+    def keep(self, spec: RelationSpec, violations: list, g: Graph, cap: int) -> None:
+        """Keep g's violated outcomes of ``spec`` as witnesses while fewer
+        than ``cap`` are kept."""
+        for status, row in violations[:cap - len(self.witnesses)]:
+            result = rel.make_result(spec, status, row)
+            self.witnesses.append(Witness(g.n, g.edges, result.subject, result.lhs, result.rhs))
 
     def merge(self, other: "RelationTally", cap: int) -> None:
-        self.holds += other.holds
-        self.equality += other.equality
-        self.violated += other.violated
-        self.skipped += other.skipped
+        self.add(other.holds, other.equality, other.violated, other.skipped)
         room = cap - len(self.witnesses)
         if room > 0:
             self.witnesses.extend(other.witnesses[:room])
@@ -189,15 +215,64 @@ class _Shard:
 def _evaluate_into(
     g: Graph,
     specs: Sequence[RelationSpec],
-    tallies: dict[str, RelationTally],
+    tallies: Sequence[RelationTally],
     audit: GeodeticAudit,
     cap: int,
-) -> None:
+) -> tuple[bool, bool, list[tuple[int, int, int, int]]]:
+    """Fold g's tally of each spec into the tally at the same index, record
+    g in the audit, and return g's (geodetic, even_cycle_free, per-spec
+    (holds, equality, violated, skipped))."""
     d = apsp(g)
     prof = profile(g, d)
     audit.record(g, prof.geodetic, prof.even_cycle_free, cap)
-    for spec in specs:
-        tallies[spec.id].fold(spec, rel.tally(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH), g, cap)
+    counts = []
+    for spec, tally in zip(specs, tallies):
+        graph_tally = rel.tally(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH)
+        tally.fold(spec, graph_tally, g, cap)
+        counts.append(graph_tally[:4])
+    return prof.geodetic, prof.even_cycle_free, counts
+
+
+def _mine_classes(
+    graphs: Iterable[Graph],
+    n: int,
+    specs: Sequence[RelationSpec],
+    tallies: Sequence[RelationTally],
+    shard: "_Shard",
+    cap: int,
+) -> None:
+    """Mine labeled graphs on n vertices, evaluating the first graph of each
+    isomorphism class; the class's later graphs add its counts. A later
+    graph is evaluated again only for the relations its class violates that
+    still have witness room, and keeps the same witnesses as when every
+    graph is evaluated."""
+    classes = mask_classes(n)
+    # class -> (geodetic, even_cycle_free, per-spec counts, the (spec, tally)
+    # pairs of the relations it violates), from its first graph
+    memo: dict[int, tuple] = {}
+    copies: Counter[int] = Counter()  # class -> graphs after its first
+    for g in graphs:
+        shard.graphs += 1
+        key = classes[adjacency_mask(g)]
+        known = memo.get(key)
+        if known is None:
+            geodetic, even_cycle_free, counts = _evaluate_into(g, specs, tallies, shard.audit, cap)
+            violated = [(spec, tally) for spec, tally, graph_counts in zip(specs, tallies, counts)
+                        if graph_counts[2]]
+            memo[key] = geodetic, even_cycle_free, counts, violated
+            continue
+        copies[key] += 1
+        geodetic, even_cycle_free, _, violated = known
+        shard.audit.record(g, geodetic, even_cycle_free, cap)
+        reread = [(spec, tally) for spec, tally in violated if len(tally.witnesses) < cap]
+        if reread:
+            d = apsp(g)
+            prof = profile(g, d)
+            for spec, tally in reread:
+                tally.keep(spec, rel.tally(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH)[4], g, cap)
+    for key, times in copies.items():
+        for tally, graph_counts in zip(tallies, memo[key][2]):
+            tally.add(*(times * count for count in graph_counts))
 
 
 def _new_tallies(relation_ids: tuple[str, ...]) -> dict[str, RelationTally]:
@@ -205,13 +280,20 @@ def _new_tallies(relation_ids: tuple[str, ...]) -> dict[str, RelationTally]:
 
 
 def _mine_shard(args) -> _Shard:
-    """Evaluate every graph of one source, a picklable zero-argument callable."""
-    source, relation_ids, cap = args
+    """Mine one source, a picklable zero-argument callable yielding graphs.
+    ``n`` is the vertex count of an exhaustive source, mined once per
+    isomorphism class, and None for a random one, whose every graph is
+    evaluated."""
+    source, relation_ids, cap, n = args
     specs = [rel.relation(rid) for rid in relation_ids]
     shard = _Shard(0, _new_tallies(relation_ids), GeodeticAudit())
+    tallies = [shard.tallies[rid] for rid in relation_ids]
+    if n is not None:
+        _mine_classes(source(), n, specs, tallies, shard, cap)
+        return shard
     for g in source():
         shard.graphs += 1
-        _evaluate_into(g, specs, shard.tallies, shard.audit, cap)
+        _evaluate_into(g, specs, tallies, shard.audit, cap)
     return shard
 
 
@@ -265,8 +347,9 @@ def _check_limits(witness_cap: int, workers: int) -> int:
 
 
 def _report(population, sources, ids, cap, workers) -> MiningReport:
-    """Mine each graph source as one shard and merge the shards in order."""
-    shards = _run_tasks([(source, ids, cap) for source in sources], workers)
+    """Mine each ``(graph source, n)`` pair as one shard (see
+    :func:`_mine_shard`) and merge the shards in order."""
+    shards = _run_tasks([(source, ids, cap, n) for source, n in sources], workers)
     merged = _merge_shards(shards, ids, cap)
     return MiningReport(
         population=population,
@@ -295,7 +378,7 @@ def mine_exhaustive(
         total = 1 << (n * (n - 1) // 2)
         chunk = -(-total // workers)
         for lo in range(0, total, chunk):
-            sources.append(partial(enumerate_connected_range, n, lo, min(lo + chunk, total)))
+            sources.append((partial(enumerate_connected_range, n, lo, min(lo + chunk, total)), n))
     population = {"kind": "exhaustive", "n_min": 2, "n_max": n_max}
     return _report(population, sources, ids, witness_cap, workers)
 
@@ -332,7 +415,7 @@ def mine_random(
     params = {key: params[key] for key in sorted(params)}
     chunk = -(-trials // workers)
     sources = [
-        partial(_trial_graphs, model, params, seed, lo, min(lo + chunk, trials), attempts)
+        (partial(_trial_graphs, model, params, seed, lo, min(lo + chunk, trials), attempts), None)
         for lo in range(0, trials, chunk)
     ]
     population = {

@@ -8,13 +8,15 @@ empirically and violations are reported without failing a run.
 
 Each catalog row holds a relation's comparison and its evaluator. An
 evaluator yields one row per subject, ``(subject, lhs_num, lhs_den, rhs_num,
-rhs_den, precondition_ok)``: each side is an integer numerator over a positive
-denominator, not necessarily in lowest terms. Evaluators read the integer
-fields of the :class:`CentralityProfile` and never its Fraction views.
-Neighborhood, subset and vertex-deletion means come from integer
-pair-distance sums over the ambient distance matrix, clustering from the
-profile's edge counts among neighbors and its average-clustering pair, and
-per-graph sums over vertices share one common denominator.
+rhs_den, precondition_ok)``; a per-subgraph one also takes the number of
+subjects to yield, so that it computes no more than are read. Each side is
+an integer numerator over a positive denominator, not necessarily in lowest
+terms. Evaluators read the integer fields of the :class:`CentralityProfile`
+and never its Fraction views. Neighborhood, subset and vertex-deletion means
+come from integer pair-distance sums over the ambient distance matrix,
+clustering from the profile's edge counts among neighbors and its
+average-clustering pair, and per-graph sums over vertices share one common
+denominator.
 
 :func:`evaluate` decides every status, from the sign of
 ``lhs_num * rhs_den - rhs_num * lhs_den`` oriented by the comparison, and
@@ -81,7 +83,8 @@ Ratio = tuple[int, int]
 Row = tuple[Subject, int, int, int, int, bool]
 # (status, row): what evaluate returns per subject
 Outcome = tuple[str, Row]
-# (graph, profile, distances) -> one row per subject
+# (graph, profile, distances), and for a per-subgraph relation the number of
+# subjects to yield (None: all) -> one row per subject
 Evaluator = Callable[..., Iterator[Row]]
 
 
@@ -340,11 +343,11 @@ def _sampled_pair_sums(dist, top: int, stream):
     return ((members, t >> 1) for (members, _), t in zip(subjects, doubled))
 
 
-def _eval_r6(g, prof, d):
+def _eval_r6(g, prof, d, max_subjects):
     n = g.n
     ln, ld = prof.distance_total, n * (n - 1)
     dist = d.dist
-    stream = subset_stream(n)
+    stream = islice(subset_stream(n), max_subjects)
     if n > SUBSET_ENUMERATION_MAX_N:
         sums = _sampled_pair_sums(dist, d.diameter, stream)
     else:
@@ -638,9 +641,10 @@ def evaluate(
     """
     if g.n < 2:
         raise ValueError("relation evaluation needs at least 2 vertices")
-    rows = spec.evaluator(g, prof, d)
     if spec.scope == PER_SUBGRAPH:
-        rows = islice(rows, max_subjects)
+        rows = spec.evaluator(g, prof, d, max_subjects)
+    else:
+        rows = spec.evaluator(g, prof, d)
     holds_sign = _HOLDS_SIGN[spec.sense]
     outcomes = []
     for row in rows:

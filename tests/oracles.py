@@ -9,14 +9,16 @@ cycles instead of block decomposition, clustering scans the edge list for
 edges among each vertex's neighbors and for triangles among all vertex
 triples instead of intersecting adjacency sets, closed-neighborhood
 radiality is measured on the relabeled induced subgraph instead of read off
-the profile, and the relation sides are stated in Fractions straight from
-the catalog statements instead of as integer pairs over common denominators.
+the profile, the relation sides are stated in Fractions straight from
+the catalog statements instead of as integer pairs over common denominators,
+and a graph's isomorphism class is its least bitmask over all n!
+relabellings instead of a flood through adjacent transpositions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from centaudit import Graph
 
@@ -43,15 +45,36 @@ def union_find_connected(n: int, edges) -> bool:
     return components == 1
 
 
+def mask_edges(n: int, mask: int) -> list[tuple[int, int]]:
+    """The edges of an adjacency bitmask: bit k is the k-th pair of
+    ``combinations(range(n), 2)``."""
+    pairs = list(combinations(range(n), 2))
+    return [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+
+
+def labeled_connected_masks(n: int):
+    """(mask, edges) of every labeled connected graph on n vertices, in
+    ascending bitmask order, by filtering every edge subset."""
+    for mask in range(1 << n * (n - 1) // 2):
+        edges = mask_edges(n, mask)
+        if union_find_connected(n, edges):
+            yield mask, edges
+
+
 def count_connected_graphs(n: int) -> int:
     """Count labeled connected graphs by filtering every edge subset."""
-    pairs = list(combinations(range(n), 2))
-    total = 0
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-        if union_find_connected(n, edges):
-            total += 1
-    return total
+    return sum(1 for _ in labeled_connected_masks(n))
+
+
+def canonical_mask(n: int, mask: int) -> int:
+    """The least bitmask of the graph ``mask`` over all n! relabellings of
+    its vertices: equal exactly for isomorphic graphs."""
+    index = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
+    edges = mask_edges(n, mask)
+    return min(
+        sum(1 << index[min(p[u], p[v]), max(p[u], p[v])] for u, v in edges)
+        for p in permutations(range(n))
+    )
 
 
 def neighbor_sets(g: Graph) -> list[set[int]]:

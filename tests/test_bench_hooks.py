@@ -5,17 +5,24 @@ hooks live: every wrapped attribute must exist and be callable, a traced
 graph, and a traced ``mine`` must report one span per relation evaluation,
 whose sized result counts the subjects. ``perfbench/`` is only read here, never
 modified.
+
+Random mining evaluates every graph. Exhaustive mining evaluates one graph
+per isomorphism class and re-reads a later one only for its witnesses, so
+its evaluations are counted from the oracles (:func:`class_memo_reads`).
 """
 
 import importlib
 import io
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from centaudit import (
+    RELATION_IDS,
+    Graph,
     apsp,
     metrics,
     profile,
@@ -24,8 +31,39 @@ from centaudit import (
     watts_strogatz_graph,
 )
 from centaudit.cli import main
+from centaudit.mining import DEFAULT_WITNESS_CAP
+from oracles import SENSE, canonical_mask, labeled_connected_masks, relation_sides, relation_status
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+RANDOM_MINE = ["mine", "--model", "gnp", "--n", "6", "--p", "0.5", "--trials", "4", "--seed", "1"]
+
+
+def class_memo_reads(n_max, relation_ids, cap=DEFAULT_WITNESS_CAP):
+    """What one-worker exhaustive mining must evaluate: each relation on the
+    first labeled graph of every isomorphism class, and again on a later
+    graph of a class that violates it while fewer than ``cap`` of its
+    witnesses are kept. Returns (graphs evaluated, evaluations per relation,
+    subjects evaluated), from the oracles' canonical forms and relation
+    statuses."""
+    graphs, evaluations, subjects = 0, Counter(), 0
+    for n in range(2, n_max + 1):
+        seen, kept = set(), Counter()  # one shard per n
+        for mask, edges in labeled_connected_masks(n):
+            sides = relation_sides(Graph.from_edges(n, edges))
+            key = canonical_mask(n, mask)
+            first = key not in seen
+            seen.add(key)
+            read = False
+            for rid in relation_ids:
+                violated = sum(relation_status(SENSE[rid], *s)[0] == "violated"
+                               for s in sides[rid].values())
+                if first or (violated and kept[rid] < cap):
+                    read = True
+                    evaluations[rid] += 1
+                    subjects += len(sides[rid])
+                kept[rid] = min(cap, kept[rid] + violated)
+            graphs += first or read
+    return graphs, dict(evaluations), subjects
 
 
 @pytest.fixture
@@ -72,25 +110,40 @@ def test_traced_compute_reports_stress_span(spans):
     assert parent == "metrics.profile"
 
 
-def test_traced_mine_reports_relation_spans(spans):
+def traced_mine(spans, argv):
+    """The tracer and JSON payload of one traced ``mine`` call."""
     tracer = spans.Tracer()
     out = io.StringIO()
     with spans.traced(tracer):
         root = tracer.open(tracer.ROOT)
-        assert main(["mine", "--n-max", "3", "--format", "json"], out=out) == 0
+        assert main(argv + ["--format", "json"], out=out) == 0
         tracer.close(root)
     assert not spans.nesting_errors(tracer.spans)
     parents = {tracer.spans[parent][0] for name, parent, *_ in tracer.spans
                if name.startswith("relations.")}
     assert parents == {"mining"}
     payload = json.loads(out.getvalue())["payload"]
+    assert {name for name, *_ in tracer.spans if name.startswith("relations.")} == {
+        f"relations.{rid}" for rid in payload["relations"]
+    }
+    return tracer, payload
+
+
+def test_traced_mine_reports_relation_spans(spans):
+    tracer, payload = traced_mine(spans, RANDOM_MINE)
     tallies = payload["relations"].values()
     assert tracer.counts["relations.subjects"] == sum(
         t["holds"] + t["equality"] + t["violated"] + t["skipped"] for t in tallies
     )
-    assert {name for name, *_ in tracer.spans if name.startswith("relations.")} == {
-        f"relations.{rid}" for rid in payload["relations"]
+    assert payload["graphs_evaluated"] == 4
+    assert {rid: tracer.counts[f"relations.{rid}"] for rid in payload["relations"]} == {
+        rid: 4 for rid in RELATION_IDS
     }
+
+    tracer, payload = traced_mine(spans, ["mine", "--n-max", "3"])
+    _, evaluations, subjects = class_memo_reads(3, RELATION_IDS)
+    assert tracer.counts["relations.subjects"] == subjects
+    assert {rid: tracer.counts[f"relations.{rid}"] for rid in payload["relations"]} == evaluations
 
 
 def test_profile_calls_stress_once(stress_calls):
@@ -102,7 +155,16 @@ def test_profile_calls_stress_once(stress_calls):
 
 def test_mining_calls_stress_once_per_graph(stress_calls):
     out = io.StringIO()
+    assert main(RANDOM_MINE + ["--format", "json"], out=out) == 0
+    payload = json.loads(out.getvalue())["payload"]
+    assert len(stress_calls) == payload["graphs_evaluated"] == 4
+
+    stress_calls.clear()
+    out = io.StringIO()
     assert main(["mine", "--n-max", "4", "--relations", "R12", "--format", "json"],
                 out=out) == 0
     payload = json.loads(out.getvalue())["payload"]
-    assert len(stress_calls) == payload["graphs_evaluated"] == 43
+    assert payload["graphs_evaluated"] == 43
+    # 9 classes, and 5 later graphs re-read for R12's witnesses
+    graphs, evaluations, _ = class_memo_reads(4, ["R12"])
+    assert len(stress_calls) == graphs == evaluations["R12"] == 9 + 5

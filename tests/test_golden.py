@@ -14,13 +14,17 @@ recorded before the profile kept its quantities as integers. The three
 random mines of G(40, 0.15), P72 (R6 alone) and WS(73, 4, 0.1) were recorded
 before the miner counted R6 on sampled hosts of at most 72 vertices on subset
 lanes: the first two run on its 16- and 32-bit lanes, the third on the digit
-rows just above that bound. Any refactor must leave these bytes unchanged.
+rows just above that bound. The one-worker n = 6 mining document, and the
+n = 7 one (1,866,256 graphs, opt-in: about half a minute), were recorded
+before exhaustive shards evaluated one graph per isomorphism class. Any
+refactor must leave these bytes unchanged.
 
 The graphs are fed on stdin so that the echoed ``command`` holds no file path.
 """
 
 import hashlib
 import io
+import os
 import sys
 
 import pytest
@@ -63,7 +67,8 @@ GOLDEN = {
     "compute-gnp12-text": "cf63026866f40e896809cd109840d20c5735a0c3537c934012e13325c949f167",
     # one worker; six trials cover the trial shard and R6's 512-subject budget
     "mine-ws24-json": "0011fcaa42280519dcc1001c32b19703b56424e526bf0c43395de1f6f2cd565b",
-    # every labeled connected graph on up to 6 vertices, two shards per n
+    # every labeled connected graph on up to 6 vertices, one and two shards per n
+    "mine-n6-json": "1f64dce07282bb303f9b9bbea3fc69f3989337a1d95c04964b8485e99696a432",
     "mine-n6w2-json": "8406239124d86064bd424cf1ec9b52be4b56dabcb82c450385b493f7623dbd4c",
     "mine-gnp40-json": "7d716f6817ab4f075365a5cf492d781c0a566f66714df2fac318640d441d5e2a",
     "mine-path72-json": "72e392bbc2fae34333407c4bc595caa6456cca032f5eb50a911269f04883b249",
@@ -72,6 +77,7 @@ GOLDEN = {
 
 MINE_ARGV = {
     "n5": ["mine", "--n-max", "5"],
+    "n6": ["mine", "--n-max", "6"],
     "n6w2": ["mine", "--n-max", "6", "--workers", "2"],
     "ws24": ["mine", "--model", "watts_strogatz", "--n", "24", "--k", "4",
              "--p", "0.1", "--trials", "6", "--seed", "1"],
@@ -109,3 +115,14 @@ def test_document_bytes_unchanged(name):
     assert code == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[name]
 
+
+
+MINE_N7_JSON = "bffa34c5429612aefa3f1566094b34966fcefa03b50c1b16f8c97826582180d8"
+
+
+@pytest.mark.skipif(os.environ.get("CENTAUDIT_MINE_N7") != "1",
+                    reason="set CENTAUDIT_MINE_N7=1 to mine every graph on up to 7 vertices")
+def test_mine_n7_document_bytes_unchanged():
+    out = io.StringIO()
+    assert main(["mine", "--n-max", "7", "--format", "json"], out=out, err=io.StringIO()) == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == MINE_N7_JSON

@@ -1,5 +1,6 @@
 import io
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,8 +24,14 @@ from centaudit import (
     watts_strogatz_graph,
 )
 from centaudit.cli import EXIT_DISCONNECTED, main
-from centaudit.graphs import SUBSET_SAMPLE_COUNT, enumerate_connected_range, subset_stream
-from oracles import count_connected_graphs, union_find_connected
+from centaudit.graphs import (
+    SUBSET_SAMPLE_COUNT,
+    adjacency_mask,
+    enumerate_connected_range,
+    mask_classes,
+    subset_stream,
+)
+from oracles import canonical_mask, count_connected_graphs, mask_edges, union_find_connected
 
 
 @st.composite
@@ -257,6 +264,42 @@ class TestEnumeration:
         assert list(enumerate_connected_range(3, 7, 8)) == [complete_graph(3)]
         assert list(enumerate_connected_range(3, 3, 4)) == [star_graph(2)]
         assert list(enumerate_connected_range(3, 8, 9)) == []
+
+
+class TestMaskClasses:
+    """graphs.mask_classes against a brute-force canonical form, and the
+    known counts of graphs up to isomorphism."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_every_mask_matches_the_oracle(self, n):
+        classes = mask_classes(n)
+        assert len(classes) == 1 << n * (n - 1) // 2
+        assert list(classes) == [canonical_mask(n, mask) for mask in range(len(classes))]
+
+    # unlabeled graphs on n vertices (OEIS A000088), and connected ones (A001349)
+    @pytest.mark.parametrize("n, graphs, connected", [
+        (1, 1, 1), (2, 2, 1), (3, 4, 2), (4, 11, 6), (5, 34, 21), (6, 156, 112),
+    ])
+    def test_class_counts(self, n, graphs, connected):
+        classes = set(mask_classes(n))
+        assert len(classes) == graphs
+        assert sum(union_find_connected(n, mask_edges(n, c)) for c in classes) == connected
+
+    @pytest.mark.parametrize("n, labeled", [(2, 1), (3, 4), (4, 38), (5, 728), (6, 26704)])
+    def test_connected_orbits_sum_to_labeled_counts(self, n, labeled):
+        orbits = Counter(mask_classes(n))
+        assert sum(size for c, size in orbits.items()
+                   if union_find_connected(n, mask_edges(n, c))) == labeled
+
+    @pytest.mark.parametrize("n", [-1, 8])
+    def test_out_of_range(self, n):
+        with pytest.raises(ValueError):
+            mask_classes(n)
+
+    def test_adjacency_mask_is_the_enumerators(self):
+        for mask in range(1 << 10):
+            for g in enumerate_connected_range(5, mask, mask + 1):
+                assert adjacency_mask(g) == mask
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from centaudit import mining
+from centaudit.relations import tally
 from centaudit import (
     EQUALITY,
     VIOLATED,
@@ -151,6 +152,63 @@ class TestMineExhaustive:
                 c["holds"], c["equality"], c["violated"], c["skipped-precondition"]), rid
             assert [(w.n, w.edges, w.subject, w.lhs, w.rhs) for w in t.witnesses] == \
                 violated[rid][:report.witness_cap], rid
+
+
+class TestClassMemo:
+    """Exhaustive shards evaluate one graph per isomorphism class and reuse
+    its counts for the others. Their reports must equal a fold of
+    relations.tally over every labeled graph, in enumeration order."""
+
+    @pytest.fixture(scope="class")
+    def per_graph(self):
+        """(graph, geodetic, even-cycle-free, tally per relation) of every
+        labeled connected graph on 2..6 vertices."""
+        specs = [relation(rid) for rid in RELATION_IDS]
+        rows = []
+        for n in range(2, 7):
+            for g in enumerate_connected(n):
+                d = apsp(g)
+                prof = profile(g, d)
+                rows.append((g, prof.geodetic, prof.even_cycle_free, [
+                    tally(spec, g, prof, d, mining.SUBSET_BUDGET_PER_GRAPH) for spec in specs
+                ]))
+        return rows
+
+    @staticmethod
+    def fold(per_graph, cap):
+        """The report fingerprint of folding every graph's tallies in order,
+        keeping the first ``cap`` witnesses of each list."""
+        counts = {rid: [0, 0, 0, 0] for rid in RELATION_IDS}
+        witnesses = {rid: [] for rid in RELATION_IDS}
+        audit = Counter()
+        audit_witnesses = {True: [], False: []}  # keyed by geodetic
+        for g, geodetic, ecf, tallies in per_graph:
+            audit[geodetic, ecf] += 1
+            if geodetic != ecf and len(audit_witnesses[geodetic]) < cap:
+                audit_witnesses[geodetic].append(mining.Witness(g.n, g.edges, None, 0, 0))
+            for rid, (*statuses, violations) in zip(RELATION_IDS, tallies):
+                counts[rid] = [a + b for a, b in zip(counts[rid], statuses)]
+                for status, row in violations:
+                    if len(witnesses[rid]) < cap:
+                        r = make_result(relation(rid), status, row)
+                        witnesses[rid].append(mining.Witness(g.n, g.edges, r.subject, r.lhs, r.rhs))
+        return (
+            {"kind": "exhaustive", "n_min": 2, "n_max": 6},
+            RELATION_IDS,
+            len(per_graph),
+            {rid: (*counts[rid], tuple(witnesses[rid])) for rid in RELATION_IDS},
+            (len(per_graph), audit[True, True], audit[True, False], audit[False, True],
+             audit[False, False], tuple(audit_witnesses[True]), tuple(audit_witnesses[False])),
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cap", [0, 1, 3, 16])
+    def test_equals_a_fold_over_every_graph(self, per_graph, cap, workers):
+        report = mine_exhaustive(6, witness_cap=cap, workers=workers)
+        expected = self.fold(per_graph, cap)
+        assert report_fingerprint(report) == expected
+        if cap:
+            assert report.tallies["R12"].witnesses and report.geodetic_audit.geodetic_not_ecf_witnesses
 
 
 class TestFractionsBuilt:

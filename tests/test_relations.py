@@ -541,6 +541,20 @@ class TestTally:
         assert evaluated.count("R6") == (2 if width is None else 0)
         assert len(evaluated) == 2 * len(catalog()) - (width is not None) * 2
 
+    @pytest.mark.parametrize("budget", [SUBSET_BUDGET_PER_GRAPH, None])
+    def test_lanes_transpose_only_the_subsets_read(self, budget, monkeypatch):
+        """A budgeted evaluate hands the subset lanes only the masks it keeps."""
+        g = watts_strogatz_graph(24, 4, 0.1, seed=0)
+        d = apsp(g)
+        prof = profile(g, d)
+        lanes = []
+        original = relations._lane_pair_sums
+        monkeypatch.setattr(relations, "_lane_pair_sums", lambda dist, top, masks: (
+            lanes.append(len(masks)) or original(dist, top, masks)))
+        read = budget or SUBSET_SAMPLE_COUNT
+        assert len(evaluate(relation("R6"), g, prof, d, budget)) == read
+        assert lanes == [read]
+
     def test_violations_on_a_doctored_matrix(self):
         """With d(0, 1) of C33 raised far past the diameter, the subsets
         holding both 0 and 1 violate R6. The count path must see them in
