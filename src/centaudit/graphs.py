@@ -6,11 +6,12 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, compress
 from random import Random
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class EdgeListError(ValueError):
@@ -69,23 +70,23 @@ class Graph:
 
     def is_connected(self) -> bool:
         """True iff every vertex is reachable from vertex 0 (vacuously for n <= 1)."""
-        rows = [0] * self.n
-        for u, v in self.edges:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return _rows_connected(rows)
+        return _edges_connected(self.n, self.edges)
 
     def check_vertex(self, v: int) -> None:
         if not (isinstance(v, int) and 0 <= v < self.n):
             raise ValueError(f"invalid vertex id {v!r} for graph on {self.n} vertices")
 
 
-def _rows_connected(rows: Sequence[int]) -> bool:
-    """True iff breadth-first search from vertex 0 reaches every vertex, over
-    adjacency bit rows (bit v of ``rows[u]`` set for each edge u-v); vacuously
-    true for n <= 1."""
-    if len(rows) <= 1:
+def _edges_connected(n: int, edges: Iterable[tuple[int, int]]) -> bool:
+    """True iff breadth-first search from vertex 0 reaches every vertex of the
+    graph on n vertices with these edges, over adjacency bit rows (bit v of
+    ``rows[u]`` set for each edge u-v); vacuously true for n <= 1."""
+    if n <= 1:
         return True
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
     frontier = rows[0]
     seen = frontier | 1
     while frontier:
@@ -96,7 +97,7 @@ def _rows_connected(rows: Sequence[int]) -> bool:
             frontier ^= low
         frontier = reach & ~seen
         seen |= frontier
-    return seen == (1 << len(rows)) - 1
+    return seen == (1 << n) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +309,34 @@ def generate(model: str, params: Mapping[str, object], seed: int = 0) -> Graph:
 MAX_ENUMERATION_N = 8
 
 
-def _pair_table(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+@cache
+def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+
+
+def _mask_edges(n: int, mask: int) -> tuple[tuple[int, int], ...]:
+    """The vertex pairs whose bits are set in an adjacency bitmask on n
+    vertices, lowest bit first: the canonical (sorted) edge order."""
+    pairs = _pair_table(n)
+    if not 0 <= mask < 1 << len(pairs):
+        raise ValueError(f"adjacency bitmask on {n} vertices must be in 0..2^{len(pairs)} - 1")
+    edges = []
+    while mask:
+        low = mask & -mask
+        edges.append(pairs[low.bit_length() - 1])
+        mask ^= low
+    return tuple(edges)
+
+
+def mask_graph(n: int, mask: int) -> Graph:
+    """The labeled graph on n vertices with this adjacency bitmask."""
+    return Graph(n, _mask_edges(n, mask))
+
+
+def mask_connected(n: int, mask: int) -> bool:
+    """Whether the graph of an adjacency bitmask on n vertices is connected,
+    decided without building it."""
+    return _edges_connected(n, _mask_edges(n, mask))
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
@@ -326,24 +353,15 @@ def enumerate_connected_range(n: int, start: int, stop: int | None) -> Iterator[
     """
     if not 1 <= n <= MAX_ENUMERATION_N:
         raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUMERATION_N}, got {n}")
-    pairs = _pair_table(n)
-    total = 1 << len(pairs)
+    total = 1 << len(_pair_table(n))
     if stop is None or stop > total:
         stop = total
-    start = max(start, 0)
     min_edges = n - 1
-    for mask in range(start, stop):
-        if mask.bit_count() < min_edges:
-            continue
-        rows = [0] * n
-        edges = []
-        for k, (u, v) in enumerate(pairs):
-            if mask >> k & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-                edges.append((u, v))
-        if _rows_connected(rows):
-            yield Graph(n, tuple(edges))
+    for mask in range(max(start, 0), stop):
+        if mask.bit_count() >= min_edges:
+            g = mask_graph(n, mask)
+            if g.is_connected():
+                yield g
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +370,6 @@ def enumerate_connected_range(n: int, start: int, stop: int | None) -> Iterator[
 
 # n = 7 has 2^21 masks; n = 8 would take a 2^28-entry table
 MASK_CLASSES_MAX_N = 7
-
-
-@cache
-def _pair_bits(n: int) -> dict[tuple[int, int], int]:
-    return {pair: 1 << k for k, pair in enumerate(_pair_table(n))}
-
-
-def adjacency_mask(g: Graph) -> int:
-    """The adjacency bitmask of g, in the enumerator's bit order."""
-    return sum(map(_pair_bits(g.n).__getitem__, g.edges))
 
 
 def _plain_changes(n: int) -> list[int]:
@@ -384,11 +392,12 @@ def _plain_changes(n: int) -> list[int]:
 
 
 @cache
-def mask_classes(n: int) -> tuple[int, ...]:
+def mask_classes(n: int) -> memoryview:
     """For each adjacency bitmask on n vertices (the enumerator's bit order),
     the least mask of its orbit under vertex relabelling, so that two masks
-    share an entry exactly when their graphs are isomorphic. n must be at
-    most ``MASK_CLASSES_MAX_N``. Cached per n.
+    share an entry exactly when their graphs are isomorphic: a read-only view
+    of one unsigned array. n must be at most ``MASK_CLASSES_MAX_N``. Cached
+    per n.
 
     Masks are walked in ascending order, so the first mask of each orbit met
     is its least; the orbit is then flooded by plain changes, n! - 1
@@ -398,7 +407,7 @@ def mask_classes(n: int) -> tuple[int, ...]:
     if not 0 <= n <= MASK_CLASSES_MAX_N:
         raise ValueError(f"mask classes support 0 <= n <= {MASK_CLASSES_MAX_N}, got {n}")
     pairs = _pair_table(n)
-    bit = _pair_bits(n)
+    bit = {pair: 1 << k for k, pair in enumerate(pairs)}
     # per transposition (i, i + 1): what it makes of each value of bytes 0..2
     # of a mask (21 bits at n = 7)
     transpositions = []
@@ -411,14 +420,18 @@ def mask_classes(n: int) -> tuple[int, ...]:
             for b in range(3)
         ))
     steps = [transpositions[i] for i in _plain_changes(n)]
-    classes = [-1] * (1 << len(pairs))
-    for mask in range(len(classes)):
-        if classes[mask] < 0:
-            x = classes[mask] = mask
-            for low, mid, high in steps:
-                x = low[x & 255] | mid[x >> 8 & 255] | high[x >> 16]
-                classes[x] = mask
-    return tuple(classes)
+    unset = (1 << 8 * array("I").itemsize) - 1  # above every mask
+    classes = array("I", [unset]) * (1 << len(pairs))
+    mask = 0
+    while True:
+        try:
+            mask = classes.index(unset, mask)
+        except ValueError:
+            return memoryview(classes).toreadonly()
+        x = classes[mask] = mask
+        for low, mid, high in steps:
+            x = low[x & 255] | mid[x >> 8 & 255] | high[x >> 16]
+            classes[x] = mask
 
 
 # ---------------------------------------------------------------------------

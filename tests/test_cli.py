@@ -287,6 +287,7 @@ class TestMine:
 
         monkeypatch.setattr(mining, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(mining, "enumerate_connected_range", refuse)
+        monkeypatch.setattr(mining, "mask_classes", refuse)
         monkeypatch.setattr(mining, "generate", refuse)
         code, out, err = run(["mine"] + argv)
         assert code == EXIT_USAGE and out == ""

@@ -15,16 +15,15 @@ random mines of G(40, 0.15), P72 (R6 alone) and WS(73, 4, 0.1) were recorded
 before the miner counted R6 on sampled hosts of at most 72 vertices on subset
 lanes: the first two run on its 16- and 32-bit lanes, the third on the digit
 rows just above that bound. The one-worker n = 6 mining document, and the
-n = 7 one (1,866,256 graphs, opt-in: about half a minute), were recorded
-before exhaustive shards evaluated one graph per isomorphism class. Any
-refactor must leave these bytes unchanged.
+n = 7 one (1,866,256 graphs, a few seconds), were recorded before exhaustive
+shards evaluated one graph per isomorphism class. Any refactor must leave
+these bytes unchanged.
 
 The graphs are fed on stdin so that the echoed ``command`` holds no file path.
 """
 
 import hashlib
 import io
-import os
 import sys
 
 import pytest
@@ -120,8 +119,6 @@ def test_document_bytes_unchanged(name):
 MINE_N7_JSON = "bffa34c5429612aefa3f1566094b34966fcefa03b50c1b16f8c97826582180d8"
 
 
-@pytest.mark.skipif(os.environ.get("CENTAUDIT_MINE_N7") != "1",
-                    reason="set CENTAUDIT_MINE_N7=1 to mine every graph on up to 7 vertices")
 def test_mine_n7_document_bytes_unchanged():
     out = io.StringIO()
     assert main(["mine", "--n-max", "7", "--format", "json"], out=out, err=io.StringIO()) == 0

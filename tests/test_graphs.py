@@ -26,12 +26,19 @@ from centaudit import (
 from centaudit.cli import EXIT_DISCONNECTED, main
 from centaudit.graphs import (
     SUBSET_SAMPLE_COUNT,
-    adjacency_mask,
     enumerate_connected_range,
     mask_classes,
+    mask_connected,
+    mask_graph,
     subset_stream,
 )
-from oracles import canonical_mask, count_connected_graphs, mask_edges, union_find_connected
+from oracles import (
+    canonical_mask,
+    count_connected_graphs,
+    labeled_connected_masks,
+    mask_edges,
+    union_find_connected,
+)
 
 
 @st.composite
@@ -296,10 +303,20 @@ class TestMaskClasses:
         with pytest.raises(ValueError):
             mask_classes(n)
 
-    def test_adjacency_mask_is_the_enumerators(self):
-        for mask in range(1 << 10):
-            for g in enumerate_connected_range(5, mask, mask + 1):
-                assert adjacency_mask(g) == mask
+    def test_mask_graph_is_the_enumerators(self):
+        for n in range(1, 6):
+            connected = {mask for mask, _ in labeled_connected_masks(n)}
+            for mask in range(1 << n * (n - 1) // 2):
+                g = mask_graph(n, mask)
+                assert g.edges == tuple(mask_edges(n, mask))
+                assert mask_connected(n, mask) == (mask in connected)
+                assert list(enumerate_connected_range(n, mask, mask + 1)) == (
+                    [g] if mask in connected else [])
+
+    @pytest.mark.parametrize("n, mask", [(3, -1), (3, 8), (1, 1)])
+    def test_mask_out_of_range(self, n, mask):
+        with pytest.raises(ValueError):
+            mask_graph(n, mask)
 
 
 # ---------------------------------------------------------------------------

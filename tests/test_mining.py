@@ -26,6 +26,16 @@ from centaudit import (
     relation,
     star_graph,
 )
+from centaudit.mining import DEFAULT_WITNESS_CAP
+from oracles import (
+    SENSE,
+    brute_force_geodetic,
+    canonical_mask,
+    has_even_cycle,
+    labeled_connected_masks,
+    relation_sides,
+    relation_status,
+)
 
 TWELVE_PROVED = ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R10", "R10b", "R11", "R11b")
 
@@ -61,6 +71,33 @@ def replay(relation_id, witness):
         if result.subject == witness.subject:
             return result
     raise AssertionError(f"subject {witness.subject} not found on replay")
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """An in-process stand-in for the process pool on a 2-CPU machine: it
+    records each requested pool size and task count and maps the tasks in
+    this process, so no process is started."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            sizes.append(len(tasks))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(mining, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(mining.os, "cpu_count", lambda: 2)
+    return sizes
 
 
 class TestMineExhaustive:
@@ -211,6 +248,64 @@ class TestClassMemo:
             assert report.tallies["R12"].witnesses and report.geodetic_audit.geodetic_not_ecf_witnesses
 
 
+def walk_decodes(shards, cap):
+    """How many graphs exhaustive shards over the (n, lo, hi) mask ranges
+    must decode, each shard with its own class memo and witness room: the
+    first connected mask of each isomorphism class, and a later one whose
+    class violates a relation, or falls in an audit category, that still has
+    fewer than ``cap`` witnesses. From the oracles' canonical forms,
+    relation statuses and predicates."""
+    decodes = 0
+    facts = {}  # (n, class) -> the witnesses a graph of it gives, per list
+    for n, lo, hi in shards:
+        seen, kept = set(), Counter()
+        for mask, edges in labeled_connected_masks(n):
+            if not lo <= mask < hi:
+                continue
+            key = canonical_mask(n, mask)
+            if (n, key) not in facts:
+                g = Graph.from_edges(n, edges)
+                sides = relation_sides(g)
+                witnesses = Counter({rid: sum(relation_status(SENSE[rid], *s)[0] == "violated"
+                                              for s in sides[rid].values())
+                                     for rid in RELATION_IDS})
+                geodetic, ecf = brute_force_geodetic(g), not has_even_cycle(g)
+                witnesses["audit", geodetic] += geodetic != ecf
+                facts[n, key] = +witnesses
+            witnesses = facts[n, key]
+            decodes += key not in seen or any(kept[name] < cap for name in witnesses)
+            seen.add(key)
+            kept.update(witnesses)
+    return decodes
+
+
+class TestMaskWalk:
+    """Exhaustive shards walk adjacency masks against the class table and
+    decode a labeled graph only where one is read."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cap", [0, DEFAULT_WITNESS_CAP])
+    def test_decodes_only_the_graphs_it_reads(self, pools, monkeypatch, cap, workers):
+        decoded = []
+        original = mining.mask_graph
+
+        def counting(n, mask):
+            decoded.append((n, mask))
+            return original(n, mask)
+
+        monkeypatch.setattr(mining, "mask_graph", counting)
+        report = mine_exhaustive(5, witness_cap=cap, workers=workers)
+        shards = []
+        for n in range(2, 6):
+            total = 1 << n * (n - 1) // 2
+            chunk = -(-total // workers)
+            shards += [(n, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+        assert pools == ([] if workers == 1 else [2, len(shards)])
+        assert report.graphs_evaluated == 771
+        assert len(decoded) == walk_decodes(shards, cap)
+        assert decoded == sorted(set(decoded))  # ascending, each mask once
+
+
 class TestFractionsBuilt:
     """The miner decides every status on integers: it builds Fractions only
     for the two sides of each violation witness it keeps."""
@@ -333,29 +428,6 @@ class TestWorkerBound:
     """``workers`` is capped at the CPU count; an in-process stand-in for the
     process pool records the requested size, so no process is started."""
 
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                tasks = list(tasks)
-                sizes.append(len(tasks))
-                return map(fn, tasks)
-
-        monkeypatch.setattr(mining, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(mining.os, "cpu_count", lambda: 2)
-        return sizes
-
     def test_exhaustive_clamped(self, pools):
         report = mine_exhaustive(3, workers=10**6)
         # pool size 2, then 2 chunks for each of n = 2 and n = 3
@@ -371,8 +443,8 @@ class TestWorkerBound:
 
 class TestLimits:
     """Out-of-range budgets raise ValueError before any graph is mined; the
-    pool, the enumerator and the generator are stubs that refuse to work, so
-    nothing is started."""
+    pool, the enumerator, the class table the exhaustive walk starts from and
+    the generator are stubs that refuse to work, so nothing is started."""
 
     @pytest.fixture(autouse=True)
     def refuse_work(self, monkeypatch):
@@ -381,6 +453,7 @@ class TestLimits:
 
         monkeypatch.setattr(mining, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(mining, "enumerate_connected_range", refuse)
+        monkeypatch.setattr(mining, "mask_classes", refuse)
         monkeypatch.setattr(mining, "generate", refuse)
 
     @pytest.mark.parametrize("kwargs,message", [
