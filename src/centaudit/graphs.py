@@ -9,7 +9,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations, compress
+from itertools import combinations, compress, repeat
 from random import Random
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -473,17 +473,25 @@ def subset_stream(n: int, seed: int = 0) -> Iterable[tuple[tuple[int, ...], int]
     return _sampled_subsets(n, seed)
 
 
-def sampled_masks(n: int, seed: int = 0) -> Iterator[int]:
-    """The bitmasks of :func:`subset_stream`'s seeded sample on a host with
-    n >= 11 vertices, in stream order, without decoding their members."""
-    rng = Random(seed)
-    seen: set[int] = set()
-    while len(seen) < SUBSET_SAMPLE_COUNT:
-        mask = rng.getrandbits(n)
-        if mask.bit_count() < 2 or mask in seen:
-            continue
-        seen.add(mask)
-        yield mask
+def sampled_masks(n: int, seed: int = 0, count: int | None = None) -> list[int]:
+    """The bitmasks of the first ``count`` subsets (all SUBSET_SAMPLE_COUNT
+    when None) of :func:`subset_stream`'s seeded sample on a host with
+    n >= 11 vertices, in stream order, without decoding their members.
+
+    The stream draws n random bits at a time and keeps each mask of at least
+    two members the first time it is drawn. The draws come in batches of as
+    many masks as are still missing, so a batch never draws past the last
+    mask kept, and the masks kept are those of drawing one at a time.
+    """
+    wanted = SUBSET_SAMPLE_COUNT if count is None else min(count, SUBSET_SAMPLE_COUNT)
+    draw = Random(seed).getrandbits
+    too_small = (0, *(1 << v for v in range(n)))
+    kept: dict[int, None] = {}  # in draw order; a repeat keeps its first place
+    while len(kept) < wanted:
+        kept.update(dict.fromkeys(map(draw, repeat(n, wanted - len(kept)))))
+        for mask in too_small:
+            kept.pop(mask, None)
+    return list(kept)
 
 
 # "0" -> 0 and "1" -> 1, so that a mask's binary digits select its members

@@ -181,13 +181,16 @@ def _lane_blocks(
         lo = hi
 
 
-def byte_lanes(row: bytes, width: int) -> int:
-    """One int holding ``row[i]`` in bits [i*width, i*width + 8): the row's
-    bytes written into every width/8-th byte of a zeroed buffer, read little
-    endian, so every lane holds one byte value."""
+def byte_lanes(row: bytes, width: int, size: int = 1) -> int:
+    """One int holding the i-th value of ``row``, ``size`` little-endian
+    bytes each, in bits [i*width, i*width + 8*size), so every lane holds one
+    value (``size`` <= width / 8): byte b of each value is written into
+    every width/8-th byte of a zeroed buffer from byte b on, read little
+    endian."""
     step = width // 8
-    spread = bytearray(len(row) * step)
-    spread[::step] = row
+    spread = bytearray(len(row) // size * step)
+    for b in range(size):
+        spread[b::step] = row[b::size]
     return int.from_bytes(spread, "little")
 
 

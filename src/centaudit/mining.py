@@ -429,6 +429,10 @@ def mine_exhaustive(
         chunk = -(-total // workers)
         for lo in range(0, total, chunk):
             walks.append(partial(_mine_masks, n, lo, min(lo + chunk, total)))
+        if workers > 1:
+            # built before the pool starts, so that forked workers share one
+            # read-only table per n instead of each building its own
+            mask_classes(n)
     population = {"kind": "exhaustive", "n_min": 2, "n_max": n_max}
     return _report(population, walks, ids, witness_cap, workers)
 

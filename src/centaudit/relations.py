@@ -34,12 +34,13 @@ its callers.
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import islice, repeat
 from math import lcm
-from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .graphs import (
@@ -52,6 +53,8 @@ from .graphs import (
 from .metrics import (
     CentralityProfile,
     DistanceMatrix,
+    _BIG_ENDIAN,
+    _LANE_CODES,
     _unpack_lanes,
     apsp,
     byte_lanes,
@@ -295,41 +298,59 @@ def _digit_pair_sums(dist, top, stream):
 
 # Up to this many vertices a sampled host's subset pair sums come from
 # transposed subset lanes (_lane_pair_sums), above it from digit rows
-# (_digit_pair_sums). The lanes take n^2 big-int operations over all subsets
-# at once, the rows about n/2 small ones per subset. Measured as the miner's
-# R6 per graph on Watts-Strogatz, G(n, 0.3) and path hosts (README, "Notes
-# on scale"), the lanes were faster on all three up to 72 vertices; from 80
-# on G(n, 0.3), whose distances are 1 and 2, went as fast or slower.
-SUBSET_LANE_MAX_N = 72
+# (_digit_pair_sums). The lanes take n (n - 1) / 2 ANDs and additions of big
+# ints over all subsets at once, the rows about n/2 small operations per
+# subset. Measured as the miner's R6 per graph on Watts-Strogatz, G(n, 0.3)
+# and path hosts from 11 to 150 vertices (README, "Notes on scale"), the
+# lanes were faster on all three at every size, so the bound is the largest
+# size that keeps check-smallworld's 150-vertex hosts on digit rows. It must
+# stay below 256, for the miner packs subset sizes into bytes.
+SUBSET_LANE_MAX_N = 149
 _SUBSET_LANE_WIDTHS = (8, 16, 32, 64)
 
 
-def _lane_pair_sums(dist, top: int, masks: list[int]):
-    """``2 T(S)``, twice the pair-distance sum, for each vertex mask S, as an
-    array in mask order; ``top`` is the largest entry of the matrix ``dist``.
+def _mask_records(masks: list[int], n: int) -> tuple[bytes, int]:
+    """The masks of n bits as little-endian byte records end to end, and the
+    record length: 8 bytes through one array conversion up to 64 vertices,
+    (n + 7) // 8 above."""
+    if n <= 64:
+        words = array(_LANE_CODES[64], masks)
+        if _BIG_ENDIAN:
+            words.byteswap()
+        return words.tobytes(), 8
+    size = (n + 7) // 8
+    return b"".join([mask.to_bytes(size, "little") for mask in masks]), size
 
-    The subsets are the lanes: one W-bit lane per mask, with X_v holding 1 in
-    lane i when v is in mask i (the masks transposed, a byte column at a
-    time). Then sum_v d(u, v) X_v holds, in each lane, the sum of the
-    distances from u to the members of that lane's subset; keeping the lanes
-    whose subset holds u and summing over u gives 2 T(S) in every lane at
-    once. No lane carries: 2 T(S) is at most n (n - 1) top, and W is the
-    narrowest width above that.
+
+def _lane_pair_sums(dist, top: int, masks: list[int]) -> tuple[int, int]:
+    """``(T, W)``: the pair-distance sum T(S) of each vertex mask S in one
+    int T, one W-bit lane per mask in mask order, lowest lane first; ``top``
+    is the largest entry of the matrix ``dist``.
+
+    The subsets are the lanes: X_v holds 1 in lane i when v is in mask i
+    (the masks transposed, a byte column at a time). X_u & X_v then holds 1
+    in the lanes of the subsets that hold both u and v. One pass over the
+    pairs u < v adds X_u & X_v into one accumulator A_j per distance j =
+    d(u, v), so that each lane of A_j counts its subset's pairs at distance
+    j, and T(S) = sum_j j A_j in every lane at once. The accumulators are
+    keyed by the distances present, not indexed up to ``top``. No lane
+    carries: for j >= 1 every partial sum is at most T(S) <= top n (n - 1) / 2,
+    and W is the narrowest width with n (n - 1) top < 2^W (A_0, from zero
+    distances between distinct vertices, counts for nothing).
     """
     n = len(dist)
     width = next(w for w in _SUBSET_LANE_WIDTHS if n * (n - 1) * top < 1 << w)
-    nbytes = (n + 7) // 8
-    raw = b"".join([mask.to_bytes(nbytes, "little") for mask in masks])
+    raw, size = _mask_records(masks, n)
     ones = byte_lanes(b"\1" * len(masks), width)
     member = []  # member[v] = X_v
-    for c in range(nbytes):
-        column = byte_lanes(raw[c::nbytes], width)  # byte c of every mask
+    for c in range((n + 7) // 8):
+        column = byte_lanes(raw[c::size], width)  # byte c of every mask
         member += [column >> b & ones for b in range(min(8, n - 8 * c))]
-    full = (1 << width) - 1
-    doubled = 0
-    for x, row in zip(member, dist):
-        doubled += x * full & sum(map(mul, row, member))
-    return _unpack_lanes(doubled, len(masks), width)
+    by_distance: defaultdict[int, int] = defaultdict(int)  # j -> A_j
+    for u, (x, row) in enumerate(zip(member, dist), 1):
+        for j, y in zip(row[u:], member[u:]):
+            by_distance[j] += x & y
+    return sum([j * pairs for j, pairs in by_distance.items()]), width
 
 
 def _sampled_pair_sums(dist, top: int, stream):
@@ -339,8 +360,8 @@ def _sampled_pair_sums(dist, top: int, stream):
     if len(dist) > SUBSET_LANE_MAX_N:
         return _digit_pair_sums(dist, top, stream)
     subjects = list(stream)
-    doubled = _lane_pair_sums(dist, top, [mask for _, mask in subjects])
-    return ((members, t >> 1) for (members, _), t in zip(subjects, doubled))
+    sums, width = _lane_pair_sums(dist, top, [mask for _, mask in subjects])
+    return zip([members for members, _ in subjects], _unpack_lanes(sums, len(subjects), width))
 
 
 def _eval_r6(g, prof, d, max_subjects):
@@ -670,15 +691,30 @@ def _r6_lane_counts(g: Graph, prof: CentralityProfile, d: DistanceMatrix,
 
     A subset S of k members holds exactly when (k - 1) * distance_total -
     (n - 1) * 2 T(S) > 0: that is :func:`evaluate`'s ``ln * rd - rn * ld``
-    divided by the positive n k.
+    divided by the positive n k. The signs are read in every lane at once.
+    The W-bit lanes of T(S) are widened to V = 2W bits, the sizes k (below
+    256) are packed beside them, and each lane then holds 2^(V-1) plus that
+    difference: its top bit is clear exactly where S is violated, and the
+    lane equals 2^(V-1) exactly where S is tight. No lane borrows or
+    carries: both terms are at most (n - 1) n (n - 1) top < (n - 1) 2^W, and
+    n - 1 < 2^(W/2) <= 2^(W-1).
     """
-    masks = list(islice(sampled_masks(g.n), budget))
-    total, n1 = prof.distance_total, g.n - 1
-    diffs = [total * (mask.bit_count() - 1) - n1 * t
-             for mask, t in zip(masks, _lane_pair_sums(d.dist, d.diameter, masks))]
-    equality = diffs.count(0)
-    violated = sum(map((0).__gt__, diffs))  # the differences below 0
-    return len(diffs) - equality - violated, equality, violated
+    masks = sampled_masks(g.n, count=budget)
+    count = len(masks)
+    sums, width = _lane_pair_sums(d.dist, d.diameter, masks)
+    wide = 2 * width
+    ones = byte_lanes(b"\1" * count, wide)
+    high = ones << (wide - 1)  # 2^(V-1) in every lane
+    sizes = byte_lanes(bytes(map(int.bit_count, masks)), wide)
+    doubled = 2 * (g.n - 1) * byte_lanes(sums.to_bytes(count * width // 8, "little"),
+                                         wide, width // 8)
+    lanes = high + prof.distance_total * (sizes - ones) - doubled
+    at_least = (lanes & high).bit_count()  # the lanes not violated
+    low = high - ones  # every lane's bits below its top
+    # a tight lane is the one value with clear low bits: a violated lane
+    # holds at least 1
+    equality = count - (((lanes & low) + low) & high).bit_count()
+    return at_least - equality, equality, count - at_least
 
 
 def tally(

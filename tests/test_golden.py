@@ -13,8 +13,9 @@ G(12, 0.3) graph with degrees 1..7 (clustering over six denominators) were
 recorded before the profile kept its quantities as integers. The three
 random mines of G(40, 0.15), P72 (R6 alone) and WS(73, 4, 0.1) were recorded
 before the miner counted R6 on sampled hosts of at most 72 vertices on subset
-lanes: the first two run on its 16- and 32-bit lanes, the third on the digit
-rows just above that bound. The one-worker n = 6 mining document, and the
+lanes: the first two on its 16- and 32-bit lanes, the third on the digit
+rows just above that bound, which later rose to 149 vertices and put it on
+16-bit lanes too. The one-worker n = 6 mining document, and the
 n = 7 one (1,866,256 graphs, a few seconds), were recorded before exhaustive
 shards evaluated one graph per isomorphism class. Any refactor must leave
 these bytes unchanged.

@@ -305,6 +305,21 @@ class TestMaskWalk:
         assert len(decoded) == walk_decodes(shards, cap)
         assert decoded == sorted(set(decoded))  # ascending, each mask once
 
+    def test_class_tables_are_built_before_the_pool_starts(self, pools, monkeypatch):
+        """With several workers the parent builds every n's class table
+        first, so that forked workers share it instead of each building its
+        own."""
+        asked = []  # (n, pool entries recorded when the table was asked for)
+        original = mining.mask_classes
+        monkeypatch.setattr(mining, "mask_classes", lambda n: (
+            asked.append((n, len(pools))) or original(n)))
+        mine_exhaustive(5, workers=2)
+        first = {}
+        for n, opened in asked:
+            first.setdefault(n, opened)
+        assert first == {n: 0 for n in range(2, 6)}
+        assert pools[0] == 2
+
 
 class TestFractionsBuilt:
     """The miner decides every status on integers: it builds Fractions only

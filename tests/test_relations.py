@@ -421,13 +421,18 @@ def r6_pair_sums(g, d):
     return sums
 
 
+def _gnp_connected(n, p):
+    return next(g for g in (gnp_graph(n, p, seed=s) for s in range(100)) if g.is_connected())
+
+
 class TestSampledPairSums:
     """On hosts with 11 <= n <= SUBSET_LANE_MAX_N, R6 reads the sampled
     subsets' pair sums off transposed subset lanes (8-bit lanes on K12 and
-    star11, 16-bit on C33 and P40, 32-bit on P72); above that bound, off digit rows
-    of the distance matrix (one bit plane per distance bit for n > 341, bits
-    packed into unary digits below). Every one of the sampled subjects must
-    carry the pair sum summed directly over its members."""
+    star11, 16-bit on C33, P40 and the dense G(56, 0.3) and G(72, 0.3), 32-bit
+    on P72); above that bound, off digit rows of the distance matrix (one bit
+    plane per distance bit for n > 341, bits packed into unary digits below).
+    Every one of the sampled subjects must carry the pair sum summed directly
+    over its members."""
 
     @pytest.mark.parametrize("g, planes", [
         (complete_graph(12), 1),
@@ -437,7 +442,9 @@ class TestSampledPairSums:
         (path_graph(40), 6),
         (cycle_graph(342), 8),
         (path_graph(72), 7),
-    ], ids=["K12", "star11", "ws150", "C33", "P40", "C342", "P72"])
+        (_gnp_connected(56, 0.3), 2),
+        (_gnp_connected(72, 0.3), 2),
+    ], ids=["K12", "star11", "ws150", "C33", "P40", "C342", "P72", "gnp56", "gnp72"])
     def test_every_subject_matches_a_direct_sum(self, g, planes):
         d = apsp(g)
         assert max(map(max, d.dist)).bit_length() == planes
@@ -452,11 +459,13 @@ class TestSampledPairSums:
             direct = [pair_distance_sum(d.dist, members) for members, _ in sums]
         assert [pair_sum for _, pair_sum in sums] == direct
 
-    def test_kernel_follows_the_matrix_it_is_given(self):
-        # one entry raised above the diameter, past the host's top distance bit
+    @staticmethod
+    def assert_follows_distance(far):
+        """With d(0, 1) of C33 set to ``far``, the pair sums change exactly
+        for the subsets that hold both 0 and 1."""
         g = cycle_graph(33)
         d = apsp(g)
-        mutated = _with_distance(d, 0, 1, 40)
+        mutated = _with_distance(d, 0, 1, far)
         sums = r6_pair_sums(g, mutated)
         assert [pair_sum for _, pair_sum in sums] == [
             pair_distance_sum(mutated.dist, members) for members, _ in sums
@@ -464,6 +473,15 @@ class TestSampledPairSums:
         changed = [a != b for a, b in zip(sums, r6_pair_sums(g, d))]
         assert changed == [members[:2] == (0, 1) for members, _ in sums]
         assert any(changed)
+
+    def test_kernel_follows_the_matrix_it_is_given(self):
+        # one entry raised above the diameter, past the host's top distance bit
+        self.assert_follows_distance(40)
+
+    def test_kernel_bins_the_distances_present(self):
+        # 64-bit lanes; a table indexed up to the largest distance could not
+        # be allocated
+        self.assert_follows_distance(10 ** 12)
 
 
 def counted(spec, g, prof, d, budget, keep=lambda outcomes: None):
@@ -474,10 +492,6 @@ def counted(spec, g, prof, d, budget, keep=lambda outcomes: None):
     c = Counter(map(itemgetter(0), outcomes))
     return (c[HOLDS], c[EQUALITY], c[VIOLATED], c[SKIPPED],
             [outcome for outcome in outcomes if outcome[0] == VIOLATED])
-
-
-def _gnp_connected(n, p):
-    return next(g for g in (gnp_graph(n, p, seed=s) for s in range(100)) if g.is_connected())
 
 
 class TestTally:
@@ -513,11 +527,15 @@ class TestTally:
         (complete_graph(40), 16),
         (path_graph(60), 32),
         (path_graph(72), 32),
-        (watts_strogatz_graph(73, 4, 0.1, seed=0), None),
-        (path_graph(90), None),
-        (watts_strogatz_graph(96, 4, 0.1, seed=0), None),
+        (watts_strogatz_graph(73, 4, 0.1, seed=0), 16),
+        (path_graph(90), 32),
+        (watts_strogatz_graph(96, 4, 0.1, seed=0), 32),
+        (watts_strogatz_graph(149, 4, 0.1, seed=0), 32),
+        (path_graph(149), 32),
+        (watts_strogatz_graph(150, 4, 0.1, seed=0), None),
+        (path_graph(150), None),
     ], ids=["ws11", "ws12", "ws24", "ws64", "gnp24", "gnp64", "K16", "K40", "P60", "P72",
-            "ws73", "P90", "ws96"])
+            "ws73", "P90", "ws96", "ws149", "P149", "ws150", "P150"])
     def test_sampled_hosts(self, g, width, monkeypatch):
         d = apsp(g)
         prof = profile(g, d)
@@ -560,8 +578,18 @@ class TestTally:
         holding both 0 and 1 violate R6. The count path must see them in
         the matrix it is given, and hand back evaluate's rows, so that the
         miner's witnesses equal evaluate's results."""
+        self.assert_counts_doctored_matrix(10 ** 4)
+
+    def test_violations_at_a_distance_of_ten_to_the_twelve(self):
+        """The same at d(0, 1) = 10^12: 64-bit subset lanes and 128-bit sign
+        lanes; a table indexed up to the largest distance could not be
+        allocated."""
+        self.assert_counts_doctored_matrix(10 ** 12)
+
+    @staticmethod
+    def assert_counts_doctored_matrix(far):
         g = cycle_graph(33)
-        d = _with_distance(apsp(g), 0, 1, 10 ** 4)
+        d = _with_distance(apsp(g), 0, 1, far)
         prof = profile(g, d)
         spec = relation("R6")
         for budget in (SUBSET_BUDGET_PER_GRAPH, None):
