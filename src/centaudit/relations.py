@@ -23,13 +23,14 @@ denominator.
 returns one outcome per subject: the pair ``(status, row)``. :func:`tally`
 gives the miner what it keeps of one graph: the four status counts and the
 violated outcomes. It counts :func:`evaluate`'s outcomes for every relation
-and host but one: R6 on a sampled host (11 to SUBSET_LANE_MAX_N vertices)
-has a count kernel, which decides each sampled subset from its pair sum on
-subset lanes without building rows, and hands over to :func:`evaluate` on a
-graph where a subset is violated. :func:`make_result` turns one outcome into a
+and host but one: R6 on a sampled host of 11 to SUBSET_LANE_MAX_N vertices,
+with at most SUBSET_LANE_N_PER_DIGIT per distance digit, has a count kernel,
+which decides each sampled subset from its pair sum on subset lanes without
+building rows, and hands over to :func:`evaluate` on a graph where a subset
+is violated. :func:`make_result` turns one outcome into a
 :class:`RelationResult`, whose sides become Fractions only when read;
-:func:`evaluate_all` (the ``check`` path) and the miner's capped witnesses are
-its callers.
+:func:`evaluate_all` (the ``check`` path) and the miner's capped witnesses
+are its callers.
 """
 
 from __future__ import annotations
@@ -253,22 +254,29 @@ def _pair_sum_steps(n: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
 _DIGIT_ROW_BITS = 1024
 
 
+def _digit_bits(n: int) -> int:
+    """The bits r per digit of :func:`_distance_digits` on n vertices: the
+    most for which a digit written in unary on n vertices fits in
+    ``_DIGIT_ROW_BITS`` bits, and at least 1."""
+    r = 1
+    while ((1 << (r + 1)) - 1) * n <= _DIGIT_ROW_BITS:
+        r += 1
+    return r
+
+
 def _distance_digits(dist, top: int) -> list[tuple[int, list[int], int]]:
     """Digit rows of a distance matrix whose largest entry is ``top``, for
     subset pair sums, as ``(shift, rows, replicate)`` per digit.
 
-    Each distance is cut into digits of r bits, r the largest for which a
-    digit written in unary on n vertices fits in ``_DIGIT_ROW_BITS`` bits
-    (r = 1 for n > 341: plain bit planes). For the digit at ``shift``,
+    Each distance is cut into digits of r = :func:`_digit_bits` (n) bits (r =
+    1 for n > 341: plain bit planes). For the digit at ``shift``,
     ``rows[u]`` holds n-bit layers 1..L, L the largest digit value: bit v of
     layer j is set when the digit of ``dist[u][v]`` is at least j. With
     ``replicate`` = 1 + 2^n + ... + 2^((L-1)n), ``popcount(rows[u] & S *
     replicate)`` is the sum of that digit over the v in S.
     """
     n = len(dist)
-    r = 1
-    while ((1 << (r + 1)) - 1) * n <= _DIGIT_ROW_BITS:
-        r += 1
+    r = _digit_bits(n)
     digits = []
     reversed_rows = [row[::-1] for row in dist]  # strings put vertex 0 last
     for shift in range(0, top.bit_length(), r):
@@ -296,17 +304,38 @@ def _digit_pair_sums(dist, top, stream):
         yield members, total >> 1
 
 
-# Up to this many vertices a sampled host's subset pair sums come from
-# transposed subset lanes (_lane_pair_sums), above it from digit rows
-# (_digit_pair_sums). The lanes take n (n - 1) / 2 ANDs and additions of big
-# ints over all subsets at once, the rows about n/2 small operations per
-# subset. Measured as the miner's R6 per graph on Watts-Strogatz, G(n, 0.3)
-# and path hosts from 11 to 150 vertices (README, "Notes on scale"), the
-# lanes were faster on all three at every size, so the bound is the largest
-# size that keeps check-smallworld's 150-vertex hosts on digit rows. It must
-# stay below 256, for the miner packs subset sizes into bytes.
-SUBSET_LANE_MAX_N = 149
+# A sampled host reads its subset pair sums off transposed subset lanes
+# (_lane_pair_sums) when it has at most SUBSET_LANE_MAX_N vertices and at most
+# SUBSET_LANE_N_PER_DIGIT vertices per digit of _distance_digits, and off
+# digit rows (_digit_pair_sums) otherwise. The lanes take n (n - 1) / 2 ANDs
+# and additions of big ints over all subsets at once, on count lanes of 16
+# bits for every host from 23 to 362 vertices; the rows take about n/2 small
+# operations per subset and digit. So the lanes lose ground to the rows as n
+# grows and gain it with every digit. Measured per host, digit rows against
+# lanes, on check's 1000 pair sums and on the miner's 512-subset count, on
+# WS(n, 4, 0.1), G(n, 0.3) and P_n from 11 to 255 vertices (README, "Notes on
+# scale"): hosts of two digits or more were faster on lanes at every size,
+# while the dense G(n, 0.3), one digit from 147 vertices on, drew even with
+# the rows in check at 150 to 176 vertices and lost from 200 on.
+# SUBSET_LANE_MAX_N must stay below 256, for the miner packs subset sizes
+# into bytes.
+SUBSET_LANE_MAX_N = 255
+SUBSET_LANE_N_PER_DIGIT = 149
 _SUBSET_LANE_WIDTHS = (8, 16, 32, 64)
+
+
+def _lane_width(bound: int) -> int:
+    """The narrowest subset lane width with ``bound`` < 2^width."""
+    return next(w for w in _SUBSET_LANE_WIDTHS if bound < 1 << w)
+
+
+def _on_subset_lanes(n: int, top: int) -> bool:
+    """Whether a sampled host of n vertices whose largest distance is ``top``
+    reads its subset pair sums off subset lanes: at most SUBSET_LANE_MAX_N
+    vertices, and at most SUBSET_LANE_N_PER_DIGIT per digit of
+    :func:`_distance_digits`."""
+    digits = -(-top.bit_length() // _digit_bits(n))
+    return n <= min(SUBSET_LANE_MAX_N, SUBSET_LANE_N_PER_DIGIT * digits)
 
 
 def _mask_records(masks: list[int], n: int) -> tuple[bytes, int]:
@@ -333,31 +362,43 @@ def _lane_pair_sums(dist, top: int, masks: list[int]) -> tuple[int, int]:
     pairs u < v adds X_u & X_v into one accumulator A_j per distance j =
     d(u, v), so that each lane of A_j counts its subset's pairs at distance
     j, and T(S) = sum_j j A_j in every lane at once. The accumulators are
-    keyed by the distances present, not indexed up to ``top``. No lane
-    carries: for j >= 1 every partial sum is at most T(S) <= top n (n - 1) / 2,
-    and W is the narrowest width with n (n - 1) top < 2^W (A_0, from zero
-    distances between distinct vertices, counts for nothing).
+    keyed by the distances present, not indexed up to ``top``.
+
+    W is the narrowest width with n (n - 1) top < 2^W. The accumulators run
+    on lanes of the count width, the narrowest above n (n - 1) / 2, which no
+    count of pairs overflows. Where that is narrower than W, the bins are summed by
+    distance bit, B_b = sum of the A_j with bit b of j set (again a count of
+    pairs), each B_b is widened to W bits once, and T = sum_b 2^b B_b. No lane
+    carries: every partial sum of T is at most T(S) <= top n (n - 1) / 2 (A_0,
+    from zero distances between distinct vertices, counts for nothing).
     """
     n = len(dist)
-    width = next(w for w in _SUBSET_LANE_WIDTHS if n * (n - 1) * top < 1 << w)
+    width = _lane_width(n * (n - 1) * top)
+    bins = _lane_width(n * (n - 1) // 2)
     raw, size = _mask_records(masks, n)
-    ones = byte_lanes(b"\1" * len(masks), width)
+    ones = byte_lanes(b"\1" * len(masks), bins)
     member = []  # member[v] = X_v
     for c in range((n + 7) // 8):
-        column = byte_lanes(raw[c::size], width)  # byte c of every mask
+        column = byte_lanes(raw[c::size], bins)  # byte c of every mask
         member += [column >> b & ones for b in range(min(8, n - 8 * c))]
     by_distance: defaultdict[int, int] = defaultdict(int)  # j -> A_j
     for u, (x, row) in enumerate(zip(member, dist), 1):
         for j, y in zip(row[u:], member[u:]):
             by_distance[j] += x & y
+    if bins < width:
+        length = len(masks) * bins // 8
+        planes = [sum([pairs for j, pairs in by_distance.items() if j >> b & 1])
+                  for b in range(max(by_distance).bit_length())]
+        return sum([byte_lanes(plane.to_bytes(length, "little"), width, bins // 8) << b
+                    for b, plane in enumerate(planes)]), width
     return sum([j * pairs for j, pairs in by_distance.items()]), width
 
 
 def _sampled_pair_sums(dist, top: int, stream):
     """``(members, T(S))`` for each ``(members, mask)`` of a sampled subset
-    stream: on subset lanes up to SUBSET_LANE_MAX_N vertices, from digit rows
-    above."""
-    if len(dist) > SUBSET_LANE_MAX_N:
+    stream: on subset lanes where :func:`_on_subset_lanes` says so, from
+    digit rows elsewhere."""
+    if not _on_subset_lanes(len(dist), top):
         return _digit_pair_sums(dist, top, stream)
     subjects = list(stream)
     sums, width = _lane_pair_sums(dist, top, [mask for _, mask in subjects])
@@ -728,13 +769,15 @@ def tally(
     one connected graph: the status counts of :func:`evaluate`'s outcomes
     with ``max_subjects=budget``, and its violated outcomes in order.
 
-    R6 on a sampled host with at most SUBSET_LANE_MAX_N vertices is counted
-    on subset lanes without building its rows, and falls back to
+    R6 on a sampled host of at most SUBSET_LANE_MAX_N vertices and
+    SUBSET_LANE_N_PER_DIGIT per distance digit (:func:`_on_subset_lanes`) is
+    counted on subset lanes without building its rows, and falls back to
     :func:`evaluate` on a graph where any subset is violated, so that the
     violations carry their rows. Every other relation and host counts
     :func:`evaluate`'s outcomes.
     """
-    if spec.evaluator is _eval_r6 and SUBSET_ENUMERATION_MAX_N < g.n <= SUBSET_LANE_MAX_N:
+    if (spec.evaluator is _eval_r6 and g.n > SUBSET_ENUMERATION_MAX_N
+            and _on_subset_lanes(g.n, d.diameter)):
         holds, equality, violated = _r6_lane_counts(g, prof, d, budget)
         if not violated:
             return holds, equality, 0, 0, []

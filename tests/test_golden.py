@@ -17,8 +17,9 @@ lanes: the first two on its 16- and 32-bit lanes, the third on the digit
 rows just above that bound, which later rose to 149 vertices and put it on
 16-bit lanes too. The one-worker n = 6 mining document, and the
 n = 7 one (1,866,256 graphs, a few seconds), were recorded before exhaustive
-shards evaluated one graph per isomorphism class. Any refactor must leave
-these bytes unchanged.
+shards evaluated one graph per isomorphism class. The n = 150 check
+document's R6 pair sums have since moved from digit rows to subset lanes
+with 16-bit pair counts. Any refactor must leave these bytes unchanged.
 
 The graphs are fed on stdin so that the echoed ``command`` holds no file path.
 """

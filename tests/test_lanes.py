@@ -94,6 +94,21 @@ class TestLaneRoundTrip:
         packed = sum(v << (i * width) for i, v in enumerate(values))
         assert list(metrics._unpack_lanes(packed, len(values), width)) == values
 
+    @pytest.mark.parametrize("size, width", [
+        (size, width) for size in (2, 4) for width in metrics.LANE_WIDTHS if width > 8 * size
+    ])
+    def test_widen_multibyte_values(self, size, width):
+        """byte_lanes spreads values of ``size`` bytes into wider lanes, the
+        step that widens R6's pair-count lanes to the pair-sum width."""
+        full = (1 << (8 * size)) - 1
+        values = [0, 1, full, 255, 256, 1 << (8 * size - 1), full, 0, full - 1]
+        row = b"".join(v.to_bytes(size, "little") for v in values)
+        packed = metrics.byte_lanes(row, width, size)
+        assert packed == sum(v << (i * width) for i, v in enumerate(values))
+        assert list(metrics._unpack_lanes(packed, len(values), width)) == values
+        ones = metrics.byte_lanes(b"\xff" * (size * 5), width, size)
+        assert list(metrics._unpack_lanes(ones, 5, width)) == [full] * 5
+
     @pytest.mark.parametrize("width", metrics.LANE_WIDTHS)
     def test_unpack_keeps_high_zero_lanes(self, width):
         assert list(metrics._unpack_lanes(1, 3, width)) == [1, 0, 0]

@@ -2,7 +2,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import partial
-from itertools import combinations
+from itertools import combinations, islice
 from operator import itemgetter
 
 import pytest
@@ -33,7 +33,6 @@ from centaudit import (
 )
 from centaudit import relations
 from centaudit.relations import (
-    SUBSET_LANE_MAX_N,
     _closed_neighborhood_radiality,
     select_ids,
     tally,
@@ -45,7 +44,7 @@ from centaudit.graphs import (
     subset_stream,
     watts_strogatz_graph,
 )
-from centaudit.metrics import DistanceMatrix, pair_distance_sum
+from centaudit.metrics import DistanceMatrix, _unpack_lanes, pair_distance_sum
 from centaudit.mining import SUBSET_BUDGET_PER_GRAPH, RelationTally
 from oracles import (
     SENSE,
@@ -426,11 +425,12 @@ def _gnp_connected(n, p):
 
 
 class TestSampledPairSums:
-    """On hosts with 11 <= n <= SUBSET_LANE_MAX_N, R6 reads the sampled
-    subsets' pair sums off transposed subset lanes (8-bit lanes on K12 and
-    star11, 16-bit on C33, P40 and the dense G(56, 0.3) and G(72, 0.3), 32-bit
-    on P72); above that bound, off digit rows of the distance matrix (one bit
-    plane per distance bit for n > 341, bits packed into unary digits below).
+    """On hosts with n >= 11 that relations._on_subset_lanes puts on lanes, R6
+    reads the sampled subsets' pair sums off transposed subset lanes (8-bit
+    lanes on K12 and star11; 16-bit on C33, P40 and the dense G(56, 0.3) and
+    G(72, 0.3); 16-bit pair counts widened to 32-bit sums on P72 and WS(150));
+    elsewhere off digit rows of the distance matrix (C342, one bit plane per
+    distance bit for n > 341, and the dense G(200, 0.3), one unary digit).
     Every one of the sampled subjects must carry the pair sum summed directly
     over its members."""
 
@@ -444,7 +444,9 @@ class TestSampledPairSums:
         (path_graph(72), 7),
         (_gnp_connected(56, 0.3), 2),
         (_gnp_connected(72, 0.3), 2),
-    ], ids=["K12", "star11", "ws150", "C33", "P40", "C342", "P72", "gnp56", "gnp72"])
+        (_gnp_connected(200, 0.3), 2),
+    ], ids=["K12", "star11", "ws150", "C33", "P40", "C342", "P72", "gnp56", "gnp72",
+            "gnp200"])
     def test_every_subject_matches_a_direct_sum(self, g, planes):
         d = apsp(g)
         assert max(map(max, d.dist)).bit_length() == planes
@@ -458,6 +460,24 @@ class TestSampledPairSums:
         else:
             direct = [pair_distance_sum(d.dist, members) for members, _ in sums]
         assert [pair_sum for _, pair_sum in sums] == direct
+
+    @pytest.mark.parametrize("g", [
+        watts_strogatz_graph(150, 4, 0.1, seed=0),
+        _gnp_connected(200, 0.3),
+    ], ids=["ws150", "gnp200"])
+    def test_lanes_and_rows_on_either_side_of_the_rule(self, g):
+        """Both kernels on a host of each side: WS(150) goes to lanes and
+        G(200, 0.3) to rows, and both take 16-bit pair counts widened to
+        32-bit sums on lanes."""
+        d = apsp(g)
+        assert 8 < (g.n * (g.n - 1) // 2).bit_length() <= 16
+        subjects = list(islice(subset_stream(g.n), SUBSET_SAMPLE_COUNT))
+        sums, width = relations._lane_pair_sums(d.dist, d.diameter, [m for _, m in subjects])
+        assert width == 32
+        direct = [pair_distance_sum(d.dist, members) for members, _ in subjects]
+        assert list(_unpack_lanes(sums, len(subjects), width)) == direct
+        rows = relations._digit_pair_sums(d.dist, d.diameter, subjects)
+        assert [pair_sum for _, pair_sum in rows] == direct
 
     @staticmethod
     def assert_follows_distance(far):
@@ -496,8 +516,10 @@ def counted(spec, g, prof, d, budget, keep=lambda outcomes: None):
 
 class TestTally:
     """relations.tally, the miner's count path, against a count of evaluate's
-    outcomes. R6 on sampled hosts of at most SUBSET_LANE_MAX_N vertices is
-    counted on subset lanes, every other relation and host through evaluate."""
+    outcomes. R6 on sampled hosts that relations._on_subset_lanes puts on
+    lanes (at most SUBSET_LANE_MAX_N vertices, and SUBSET_LANE_N_PER_DIGIT
+    per distance digit) is counted on subset lanes, every other relation and
+    host through evaluate."""
 
     def test_every_graph_up_to_six_vertices(self, monkeypatch):
         # tally reads the outcomes evaluate gave the reference count, so that
@@ -514,36 +536,55 @@ class TestTally:
                     assert tally(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH) == expected, (
                         g.edges, spec.id)
 
-    # width: the subset lane width n (n - 1) diameter calls for, None above
-    # the lane bound
-    @pytest.mark.parametrize("g, width", [
-        (watts_strogatz_graph(11, 4, 0.1, seed=0), 16),
-        (watts_strogatz_graph(12, 4, 0.1, seed=0), 16),
-        (watts_strogatz_graph(24, 4, 0.1, seed=0), 16),
-        (watts_strogatz_graph(64, 4, 0.1, seed=0), 16),
-        (_gnp_connected(24, 0.3), 16),
-        (_gnp_connected(64, 0.3), 16),
-        (complete_graph(16), 8),
-        (complete_graph(40), 16),
-        (path_graph(60), 32),
-        (path_graph(72), 32),
-        (watts_strogatz_graph(73, 4, 0.1, seed=0), 16),
-        (path_graph(90), 32),
-        (watts_strogatz_graph(96, 4, 0.1, seed=0), 32),
-        (watts_strogatz_graph(149, 4, 0.1, seed=0), 32),
-        (path_graph(149), 32),
-        (watts_strogatz_graph(150, 4, 0.1, seed=0), None),
-        (path_graph(150), None),
+    # widths: the subset lane width W that n (n - 1) diameter calls for and
+    # the count width that n (n - 1) / 2 calls for; None where the rule puts
+    # the host on digit rows. The rule's edges: WS and paths at 255 and 256
+    # vertices (the byte bound), G(n, 0.3) at 149 and 150 (one digit).
+    @pytest.mark.parametrize("g, widths", [
+        (watts_strogatz_graph(11, 4, 0.1, seed=0), (16, 8)),
+        (watts_strogatz_graph(12, 4, 0.1, seed=0), (16, 8)),
+        (watts_strogatz_graph(24, 4, 0.1, seed=0), (16, 16)),
+        (watts_strogatz_graph(64, 4, 0.1, seed=0), (16, 16)),
+        (_gnp_connected(24, 0.3), (16, 16)),
+        (_gnp_connected(64, 0.3), (16, 16)),
+        (complete_graph(16), (8, 8)),
+        (complete_graph(40), (16, 16)),
+        (path_graph(60), (32, 16)),
+        (path_graph(72), (32, 16)),
+        (watts_strogatz_graph(73, 4, 0.1, seed=0), (16, 16)),
+        (path_graph(90), (32, 16)),
+        (watts_strogatz_graph(96, 4, 0.1, seed=0), (32, 16)),
+        (watts_strogatz_graph(149, 4, 0.1, seed=0), (32, 16)),
+        (path_graph(149), (32, 16)),
+        (watts_strogatz_graph(150, 4, 0.1, seed=0), (32, 16)),
+        (path_graph(150), (32, 16)),
+        (_gnp_connected(149, 0.3), (16, 16)),
+        (_gnp_connected(150, 0.3), None),
+        (watts_strogatz_graph(255, 4, 0.1, seed=0), (32, 16)),
+        (watts_strogatz_graph(256, 4, 0.1, seed=0), None),
+        (path_graph(255), (32, 16)),
+        (path_graph(256), None),
     ], ids=["ws11", "ws12", "ws24", "ws64", "gnp24", "gnp64", "K16", "K40", "P60", "P72",
-            "ws73", "P90", "ws96", "ws149", "P149", "ws150", "P150"])
-    def test_sampled_hosts(self, g, width, monkeypatch):
+            "ws73", "P90", "ws96", "ws149", "P149", "ws150", "P150", "gnp149", "gnp150",
+            "ws255", "ws256", "P255", "P256"])
+    def test_sampled_hosts(self, g, widths, monkeypatch):
         d = apsp(g)
         prof = profile(g, d)
-        spread = g.n * (g.n - 1) * d.diameter
-        if width is None:
-            assert g.n > SUBSET_LANE_MAX_N
-        else:
-            assert g.n <= SUBSET_LANE_MAX_N and width // 2 < spread.bit_length() <= width
+        assert relations._on_subset_lanes(g.n, d.diameter) == (widths is not None)
+        lane_widths = []  # W of each subset lane call
+        original = relations._lane_pair_sums
+
+        def lanes(*args):
+            sums, width = original(*args)
+            lane_widths.append(width)
+            return sums, width
+
+        monkeypatch.setattr(relations, "_lane_pair_sums", lanes)
+        if widths is not None:
+            width, bins = widths
+            spread = g.n * (g.n - 1) * d.diameter
+            assert width // 2 < spread.bit_length() <= width
+            assert bins // 2 < (g.n * (g.n - 1) // 2).bit_length() <= bins
         evaluated = []
         monkeypatch.setattr(relations, "evaluate", lambda spec, *args: evaluated.append(
             spec.id) or evaluate(spec, *args))
@@ -555,9 +596,12 @@ class TestTally:
                     assert sum(got[:4]) == (budget or SUBSET_SAMPLE_COUNT)
                     # the whole vertex set, the stream's 964th draw at n = 11
                     assert got[1] == (g.n == 11 and budget is None)
-        # the kernel counts R6 without evaluate, up to the lane bound
-        assert evaluated.count("R6") == (2 if width is None else 0)
-        assert len(evaluated) == 2 * len(catalog()) - (width is not None) * 2
+        # the kernel counts R6 without evaluate on the hosts the rule puts on
+        # lanes
+        on_lanes = widths is not None
+        assert evaluated.count("R6") == (0 if on_lanes else 2)
+        assert len(evaluated) == 2 * len(catalog()) - on_lanes * 2
+        assert set(lane_widths) == ({widths[0]} if on_lanes else set())
 
     @pytest.mark.parametrize("budget", [SUBSET_BUDGET_PER_GRAPH, None])
     def test_lanes_transpose_only_the_subsets_read(self, budget, monkeypatch):
