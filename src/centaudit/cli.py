@@ -5,6 +5,10 @@ regression testing: identical invocations produce byte-identical documents.
 Rationals are serialized as "numerator/denominator" strings in lowest terms;
 the accompanying ``*_approx`` decimal fields are display-only.
 
+JSON is laid out as ``json.dumps(document, indent=2)`` would lay it out.
+``compute`` and ``mine`` build payload dicts for ``_write_json``; ``check``
+writes its text lines and JSON rows straight from its ``RelationResult``s.
+
 Exit codes: 0 success (audit findings included), 2 usage or parse error,
 3 disconnected input graph, 4 violation of a non-audit relation.
 """
@@ -14,8 +18,10 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from math import gcd
+from operator import itemgetter
 from typing import Sequence
 
 from . import relations as rel
@@ -56,18 +62,21 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
-def _put_rational(entry: dict, name: str, num: int, den: int) -> None:
-    """Set ``entry[name]`` and ``entry[name + "_approx"]`` for the rational
-    num/den, without building it: the string is
-    ``format_rational(Fraction(num, den))`` and the float is ``num / den`` in
-    lowest terms, which is ``float(Fraction(num, den))``."""
+def _rational(num: int, den: int) -> tuple[str, float]:
+    """The rational num/den as ``format_rational(Fraction(num, den))`` and
+    ``float(Fraction(num, den))``, without building it: the float is
+    ``num / den`` in lowest terms, and formats as json writes it."""
     g = gcd(num, den)
     if den < 0:
         g = -g
     num //= g
     den //= g
-    entry[name] = f"{num}/{den}"
-    entry[name + "_approx"] = num / den
+    return f"{num}/{den}", num / den
+
+
+def _put_rational(entry: dict, name: str, num: int, den: int) -> None:
+    """Set ``entry[name]`` and ``entry[name + "_approx"]`` for num/den."""
+    entry[name], entry[name + "_approx"] = _rational(num, den)
 
 
 def _put_fraction(entry: dict, name: str, value: Fraction) -> None:
@@ -117,33 +126,6 @@ def _profile_payload(g: Graph) -> dict:
         vertices.append(entry)
     payload["vertices"] = vertices
     return payload
-
-
-def _result_payload(result: rel.RelationResult) -> dict:
-    spec = rel.relation(result.relation_id)
-    entry: dict[str, object] = {
-        "relation": result.relation_id,
-        "kind": spec.kind,
-        "audit": spec.audit,
-        "subject": _subject_json(result.subject),
-        "status": result.status,
-    }
-    _put_rational(entry, "lhs", result.lhs_num, result.lhs_den)
-    _put_rational(entry, "rhs", result.rhs_num, result.rhs_den)
-    _put_rational(entry, "slack", *result.slack_pair)
-    return entry
-
-
-def _check_payload(g: Graph, results: list[rel.RelationResult]) -> dict:
-    non_audit, audit = rel.violation_counts(
-        (r.relation_id, r.status == rel.VIOLATED) for r in results
-    )
-    return {
-        "graph": {"n": g.n, "m": g.m},
-        "results": [_result_payload(r) for r in results],
-        "non_audit_violations": non_audit,
-        "audit_violations": audit,
-    }
 
 
 def _witness_payload(w: Witness, with_sides: bool = True) -> dict:
@@ -205,7 +187,8 @@ def _document(argv: Sequence[str], payload: dict) -> dict:
 
 
 def _render_json(argv: Sequence[str], payload: dict) -> str:
-    """The bytes of ``json.dumps(document, indent=2) + "\\n"``."""
+    """The bytes of ``json.dumps(document, indent=2) + "\\n"``, where a
+    ``partial`` in the payload stands for the list whose text it writes."""
     parts: list[str] = []
     _write_json(_document(argv, payload), "", parts.append)
     parts.append("\n")
@@ -231,8 +214,10 @@ def _write_json(value, pad: str, out) -> None:
     out with ``indent=2`` when the value starts on a line indented by ``pad``.
 
     Takes the types the payload builders emit: dicts with str keys, lists,
-    tuples, str, int, float, bool and None. Anything else raises TypeError
-    instead of being converted, so the layout cannot drift from json's.
+    tuples, str, int, float, bool and None. A ``functools.partial`` writes
+    itself: it is called with ``pad`` and ``out``, and its text is passed
+    through verbatim. Anything else raises TypeError instead of being
+    converted, so the layout cannot drift from json's.
     """
     kind = type(value)
     if kind is str:
@@ -272,6 +257,8 @@ def _write_json(value, pad: str, out) -> None:
                 _write_json(item, inner, out)
                 lead = sep
             out("\n" + pad + "]")
+    elif kind is partial:
+        value(pad, out)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -305,28 +292,75 @@ def _render_profile_text(argv, payload: dict) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _render_check_text(argv, payload: dict) -> str:
-    lines = [f"# centaudit check (schema {SCHEMA_VERSION})"]
-    lines.append(f"graph: n={payload['graph']['n']} m={payload['graph']['m']}")
-    for r in payload["results"]:
-        flag = " [audit]" if r["audit"] else ""
+def _result_rows(results: list[rel.RelationResult], n: int, pad: str, out) -> None:
+    """Pass ``check``'s ``results`` on a graph of ``n`` vertices to ``out`` as
+    :func:`_write_json` lays out their entries in a list indented by ``pad``:
+    one string per row, from its relation's fixed head, its subject, its
+    status and its three rationals."""
+    row = pad + "  "  # each row's braces
+    key = row + "  "  # a row's keys
+    sub = key + "  "  # the subject's key
+    sep = ",\n" + key
+    heads = {
+        spec.id: "{\n" + key + '"relation": ' + encode_basestring_ascii(spec.id)
+        + sep + '"kind": ' + encode_basestring_ascii(spec.kind)
+        + sep + '"audit": ' + ("true" if spec.audit else "false") + sep + '"subject": '
+        for spec in rel.catalog()
+    }
+    # subset members behind their separators: "[" + joined[1:] opens the list
+    members = [",\n" + sub + "  " + str(v) for v in range(n)]
+    vertex_head = "{\n" + sub + '"vertex": '
+    vertex_tail = "\n" + key + "}"
+    subset_head = "{\n" + sub + '"subset": ['
+    subset_tail = "\n" + sub + "]\n" + key + "}"
+    tail = (sep + '"status": {}' + sep + '"lhs": "{}"' + sep + '"lhs_approx": {}'
+            + sep + '"rhs": "{}"' + sep + '"rhs_approx": {}' + sep + '"slack": "{}"'
+            + sep + '"slack_approx": {}\n' + row + "}}").format
+    lead = "[\n" + row
+    for r in results:
+        subject = r.subject
+        if subject is None:
+            subject_text = "null"
+        elif type(subject) is int:
+            subject_text = vertex_head + str(subject) + vertex_tail
+        else:  # a subset has at least two members
+            subject_text = (subset_head + "".join(itemgetter(*subject)(members))[1:]
+                            + subset_tail)
+        out(lead + heads[r.relation_id] + subject_text + tail(
+            encode_basestring_ascii(r.status),
+            *_rational(r.lhs_num, r.lhs_den),
+            *_rational(r.rhs_num, r.rhs_den),
+            *_rational(*r.slack_pair),
+        ))
+        lead = ",\n" + row
+    out("\n" + pad + "]" if results else "[]")
+
+
+def _render_check_text(g: Graph, results: list[rel.RelationResult],
+                       non_audit: int, audit: int) -> str:
+    lines = [f"# centaudit check (schema {SCHEMA_VERSION})", f"graph: n={g.n} m={g.m}"]
+    for r in results:
+        flag = " [audit]" if rel.relation(r.relation_id).audit else ""
+        lhs, rhs, slack = (_rational(*pair)[0] for pair in (
+            (r.lhs_num, r.lhs_den), (r.rhs_num, r.rhs_den), r.slack_pair))
         lines.append(
-            f"{r['relation']} {_subject_text_from_json(r['subject'])}: {r['status']}"
-            f" lhs={r['lhs']} rhs={r['rhs']} slack={r['slack']}{flag}"
+            f"{r.relation_id} {_subject_text(r.subject)}: {r.status}"
+            f" lhs={lhs} rhs={rhs} slack={slack}{flag}"
         )
-    lines.append(
-        f"violations: non_audit={payload['non_audit_violations']} "
-        f"audit={payload['audit_violations']}"
-    )
+    lines.append(f"violations: non_audit={non_audit} audit={audit}")
     return "".join(line + "\n" for line in lines)
 
 
-def _subject_text_from_json(subject) -> str:
+def _subject_text(subject: rel.Subject) -> str:
     if subject is None:
         return "graph"
-    if "vertex" in subject:
-        return f"vertex {subject['vertex']}"
-    return "subset {" + ",".join(str(v) for v in subject["subset"]) + "}"
+    if isinstance(subject, int):
+        return f"vertex {subject}"
+    return "subset {" + ",".join(map(str, subject)) + "}"
+
+
+def _subject_text_from_json(subject) -> str:
+    return _subject_text(subject and subject.get("vertex", subject.get("subset")))
 
 
 def _edges_text(edges) -> str:
@@ -423,12 +457,19 @@ def _cmd_check(args, argv, out) -> int:
     relation_ids = _parse_relation_ids(args.relations)
     g = _read_graph(args.input)
     results = rel.evaluate_all(g, relation_ids)
-    payload = _check_payload(g, results)
+    non_audit, audit = rel.violation_counts(
+        (r.relation_id, r.status == rel.VIOLATED) for r in results
+    )
     if args.format == "json":
-        out.write(_render_json(argv, payload))
+        out.write(_render_json(argv, {
+            "graph": {"n": g.n, "m": g.m},
+            "results": partial(_result_rows, results, g.n),
+            "non_audit_violations": non_audit,
+            "audit_violations": audit,
+        }))
     else:
-        out.write(_render_check_text(argv, payload))
-    return EXIT_OK if payload["non_audit_violations"] == 0 else EXIT_VIOLATION
+        out.write(_render_check_text(g, results, non_audit, audit))
+    return EXIT_OK if non_audit == 0 else EXIT_VIOLATION
 
 
 def _model_params(args) -> dict:

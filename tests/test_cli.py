@@ -8,9 +8,18 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from centaudit import cli, mining, watts_strogatz_graph
-from centaudit.graphs import MODELS, enumerate_connected_range
-from centaudit.relations import evaluate_all
+from centaudit import cli, gnp_graph, mining, path_graph, watts_strogatz_graph
+from centaudit.graphs import MODELS, enumerate_connected_range, serialize_edge_list
+from centaudit.relations import (
+    EQUALITY,
+    HOLDS,
+    RELATION_IDS,
+    SKIPPED,
+    VIOLATED,
+    RelationResult,
+    evaluate_all,
+    relation,
+)
 from centaudit.cli import (
     EXIT_DISCONNECTED,
     EXIT_OK,
@@ -39,6 +48,34 @@ def run_json(argv):
     assert doc["schema_version"] == 1
     assert doc["command"] == list(argv)
     return code, doc["payload"]
+
+
+def check_document(g, *flags):
+    """Exit code and text of ``check - --format json`` on ``g``."""
+    stdin, sys.stdin = sys.stdin, io.StringIO(serialize_edge_list(g))
+    try:
+        code, stdout, _ = run(["check", "-", "--format", "json", *flags])
+    finally:
+        sys.stdin = stdin
+    return code, stdout
+
+
+def assert_round_trips(doc):
+    assert json.dumps(json.loads(doc), indent=2) + "\n" == doc
+
+
+@pytest.fixture(scope="module")
+def small_check_documents():
+    """(graph, check document) for every connected graph on up to five
+    vertices and for WS(14, 4, 0.1)."""
+    graphs = [g for n in range(2, 6) for g in enumerate_connected_range(n, 0, None)]
+    graphs.append(watts_strogatz_graph(14, 4, 0.1, seed=0))
+    documents = []
+    for g in graphs:
+        code, doc = check_document(g)
+        assert code == EXIT_OK
+        documents.append((g, doc))
+    return documents
 
 
 @pytest.fixture
@@ -180,15 +217,15 @@ class TestCheck:
     def test_non_audit_violation_exit_4(self, star_file, monkeypatch):
         # proven relations never violate on real graphs; fabricate one result
         # to pin the exit-code contract
-        from centaudit.relations import RelationResult
-
         def fake_evaluate_all(g, relation_ids=None):
             return [RelationResult("R8", None, "violated", "=", 1, 1, 2, 1)]
 
         monkeypatch.setattr(cli.rel, "evaluate_all", fake_evaluate_all)
-        code, payload = run_json(["check", star_file, "--format", "json"])
+        argv = ["check", star_file, "--format", "json"]
+        code, payload = run_json(argv)
         assert code == EXIT_VIOLATION
         assert payload["non_audit_violations"] == 1
+        assert_round_trips(run(argv)[1])
 
     def test_text_flags_audit(self, star_file):
         code, stdout, _ = run(["check", star_file, "--relations", "R12"])
@@ -300,13 +337,14 @@ class TestMine:
 
 
 class TestResultFields:
-    """Result entries are formatted from the evaluator's integer pairs; they
-    must read as the Fractions ``RelationResult`` builds from those pairs."""
+    """Result entries are formatted from the evaluator's integer pairs; read
+    back from ``check``'s document, they must be the Fractions
+    ``RelationResult`` builds from those pairs."""
 
     @staticmethod
-    def check_fields(results, seen):
-        for result in results:
-            entry = cli._result_payload(result)
+    def check_fields(results, entries, seen):
+        assert len(entries) == len(results)
+        for result, entry in zip(results, entries):
             for side, pair in (("lhs", (result.lhs_num, result.lhs_den)),
                                ("rhs", (result.rhs_num, result.rhs_den)),
                                ("slack", result.slack_pair)):
@@ -317,13 +355,92 @@ class TestResultFields:
                 seen["negative"] |= value < 0
                 seen["unreduced"] |= gcd(*pair) != 1
 
-    def test_every_graph_up_to_five_vertices_and_ws14(self):
+    def test_every_graph_up_to_five_vertices_and_ws14(self, small_check_documents):
         seen = dict.fromkeys(("zero", "negative", "unreduced"), False)
-        for n in range(2, 6):
-            for g in enumerate_connected_range(n, 0, None):
-                self.check_fields(evaluate_all(g), seen)
-        self.check_fields(evaluate_all(watts_strogatz_graph(14, 4, 0.1, seed=0)), seen)
+        for g, doc in small_check_documents:
+            entries = json.loads(doc)["payload"]["results"]
+            self.check_fields(evaluate_all(g), entries, seen)
         assert all(seen.values()), seen
+
+
+class TestCheckDocumentLayout:
+    """``check``'s rows are written straight from its results; the document
+    must still be laid out as ``json.dumps(..., indent=2)`` lays it out."""
+
+    def test_every_graph_up_to_five_vertices_and_ws14(self, small_check_documents):
+        for _, doc in small_check_documents:
+            assert_round_trips(doc)
+
+    @pytest.mark.parametrize("g", [
+        watts_strogatz_graph(150, 4, 0.1, seed=0),
+        gnp_graph(60, 0.3, seed=0),
+        path_graph(12),
+    ], ids=["ws150", "gnp60", "P12"])
+    def test_larger_hosts(self, g):
+        code, doc = check_document(g)
+        assert code == EXIT_OK
+        assert_round_trips(doc)
+
+    def test_relation_subset(self):
+        code, doc = check_document(watts_strogatz_graph(14, 4, 0.1, seed=0),
+                                   "--relations", "R12,R6")
+        assert code == EXIT_OK
+        assert_round_trips(doc)
+        assert {r["relation"] for r in json.loads(doc)["payload"]["results"]} == {"R6", "R12"}
+
+
+def result_entry(result):
+    """A result entry as a dict, laid out by the generic writer below: the
+    form ``check`` built before it wrote its rows itself."""
+    spec = relation(result.relation_id)
+    subject = result.subject
+    if subject is not None:
+        subject = {"vertex": subject} if isinstance(subject, int) else {"subset": list(subject)}
+    entry = {"relation": spec.id, "kind": spec.kind, "audit": spec.audit,
+             "subject": subject, "status": result.status}
+    for side in ("lhs", "rhs", "slack"):
+        value = getattr(result, side)
+        entry[side] = format_rational(value)
+        entry[f"{side}_approx"] = float(value)
+    return entry
+
+
+RATIONAL_INTS = st.one_of(st.integers(-60, 60), st.integers(2**64, 2**200),
+                          st.integers(-(2**200), -(2**64)))
+# the scale makes a pair unreduced
+RATIONAL_PAIRS = st.tuples(RATIONAL_INTS, RATIONAL_INTS.filter(bool),
+                           st.sampled_from([1, 1, 2, 6, 2**70])).map(
+    lambda t: (t[0] * t[2], t[1] * t[2]))
+
+
+@st.composite
+def result_lists(draw):
+    """(n, results) for a graph of n vertices, every catalog id among them."""
+    n = draw(st.integers(2, 200))
+    vertex = st.integers(0, n - 1)
+    subject = st.one_of(
+        st.none(), vertex,
+        st.lists(vertex, min_size=2, max_size=min(150, n), unique=True).map(
+            lambda s: tuple(sorted(s))),
+    )
+    extra = draw(st.lists(st.sampled_from(RELATION_IDS), max_size=8))
+    ids = draw(st.permutations(list(RELATION_IDS) + extra))
+    status = st.sampled_from([HOLDS, EQUALITY, VIOLATED, SKIPPED])
+    return n, [RelationResult(rid, draw(subject), draw(status), relation(rid).sense,
+                              *draw(RATIONAL_PAIRS), *draw(RATIONAL_PAIRS))
+               for rid in ids]
+
+
+class TestResultRows:
+    @given(result_lists(), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    @example((3, []), 2)
+    def test_matches_generic_writer(self, case, depth):
+        n, results = case
+        pad = "  " * depth
+        parts = []
+        cli._result_rows(results, n, pad, parts.append)
+        assert "".join(parts) == rendered([result_entry(r) for r in results], pad)
 
 
 SPECIAL_STRINGS = ["", "\"", "\\", "\x00\x1f\x7f", "\n\t\r\b\f", "ñ€😀",
@@ -350,9 +467,9 @@ JSON_VALUES = st.recursive(
 )
 
 
-def rendered(value):
+def rendered(value, pad=""):
     parts = []
-    cli._write_json(value, "", parts.append)
+    cli._write_json(value, pad, parts.append)
     return "".join(parts)
 
 
