@@ -78,26 +78,26 @@ class Graph:
 
 
 def _edges_connected(n: int, edges: Iterable[tuple[int, int]]) -> bool:
-    """True iff breadth-first search from vertex 0 reaches every vertex of the
-    graph on n vertices with these edges, over adjacency bit rows (bit v of
-    ``rows[u]`` set for each edge u-v); vacuously true for n <= 1."""
+    """True iff a search from vertex 0 over adjacency lists reaches every
+    vertex of the graph on n vertices with these edges, in O(n + m) time and
+    memory; vacuously true for n <= 1."""
     if n <= 1:
         return True
-    rows = [0] * n
+    neighbors: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    frontier = rows[0]
-    seen = frontier | 1
-    while frontier:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= rows[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    seen = bytearray(n)
+    seen[0] = 1
+    stack = [0]
+    reached = 1
+    while stack:
+        for v in neighbors[stack.pop()]:
+            if not seen[v]:
+                seen[v] = 1
+                stack.append(v)
+                reached += 1
+    return reached == n
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +306,9 @@ def generate(model: str, params: Mapping[str, object], seed: int = 0) -> Graph:
 # is in ascending mask order, which fixes a reproducible graph order.
 # ---------------------------------------------------------------------------
 
-MAX_ENUMERATION_N = 8
+# The largest n of the labeled enumeration and of the class table: n = 7 has
+# 2^21 masks; n = 8 would walk 2^28 masks and take a 2^28-entry table
+MASK_CLASSES_MAX_N = 7
 
 
 @cache
@@ -351,8 +353,8 @@ def enumerate_connected_range(n: int, start: int, stop: int | None) -> Iterator[
     Same order as :func:`enumerate_connected`; the full mask range may be
     partitioned across workers and the pieces concatenated.
     """
-    if not 1 <= n <= MAX_ENUMERATION_N:
-        raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUMERATION_N}, got {n}")
+    if not 1 <= n <= MASK_CLASSES_MAX_N:
+        raise ValueError(f"enumeration supports 1 <= n <= {MASK_CLASSES_MAX_N}, got {n}")
     total = 1 << len(_pair_table(n))
     if stop is None or stop > total:
         stop = total
@@ -367,9 +369,6 @@ def enumerate_connected_range(n: int, start: int, stop: int | None) -> Iterator[
 # ---------------------------------------------------------------------------
 # Isomorphism classes of adjacency bitmasks
 # ---------------------------------------------------------------------------
-
-# n = 7 has 2^21 masks; n = 8 would take a 2^28-entry table
-MASK_CLASSES_MAX_N = 7
 
 
 def _plain_changes(n: int) -> list[int]:

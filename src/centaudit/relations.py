@@ -22,20 +22,26 @@ denominator.
 ``lhs_num * rhs_den - rhs_num * lhs_den`` oriented by the comparison, and
 returns one outcome per subject: the pair ``(status, row)``. :func:`tally`
 gives the miner what it keeps of one graph: the four status counts and the
-violated outcomes. It counts :func:`evaluate`'s outcomes for every relation
-and host but one: R6 on a sampled host of 11 to SUBSET_LANE_MAX_N vertices,
-with at most SUBSET_LANE_N_PER_DIGIT per distance digit, has a count kernel,
-which decides each sampled subset from its pair sum on subset lanes without
-building rows, and hands over to :func:`evaluate` on a graph where a subset
-is violated. :func:`make_result` turns one outcome into a
-:class:`RelationResult`, whose sides become Fractions only when read;
-:func:`evaluate_all` (the ``check`` path) and the miner's capped witnesses
-are its callers.
+violated outcomes.
+
+R6 reads the pair-distance sum of every vertex subset it audits. Hosts of up
+to 10 vertices fill one table over all subset masks by inclusion-exclusion.
+Larger hosts audit seeded random subsets, whose pair sums come from one of
+two kernels, chosen by one rule (:func:`_on_subset_lanes`): subset lanes,
+all subsets at once, on hosts of at most SUBSET_LANE_N_PER_PLANE vertices
+per bit of the diameter, and bit planes of the distance matrix, one subset at
+a time, on the others. :func:`tally` counts :func:`evaluate`'s outcomes for
+every relation and host but R6 on a lane host: there a count kernel decides
+each sampled subset on subset lanes without building rows, and hands over to
+:func:`evaluate` on a graph where a subset is violated.
+
+:func:`make_result` turns one outcome into a :class:`RelationResult`, whose
+sides become Fractions only when read; :func:`evaluate_all` (the ``check``
+path) and the miner's capped witnesses are its callers.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,8 +60,7 @@ from .graphs import (
 from .metrics import (
     CentralityProfile,
     DistanceMatrix,
-    _BIG_ENDIAN,
-    _LANE_CODES,
+    _pack_lanes,
     _unpack_lanes,
     apsp,
     byte_lanes,
@@ -247,80 +252,44 @@ def _pair_sum_steps(n: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
     return tuple(steps)
 
 
-# An AND and a popcount of two ints cost the interpreter's per-operation
-# overhead plus a little per bit: in CPython 3.11 about 40 ns at 24 bits and
-# 90 ns at 1000. So R6's kernel packs several bits of each distance into one
-# row word, as long as the word stays within this width.
-_DIGIT_ROW_BITS = 1024
-
-
-def _digit_bits(n: int) -> int:
-    """The bits r per digit of :func:`_distance_digits` on n vertices: the
-    most for which a digit written in unary on n vertices fits in
-    ``_DIGIT_ROW_BITS`` bits, and at least 1."""
-    r = 1
-    while ((1 << (r + 1)) - 1) * n <= _DIGIT_ROW_BITS:
-        r += 1
-    return r
-
-
-def _distance_digits(dist, top: int) -> list[tuple[int, list[int], int]]:
-    """Digit rows of a distance matrix whose largest entry is ``top``, for
-    subset pair sums, as ``(shift, rows, replicate)`` per digit.
-
-    Each distance is cut into digits of r = :func:`_digit_bits` (n) bits (r =
-    1 for n > 341: plain bit planes). For the digit at ``shift``,
-    ``rows[u]`` holds n-bit layers 1..L, L the largest digit value: bit v of
-    layer j is set when the digit of ``dist[u][v]`` is at least j. With
-    ``replicate`` = 1 + 2^n + ... + 2^((L-1)n), ``popcount(rows[u] & S *
-    replicate)`` is the sum of that digit over the v in S.
-    """
-    n = len(dist)
-    r = _digit_bits(n)
-    digits = []
+def _distance_planes(dist, top: int) -> list[list[int]]:
+    """Bit planes of a distance matrix whose largest entry is ``top``, for
+    subset pair sums: for each bit b of ``top``, ``rows[u]`` holds bit v
+    when bit b of ``dist[u][v]`` is set, so that ``popcount(rows[u] & S)``
+    counts the v in S for which it is."""
     reversed_rows = [row[::-1] for row in dist]  # strings put vertex 0 last
-    for shift in range(0, top.bit_length(), r):
-        layers = min((1 << r) - 1, top >> shift)
-        units = [(x >> shift) & ((1 << r) - 1) for x in range(top + 1)]
-        # one "0"/"1" table per layer, highest layer first
-        tables = [["1" if unit >= j else "0" for unit in units] for j in range(layers, 0, -1)]
-        rows = [int("".join(["".join(map(t.__getitem__, row)) for t in tables]), 2)
-                for row in reversed_rows]
-        digits.append((shift, rows, sum(1 << (j * n) for j in range(layers))))
-    return digits
+    planes = []
+    for b in range(top.bit_length()):
+        table = ["1" if x >> b & 1 else "0" for x in range(top + 1)]
+        planes.append([int("".join(map(table.__getitem__, row)), 2) for row in reversed_rows])
+    return planes
 
 
-def _digit_pair_sums(dist, top, stream):
+def _plane_pair_sums(dist, top, stream):
     """``(members, T(S))`` for each ``(members, mask)`` of the stream, T(S)
     the pair-distance sum of S: each ordered pair (u, v) of S adds d(u, v)
-    digit by digit, so T(S) is half the sum, over the digits and over the u
-    in S, of the row popcounts."""
-    digits = _distance_digits(dist, top)
+    bit by bit, so T(S) is half the sum, over the bits b and the u in S, of
+    2^b times the popcount of plane b's row u within S."""
+    planes = _distance_planes(dist, top)
     for members, mask in stream:
         total = 0
-        for shift, rows, replicate in digits:
-            spread = mask * replicate
-            total += sum([(rows[u] & spread).bit_count() for u in members]) << shift
+        for b, rows in enumerate(planes):
+            total += sum([(rows[u] & mask).bit_count() for u in members]) << b
         yield members, total >> 1
 
 
 # A sampled host reads its subset pair sums off transposed subset lanes
-# (_lane_pair_sums) when it has at most SUBSET_LANE_MAX_N vertices and at most
-# SUBSET_LANE_N_PER_DIGIT vertices per digit of _distance_digits, and off
-# digit rows (_digit_pair_sums) otherwise. The lanes take n (n - 1) / 2 ANDs
-# and additions of big ints over all subsets at once, on count lanes of 16
-# bits for every host from 23 to 362 vertices; the rows take about n/2 small
-# operations per subset and digit. So the lanes lose ground to the rows as n
-# grows and gain it with every digit. Measured per host, digit rows against
-# lanes, on check's 1000 pair sums and on the miner's 512-subset count, on
-# WS(n, 4, 0.1), G(n, 0.3) and P_n from 11 to 255 vertices (README, "Notes on
-# scale"): hosts of two digits or more were faster on lanes at every size,
-# while the dense G(n, 0.3), one digit from 147 vertices on, drew even with
-# the rows in check at 150 to 176 vertices and lost from 200 on.
-# SUBSET_LANE_MAX_N must stay below 256, for the miner packs subset sizes
-# into bytes.
-SUBSET_LANE_MAX_N = 255
-SUBSET_LANE_N_PER_DIGIT = 149
+# (_lane_pair_sums) when it has at most SUBSET_LANE_N_PER_PLANE vertices per
+# bit plane of _distance_planes, that is per bit of its diameter, and off the
+# planes (_plane_pair_sums) otherwise. The lanes take n (n - 1) / 2 ANDs and
+# additions of big ints over all subsets at once, whatever the diameter; the
+# planes take about n/2 small operations per subset and plane. So the lanes
+# lose ground to the planes as n grows and gain it with every plane. Measured
+# per host (README, "Notes on scale"), check's pair sums draw even at about
+# 149 vertices per plane on complete graphs and G(n, 0.3), lose on lanes from
+# about 110 on four-plane Watts-Strogatz hosts and still win at 118 on paths;
+# the miner's count is faster on lanes on every host measured up to 180.
+SUBSET_LANE_N_PER_PLANE = 149
 _SUBSET_LANE_WIDTHS = (8, 16, 32, 64)
 
 
@@ -331,11 +300,9 @@ def _lane_width(bound: int) -> int:
 
 def _on_subset_lanes(n: int, top: int) -> bool:
     """Whether a sampled host of n vertices whose largest distance is ``top``
-    reads its subset pair sums off subset lanes: at most SUBSET_LANE_MAX_N
-    vertices, and at most SUBSET_LANE_N_PER_DIGIT per digit of
-    :func:`_distance_digits`."""
-    digits = -(-top.bit_length() // _digit_bits(n))
-    return n <= min(SUBSET_LANE_MAX_N, SUBSET_LANE_N_PER_DIGIT * digits)
+    reads its subset pair sums off subset lanes: at most
+    SUBSET_LANE_N_PER_PLANE vertices per bit of ``top``."""
+    return n <= SUBSET_LANE_N_PER_PLANE * top.bit_length()
 
 
 def _mask_records(masks: list[int], n: int) -> tuple[bytes, int]:
@@ -343,10 +310,7 @@ def _mask_records(masks: list[int], n: int) -> tuple[bytes, int]:
     record length: 8 bytes through one array conversion up to 64 vertices,
     (n + 7) // 8 above."""
     if n <= 64:
-        words = array(_LANE_CODES[64], masks)
-        if _BIG_ENDIAN:
-            words.byteswap()
-        return words.tobytes(), 8
+        return _pack_lanes(masks, 64), 8
     size = (n + 7) // 8
     return b"".join([mask.to_bytes(size, "little") for mask in masks]), size
 
@@ -397,9 +361,9 @@ def _lane_pair_sums(dist, top: int, masks: list[int]) -> tuple[int, int]:
 def _sampled_pair_sums(dist, top: int, stream):
     """``(members, T(S))`` for each ``(members, mask)`` of a sampled subset
     stream: on subset lanes where :func:`_on_subset_lanes` says so, from
-    digit rows elsewhere."""
+    bit planes elsewhere."""
     if not _on_subset_lanes(len(dist), top):
-        return _digit_pair_sums(dist, top, stream)
+        return _plane_pair_sums(dist, top, stream)
     subjects = list(stream)
     sums, width = _lane_pair_sums(dist, top, [mask for _, mask in subjects])
     return zip([members for members, _ in subjects], _unpack_lanes(sums, len(subjects), width))
@@ -733,9 +697,9 @@ def _r6_lane_counts(g: Graph, prof: CentralityProfile, d: DistanceMatrix,
     A subset S of k members holds exactly when (k - 1) * distance_total -
     (n - 1) * 2 T(S) > 0: that is :func:`evaluate`'s ``ln * rd - rn * ld``
     divided by the positive n k. The signs are read in every lane at once.
-    The W-bit lanes of T(S) are widened to V = 2W bits, the sizes k (below
-    256) are packed beside them, and each lane then holds 2^(V-1) plus that
-    difference: its top bit is clear exactly where S is violated, and the
+    The W-bit lanes of T(S) are widened to V = 2W bits, the sizes k (two
+    bytes each; V >= 16) are packed beside them, and each lane then holds
+    2^(V-1) plus that difference: its top bit is clear exactly where S is violated, and the
     lane equals 2^(V-1) exactly where S is tight. No lane borrows or
     carries: both terms are at most (n - 1) n (n - 1) top < (n - 1) 2^W, and
     n - 1 < 2^(W/2) <= 2^(W-1).
@@ -746,7 +710,7 @@ def _r6_lane_counts(g: Graph, prof: CentralityProfile, d: DistanceMatrix,
     wide = 2 * width
     ones = byte_lanes(b"\1" * count, wide)
     high = ones << (wide - 1)  # 2^(V-1) in every lane
-    sizes = byte_lanes(bytes(map(int.bit_count, masks)), wide)
+    sizes = byte_lanes(_pack_lanes(map(int.bit_count, masks), 16), wide, 2)
     doubled = 2 * (g.n - 1) * byte_lanes(sums.to_bytes(count * width // 8, "little"),
                                          wide, width // 8)
     lanes = high + prof.distance_total * (sizes - ones) - doubled
@@ -769,9 +733,8 @@ def tally(
     one connected graph: the status counts of :func:`evaluate`'s outcomes
     with ``max_subjects=budget``, and its violated outcomes in order.
 
-    R6 on a sampled host of at most SUBSET_LANE_MAX_N vertices and
-    SUBSET_LANE_N_PER_DIGIT per distance digit (:func:`_on_subset_lanes`) is
-    counted on subset lanes without building its rows, and falls back to
+    R6 on a sampled host that :func:`_on_subset_lanes` puts on subset lanes
+    is counted there without building its rows, and falls back to
     :func:`evaluate` on a graph where any subset is violated, so that the
     violations carry their rows. Every other relation and host counts
     :func:`evaluate`'s outcomes.

@@ -19,7 +19,8 @@ rows just above that bound, which later rose to 149 vertices and put it on
 n = 7 one (1,866,256 graphs, a few seconds), were recorded before exhaustive
 shards evaluated one graph per isomorphism class. The n = 150 check
 document's R6 pair sums have since moved from digit rows to subset lanes
-with 16-bit pair counts. Any refactor must leave these bytes unchanged.
+with 16-bit pair counts, and the n = 400 one's from bit planes to subset
+lanes. Any refactor must leave these bytes unchanged.
 
 The graphs are fed on stdin so that the echoed ``command`` holds no file path.
 """

@@ -1,5 +1,6 @@
 import io
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -79,11 +80,6 @@ class TestGraph:
         b = Graph.from_edges(3, [(0, 1), (2, 1)])
         assert a == b and hash(a) == hash(b)
 
-    def test_connectivity(self):
-        assert path_graph(5).is_connected()
-        assert not Graph.from_edges(4, [(0, 1), (2, 3)]).is_connected()
-        assert Graph.from_edges(1, []).is_connected()
-
     @pytest.mark.parametrize("n", range(6))
     def test_connectivity_matches_union_find(self, n):
         # every edge set on n vertices, disconnected ones included
@@ -92,6 +88,18 @@ class TestGraph:
             edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
             g = Graph.from_edges(n, edges)
             assert g.is_connected() == union_find_connected(n, edges)
+
+    def test_connectivity_memory_is_linear(self):
+        """The search keeps adjacency lists, O(n + m): about 2 MiB at peak on
+        this graph, where n rows of n bits peak near 29 MiB."""
+        g = watts_strogatz_graph(20000, 4, 0.1, seed=0)
+        tracemalloc.start()
+        try:
+            assert g.is_connected()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +269,10 @@ class TestEnumeration:
             seen.add(g.edges)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            list(enumerate_connected(9))
-        with pytest.raises(ValueError):
-            list(enumerate_connected(0))
+        # n = 8 would walk 2^28 masks: the first graph must not come
+        for n in (0, 8, 9):
+            with pytest.raises(ValueError):
+                next(enumerate_connected(n))
 
     def test_graph_from_mask(self):
         # bits 0, 1, 2 are the pairs (0,1), (0,2), (1,2)

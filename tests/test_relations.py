@@ -428,28 +428,34 @@ class TestSampledPairSums:
     """On hosts with n >= 11 that relations._on_subset_lanes puts on lanes, R6
     reads the sampled subsets' pair sums off transposed subset lanes (8-bit
     lanes on K12 and star11; 16-bit on C33, P40 and the dense G(56, 0.3) and
-    G(72, 0.3); 16-bit pair counts widened to 32-bit sums on P72 and WS(150));
-    elsewhere off digit rows of the distance matrix (C342, one bit plane per
-    distance bit for n > 341, and the dense G(200, 0.3), one unary digit).
-    Every one of the sampled subjects must carry the pair sum summed directly
-    over its members."""
+    G(72, 0.3); 16-bit pair counts widened to 32-bit sums on P72, WS(150) and
+    G(200, 0.3); 32-bit counts and sums above 255 vertices on P300, WS(300),
+    C342 and C600); elsewhere off bit planes of the distance matrix (K160,
+    one plane, and G(400, 0.3), two). Every one of the sampled subjects must
+    carry the pair sum summed directly over its members."""
 
-    @pytest.mark.parametrize("g, planes", [
-        (complete_graph(12), 1),
-        (star_graph(11), 2),
-        (watts_strogatz_graph(150, 4, 0.1, seed=0), 4),
-        (cycle_graph(33), 5),
-        (path_graph(40), 6),
-        (cycle_graph(342), 8),
-        (path_graph(72), 7),
-        (_gnp_connected(56, 0.3), 2),
-        (_gnp_connected(72, 0.3), 2),
-        (_gnp_connected(200, 0.3), 2),
+    @pytest.mark.parametrize("g, planes, on_lanes", [
+        (complete_graph(12), 1, True),
+        (star_graph(11), 2, True),
+        (watts_strogatz_graph(150, 4, 0.1, seed=0), 4, True),
+        (cycle_graph(33), 5, True),
+        (path_graph(40), 6, True),
+        (cycle_graph(342), 8, True),
+        (path_graph(72), 7, True),
+        (_gnp_connected(56, 0.3), 2, True),
+        (_gnp_connected(72, 0.3), 2, True),
+        (_gnp_connected(200, 0.3), 2, True),
+        (path_graph(300), 9, True),
+        (watts_strogatz_graph(300, 4, 0.1, seed=0), 4, True),
+        (cycle_graph(600), 9, True),
+        (complete_graph(160), 1, False),
+        (_gnp_connected(400, 0.3), 2, False),
     ], ids=["K12", "star11", "ws150", "C33", "P40", "C342", "P72", "gnp56", "gnp72",
-            "gnp200"])
-    def test_every_subject_matches_a_direct_sum(self, g, planes):
+            "gnp200", "P300", "ws300", "C600", "K160", "gnp400"])
+    def test_every_subject_matches_a_direct_sum(self, g, planes, on_lanes):
         d = apsp(g)
         assert max(map(max, d.dist)).bit_length() == planes
+        assert relations._on_subset_lanes(g.n, d.diameter) == on_lanes
         sums = r6_pair_sums(g, d)
         assert [members for members, _ in sums] == [m for m, _ in subset_stream(g.n)]
         assert len(sums) == SUBSET_SAMPLE_COUNT
@@ -461,22 +467,23 @@ class TestSampledPairSums:
             direct = [pair_distance_sum(d.dist, members) for members, _ in sums]
         assert [pair_sum for _, pair_sum in sums] == direct
 
-    @pytest.mark.parametrize("g", [
-        watts_strogatz_graph(150, 4, 0.1, seed=0),
-        _gnp_connected(200, 0.3),
-    ], ids=["ws150", "gnp200"])
-    def test_lanes_and_rows_on_either_side_of_the_rule(self, g):
+    @pytest.mark.parametrize("g, on_lanes", [
+        (watts_strogatz_graph(150, 4, 0.1, seed=0), True),
+        (_gnp_connected(299, 0.3), False),
+    ], ids=["ws150", "gnp299"])
+    def test_lanes_and_rows_on_either_side_of_the_rule(self, g, on_lanes):
         """Both kernels on a host of each side: WS(150) goes to lanes and
-        G(200, 0.3) to rows, and both take 16-bit pair counts widened to
-        32-bit sums on lanes."""
+        G(299, 0.3), one vertex past two planes' 298, to bit planes, and both
+        take 16-bit pair counts widened to 32-bit sums on lanes."""
         d = apsp(g)
+        assert relations._on_subset_lanes(g.n, d.diameter) == on_lanes
         assert 8 < (g.n * (g.n - 1) // 2).bit_length() <= 16
         subjects = list(islice(subset_stream(g.n), SUBSET_SAMPLE_COUNT))
         sums, width = relations._lane_pair_sums(d.dist, d.diameter, [m for _, m in subjects])
         assert width == 32
         direct = [pair_distance_sum(d.dist, members) for members, _ in subjects]
         assert list(_unpack_lanes(sums, len(subjects), width)) == direct
-        rows = relations._digit_pair_sums(d.dist, d.diameter, subjects)
+        rows = relations._plane_pair_sums(d.dist, d.diameter, subjects)
         assert [pair_sum for _, pair_sum in rows] == direct
 
     @staticmethod
@@ -517,9 +524,9 @@ def counted(spec, g, prof, d, budget, keep=lambda outcomes: None):
 class TestTally:
     """relations.tally, the miner's count path, against a count of evaluate's
     outcomes. R6 on sampled hosts that relations._on_subset_lanes puts on
-    lanes (at most SUBSET_LANE_MAX_N vertices, and SUBSET_LANE_N_PER_DIGIT
-    per distance digit) is counted on subset lanes, every other relation and
-    host through evaluate."""
+    lanes (at most SUBSET_LANE_N_PER_PLANE vertices per bit of the diameter)
+    is counted on subset lanes, every other relation and host through
+    evaluate."""
 
     def test_every_graph_up_to_six_vertices(self, monkeypatch):
         # tally reads the outcomes evaluate gave the reference count, so that
@@ -538,8 +545,10 @@ class TestTally:
 
     # widths: the subset lane width W that n (n - 1) diameter calls for and
     # the count width that n (n - 1) / 2 calls for; None where the rule puts
-    # the host on digit rows. The rule's edges: WS and paths at 255 and 256
-    # vertices (the byte bound), G(n, 0.3) at 149 and 150 (one digit).
+    # the host on bit planes. The rule's edges: complete graphs at 149 and
+    # 150 vertices (one plane), G(n, 0.3) at 298 and 299 (two) and WS at 596
+    # and 597 (four, diameter 15). Every subset of WS(596) and P600 has more
+    # than 255 members, so the count kernel packs its sizes in two bytes.
     @pytest.mark.parametrize("g, widths", [
         (watts_strogatz_graph(11, 4, 0.1, seed=0), (16, 8)),
         (watts_strogatz_graph(12, 4, 0.1, seed=0), (16, 8)),
@@ -559,14 +568,22 @@ class TestTally:
         (watts_strogatz_graph(150, 4, 0.1, seed=0), (32, 16)),
         (path_graph(150), (32, 16)),
         (_gnp_connected(149, 0.3), (16, 16)),
-        (_gnp_connected(150, 0.3), None),
+        (_gnp_connected(150, 0.3), (16, 16)),
         (watts_strogatz_graph(255, 4, 0.1, seed=0), (32, 16)),
-        (watts_strogatz_graph(256, 4, 0.1, seed=0), None),
+        (watts_strogatz_graph(256, 4, 0.1, seed=0), (32, 16)),
         (path_graph(255), (32, 16)),
-        (path_graph(256), None),
+        (path_graph(256), (32, 16)),
+        (complete_graph(149), (16, 16)),
+        (complete_graph(150), None),
+        (_gnp_connected(298, 0.3), (32, 16)),
+        (_gnp_connected(299, 0.3), None),
+        (watts_strogatz_graph(596, 4, 0.1, seed=0), (32, 32)),
+        (watts_strogatz_graph(597, 4, 0.1, seed=0), None),
+        (path_graph(600), (32, 32)),
     ], ids=["ws11", "ws12", "ws24", "ws64", "gnp24", "gnp64", "K16", "K40", "P60", "P72",
             "ws73", "P90", "ws96", "ws149", "P149", "ws150", "P150", "gnp149", "gnp150",
-            "ws255", "ws256", "P255", "P256"])
+            "ws255", "ws256", "P255", "P256", "K149", "K150", "gnp298", "gnp299", "ws596",
+            "ws597", "P600"])
     def test_sampled_hosts(self, g, widths, monkeypatch):
         d = apsp(g)
         prof = profile(g, d)
