@@ -130,6 +130,10 @@ class TestGraphLevelMetrics:
     def test_avg_path_length(self, g, expected):
         assert profile(g).avg_path_length == expected
 
+    def test_avg_path_length_needs_two_vertices(self):
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            profile(Graph.from_edges(1, []))
+
     @pytest.mark.parametrize("leaves", [3, 4, 5, 6])
     def test_star_formula(self, leaves):
         # closed form for the star: L = 2 * leaves / (leaves + 1)
