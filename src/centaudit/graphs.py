@@ -342,24 +342,29 @@ def mask_connected(n: int, mask: int) -> bool:
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
-    """Yield every labeled simple connected graph on n vertices exactly once,
-    in ascending adjacency-bitmask order. No isomorphism deduplication."""
-    yield from enumerate_connected_range(n, 0, None)
+    """Every labeled simple connected graph on n vertices exactly once, in
+    ascending adjacency-bitmask order. No isomorphism deduplication."""
+    return enumerate_connected_range(n, 0, None)
 
 
 def enumerate_connected_range(n: int, start: int, stop: int | None) -> Iterator[Graph]:
     """Connected graphs whose adjacency bitmask lies in [start, stop).
 
     Same order as :func:`enumerate_connected`; the full mask range may be
-    partitioned across workers and the pieces concatenated.
+    partitioned across workers and the pieces concatenated. A bad n raises
+    ValueError at the call, before any graph is asked for.
     """
     if not 1 <= n <= MASK_CLASSES_MAX_N:
         raise ValueError(f"enumeration supports 1 <= n <= {MASK_CLASSES_MAX_N}, got {n}")
     total = 1 << len(_pair_table(n))
     if stop is None or stop > total:
         stop = total
+    return _connected_graphs(n, max(start, 0), stop)
+
+
+def _connected_graphs(n: int, start: int, stop: int) -> Iterator[Graph]:
     min_edges = n - 1
-    for mask in range(max(start, 0), stop):
+    for mask in range(start, stop):
         if mask.bit_count() >= min_edges:
             g = mask_graph(n, mask)
             if g.is_connected():

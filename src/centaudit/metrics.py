@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .graphs import Graph
@@ -28,10 +27,13 @@ class DisconnectedGraphError(ValueError):
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs hop distances plus shortest-path counts for a connected graph.
+    """All-pairs hop distances, shortest-path counts and stress for a
+    connected graph.
 
     ``dist[s][t]`` is the length of a shortest s-t path; ``sigma[s][t]`` is the
-    number of distinct shortest s-t paths (1 on the diagonal by convention).
+    number of distinct shortest s-t paths (1 on the diagonal by convention);
+    ``stress[v]`` is the number of shortest paths, over ordered endpoint
+    pairs, on which v lies as an interior vertex (see :func:`apsp`).
     ``diameter`` is the largest entry of ``dist`` (0 for a single vertex),
     found once when the matrix is built.
     """
@@ -39,6 +41,7 @@ class DistanceMatrix:
     n: int
     dist: tuple[tuple[int, ...], ...]
     sigma: tuple[tuple[int, ...], ...]
+    stress: tuple[int, ...]
     diameter: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -46,16 +49,29 @@ class DistanceMatrix:
 
 
 def apsp(g: Graph) -> DistanceMatrix:
-    """Hop distances and shortest-path counts between all vertex pairs.
+    """Hop distances, shortest-path counts and stress, from one pass over the
+    sources.
+
+    Each source's search runs forward for distances and path counts, then
+    backward for Brandes' accumulation of stress (Brandes, "On variants of
+    shortest-path betweenness centrality and their generic computation",
+    Social Networks 30(2), 2008), in integers: visiting vertices in
+    decreasing dist(s, .),
+
+        below(v) = sum over neighbors w with dist(s,w) = dist(s,v) + 1
+                   of (1 + below(w))
+
+    counts the shortest paths from s through v that continue past v, and v
+    gains sigma(s,v) * below(v) for every v != s. O(n*m) work in all.
 
     Graphs with at least LANE_MIN_N vertices run every source at once on
     packed lanes (:func:`_apsp_lanes`) while the breadth-first levels stay
-    within :func:`_lane_levels`; the rest run one breadth-first search per
-    source (:func:`_apsp_bfs`). Both return the same matrix, and both raise
+    within :func:`_lane_levels`; the rest run one search per source
+    (:func:`_apsp_bfs`). Both return the same matrix, and both raise
     DisconnectedGraphError with the same message. The lanes are exact because
-    a path-count lane is summed only while it is below
+    a path-count or below-count lane is summed only while it is below
     2**(W - bit_length(max degree) - 1), so no sum of up to max degree of
-    them carries into the next lane (see :func:`_apsp_block`).
+    them, plus 1, carries into the next lane (see :func:`_apsp_block`).
     """
     if g.n >= LANE_MIN_N:
         try:
@@ -66,43 +82,53 @@ def apsp(g: Graph) -> DistanceMatrix:
 
 
 def _apsp_bfs(g: Graph) -> DistanceMatrix:
-    """Breadth-first search from every source, counting shortest paths as it goes."""
-    adj = g.adj
+    """:func:`apsp` one source at a time, O(n + m) memory per source."""
+    adj = [tuple(a) for a in g.adj]  # tuples iterate faster than frozensets
     dist_rows = []
     sigma_rows = []
+    total = [0] * g.n
     for s in range(g.n):
-        dist, sigma = _search(adj, s)
+        dist, sigma, below = _search(adj, s)
         dist_rows.append(tuple(dist))
         sigma_rows.append(tuple(sigma))
-    return DistanceMatrix(g.n, tuple(dist_rows), tuple(sigma_rows))
+        total = list(map(add, total, map(mul, sigma, below)))
+    return DistanceMatrix(g.n, tuple(dist_rows), tuple(sigma_rows), tuple(total))
 
 
-def _search(adj: Sequence[Iterable[int]], s: int) -> tuple[list[int], list[int]]:
-    """Distances and shortest-path counts from s by breadth-first search;
-    raises DisconnectedGraphError when s does not reach every vertex."""
+def _search(
+    adj: Sequence[Iterable[int]], s: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Distances, shortest-path counts and below-counts (0 at s) from s:
+    breadth-first search records the shortest-path DAG's edges in visit
+    order, and the below-counts are summed over them backward, so every
+    vertex's successors are final before it is. Raises DisconnectedGraphError
+    when s does not reach every vertex."""
     n = len(adj)
     dist = [-1] * n
     sigma = [0] * n
     dist[s] = 0
     sigma[s] = 1
-    queue = deque([s])
-    reached = 1
-    while queue:
-        v = queue.popleft()
+    order = [s]  # the queue: a for loop reads the items appended during it
+    dag: list[tuple[int, int]] = []
+    for v in order:
         dv1 = dist[v] + 1
         sv = sigma[v]
         for w in adj[v]:
             if dist[w] < 0:
                 dist[w] = dv1
-                queue.append(w)
-                reached += 1
+                order.append(w)
             if dist[w] == dv1:
                 sigma[w] += sv
-    if reached != n:
+                dag.append((v, w))
+    if len(order) != n:
         raise DisconnectedGraphError(
-            f"graph is disconnected: vertex {s} reaches only {reached} of {n} vertices"
+            f"graph is disconnected: vertex {s} reaches only {len(order)} of {n} vertices"
         )
-    return dist, sigma
+    below = [0] * n
+    for v, w in reversed(dag):
+        below[v] += 1 + below[w]
+    below[s] = 0
+    return dist, sigma, below
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +142,15 @@ def _search(adj: Sequence[Iterable[int]], s: int) -> tuple[list[int], list[int]]
 # a level costs O(m) big-int operations instead of O(n*m) interpreter steps.
 # ---------------------------------------------------------------------------
 
-# Below this many vertices the lanes are not used: exhaustive mining (n <= 7)
-# and small random mining keep per-source search, which has no per-call setup
-# (on the 728 connected labeled graphs with 5 vertices, lanes took 93 us per
-# graph against 34 us).
-LANE_MIN_N = 64
+# Below this many vertices the lanes are not used. Per graph, both passes
+# fused, lanes over per-source search (2-vCPU Xeon, median of 11 rounds over
+# six connected hosts per point): WS(n, 4, 0.1) 1.37 at n = 16, 1.21 at 24,
+# 1.05-1.18 at 40, 0.89-0.95 at 48, 0.74 at 96; WS(n, 6, 0.1) 1.20 at 16,
+# 1.00 at 24, 0.64-0.74 at 48, 0.49 at 96; G(n, 6 / (n - 1)) 1.01 at 16,
+# 0.79 at 24, 0.54 at 48, 0.39 at 96. From 48 vertices every family gains;
+# below it the sparsest does not. Exhaustive mining (n <= 7) and random
+# mining's WS(24) hosts keep per-source search, which has no per-call setup.
+LANE_MIN_N = 48
 LANE_WIDTHS = (16, 32, 64)
 # Bits per list of lane ints: a block takes LANE_BUDGET // (n * W) sources,
 # so lane state stays within a few such lists whatever n and W are, and a
@@ -222,7 +252,9 @@ def _lane_constants(count: int, width: int, spread: int) -> tuple[int, int, int]
 
 
 def _apsp_lanes(g: Graph) -> DistanceMatrix:
-    """:func:`apsp` on packed lanes, one block of sources at a time.
+    """:func:`apsp` on packed lanes, one block of sources at a time. Each
+    vertex's stress gains the dot product of its path-count lanes with its
+    below-lanes as both are decoded.
 
     One search from vertex 0 comes first. It raises for a disconnected graph,
     and it bounds the work: the diameter is at least vertex 0's eccentricity,
@@ -231,44 +263,58 @@ def _apsp_lanes(g: Graph) -> DistanceMatrix:
     """
     n = g.n
     nbrs = [tuple(a) for a in g.adj]
-    dist0, sigma0 = _search(nbrs, 0)
+    dist0, sigma0, _ = _search(nbrs, 0)
     levels = max(dist0)
     spread = max(map(len, nbrs)).bit_length() + 1
     dist_rows: list[tuple[int, ...]] = [()] * n
     sigma_rows: list[tuple[int, ...]] = [()] * n
+    total = [0] * n
     blocks = _lane_blocks(
         n, max(sigma0), spread,
         lambda lo, hi, width: _apsp_block(nbrs, spread, levels, lo, hi, width),
     )
-    for lo, hi, width, (dist, sigma) in blocks:
+    for lo, hi, width, (dist, sigma, below) in blocks:
         for v in range(n):  # lanes are dropped as they are decoded
+            sig = _unpack_lanes(sigma[v], hi - lo, width)
             dist_rows[v] += tuple(_unpack_lanes(dist[v], hi - lo, width))
-            sigma_rows[v] += tuple(_unpack_lanes(sigma[v], hi - lo, width))
-            dist[v] = sigma[v] = 0
-    return DistanceMatrix(n, tuple(dist_rows), tuple(sigma_rows))
+            sigma_rows[v] += tuple(sig)
+            total[v] += sum(map(mul, sig, _unpack_lanes(below[v], hi - lo, width)))
+            dist[v] = sigma[v] = below[v] = 0
+    return DistanceMatrix(n, tuple(dist_rows), tuple(sigma_rows), tuple(total))
 
 
 def _apsp_block(
     nbrs: Sequence[Sequence[int]], spread: int, levels: int, lo: int, hi: int, width: int
-) -> tuple[list[int], list[int]] | None:
-    """Distance and path-count lanes, per vertex, of the sources lo..hi-1 of
-    a connected graph on ``width``-bit lanes, or None when a lane outgrows
-    its guard. Raises _UseSearch when ``levels``, a lower bound on the
-    diameter, or the levels these sources need exceed what _lane_levels
-    allows.
+) -> tuple[list[int], list[int], list[int]] | None:
+    """Distance, path-count and below-lanes, per vertex, of the sources
+    lo..hi-1 of a connected graph on ``width``-bit lanes (below is 0 on a
+    source's own lane), or None when a lane of either pass outgrows its
+    guard. Raises _UseSearch when ``levels``, a lower bound on the diameter,
+    or the levels these sources need exceed what _lane_levels allows.
 
-    Level k is synchronous: every vertex first sums its neighbors' path-count
-    lanes, then keeps the sum on the lanes it has not been reached on. On such
-    a lane s the neighbors at distance k - 1 from s carry sigma(s, .) and
-    every other neighbor carries 0 (it is at distance k or more, still
-    unreached), so the sum is sigma(s, v) and is nonzero exactly when
-    dist(s, v) = k, where the distance lane gets k.
+    Forward, level k is synchronous: every vertex first sums its neighbors'
+    path-count lanes, then keeps the sum on the lanes it has not been reached
+    on. On such a lane s the neighbors at distance k - 1 from s carry
+    sigma(s, .) and every other neighbor carries 0 (it is at distance k or
+    more, still unreached), so the sum is sigma(s, v) and is nonzero exactly
+    when dist(s, v) = k, where the distance lane gets k.
+
+    Backward, on the forward's distance lanes, levels run from the last one
+    down to 1, synchronously. A path lane holds 1 + below(v) once v's level
+    has run and 0 before, so at level k the sum of the neighbors' path lanes
+    is, on every lane where dist(s, v) = k, exactly below(v): neighbors at
+    distance k + 1 carry 1 + below, the others are at k or k - 1 and still
+    carry 0. The level-k mask comes from the carry trick on y = dist lanes
+    XOR k in every lane: ((y + low) | y) has a lane's top bit clear exactly
+    when y is 0 there.
 
     Exactness: with spread = bit_length(max degree) + 1, every lane is checked
     to be below 2**(W - spread) before it is summed, so a sum of at most
-    max degree lanes stays below 2**(W - 1). No sum carries into the next
-    lane, and the carry trick that finds its nonzero lanes ((x + low) | x,
-    with low = 2**(W-1) - 1 in every lane) cannot carry either.
+    max degree lanes, plus 1, stays below 2**(W - 1). No sum carries into
+    the next lane, and the carry trick that finds its nonzero lanes
+    ((x + low) | x, with low = 2**(W-1) - 1 in every lane) cannot carry
+    either. The lanes of the last forward level and of backward level 1 are
+    never summed and go unchecked.
     """
     n = len(nbrs)
     if levels > _lane_levels(n, width):
@@ -283,7 +329,7 @@ def _apsp_block(
         unreached[s] ^= lane << (s - lo) * width
     dist = [0] * n
     get = sigma.__getitem__
-    for k in range(1, _lane_levels(n, width) + 1):
+    for depth in range(1, _lane_levels(n, width) + 1):
         sums = [sum(map(get, nb)) & u if u else 0 for nb, u in zip(nbrs, unreached)]
         seen = 0
         for v, t in enumerate(sums):
@@ -291,14 +337,38 @@ def _apsp_block(
                 seen |= t
                 hit = (((t + low) | t) & top) >> (width - 1)
                 unreached[v] ^= (hit << width) - hit
-                dist[v] += k * hit
+                dist[v] += depth * hit
                 sigma[v] |= t
         del sums
         if not any(unreached):
-            return dist, sigma
+            break
         if seen & over:
             return None
-    raise _UseSearch
+    else:
+        raise _UseSearch
+    paths = [0] * n
+    get = paths.__getitem__
+    for k in range(depth, 0, -1):
+        mark = k * ones
+        sums = [sum(map(get, nb)) for nb in nbrs]
+        seen = 0
+        for v, (y, t) in enumerate(zip(dist, sums)):
+            y ^= mark
+            at = top ^ (((y + low) | y) & top)
+            if at:
+                hit = at >> (width - 1)
+                t = (t & ((at << 1) - hit)) + hit
+                seen |= t
+                paths[v] |= t
+        del sums
+        if k > 1 and seen & over:
+            return None
+    # below = paths - 1 on every lane but a source's own, where both are 0
+    for v in range(n):
+        paths[v] -= ones
+    for v in range(lo, hi):
+        paths[v] += 1 << (v - lo) * width
+    return dist, sigma, paths
 
 
 def pair_distance_sum(dist: Sequence[Sequence[int]], members: Sequence[int]) -> int:
@@ -342,133 +412,11 @@ def global_clustering(g: Graph) -> Fraction:
 
 def stress(g: Graph, d: DistanceMatrix) -> tuple[int, ...]:
     """Per vertex, the number of shortest paths, over ordered endpoint pairs,
-    on which it lies as an interior vertex.
-
-    Brandes' accumulation for stress (Brandes, "On variants of shortest-path
-    betweenness centrality and their generic computation", Social Networks
-    30(2), 2008), in integers: for each source s, visiting vertices in
-    decreasing dist(s, .),
-
-        below(v) = sum over neighbors w with dist(s,w) = dist(s,v) + 1
-                   of (1 + below(w))
-
-    counts the shortest paths from s through v that continue past v, and v
-    gains sigma(s,v) * below(v) for every v != s. O(n*m) work from the
-    distances and path counts ``d`` of ``g``, read as the symmetric matrix
-    :func:`apsp` returns. Like :func:`apsp`, graphs with at least LANE_MIN_N
-    vertices and a diameter within :func:`_lane_levels` run every source at
-    once on packed lanes (:func:`_stress_lanes`), the rest source by source
-    (:func:`_stress_brandes`); both give the same counts. The lanes are
-    exact because a below-count lane is summed only while it is below
-    2**(W - bit_length(max degree) - 1), so no sum of up to max degree of
-    them, plus 1, carries into the next lane (see :func:`_stress_block`).
-    """
+    on which it lies as an interior vertex: ``d.stress``, which :func:`apsp`
+    finds in the same pass as the distances of ``g``."""
     if g.n != d.n:
         raise ValueError(f"distance matrix is for {d.n} vertices, graph has {g.n}")
-    if d.n >= LANE_MIN_N:
-        try:
-            return _stress_lanes(g, d)
-        except _UseSearch:
-            pass
-    return _stress_brandes(g, d)
-
-
-def _stress_brandes(g: Graph, d: DistanceMatrix) -> tuple[int, ...]:
-    """:func:`stress` one source at a time, O(n) memory per source."""
-    n = d.n
-    adj = g.adj
-    total = [0] * n
-    for row, sig in zip(d.dist, d.sigma):
-        below = [0] * n
-        order = sorted(range(n), key=row.__getitem__, reverse=True)
-        for v in order[:-1]:  # the source alone is at distance 0, so last
-            deeper = row[v] + 1
-            b = 0
-            for w in adj[v]:
-                if row[w] == deeper:
-                    b += 1 + below[w]
-            below[v] = b
-            total[v] += sig[v] * b
-    return tuple(total)
-
-
-def _stress_lanes(g: Graph, d: DistanceMatrix) -> tuple[int, ...]:
-    """:func:`stress` on packed lanes, one block of sources at a time. The
-    path counts from vertex 0 pick the starting width. Each vertex's total is
-    the dot product of its path counts with its decoded below-lanes."""
-    n = d.n
-    nbrs = [tuple(a) for a in g.adj]
-    depth = d.diameter
-    spread = max(map(len, nbrs)).bit_length() + 1
-    total = [0] * n
-    blocks = _lane_blocks(
-        n, max(d.sigma[0]), spread,
-        lambda lo, hi, width: _stress_block(nbrs, spread, d.dist, depth, lo, hi, width),
-    )
-    for lo, hi, width, below in blocks:
-        for v, sig in enumerate(d.sigma):
-            total[v] += sum(map(mul, sig[lo:hi], _unpack_lanes(below[v], hi - lo, width)))
-            below[v] = 0
-    return tuple(total)
-
-
-def _stress_block(
-    nbrs: Sequence[Sequence[int]],
-    spread: int,
-    dist: Sequence[Sequence[int]],
-    depth: int,
-    lo: int,
-    hi: int,
-    width: int,
-) -> list[int] | None:
-    """Below-lanes, per vertex, of the sources lo..hi-1 (0 on a source's own
-    lane) on ``width``-bit lanes, or None when a lane outgrows its guard.
-    Raises _UseSearch when ``depth`` exceeds what _lane_levels allows.
-
-    Distance lanes are packed from ``dist`` itself. Levels run from ``depth``
-    down to 1, synchronously. A path lane holds 1 + below(v) once v's level
-    has run and 0 before, so at level k the sum of the neighbors' path lanes
-    is, on every lane where dist(s, v) = k, exactly below(v): neighbors at
-    distance k + 1 carry 1 + below, the others are at k or k - 1 and still
-    carry 0. The level-k mask comes from the carry trick on y = dist lanes
-    XOR k in every lane: ((y + low) | y) has a lane's top bit clear exactly
-    when y is 0 there.
-
-    Exactness is guarded as in :func:`_apsp_block`: a path lane is summed only
-    after it was checked to be below 2**(W - spread), so no sum of at most
-    max degree lanes, plus 1, reaches 2**(W - 1). The lanes of level 1 are
-    never summed and go unchecked.
-    """
-    n = len(nbrs)
-    if depth > _lane_levels(n, width):
-        raise _UseSearch
-    ones, top, over = _lane_constants(hi - lo, width, spread)
-    low = top - ones
-    # every distance here is at most depth <= _lane_levels(n, 16) <= 32
-    levels = [byte_lanes(bytes(row[lo:hi]), width) for row in dist]
-    paths = [0] * n
-    get = paths.__getitem__
-    for k in range(depth, 0, -1):
-        mark = k * ones
-        sums = [sum(map(get, nb)) for nb in nbrs]
-        seen = 0
-        for v, (y, t) in enumerate(zip(levels, sums)):
-            y ^= mark
-            at = top ^ (((y + low) | y) & top)
-            if at:
-                hit = at >> (width - 1)
-                t = (t & ((at << 1) - hit)) + hit
-                seen |= t
-                paths[v] |= t
-        del sums
-        if k > 1 and seen & over:
-            return None
-    # below = paths - 1 on every lane but a source's own, where both are 0
-    for v in range(n):
-        paths[v] -= ones
-    for v in range(lo, hi):
-        paths[v] += 1 << (v - lo) * width
-    return paths
+    return d.stress
 
 
 def is_geodetic(d: DistanceMatrix) -> bool:

@@ -274,6 +274,14 @@ class TestEnumeration:
             with pytest.raises(ValueError):
                 next(enumerate_connected(n))
 
+    @pytest.mark.parametrize("n", [0, 8, 9])
+    def test_out_of_range_raises_at_the_call(self, n):
+        # the check runs when the enumerator is made, not at its first item
+        with pytest.raises(ValueError, match="1 <= n <= 7"):
+            enumerate_connected(n)
+        with pytest.raises(ValueError, match="1 <= n <= 7"):
+            enumerate_connected_range(n, 0, 1)
+
     def test_graph_from_mask(self):
         # bits 0, 1, 2 are the pairs (0,1), (0,2), (1,2)
         assert list(enumerate_connected_range(3, 7, 8)) == [complete_graph(3)]

@@ -64,16 +64,47 @@ def chain_stress(layer_of, layers, size, v):
     return 2 * across + inside
 
 
+def spider(legs: int, length: int) -> Graph:
+    """``legs`` paths of ``length`` vertices joined at centre 0."""
+    edges = []
+    for i in range(legs):
+        first = 1 + i * length
+        edges += [(0, first), *((v, v + 1) for v in range(first, first + length - 1))]
+    return Graph.from_edges(1 + legs * length, edges)
+
+
+def spider_stress(legs, length, v):
+    """Stress of v in a spider, in closed form: in a tree, v is interior to
+    the one path between every ordered pair of vertices in different
+    components of the tree without v."""
+    n = 1 + legs * length
+    if v == 0:
+        return (n - 1) ** 2 - legs * length ** 2
+    beyond = length - 1 - (v - 1) % length  # the leg's vertices past v
+    return 2 * beyond * (n - 1 - beyond)
+
+
+@st.composite
+def connected_gnp(draw, max_n=14):
+    """G(n, p) for 2 <= n <= ``max_n``, joined along the path 0..n-1 when it
+    is not connected."""
+    n = draw(st.integers(2, max_n))
+    g = gnp_graph(n, draw(st.floats(0.1, 0.9)), seed=draw(st.integers(0, 2**32 - 1)))
+    if not g.is_connected():
+        g = Graph.from_edges(n, set(g.edges) | set(path_graph(n).edges))
+    return g
+
+
 def reference(g):
     """The per-source path's matrix and stress."""
     d = metrics._apsp_bfs(g)
-    return d, metrics._stress_brandes(g, d)
+    return d, d.stress
 
 
 def lanes(g):
-    """The lane kernels' matrix and stress, with no fallback to search."""
+    """The lane kernel's matrix and stress, with no fallback to search."""
     d = metrics._apsp_lanes(g)
-    return d, metrics._stress_lanes(g, d)
+    return d, d.stress
 
 
 def assert_matches_oracles(g, d, total):
@@ -163,11 +194,36 @@ class TestLanesMatchSearchAndOracles:
         with pytest.raises(metrics._UseSearch):
             metrics._apsp_lanes(g)
         d = apsp(g)
-        with pytest.raises(metrics._UseSearch):
-            metrics._stress_lanes(g, d)
         total = stress(g, d)
         assert (d, total) == reference(g)
         assert_matches_oracles(g, d, total)
+
+
+class TestFusedKernelsMatchOracles:
+    """One pass per source gives dist, sigma and stress together; both
+    kernels are held to the oracles on small random hosts."""
+
+    @given(connected_gnp())
+    @settings(max_examples=40, deadline=None)
+    def test_per_source_path(self, g):
+        d = apsp(g)  # n < LANE_MIN_N
+        assert_matches_oracles(g, d, d.stress)
+
+    @given(connected_gnp())
+    @settings(max_examples=40, deadline=None)
+    def test_lane_blocks(self, g):
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            block = metrics._apsp_block
+            patch.setattr(metrics, "LANE_MIN_N", 2)
+            patch.setattr(metrics, "LANE_BUDGET", 3 * 16 * g.n)  # 3 sources at W = 16
+            patch.setattr(metrics, "_lane_levels", lambda n, width: n)
+            patch.setattr(metrics, "_apsp_bfs", refuse)
+            patch.setattr(metrics, "_apsp_block",
+                          lambda *args: calls.append(args) or block(*args))
+            d = apsp(g)
+        assert len(calls) >= -(-g.n // 3)
+        assert_matches_oracles(g, d, d.stress)
 
 
 class TestLaneWidths:
@@ -206,6 +262,27 @@ class TestLaneWidths:
         with pytest.raises(metrics._UseSearch):
             metrics._apsp_lanes(g)
 
+    def test_below_counts_outgrow_what_path_counts_fit(self, monkeypatch):
+        """A spider's path counts are all 1, but its below-counts reach
+        n - 6 = 315, past the 16-bit guard of 2**(16 - 8) at degree 64. The
+        block fits the forward pass and reruns at 32 bits for the backward
+        one."""
+        g = spider(64, 5)
+        passes = []
+        block = metrics._apsp_block
+
+        def spy(*args):
+            lanes = block(*args)
+            passes.append((args[-1], lanes is None))
+            return lanes
+
+        monkeypatch.setattr(metrics, "_apsp_block", spy)
+        d, total = lanes(g)
+        assert passes == [(16, True), (32, False)]
+        assert (d, total) == reference(g)
+        assert list(total) == [spider_stress(64, 5, v) for v in range(g.n)]
+        assert max(map(max, d.sigma)) == 1
+
     def test_blocks_give_up_past_the_widest_lanes(self):
         blocks = metrics._lane_blocks(100, 1, 2, lambda lo, hi, width: None)
         with pytest.raises(metrics._UseSearch):
@@ -231,14 +308,16 @@ class TestDispatch:
     def test_large_small_world_host_stays_on_lanes(self, monkeypatch):
         g = watts_strogatz_graph(400, 6, 0.1, seed=0)
         expected = reference(g)
+        search = metrics._search
+        sources = []
         monkeypatch.setattr(metrics, "_apsp_bfs", refuse)
-        monkeypatch.setattr(metrics, "_stress_brandes", refuse)
+        monkeypatch.setattr(metrics, "_search", lambda adj, s: sources.append(s) or search(adj, s))
         d = apsp(g)
         assert (d, profile(g, d).stress) == expected
+        assert sources == [0]  # the one search that bounds the levels
 
     def test_mining_hosts_stay_on_search(self, monkeypatch):
         monkeypatch.setattr(metrics, "_apsp_lanes", refuse)
-        monkeypatch.setattr(metrics, "_stress_lanes", refuse)
         assert main(["mine", "--n-max", "5", "--format", "json"], out=io.StringIO()) == 0
         argv = ["mine", "--model", "watts_strogatz", "--n", "24", "--k", "4", "--p", "0.1",
                 "--trials", "5", "--seed", "0", "--format", "json"]

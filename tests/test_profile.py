@@ -142,6 +142,6 @@ def test_diameter_follows_the_matrix_it_is_given():
     assert d.diameter == 3
     dist = [list(row) for row in d.dist]
     dist[0][1] = dist[1][0] = 7
-    altered = DistanceMatrix(d.n, tuple(map(tuple, dist)), d.sigma)
+    altered = DistanceMatrix(d.n, tuple(map(tuple, dist)), d.sigma, d.stress)
     assert altered.diameter == 7
     assert profile(g, altered).diameter == 7

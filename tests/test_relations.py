@@ -379,7 +379,7 @@ def _with_distance(d, i, j, value):
     """A copy of ``d`` with the symmetric entry (i, j) set to ``value``."""
     dist = [list(row) for row in d.dist]
     dist[i][j] = dist[j][i] = value
-    return DistanceMatrix(d.n, tuple(map(tuple, dist)), d.sigma)
+    return DistanceMatrix(d.n, tuple(map(tuple, dist)), d.sigma, d.stress)
 
 
 class TestNeighborhoodSumsReadDistances:
