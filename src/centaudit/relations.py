@@ -31,9 +31,11 @@ two kernels, chosen by one rule (:func:`_on_subset_lanes`): subset lanes,
 all subsets at once, on hosts of at most SUBSET_LANE_N_PER_PLANE vertices
 per bit of the diameter, and bit planes of the distance matrix, one subset at
 a time, on the others. :func:`tally` counts :func:`evaluate`'s outcomes for
-every relation and host but R6 on a lane host: there a count kernel decides
-each sampled subset on subset lanes without building rows, and hands over to
-:func:`evaluate` on a graph where a subset is violated.
+every relation and host but R6 on a sampled host. There a per-size
+certificate (:func:`_r6_bounds`), two upper bounds on the pair sums of all
+subsets of a size read off sorted distance rows, decides every sampled subset
+of most sizes at once; only the subsets of the sizes it leaves open get pair
+sums and rows.
 
 :func:`make_result` turns one outcome into a :class:`RelationResult`, whose
 sides become Fractions only when read; :func:`evaluate_all` (the ``check``
@@ -42,12 +44,13 @@ path) and the miner's capped witnesses are its callers.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from math import lcm
+from operator import itemgetter, sub
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .graphs import (
@@ -278,7 +281,8 @@ def _plane_pair_sums(dist, top, stream):
         yield members, total >> 1
 
 
-# A sampled host reads its subset pair sums off transposed subset lanes
+# A sampled host reads its subset pair sums, check's and those of the sizes
+# the miner's certificate leaves open, off transposed subset lanes
 # (_lane_pair_sums) when it has at most SUBSET_LANE_N_PER_PLANE vertices per
 # bit plane of _distance_planes, that is per bit of its diameter, and off the
 # planes (_plane_pair_sums) otherwise. The lanes take n (n - 1) / 2 ANDs and
@@ -287,8 +291,7 @@ def _plane_pair_sums(dist, top, stream):
 # lose ground to the planes as n grows and gain it with every plane. Measured
 # per host (README, "Notes on scale"), check's pair sums draw even at about
 # 149 vertices per plane on complete graphs and G(n, 0.3), lose on lanes from
-# about 110 on four-plane Watts-Strogatz hosts and still win at 118 on paths;
-# the miner's count is faster on lanes on every host measured up to 180.
+# about 110 on four-plane Watts-Strogatz hosts and still win at 118 on paths.
 SUBSET_LANE_N_PER_PLANE = 149
 _SUBSET_LANE_WIDTHS = (8, 16, 32, 64)
 
@@ -301,7 +304,8 @@ def _lane_width(bound: int) -> int:
 def _on_subset_lanes(n: int, top: int) -> bool:
     """Whether a sampled host of n vertices whose largest distance is ``top``
     reads its subset pair sums off subset lanes: at most
-    SUBSET_LANE_N_PER_PLANE vertices per bit of ``top``."""
+    SUBSET_LANE_N_PER_PLANE vertices per bit of ``top``. This serves
+    ``check`` and the sizes the miner's certificate leaves open."""
     return n <= SUBSET_LANE_N_PER_PLANE * top.bit_length()
 
 
@@ -369,9 +373,18 @@ def _sampled_pair_sums(dist, top: int, stream):
     return zip([members for members, _ in subjects], _unpack_lanes(sums, len(subjects), width))
 
 
+def _r6_rows(n: int, distance_total: int, sums):
+    """R6's row for each ``(members, T(S))`` of ``sums``: the graph's mean
+    distance against k/n times S's mean pair distance, for S of k members."""
+    ld = n * (n - 1)
+    for members, pair_sum in sums:
+        k = len(members)  # >= 2
+        mn, md = _mean_pairs(pair_sum, k)
+        yield members, distance_total, ld, k * mn, n * md, True
+
+
 def _eval_r6(g, prof, d, max_subjects):
     n = g.n
-    ln, ld = prof.distance_total, n * (n - 1)
     dist = d.dist
     stream = islice(subset_stream(n), max_subjects)
     if n > SUBSET_ENUMERATION_MAX_N:
@@ -384,10 +397,7 @@ def _eval_r6(g, prof, d, max_subjects):
         for mask, without_a, without_b, without_ab, a, b in _pair_sum_steps(n):
             table[mask] = table[without_a] + table[without_b] - table[without_ab] + dist[a][b]
         sums = ((members, table[mask]) for members, mask in stream)
-    for members, pair_sum in sums:
-        k = len(members)  # >= 2
-        mn, md = _mean_pairs(pair_sum, k)
-        yield members, ln, ld, k * mn, n * md, True
+    return _r6_rows(n, prof.distance_total, sums)
 
 
 def _eval_r7(g, prof, d):
@@ -671,7 +681,13 @@ def evaluate(
         rows = spec.evaluator(g, prof, d, max_subjects)
     else:
         rows = spec.evaluator(g, prof, d)
-    holds_sign = _HOLDS_SIGN[spec.sense]
+    return _outcomes(spec.sense, rows)
+
+
+def _outcomes(sense: str, rows: Iterable[Row]) -> list[Outcome]:
+    """The ``(status, row)`` of each row, decided from the sign of ``lhs_num
+    * rhs_den - rhs_num * lhs_den`` oriented by the comparison ``sense``."""
+    holds_sign = _HOLDS_SIGN[sense]
     outcomes = []
     for row in rows:
         _, ln, ld, rn, rd, ok = row
@@ -689,37 +705,61 @@ def evaluate(
     return outcomes
 
 
-def _r6_lane_counts(g: Graph, prof: CentralityProfile, d: DistanceMatrix,
-                    budget: Optional[int]) -> tuple[int, int, int]:
-    """(holds, equality, violated) of R6 over the first ``budget`` subsets
-    of a sampled host's stream, read off subset lanes.
+@cache
+def _sampled_sizes(n: int, budget: Optional[int],
+                   seed: int = 0) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """``(counts, masks)`` of the first ``budget`` masks of the seeded subset
+    stream on n > SUBSET_ENUMERATION_MAX_N vertices: ``(k, count)`` for each
+    size k, by ascending k, and the masks in stream order. They depend on
+    nothing else, so each process draws them once."""
+    masks = tuple(sampled_masks(n, seed, budget))
+    return tuple(sorted(Counter(map(int.bit_count, masks)).items())), masks
 
-    A subset S of k members holds exactly when (k - 1) * distance_total -
-    (n - 1) * 2 T(S) > 0: that is :func:`evaluate`'s ``ln * rd - rn * ld``
-    divided by the positive n k. The signs are read in every lane at once.
-    The W-bit lanes of T(S) are widened to V = 2W bits, the sizes k (two
-    bytes each; V >= 16) are packed beside them, and each lane then holds
-    2^(V-1) plus that difference: its top bit is clear exactly where S is violated, and the
-    lane equals 2^(V-1) exactly where S is tight. No lane borrows or
-    carries: both terms are at most (n - 1) n (n - 1) top < (n - 1) 2^W, and
-    n - 1 < 2^(W/2) <= 2^(W-1).
+
+def _r6_bounds(dist, row_sums: tuple[int, ...], distance_total: int,
+               sizes: list[int]) -> Iterator[tuple[int, int, int]]:
+    """``(k, direct, complement)`` for each size k of ``sizes`` (2 <= k < n):
+    two upper bounds on 2T(S) over every subset S of k vertices, T(S) its
+    pair-distance sum in the symmetric matrix ``dist``, whose rows sum to
+    ``row_sums`` and all of whose entries sum to ``distance_total`` = 2W.
+
+    With P_u(j) the sum of the j largest entries of row u:
+
+    - direct: each u of S adds at most P_u(k - 1), so 2T(S) is at most the
+      sum of the k largest P_u(k - 1);
+    - complement: for S = V - R with |R| = j = n - k, T(S) = W - sum_R
+      rowsum + T(R) and 2T(R) is at most sum_R P_r(j - 1), so 2T(S) is at
+      most 2W plus the sum of the j largest P_r(j - 1) - 2 rowsum_r.
     """
-    masks = sampled_masks(g.n, count=budget)
-    count = len(masks)
-    sums, width = _lane_pair_sums(d.dist, d.diameter, masks)
-    wide = 2 * width
-    ones = byte_lanes(b"\1" * count, wide)
-    high = ones << (wide - 1)  # 2^(V-1) in every lane
-    sizes = byte_lanes(_pack_lanes(map(int.bit_count, masks), 16), wide, 2)
-    doubled = 2 * (g.n - 1) * byte_lanes(sums.to_bytes(count * width // 8, "little"),
-                                         wide, width // 8)
-    lanes = high + prof.distance_total * (sizes - ones) - doubled
-    at_least = (lanes & high).bit_count()  # the lanes not violated
-    low = high - ones  # every lane's bits below its top
-    # a tight lane is the one value with clear low bits: a violated lane
-    # holds at least 1
-    equality = count - (((lanes & low) + low) & high).bit_count()
-    return at_least - equality, equality, count - at_least
+    if not sizes:
+        return
+    n = len(dist)
+    wanted = sorted({0, *(k - 1 for k in sizes), *(n - k - 1 for k in sizes)})
+    pick = itemgetter(*wanted)  # k >= 2 puts some j >= 1 beside 0: a tuple
+    # prefix[j][u] = P_u(j)
+    prefix = dict(zip(wanted, zip(*[pick(list(accumulate(sorted(row, reverse=True), initial=0)))
+                                    for row in dist])))
+    twice = [2 * s for s in row_sums]
+    for k in sizes:
+        j = n - k
+        yield (k, sum(sorted(prefix[k - 1])[-k:]),
+               distance_total + sum(sorted(map(sub, prefix[j - 1], twice))[-j:]))
+
+
+def _r6_open_sizes(dist, row_sums: tuple[int, ...], distance_total: int,
+                   sizes: list[int]) -> set[int]:
+    """The sizes k of ``sizes`` (2 <= k < n) at which R6's certificate does
+    not show that every subset of k vertices holds strictly.
+
+    S of k members holds strictly when 2T(S) (n - 1) < 2W (k - 1). A size
+    whose lesser :func:`_r6_bounds` bound is below that threshold is
+    decided. Every other stays open, also one whose bound meets it:
+    max-sum dispersion is NP-hard in general, so no bound of this kind
+    decides every size.
+    """
+    n = len(dist)
+    return {k for k, direct, complement in _r6_bounds(dist, row_sums, distance_total, sizes)
+            if min(direct, complement) * (n - 1) >= distance_total * (k - 1)}
 
 
 def tally(
@@ -733,22 +773,34 @@ def tally(
     one connected graph: the status counts of :func:`evaluate`'s outcomes
     with ``max_subjects=budget``, and its violated outcomes in order.
 
-    R6 on a sampled host that :func:`_on_subset_lanes` puts on subset lanes
-    is counted there without building its rows, and falls back to
-    :func:`evaluate` on a graph where any subset is violated, so that the
-    violations carry their rows. Every other relation and host counts
-    :func:`evaluate`'s outcomes.
+    R6 on a sampled host counts the first ``budget`` subsets of the stream
+    by size, and decides a size at once where :func:`_r6_open_sizes`'s
+    certificate shows that all its subsets hold; the whole vertex set is an
+    equality. Only the subsets of the other sizes, in stream order, get pair
+    sums (:func:`_sampled_pair_sums`) and rows, decided by :func:`evaluate`'s
+    sign rule, so that the violated rows are evaluate's. Every other
+    relation and host counts :func:`evaluate`'s outcomes.
     """
-    if (spec.evaluator is _eval_r6 and g.n > SUBSET_ENUMERATION_MAX_N
-            and _on_subset_lanes(g.n, d.diameter)):
-        holds, equality, violated = _r6_lane_counts(g, prof, d, budget)
-        if not violated:
-            return holds, equality, 0, 0, []
-    outcomes = evaluate(spec, g, prof, d, budget)
+    decided = whole = 0
+    if spec.evaluator is _eval_r6 and g.n > SUBSET_ENUMERATION_MAX_N:
+        n = g.n
+        counts, masks = _sampled_sizes(n, budget)
+        whole = sum(count for k, count in counts if k == n)
+        sizes = [k for k, _ in counts if k < n]
+        open_sizes = _r6_open_sizes(d.dist, prof.row_sums, prof.distance_total, sizes)
+        decided = sum(count for k, count in counts if k < n and k not in open_sizes)
+        outcomes = []
+        if open_sizes:
+            stream = [(tuple(v for v in range(n) if mask >> v & 1), mask)
+                      for mask in masks if mask.bit_count() in open_sizes]
+            outcomes = _outcomes(spec.sense, _r6_rows(
+                n, prof.distance_total, _sampled_pair_sums(d.dist, d.diameter, stream)))
+    else:
+        outcomes = evaluate(spec, g, prof, d, budget)
     statuses = [status for status, _ in outcomes]
     violated = statuses.count(VIOLATED)
     violations = [out for out in outcomes if out[0] == VIOLATED] if violated else []
-    return (statuses.count(HOLDS), statuses.count(EQUALITY), violated,
+    return (statuses.count(HOLDS) + decided, statuses.count(EQUALITY) + whole, violated,
             statuses.count(SKIPPED), violations)
 
 

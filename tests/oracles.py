@@ -12,7 +12,9 @@ radiality is measured on the relabeled induced subgraph instead of read off
 the profile, the relation sides are stated in Fractions straight from
 the catalog statements instead of as integer pairs over common denominators,
 and a graph's isomorphism class is its least bitmask over all n!
-relabellings instead of a flood through adjacent transpositions.
+relabellings instead of a flood through adjacent transpositions. R6's
+largest subset pair sums are maxima over every subset, not bounds from
+sorted distance rows.
 """
 
 from __future__ import annotations
@@ -122,6 +124,18 @@ def floyd_warshall(g: Graph) -> list[list[float]]:
                 if alt < di[j]:
                     di[j] = alt
     return dist
+
+
+def max_subset_pair_sums(g: Graph) -> dict[int, int]:
+    """The largest pair-distance sum T(S) over the vertex subsets S of each
+    size k >= 2, by k: every subset of Floyd-Warshall distances summed
+    pair by pair. The size n entry is the Wiener index W."""
+    dist = floyd_warshall(g)
+    return {
+        k: int(max(sum(dist[u][v] for u, v in combinations(members, 2))
+                   for members in combinations(range(g.n), k)))
+        for k in range(2, g.n + 1)
+    }
 
 
 def enumerate_shortest_paths(g: Graph, s: int, t: int, dist=None) -> list[tuple[int, ...]]:

@@ -5,6 +5,7 @@ from functools import partial
 from itertools import combinations, islice
 from operator import itemgetter
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,6 +50,7 @@ from centaudit.mining import SUBSET_BUDGET_PER_GRAPH, RelationTally
 from oracles import (
     SENSE,
     floyd_warshall,
+    max_subset_pair_sums,
     r9_rhs,
     relation_sides,
     relation_status,
@@ -511,6 +513,54 @@ class TestSampledPairSums:
         self.assert_follows_distance(10 ** 12)
 
 
+class TestR6Certificate:
+    """relations._r6_bounds bounds twice the pair-distance sum of every
+    subset of each size k < n from above, both its direct and its
+    complement bound, and relations._r6_open_sizes decides a size only where
+    every subset of it holds R6 strictly: the brute-force maximum
+    max T(S) of oracles.max_subset_pair_sums is below W (k - 1) / (n - 1)."""
+
+    @staticmethod
+    def open_sizes(g):
+        """The sizes the certificate leaves open on g, checked against the
+        brute-force maxima."""
+        d = apsp(g)
+        prof = profile(g, d)
+        n = g.n
+        best = max_subset_pair_sums(g)
+        sizes = list(range(2, n))
+        bounds = list(relations._r6_bounds(d.dist, prof.row_sums, prof.distance_total, sizes))
+        assert [k for k, _, _ in bounds] == sizes
+        for k, direct, complement in bounds:
+            assert min(direct, complement) >= 2 * best[k], (g.edges, k)
+        open_sizes = relations._r6_open_sizes(d.dist, prof.row_sums, prof.distance_total, sizes)
+        assert open_sizes <= set(sizes)
+        for k in set(sizes) - open_sizes:
+            assert best[k] * (n - 1) < best[n] * (k - 1), (g.edges, k)
+        return open_sizes
+
+    def test_every_connected_graph_up_to_seven_vertices(self):
+        """All 994 connected graphs on 3 to 7 vertices in the atlas: every
+        size below n is decided but k = n - 1 on the stars, where S = the
+        leaves is R6's equality and the complement bound, exact at k = n - 1,
+        meets the threshold."""
+        graphs = 0
+        for atlas in nx.graph_atlas_g():
+            n = atlas.number_of_nodes()
+            if n < 3 or not nx.is_connected(atlas):
+                continue
+            g = Graph.from_edges(n, atlas.edges())
+            star = sorted(d for _, d in atlas.degree()) == [1] * (n - 1) + [n - 1]
+            assert self.open_sizes(g) == ({n - 1} if star else set()), g.edges
+            graphs += 1
+        assert graphs == 994
+
+    @given(connected_graphs(min_n=3, max_n=12))
+    @settings(max_examples=40, deadline=None)
+    def test_sound_up_to_twelve_vertices(self, g):
+        self.open_sizes(g)
+
+
 def counted(spec, g, prof, d, budget, keep=lambda outcomes: None):
     """What tally must return: the statuses of evaluate's outcomes counted,
     and its violated outcomes in order; ``keep`` receives the outcomes."""
@@ -523,9 +573,9 @@ def counted(spec, g, prof, d, budget, keep=lambda outcomes: None):
 
 class TestTally:
     """relations.tally, the miner's count path, against a count of evaluate's
-    outcomes. R6 on sampled hosts that relations._on_subset_lanes puts on
-    lanes (at most SUBSET_LANE_N_PER_PLANE vertices per bit of the diameter)
-    is counted on subset lanes, every other relation and host through
+    outcomes. R6 on sampled hosts is counted by size: relations._r6_open_sizes
+    decides most sizes at once, and only the subsets of the sizes it leaves
+    open get pair sums and rows. Every other relation and host goes through
     evaluate."""
 
     def test_every_graph_up_to_six_vertices(self, monkeypatch):
@@ -547,8 +597,9 @@ class TestTally:
     # the count width that n (n - 1) / 2 calls for; None where the rule puts
     # the host on bit planes. The rule's edges: complete graphs at 149 and
     # 150 vertices (one plane), G(n, 0.3) at 298 and 299 (two) and WS at 596
-    # and 597 (four, diameter 15). Every subset of WS(596) and P600 has more
-    # than 255 members, so the count kernel packs its sizes in two bytes.
+    # and 597 (four, diameter 15). The reference count's evaluate reads the
+    # pair sums off those kernels; the certificate decides every sampled size
+    # of every one of these hosts.
     @pytest.mark.parametrize("g, widths", [
         (watts_strogatz_graph(11, 4, 0.1, seed=0), (16, 8)),
         (watts_strogatz_graph(12, 4, 0.1, seed=0), (16, 8)),
@@ -613,12 +664,42 @@ class TestTally:
                     assert sum(got[:4]) == (budget or SUBSET_SAMPLE_COUNT)
                     # the whole vertex set, the stream's 964th draw at n = 11
                     assert got[1] == (g.n == 11 and budget is None)
-        # the kernel counts R6 without evaluate on the hosts the rule puts on
-        # lanes
-        on_lanes = widths is not None
-        assert evaluated.count("R6") == (0 if on_lanes else 2)
-        assert len(evaluated) == 2 * len(catalog()) - on_lanes * 2
-        assert set(lane_widths) == ({widths[0]} if on_lanes else set())
+            counts, _ = relations._sampled_sizes(g.n, budget)
+            sizes = [k for k, _ in counts if k < g.n]
+            assert not relations._r6_open_sizes(d.dist, prof.row_sums, prof.distance_total,
+                                                sizes)
+        # R6 is counted by size on every sampled host, without evaluate; the
+        # subset lanes ran for the reference count's evaluate only
+        assert evaluated.count("R6") == 0
+        assert len(evaluated) == 2 * (len(catalog()) - 1)
+        assert set(lane_widths) == ({widths[0]} if widths is not None else set())
+
+    @pytest.mark.parametrize("budget", [SUBSET_BUDGET_PER_GRAPH, None])
+    def test_open_sizes_on_a_lollipop(self, budget, monkeypatch):
+        """K27 with a path of 20 attached leaves a sampled size open: its
+        subsets, and only those, in stream order, get pair sums from the
+        sampled kernel, and the counts still equal evaluate's."""
+        g = Graph.from_edges(47, [*combinations(range(27), 2),
+                                  *((v, v + 1) for v in range(26, 46))])
+        d = apsp(g)
+        prof = profile(g, d)
+        spec = relation("R6")
+        expected = counted(spec, g, prof, d, budget)
+        counts, _ = relations._sampled_sizes(g.n, budget)
+        open_sizes = relations._r6_open_sizes(d.dist, prof.row_sums, prof.distance_total,
+                                              [k for k, _ in counts if k < g.n])
+        assert open_sizes
+        read = []
+        original = relations._sampled_pair_sums
+
+        def recorded(dist, top, stream):
+            read.extend(stream)
+            return original(dist, top, read)
+
+        monkeypatch.setattr(relations, "_sampled_pair_sums", recorded)
+        assert tally(spec, g, prof, d, budget) == expected
+        assert read == [subject for subject in islice(subset_stream(g.n), budget)
+                        if len(subject[0]) in open_sizes]
 
     @pytest.mark.parametrize("budget", [SUBSET_BUDGET_PER_GRAPH, None])
     def test_lanes_transpose_only_the_subsets_read(self, budget, monkeypatch):
@@ -642,10 +723,24 @@ class TestTally:
         self.assert_counts_doctored_matrix(10 ** 4)
 
     def test_violations_at_a_distance_of_ten_to_the_twelve(self):
-        """The same at d(0, 1) = 10^12: 64-bit subset lanes and 128-bit sign
-        lanes; a table indexed up to the largest distance could not be
-        allocated."""
+        """The same at d(0, 1) = 10^12: 64-bit subset lanes; a table indexed
+        up to the largest distance could not be allocated."""
         self.assert_counts_doctored_matrix(10 ** 12)
+
+    def test_violations_beside_decided_sizes(self):
+        """At d(0, 1) = 2000 the certificate still decides the largest
+        sampled sizes of C33, while the violations fall in the open ones:
+        the counts of both paths add up to evaluate's, and the violated
+        rows are evaluate's."""
+        g = cycle_graph(33)
+        d = _with_distance(apsp(g), 0, 1, 2000)
+        prof = profile(g, d)
+        for budget in (SUBSET_BUDGET_PER_GRAPH, None):
+            counts, _ = relations._sampled_sizes(g.n, budget)
+            sizes = {k for k, _ in counts if k < g.n}
+            assert set() < relations._r6_open_sizes(d.dist, prof.row_sums,
+                                                    prof.distance_total, sorted(sizes)) < sizes
+        self.assert_counts_doctored_matrix(2000)
 
     @staticmethod
     def assert_counts_doctored_matrix(far):
