@@ -232,16 +232,6 @@ def _unpack_lanes(x: int, count: int, width: int) -> array:
     return lanes
 
 
-def _pack_lanes(values: Iterable[int], width: int) -> bytes:
-    """The values as ``width``-bit little-endian records end to end, through
-    one array conversion: the bytes of the int that :func:`_unpack_lanes`
-    reads back."""
-    lanes = array(_LANE_CODES[width], values)
-    if _BIG_ENDIAN:
-        lanes.byteswap()
-    return lanes.tobytes()
-
-
 def _lane_constants(count: int, width: int, spread: int) -> tuple[int, int, int]:
     """(ones, top, over) for ``count`` lanes of ``width`` bits: a 1 in every
     lane, every lane's top bit, and every lane's bits from width - spread up,

@@ -26,16 +26,13 @@ violated outcomes.
 
 R6 reads the pair-distance sum of every vertex subset it audits. Hosts of up
 to 10 vertices fill one table over all subset masks by inclusion-exclusion.
-Larger hosts audit seeded random subsets, whose pair sums come from one of
-two kernels, chosen by one rule (:func:`_on_subset_lanes`): subset lanes,
-all subsets at once, on hosts of at most SUBSET_LANE_N_PER_PLANE vertices
-per bit of the diameter, and bit planes of the distance matrix, one subset at
-a time, on the others. :func:`tally` counts :func:`evaluate`'s outcomes for
-every relation and host but R6 on a sampled host. There a per-size
-certificate (:func:`_r6_bounds`), two upper bounds on the pair sums of all
-subsets of a size read off sorted distance rows, decides every sampled subset
-of most sizes at once; only the subsets of the sizes it leaves open get pair
-sums and rows.
+Larger hosts audit seeded random subsets, whose pair sums come off subset
+lanes, all subsets at once (:func:`_lane_pair_sums`). :func:`tally` counts
+:func:`evaluate`'s outcomes for every relation and host but R6 on a sampled
+host. There a per-size certificate (:func:`_r6_bounds`), two upper bounds on
+the pair sums of all subsets of a size read off sorted distance rows, decides
+every sampled subset of most sizes at once; only the subsets of the sizes it
+leaves open get pair sums and rows.
 
 :func:`make_result` turns one outcome into a :class:`RelationResult`, whose
 sides become Fractions only when read; :func:`evaluate_all` (the ``check``
@@ -63,7 +60,6 @@ from .graphs import (
 from .metrics import (
     CentralityProfile,
     DistanceMatrix,
-    _pack_lanes,
     _unpack_lanes,
     apsp,
     byte_lanes,
@@ -255,44 +251,6 @@ def _pair_sum_steps(n: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
     return tuple(steps)
 
 
-def _distance_planes(dist, top: int) -> list[list[int]]:
-    """Bit planes of a distance matrix whose largest entry is ``top``, for
-    subset pair sums: for each bit b of ``top``, ``rows[u]`` holds bit v
-    when bit b of ``dist[u][v]`` is set, so that ``popcount(rows[u] & S)``
-    counts the v in S for which it is."""
-    reversed_rows = [row[::-1] for row in dist]  # strings put vertex 0 last
-    planes = []
-    for b in range(top.bit_length()):
-        table = ["1" if x >> b & 1 else "0" for x in range(top + 1)]
-        planes.append([int("".join(map(table.__getitem__, row)), 2) for row in reversed_rows])
-    return planes
-
-
-def _plane_pair_sums(dist, top, stream):
-    """``(members, T(S))`` for each ``(members, mask)`` of the stream, T(S)
-    the pair-distance sum of S: each ordered pair (u, v) of S adds d(u, v)
-    bit by bit, so T(S) is half the sum, over the bits b and the u in S, of
-    2^b times the popcount of plane b's row u within S."""
-    planes = _distance_planes(dist, top)
-    for members, mask in stream:
-        total = 0
-        for b, rows in enumerate(planes):
-            total += sum([(rows[u] & mask).bit_count() for u in members]) << b
-        yield members, total >> 1
-
-
-# A sampled host reads its subset pair sums, check's and those of the sizes
-# the miner's certificate leaves open, off transposed subset lanes
-# (_lane_pair_sums) when it has at most SUBSET_LANE_N_PER_PLANE vertices per
-# bit plane of _distance_planes, that is per bit of its diameter, and off the
-# planes (_plane_pair_sums) otherwise. The lanes take n (n - 1) / 2 ANDs and
-# additions of big ints over all subsets at once, whatever the diameter; the
-# planes take about n/2 small operations per subset and plane. So the lanes
-# lose ground to the planes as n grows and gain it with every plane. Measured
-# per host (README, "Notes on scale"), check's pair sums draw even at about
-# 149 vertices per plane on complete graphs and G(n, 0.3), lose on lanes from
-# about 110 on four-plane Watts-Strogatz hosts and still win at 118 on paths.
-SUBSET_LANE_N_PER_PLANE = 149
 _SUBSET_LANE_WIDTHS = (8, 16, 32, 64)
 
 
@@ -301,20 +259,9 @@ def _lane_width(bound: int) -> int:
     return next(w for w in _SUBSET_LANE_WIDTHS if bound < 1 << w)
 
 
-def _on_subset_lanes(n: int, top: int) -> bool:
-    """Whether a sampled host of n vertices whose largest distance is ``top``
-    reads its subset pair sums off subset lanes: at most
-    SUBSET_LANE_N_PER_PLANE vertices per bit of ``top``. This serves
-    ``check`` and the sizes the miner's certificate leaves open."""
-    return n <= SUBSET_LANE_N_PER_PLANE * top.bit_length()
-
-
 def _mask_records(masks: list[int], n: int) -> tuple[bytes, int]:
-    """The masks of n bits as little-endian byte records end to end, and the
-    record length: 8 bytes through one array conversion up to 64 vertices,
-    (n + 7) // 8 above."""
-    if n <= 64:
-        return _pack_lanes(masks, 64), 8
+    """The masks of n bits as little-endian records of (n + 7) // 8 bytes
+    end to end, and that record length."""
     size = (n + 7) // 8
     return b"".join([mask.to_bytes(size, "little") for mask in masks]), size
 
@@ -330,7 +277,9 @@ def _lane_pair_sums(dist, top: int, masks: list[int]) -> tuple[int, int]:
     pairs u < v adds X_u & X_v into one accumulator A_j per distance j =
     d(u, v), so that each lane of A_j counts its subset's pairs at distance
     j, and T(S) = sum_j j A_j in every lane at once. The accumulators are
-    keyed by the distances present, not indexed up to ``top``.
+    keyed by the distances present, not indexed up to ``top``. The pass
+    costs n (n - 1) / 2 ANDs and additions of ints of (masks x count width)
+    bits, whatever the diameter.
 
     W is the narrowest width with n (n - 1) top < 2^W. The accumulators run
     on lanes of the count width, the narrowest above n (n - 1) / 2, which no
@@ -346,7 +295,7 @@ def _lane_pair_sums(dist, top: int, masks: list[int]) -> tuple[int, int]:
     raw, size = _mask_records(masks, n)
     ones = byte_lanes(b"\1" * len(masks), bins)
     member = []  # member[v] = X_v
-    for c in range((n + 7) // 8):
+    for c in range(size):
         column = byte_lanes(raw[c::size], bins)  # byte c of every mask
         member += [column >> b & ones for b in range(min(8, n - 8 * c))]
     by_distance: defaultdict[int, int] = defaultdict(int)  # j -> A_j
@@ -364,10 +313,8 @@ def _lane_pair_sums(dist, top: int, masks: list[int]) -> tuple[int, int]:
 
 def _sampled_pair_sums(dist, top: int, stream):
     """``(members, T(S))`` for each ``(members, mask)`` of a sampled subset
-    stream: on subset lanes where :func:`_on_subset_lanes` says so, from
-    bit planes elsewhere."""
-    if not _on_subset_lanes(len(dist), top):
-        return _plane_pair_sums(dist, top, stream)
+    stream: the stream is read whole and its pair sums come off subset lanes
+    (:func:`_lane_pair_sums`), all at once."""
     subjects = list(stream)
     sums, width = _lane_pair_sums(dist, top, [mask for _, mask in subjects])
     return zip([members for members, _ in subjects], _unpack_lanes(sums, len(subjects), width))
@@ -777,9 +724,9 @@ def tally(
     by size, and decides a size at once where :func:`_r6_open_sizes`'s
     certificate shows that all its subsets hold; the whole vertex set is an
     equality. Only the subsets of the other sizes, in stream order, get pair
-    sums (:func:`_sampled_pair_sums`) and rows, decided by :func:`evaluate`'s
-    sign rule, so that the violated rows are evaluate's. Every other
-    relation and host counts :func:`evaluate`'s outcomes.
+    sums off subset lanes (:func:`_sampled_pair_sums`) and rows, decided by
+    :func:`evaluate`'s sign rule, so that the violated rows are evaluate's.
+    Every other relation and host counts :func:`evaluate`'s outcomes.
     """
     decided = whole = 0
     if spec.evaluator is _eval_r6 and g.n > SUBSET_ENUMERATION_MAX_N:

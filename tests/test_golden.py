@@ -17,10 +17,11 @@ lanes: the first two on its 16- and 32-bit lanes, the third on the digit
 rows just above that bound, which later rose to 149 vertices and put it on
 16-bit lanes too. The one-worker n = 6 mining document, and the
 n = 7 one (1,866,256 graphs, a few seconds), were recorded before exhaustive
-shards evaluated one graph per isomorphism class. The n = 150 check
-document's R6 pair sums have since moved from digit rows to subset lanes
-with 16-bit pair counts, and the n = 400 one's from bit planes to subset
-lanes. Any refactor must leave these bytes unchanged.
+shards evaluated one graph per isomorphism class. The n = 150 and n = 400
+check documents' R6 pair sums have since moved to subset lanes, now the only
+pair-sum kernel for sampled hosts: the n = 150 one's from digit rows, onto
+16-bit pair counts, the n = 400 one's from bit planes. Any refactor must
+leave these bytes unchanged.
 
 The graphs are fed on stdin so that the echoed ``command`` holds no file path.
 """

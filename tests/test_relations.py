@@ -427,37 +427,39 @@ def _gnp_connected(n, p):
 
 
 class TestSampledPairSums:
-    """On hosts with n >= 11 that relations._on_subset_lanes puts on lanes, R6
-    reads the sampled subsets' pair sums off transposed subset lanes (8-bit
-    lanes on K12 and star11; 16-bit on C33, P40 and the dense G(56, 0.3) and
-    G(72, 0.3); 16-bit pair counts widened to 32-bit sums on P72, WS(150) and
-    G(200, 0.3); 32-bit counts and sums above 255 vertices on P300, WS(300),
-    C342 and C600); elsewhere off bit planes of the distance matrix (K160,
-    one plane, and G(400, 0.3), two). Every one of the sampled subjects must
-    carry the pair sum summed directly over its members."""
+    """On hosts with n >= 11, R6 reads the sampled subsets' pair sums off
+    transposed subset lanes: 8-bit lanes on K12; 8-bit pair counts widened
+    to 16-bit sums on star11; 16-bit on C33, P40, K160 and the dense
+    G(56, 0.3) and G(72, 0.3); 16-bit counts widened to 32-bit sums on P64,
+    P65, P72, WS(150), G(200, 0.3), P300, WS(300) and C342; 32-bit counts
+    and sums on C600 and G(400, 0.3). P64 and P65 sit on either side of a
+    byte in the mask records, 8 and 9 bytes per mask. Every one of the
+    sampled subjects must carry the pair sum summed directly over its
+    members."""
 
-    @pytest.mark.parametrize("g, planes, on_lanes", [
-        (complete_graph(12), 1, True),
-        (star_graph(11), 2, True),
-        (watts_strogatz_graph(150, 4, 0.1, seed=0), 4, True),
-        (cycle_graph(33), 5, True),
-        (path_graph(40), 6, True),
-        (cycle_graph(342), 8, True),
-        (path_graph(72), 7, True),
-        (_gnp_connected(56, 0.3), 2, True),
-        (_gnp_connected(72, 0.3), 2, True),
-        (_gnp_connected(200, 0.3), 2, True),
-        (path_graph(300), 9, True),
-        (watts_strogatz_graph(300, 4, 0.1, seed=0), 4, True),
-        (cycle_graph(600), 9, True),
-        (complete_graph(160), 1, False),
-        (_gnp_connected(400, 0.3), 2, False),
-    ], ids=["K12", "star11", "ws150", "C33", "P40", "C342", "P72", "gnp56", "gnp72",
-            "gnp200", "P300", "ws300", "C600", "K160", "gnp400"])
-    def test_every_subject_matches_a_direct_sum(self, g, planes, on_lanes):
+    @pytest.mark.parametrize("g, planes", [
+        (complete_graph(12), 1),
+        (star_graph(11), 2),
+        (watts_strogatz_graph(150, 4, 0.1, seed=0), 4),
+        (cycle_graph(33), 5),
+        (path_graph(40), 6),
+        (path_graph(64), 6),
+        (path_graph(65), 7),
+        (cycle_graph(342), 8),
+        (path_graph(72), 7),
+        (_gnp_connected(56, 0.3), 2),
+        (_gnp_connected(72, 0.3), 2),
+        (_gnp_connected(200, 0.3), 2),
+        (path_graph(300), 9),
+        (watts_strogatz_graph(300, 4, 0.1, seed=0), 4),
+        (cycle_graph(600), 9),
+        (complete_graph(160), 1),
+        (_gnp_connected(400, 0.3), 2),
+    ], ids=["K12", "star11", "ws150", "C33", "P40", "P64", "P65", "C342", "P72", "gnp56",
+            "gnp72", "gnp200", "P300", "ws300", "C600", "K160", "gnp400"])
+    def test_every_subject_matches_a_direct_sum(self, g, planes):
         d = apsp(g)
         assert max(map(max, d.dist)).bit_length() == planes
-        assert relations._on_subset_lanes(g.n, d.diameter) == on_lanes
         sums = r6_pair_sums(g, d)
         assert [members for members, _ in sums] == [m for m, _ in subset_stream(g.n)]
         assert len(sums) == SUBSET_SAMPLE_COUNT
@@ -469,24 +471,20 @@ class TestSampledPairSums:
             direct = [pair_distance_sum(d.dist, members) for members, _ in sums]
         assert [pair_sum for _, pair_sum in sums] == direct
 
-    @pytest.mark.parametrize("g, on_lanes", [
-        (watts_strogatz_graph(150, 4, 0.1, seed=0), True),
-        (_gnp_connected(299, 0.3), False),
+    @pytest.mark.parametrize("g", [
+        watts_strogatz_graph(150, 4, 0.1, seed=0),
+        _gnp_connected(299, 0.3),
     ], ids=["ws150", "gnp299"])
-    def test_lanes_and_rows_on_either_side_of_the_rule(self, g, on_lanes):
-        """Both kernels on a host of each side: WS(150) goes to lanes and
-        G(299, 0.3), one vertex past two planes' 298, to bit planes, and both
-        take 16-bit pair counts widened to 32-bit sums on lanes."""
+    def test_pair_counts_widened_to_sums(self, g):
+        """WS(150) and G(299, 0.3) take 16-bit pair counts widened to 32-bit
+        sums on lanes."""
         d = apsp(g)
-        assert relations._on_subset_lanes(g.n, d.diameter) == on_lanes
         assert 8 < (g.n * (g.n - 1) // 2).bit_length() <= 16
         subjects = list(islice(subset_stream(g.n), SUBSET_SAMPLE_COUNT))
         sums, width = relations._lane_pair_sums(d.dist, d.diameter, [m for _, m in subjects])
         assert width == 32
         direct = [pair_distance_sum(d.dist, members) for members, _ in subjects]
         assert list(_unpack_lanes(sums, len(subjects), width)) == direct
-        rows = relations._plane_pair_sums(d.dist, d.diameter, subjects)
-        assert [pair_sum for _, pair_sum in rows] == direct
 
     @staticmethod
     def assert_follows_distance(far):
@@ -594,12 +592,9 @@ class TestTally:
                         g.edges, spec.id)
 
     # widths: the subset lane width W that n (n - 1) diameter calls for and
-    # the count width that n (n - 1) / 2 calls for; None where the rule puts
-    # the host on bit planes. The rule's edges: complete graphs at 149 and
-    # 150 vertices (one plane), G(n, 0.3) at 298 and 299 (two) and WS at 596
-    # and 597 (four, diameter 15). The reference count's evaluate reads the
-    # pair sums off those kernels; the certificate decides every sampled size
-    # of every one of these hosts.
+    # the count width that n (n - 1) / 2 calls for. The reference count's
+    # evaluate reads the pair sums off those lanes; the certificate decides
+    # every sampled size of every one of these hosts.
     @pytest.mark.parametrize("g, widths", [
         (watts_strogatz_graph(11, 4, 0.1, seed=0), (16, 8)),
         (watts_strogatz_graph(12, 4, 0.1, seed=0), (16, 8)),
@@ -625,11 +620,11 @@ class TestTally:
         (path_graph(255), (32, 16)),
         (path_graph(256), (32, 16)),
         (complete_graph(149), (16, 16)),
-        (complete_graph(150), None),
+        (complete_graph(150), (16, 16)),
         (_gnp_connected(298, 0.3), (32, 16)),
-        (_gnp_connected(299, 0.3), None),
+        (_gnp_connected(299, 0.3), (32, 16)),
         (watts_strogatz_graph(596, 4, 0.1, seed=0), (32, 32)),
-        (watts_strogatz_graph(597, 4, 0.1, seed=0), None),
+        (watts_strogatz_graph(597, 4, 0.1, seed=0), (32, 32)),
         (path_graph(600), (32, 32)),
     ], ids=["ws11", "ws12", "ws24", "ws64", "gnp24", "gnp64", "K16", "K40", "P60", "P72",
             "ws73", "P90", "ws96", "ws149", "P149", "ws150", "P150", "gnp149", "gnp150",
@@ -638,7 +633,6 @@ class TestTally:
     def test_sampled_hosts(self, g, widths, monkeypatch):
         d = apsp(g)
         prof = profile(g, d)
-        assert relations._on_subset_lanes(g.n, d.diameter) == (widths is not None)
         lane_widths = []  # W of each subset lane call
         original = relations._lane_pair_sums
 
@@ -648,11 +642,10 @@ class TestTally:
             return sums, width
 
         monkeypatch.setattr(relations, "_lane_pair_sums", lanes)
-        if widths is not None:
-            width, bins = widths
-            spread = g.n * (g.n - 1) * d.diameter
-            assert width // 2 < spread.bit_length() <= width
-            assert bins // 2 < (g.n * (g.n - 1) // 2).bit_length() <= bins
+        width, bins = widths
+        spread = g.n * (g.n - 1) * d.diameter
+        assert width // 2 < spread.bit_length() <= width
+        assert bins // 2 < (g.n * (g.n - 1) // 2).bit_length() <= bins
         evaluated = []
         monkeypatch.setattr(relations, "evaluate", lambda spec, *args: evaluated.append(
             spec.id) or evaluate(spec, *args))
@@ -672,7 +665,7 @@ class TestTally:
         # subset lanes ran for the reference count's evaluate only
         assert evaluated.count("R6") == 0
         assert len(evaluated) == 2 * (len(catalog()) - 1)
-        assert set(lane_widths) == ({widths[0]} if widths is not None else set())
+        assert set(lane_widths) == {width}
 
     @pytest.mark.parametrize("budget", [SUBSET_BUDGET_PER_GRAPH, None])
     def test_open_sizes_on_a_lollipop(self, budget, monkeypatch):
