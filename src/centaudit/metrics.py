@@ -13,7 +13,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import lcm
 from operator import add, mul
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -72,6 +72,10 @@ def apsp(g: Graph) -> DistanceMatrix:
     a path-count or below-count lane is summed only while it is below
     2**(W - bit_length(max degree) - 1), so no sum of up to max degree of
     them, plus 1, carries into the next lane (see :func:`_apsp_block`).
+
+    The matrix takes O(n**2) memory. :func:`profile` without a matrix folds
+    the same blocks and searches as they are decoded and keeps none of it;
+    the matrix serves ``check``, the miner and the tests.
     """
     if g.n >= LANE_MIN_N:
         try:
@@ -153,12 +157,14 @@ def _search(
 LANE_MIN_N = 48
 LANE_WIDTHS = (16, 32, 64)
 # Bits per list of lane ints: a block takes LANE_BUDGET // (n * W) sources,
-# so lane state stays within a few such lists whatever n and W are, and a
-# graph of up to 512 vertices runs in one block at W = 16. Chosen by
-# measurement on Watts-Strogatz graphs (k = 6): with fixed blocks of 512
-# sources, apsp plus stress peaked 20 % (n = 1000) and 17 % (n = 2000) above
-# per-source search in peak RSS; with this budget a whole `compute` run peaks
-# 6.5 % and 0.6 % above it, and is still 1.7x faster.
+# so lane state stays within a few such lists, plus one list of level masks
+# per forward level, whatever n and W are, and a graph of up to 512 vertices
+# runs in one block at W = 16. Chosen by measurement on Watts-Strogatz graphs
+# (k = 6) while every caller held the n x n matrices: with fixed blocks of
+# 512 sources, apsp plus stress peaked 20 % (n = 1000) and 17 % (n = 2000)
+# above per-source search in peak RSS, and with this budget 6.5 % and 0.6 %
+# above it. A `compute` run, which now holds no matrix, peaks at 28 MB at
+# n = 1000 and 31 MB at n = 3000 (README, "Notes on scale").
 LANE_BUDGET = 1 << 22
 
 _LANE_CODES = {8 * array(code).itemsize: code for code in "BHILQ"}
@@ -243,27 +249,19 @@ def _lane_constants(count: int, width: int, spread: int) -> tuple[int, int, int]
 
 def _apsp_lanes(g: Graph) -> DistanceMatrix:
     """:func:`apsp` on packed lanes, one block of sources at a time. Each
-    vertex's stress gains the dot product of its path-count lanes with its
-    below-lanes as both are decoded.
-
-    One search from vertex 0 comes first. It raises for a disconnected graph,
-    and it bounds the work: the diameter is at least vertex 0's eccentricity,
-    so most long graphs go to per-source search before any lane work, and
-    its path counts pick the starting width.
-    """
+    vertex's distance lanes are summed from the block's level masks, and its
+    stress gains the dot product of its path-count lanes with its
+    below-lanes, as the lanes are decoded."""
     n = g.n
     nbrs = [tuple(a) for a in g.adj]
-    dist0, sigma0, _ = _search(nbrs, 0)
-    levels = max(dist0)
-    spread = max(map(len, nbrs)).bit_length() + 1
     dist_rows: list[tuple[int, ...]] = [()] * n
     sigma_rows: list[tuple[int, ...]] = [()] * n
     total = [0] * n
-    blocks = _lane_blocks(
-        n, max(sigma0), spread,
-        lambda lo, hi, width: _apsp_block(nbrs, spread, levels, lo, hi, width),
-    )
-    for lo, hi, width, (dist, sigma, below) in blocks:
+    for lo, hi, width, (masks, sigma, below) in _source_blocks(nbrs):
+        dist = [0] * n
+        for k, hits in enumerate(masks, 1):
+            dist = list(map(add, dist, map(mul, hits, repeat(k))))
+        masks.clear()  # emptied in place: _lane_blocks still holds the lanes
         for v in range(n):  # lanes are dropped as they are decoded
             sig = _unpack_lanes(sigma[v], hi - lo, width)
             dist_rows[v] += tuple(_unpack_lanes(dist[v], hi - lo, width))
@@ -273,30 +271,52 @@ def _apsp_lanes(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(n, tuple(dist_rows), tuple(sigma_rows), tuple(total))
 
 
+def _source_blocks(
+    nbrs: Sequence[Sequence[int]],
+) -> Iterator[tuple[int, int, int, tuple[list[list[int]], list[int], list[int]]]]:
+    """The lane blocks of a graph, from :func:`_lane_blocks` over
+    :func:`_apsp_block`: (lo, hi, width, lanes) per block of sources.
+
+    One search from vertex 0 comes first, when this is called. It raises for
+    a disconnected graph, and it bounds the work: the diameter is at least
+    vertex 0's eccentricity, so most long graphs go to per-source search
+    before any lane work, and its path counts pick the starting width.
+    """
+    dist0, sigma0, _ = _search(nbrs, 0)
+    levels = max(dist0)
+    spread = max(map(len, nbrs)).bit_length() + 1
+    return _lane_blocks(
+        len(nbrs), max(sigma0), spread,
+        lambda lo, hi, width: _apsp_block(nbrs, spread, levels, lo, hi, width),
+    )
+
+
 def _apsp_block(
     nbrs: Sequence[Sequence[int]], spread: int, levels: int, lo: int, hi: int, width: int
-) -> tuple[list[int], list[int], list[int]] | None:
-    """Distance, path-count and below-lanes, per vertex, of the sources
-    lo..hi-1 of a connected graph on ``width``-bit lanes (below is 0 on a
-    source's own lane), or None when a lane of either pass outgrows its
-    guard. Raises _UseSearch when ``levels``, a lower bound on the diameter,
-    or the levels these sources need exceed what _lane_levels allows.
+) -> tuple[list[list[int]], list[int], list[int]] | None:
+    """Level masks, path-count lanes and below-lanes of the sources lo..hi-1
+    of a connected graph on ``width``-bit lanes, or None when a lane of
+    either pass outgrows its guard. Raises _UseSearch when ``levels``, a
+    lower bound on the diameter, or the levels these sources need exceed
+    what _lane_levels allows.
+
+    ``masks[k - 1][v]`` holds 1 in the lowest bit of every lane whose source
+    is at distance k from v, so the block's last forward level is
+    ``len(masks)``. Path-count and below-lanes are per vertex; below is 0 on
+    a source's own lane.
 
     Forward, level k is synchronous: every vertex first sums its neighbors'
     path-count lanes, then keeps the sum on the lanes it has not been reached
     on. On such a lane s the neighbors at distance k - 1 from s carry
     sigma(s, .) and every other neighbor carries 0 (it is at distance k or
     more, still unreached), so the sum is sigma(s, v) and is nonzero exactly
-    when dist(s, v) = k, where the distance lane gets k.
+    when dist(s, v) = k, which level k's mask records.
 
-    Backward, on the forward's distance lanes, levels run from the last one
-    down to 1, synchronously. A path lane holds 1 + below(v) once v's level
-    has run and 0 before, so at level k the sum of the neighbors' path lanes
-    is, on every lane where dist(s, v) = k, exactly below(v): neighbors at
-    distance k + 1 carry 1 + below, the others are at k or k - 1 and still
-    carry 0. The level-k mask comes from the carry trick on y = dist lanes
-    XOR k in every lane: ((y + low) | y) has a lane's top bit clear exactly
-    when y is 0 there.
+    Backward, levels run from the last one down to 1, synchronously, each on
+    its forward mask. A path lane holds 1 + below(v) once v's level has run
+    and 0 before, so at level k the sum of the neighbors' path lanes is, on
+    every lane where dist(s, v) = k, exactly below(v): neighbors at distance
+    k + 1 carry 1 + below, the others are at k or k - 1 and still carry 0.
 
     Exactness: with spread = bit_length(max degree) + 1, every lane is checked
     to be below 2**(W - spread) before it is summed, so a sum of at most
@@ -317,19 +337,20 @@ def _apsp_block(
     for s in range(lo, hi):
         sigma[s] = 1 << (s - lo) * width
         unreached[s] ^= lane << (s - lo) * width
-    dist = [0] * n
+    masks = []
     get = sigma.__getitem__
-    for depth in range(1, _lane_levels(n, width) + 1):
+    for _ in range(_lane_levels(n, width)):
         sums = [sum(map(get, nb)) & u if u else 0 for nb, u in zip(nbrs, unreached)]
+        hits = [0] * n
         seen = 0
         for v, t in enumerate(sums):
             if t:
                 seen |= t
-                hit = (((t + low) | t) & top) >> (width - 1)
+                hit = hits[v] = (((t + low) | t) & top) >> (width - 1)
                 unreached[v] ^= (hit << width) - hit
-                dist[v] += depth * hit
                 sigma[v] |= t
         del sums
+        masks.append(hits)
         if not any(unreached):
             break
         if seen & over:
@@ -338,16 +359,13 @@ def _apsp_block(
         raise _UseSearch
     paths = [0] * n
     get = paths.__getitem__
-    for k in range(depth, 0, -1):
-        mark = k * ones
-        sums = [sum(map(get, nb)) for nb in nbrs]
+    for k in range(len(masks), 0, -1):
+        hits = masks[k - 1]
+        sums = [sum(map(get, nb)) if h else 0 for nb, h in zip(nbrs, hits)]
         seen = 0
-        for v, (y, t) in enumerate(zip(dist, sums)):
-            y ^= mark
-            at = top ^ (((y + low) | y) & top)
-            if at:
-                hit = at >> (width - 1)
-                t = (t & ((at << 1) - hit)) + hit
+        for v, (hit, t) in enumerate(zip(hits, sums)):
+            if hit:
+                t = (t & ((hit << width) - hit)) + hit
                 seen |= t
                 paths[v] |= t
         del sums
@@ -358,7 +376,7 @@ def _apsp_block(
         paths[v] -= ones
     for v in range(lo, hi):
         paths[v] += 1 << (v - lo) * width
-    return dist, sigma, paths
+    return masks, sigma, paths
 
 
 def pair_distance_sum(dist: Sequence[Sequence[int]], members: Sequence[int]) -> int:
@@ -400,10 +418,11 @@ def global_clustering(g: Graph) -> Fraction:
     return Fraction(2 * per_edge_common, open_triplets)
 
 
-def stress(g: Graph, d: DistanceMatrix) -> tuple[int, ...]:
+def stress(g: Graph, d: DistanceMatrix | SourceSums) -> tuple[int, ...]:
     """Per vertex, the number of shortest paths, over ordered endpoint pairs,
-    on which it lies as an interior vertex: ``d.stress``, which :func:`apsp`
-    finds in the same pass as the distances of ``g``."""
+    on which it lies as an interior vertex: ``d.stress``, which :func:`apsp`,
+    or :func:`profile`'s pass over the sources, finds in the same pass as the
+    distances of ``g``."""
     if g.n != d.n:
         raise ValueError(f"distance matrix is for {d.n} vertices, graph has {g.n}")
     return d.stress
@@ -589,29 +608,133 @@ class CentralityProfile:
         return None if pair is None else Fraction(*pair)
 
 
-def profile(g: Graph, d: DistanceMatrix | None = None) -> CentralityProfile:
-    """Compute every centrality of a connected graph from one distance pass,
-    each quantity once and in integers."""
-    if g.n < 2:
-        raise ValueError("profile needs at least 2 vertices")
-    if d is None:
-        d = apsp(g)
-    adj = g.adj
+@dataclass(frozen=True)
+class SourceSums:
+    """The per-source quantities of a :class:`CentralityProfile` of a
+    connected graph: per vertex its distance sum, stress and neighborhood
+    pair sums; the diameter; and whether every vertex pair is joined by a
+    unique shortest path. :func:`profile` folds them in one pass over the
+    sources, or reads them off a :class:`DistanceMatrix`."""
+
+    n: int
+    row_sums: tuple[int, ...]
+    stress: tuple[int, ...]
+    open_pair_sums: tuple[int, ...]
+    closed_pair_sums: tuple[int, ...]
+    diameter: int
+    geodetic: bool
+
+
+def _matrix_sums(g: Graph, d: DistanceMatrix) -> SourceSums:
+    """:class:`SourceSums` read off ``d``, the neighborhood pair sums entry
+    by entry."""
     dist = d.dist
-    degrees = []
-    links = []
     open_sums = []
     closed_sums = []
-    for nbrs, row in zip(adj, dist):
+    for nbrs, row in zip(g.adj, dist):
         members = tuple(nbrs)
-        degrees.append(len(members))
-        # an edge among the neighbors is seen from both of its ends
-        links.append(sum([len(nbrs & adj[j]) for j in members]) >> 1)
         open_sum = pair_distance_sum(dist, members)
         open_sums.append(open_sum)
         closed_sums.append(open_sum + sum([row[j] for j in members]))
-    row_sums = tuple(map(sum, dist))
-    stresses = stress(g, d)
+    return SourceSums(
+        d.n, tuple(map(sum, dist)), d.stress, tuple(open_sums), tuple(closed_sums),
+        d.diameter, is_geodetic(d),
+    )
+
+
+def _pass_sums(g: Graph) -> SourceSums:
+    """:class:`SourceSums` from one pass over the sources, with no matrix:
+    the lane blocks of :func:`_source_blocks` where :func:`apsp` takes them,
+    then per-source search for the sources no block covered. Each block or
+    search is folded as it is decoded and then dropped, so memory stays
+    O(n * block) at any n.
+
+    Every quantity is a sum over sources, a maximum or a test, so any split
+    of the sources into blocks and searches folds to the same result. Each
+    source s adds d(s, v) to v's row sum (over all sources, v's own, by
+    symmetry) and sigma(s, v) * below(s, v) to v's stress; for each neighbor
+    i of s, its distances to i's neighbors to twice i's open pair sum; and
+    its distances to its own neighbors to its closed pair sum. On lanes, two
+    neighbors of a vertex are at most 2 apart, so those distances are read
+    off the level-1 and level-2 masks, and a lane of their sum over a
+    vertex's neighbors stays below 2 * max degree < 2**W. Row sums come from
+    the masks too, k times the sources at distance k per level; the diameter
+    is the largest last level, and a path-count lane above 1 makes the graph
+    non-geodetic.
+    """
+    n = g.n
+    nbrs = [tuple(a) for a in g.adj]
+    rows = [0] * n
+    total = [0] * n
+    twice_open = [0] * n  # over ordered pairs of distinct neighbors
+    near_sums = [0] * n  # distances from each vertex to its neighbors
+    diameter = 0
+    geodetic = True
+    done = 0
+    if n >= LANE_MIN_N:
+        try:
+            for lo, hi, width, (masks, sigma, below) in _source_blocks(nbrs):
+                count = hi - lo
+                for k, hits in enumerate(masks, 1):
+                    rows = list(map(add, rows, map(mul, map(int.bit_count, hits), repeat(k))))
+                diameter = max(diameter, len(masks))
+                above_one = byte_lanes(b"\1" * count, width) * ((1 << width) - 2)
+                geodetic = geodetic and not any(map(above_one.__and__, sigma))
+                for v in range(n):  # lanes are dropped as they are decoded
+                    total[v] += sum(map(
+                        mul, _unpack_lanes(sigma[v], count, width),
+                        _unpack_lanes(below[v], count, width),
+                    ))
+                    sigma[v] = below[v] = 0
+                near = masks[0] if len(masks) == 1 else [
+                    one + (two << 1) for one, two in zip(masks[0], masks[1])
+                ]
+                masks.clear()  # emptied in place: _lane_blocks still holds the lanes
+                get = near.__getitem__
+                for i, nb in enumerate(nbrs):
+                    inside = [u - lo for u in nb if lo <= u < hi]
+                    if inside or lo <= i < hi:
+                        lanes = _unpack_lanes(sum(map(get, nb)), count, width)
+                        twice_open[i] += sum(map(lanes.__getitem__, inside))
+                        if lo <= i < hi:
+                            near_sums[i] = lanes[i - lo]
+                done = hi
+        except _UseSearch:
+            pass
+    for s in range(done, n):
+        dist, sigma, below = _search(nbrs, s)
+        rows = list(map(add, rows, dist))
+        total = list(map(add, total, map(mul, sigma, below)))
+        diameter = max(diameter, max(dist))
+        geodetic = geodetic and max(sigma) == 1
+        get = dist.__getitem__
+        for i in nbrs[s]:
+            twice_open[i] += sum(map(get, nbrs[i]))
+        near_sums[s] = sum(map(get, nbrs[s]))
+    open_sums = [t >> 1 for t in twice_open]
+    return SourceSums(
+        n, tuple(rows), tuple(total), tuple(open_sums), tuple(map(add, open_sums, near_sums)),
+        diameter, geodetic,
+    )
+
+
+def profile(g: Graph, d: DistanceMatrix | None = None) -> CentralityProfile:
+    """Compute every centrality of a connected graph, each quantity once and
+    in integers. With no matrix, the distance sums, stress, neighborhood
+    pair sums, diameter and geodetic flag come from one pass over the
+    sources that holds no n x n table (:func:`_pass_sums`); given ``d``,
+    they are read off it."""
+    if g.n < 2:
+        raise ValueError("profile needs at least 2 vertices")
+    sums = _pass_sums(g) if d is None else _matrix_sums(g, d)
+    adj = g.adj
+    degrees = []
+    links = []
+    for nbrs in adj:
+        degrees.append(len(nbrs))
+        # an edge among the neighbors is seen from both of its ends
+        links.append(sum([len(nbrs & adj[j]) for j in nbrs]) >> 1)
+    stresses = stress(g, sums)
     # d(d-1) per vertex: 0 below degree 2, where clustering is 0 and the
     # stress term is left out
     triplets = [deg * (deg - 1) for deg in degrees]
@@ -626,17 +749,17 @@ def profile(g: Graph, d: DistanceMatrix | None = None) -> CentralityProfile:
     return CentralityProfile(
         degrees=tuple(degrees),
         links=tuple(links),
-        row_sums=row_sums,
+        row_sums=sums.row_sums,
         stress=stresses,
         pendant=tuple(deg == 1 for deg in degrees),
         complete_neighborhood=tuple(2 * k == t for k, t in zip(links, triplets)),
-        open_pair_sums=tuple(open_sums),
-        closed_pair_sums=tuple(closed_sums),
-        diameter=d.diameter,
-        distance_total=sum(row_sums),
+        open_pair_sums=sums.open_pair_sums,
+        closed_pair_sums=sums.closed_pair_sums,
+        diameter=sums.diameter,
+        distance_total=sum(sums.row_sums),
         average_clustering_pair=(2 * clustering_num, g.n * den),
         global_clustering_pair=(2 * sum(links), triplet_total) if triplet_total else None,
         stress_pair_sum=(stress_num, den),
-        geodetic=is_geodetic(d),
+        geodetic=sums.geodetic,
         even_cycle_free=is_even_cycle_free(g),
     )

@@ -1,12 +1,15 @@
-"""The packed-lane kernels behind ``apsp`` and ``stress``.
+"""The packed-lane kernels behind ``apsp``, ``stress`` and ``profile``'s pass.
 
 Graphs with at least ``LANE_MIN_N`` vertices and few breadth-first levels run
 every source at once on packed integer lanes; the rest run the per-source
 search. These tests hold the lane kernels to the per-source path, called
 directly, and to the independent oracles, on hosts on both sides of that
-choice, and pin which path each kind of host takes.
+choice, and pin which path each kind of host takes. ``profile(g)`` folds the
+same blocks and searches without a matrix, and is held to the profile read
+off ``apsp``'s matrix.
 """
 
+import dataclasses
 import io
 
 import pytest
@@ -313,9 +316,13 @@ class TestDispatch:
         d = apsp(g)
         assert (d, profile(g, d).stress) == expected
         assert sources == [0]  # the one search that bounds the levels
+        sources.clear()
+        assert profile(g).stress == expected[1]
+        assert sources == [0]
 
     def test_mining_hosts_stay_on_search(self, monkeypatch):
         monkeypatch.setattr(metrics, "_apsp_lanes", refuse)
+        monkeypatch.setattr(metrics, "_apsp_block", refuse)
         assert main(["mine", "--n-max", "5", "--format", "json"], out=io.StringIO()) == 0
         argv = ["mine", "--model", "watts_strogatz", "--n", "24", "--k", "4", "--p", "0.1",
                 "--trials", "5", "--seed", "0", "--format", "json"]
@@ -332,3 +339,126 @@ class TestDispatch:
             apsp(g)
         assert str(laned.value) == str(searched.value)
         assert str(laned.value) == "graph is disconnected: vertex 0 reaches only 40 of 80 vertices"
+
+
+def assert_pass_matches_matrix(g):
+    """``profile(g)``, folded in one pass, equals ``profile(g, apsp(g))``,
+    read off the matrix, field by field."""
+    folded, read = profile(g), profile(g, apsp(g))
+    for field in dataclasses.fields(read):
+        assert getattr(folded, field.name) == getattr(read, field.name), field.name
+
+
+def spy_searches(monkeypatch):
+    """The sources of every per-source search, in call order."""
+    search = metrics._search
+    sources = []
+    monkeypatch.setattr(metrics, "_search", lambda adj, s: sources.append(s) or search(adj, s))
+    return sources
+
+
+class TestPassMatchesMatrix:
+    """``profile(g)`` folds every per-source quantity as each lane block or
+    search is decoded and builds no matrix. It must equal the profile read
+    off ``apsp``'s matrix on lane hosts, on hosts that go to search, across
+    several blocks, after a block reruns one width up, and after the lanes
+    give way to search partway, and raise the same errors."""
+
+    @pytest.mark.parametrize("g", [
+        layered_chain(8, 8, 3)[0],
+        layered_chain(9, 24, 4)[0],
+        layered_chain(24, 8, 12)[0],
+        spider(64, 5),
+        complete_graph(80),
+        star_graph(100),
+        watts_strogatz_graph(64, 4, 0.1, seed=0),
+        watts_strogatz_graph(150, 6, 0.1, seed=4),
+        path_graph(100),
+        cycle_graph(101),
+    ], ids=["chain32", "chain64", "chain-over-64", "spider", "K80", "S100", "ws64", "ws150",
+            "P100", "C101"])
+    def test_lane_and_search_hosts(self, g):
+        assert_pass_matches_matrix(g)
+
+    def test_several_blocks(self, monkeypatch):
+        g = watts_strogatz_graph(100, 6, 0.1, seed=2)
+        expected = profile(g, apsp(g))
+        monkeypatch.setattr(metrics, "LANE_BUDGET", 7 * 16 * g.n)  # 7 sources at W = 16
+        block = metrics._apsp_block
+        calls = []
+        monkeypatch.setattr(metrics, "_apsp_block",
+                            lambda *args: calls.append(args[-3:]) or block(*args))
+        sources = spy_searches(monkeypatch)
+        assert profile(g) == expected
+        assert sources == [0]
+        assert [(lo, hi) for lo, hi, _ in calls] == [(lo, min(lo + 7, 100)) for lo in range(0, 100, 7)]
+
+    def test_block_reruns_one_width_up(self, monkeypatch):
+        g = spider(64, 5)
+        expected = profile(g, apsp(g))
+        block = metrics._apsp_block
+        passes = []
+
+        def spy(*args):
+            lanes = block(*args)
+            passes.append((args[-1], lanes is None))
+            return lanes
+
+        monkeypatch.setattr(metrics, "_apsp_block", spy)
+        sources = spy_searches(monkeypatch)
+        assert profile(g) == expected
+        assert passes == [(16, True), (32, False)]
+        assert sources == [0]
+        assert list(expected.stress) == [spider_stress(64, 5, v) for v in range(g.n)]
+
+    def test_long_host_goes_to_search_after_its_first_search(self, monkeypatch):
+        g = path_graph(100)
+        sources = spy_searches(monkeypatch)
+        folded = profile(g)
+        assert sources == [0, *range(100)]
+        assert folded == profile(g, metrics._apsp_bfs(g))
+
+    def test_search_takes_over_partway(self, monkeypatch):
+        """With 8 levels allowed, the spider's blocks of sources near the
+        centre run on lanes, and the first block holding a source 9 levels
+        from a leaf gives way: its sources and all later ones are searched
+        one by one, and the blocks already folded stay."""
+        g = spider(64, 5)
+        expected = profile(g, apsp(g))
+        monkeypatch.setattr(metrics, "LANE_BUDGET", 4 * 16 * g.n)  # 4 at W = 16, 2 at 32
+        monkeypatch.setattr(metrics, "_lane_levels", lambda n, width: 8)
+        sources = spy_searches(monkeypatch)
+        assert profile(g) == expected
+        assert sources == [0, *range(4, g.n)]
+
+    @given(connected_gnp())
+    @settings(max_examples=40, deadline=None)
+    def test_small_hosts_on_lanes(self, g):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "LANE_MIN_N", 2)
+            patch.setattr(metrics, "LANE_BUDGET", 3 * 16 * g.n)  # 3 sources at W = 16
+            patch.setattr(metrics, "_lane_levels", lambda n, width: n)
+            sources = spy_searches(patch)
+            folded = profile(g)
+        assert sources == [0]
+        assert folded == profile(g, metrics._apsp_bfs(g))
+
+    @pytest.mark.parametrize("n", [6, 80])
+    def test_disconnected_hosts_raise_alike(self, n):
+        half = complete_graph(n // 2).edges
+        g = Graph.from_edges(n, [*half, *((u + n // 2, v + n // 2) for u, v in half)])
+        with pytest.raises(DisconnectedGraphError) as folded:
+            profile(g)
+        with pytest.raises(DisconnectedGraphError) as read:
+            profile(g, apsp(g))
+        assert str(folded.value) == str(read.value) == (
+            f"graph is disconnected: vertex 0 reaches only {n // 2} of {n} vertices"
+        )
+
+    def test_one_vertex_raises_alike(self):
+        g = Graph.from_edges(1, [])
+        with pytest.raises(ValueError, match="at least 2 vertices") as folded:
+            profile(g)
+        with pytest.raises(ValueError, match="at least 2 vertices") as read:
+            profile(g, apsp(g))
+        assert str(folded.value) == str(read.value)

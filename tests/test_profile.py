@@ -8,14 +8,17 @@ counts, path enumeration for geodesy, cycle enumeration for parity). The
 Fraction views must read the same values.
 """
 
+import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations, islice
 from math import lcm
 
+import networkx as nx
 import pytest
 
 from centaudit import (
     DistanceMatrix,
+    Graph,
     apsp,
     enumerate_connected,
     gnp_graph,
@@ -145,3 +148,30 @@ def test_diameter_follows_the_matrix_it_is_given():
     altered = DistanceMatrix(d.n, tuple(map(tuple, dist)), d.sigma, d.stress)
     assert altered.diameter == 7
     assert profile(g, altered).diameter == 7
+
+
+def test_pass_matches_matrix_on_the_graph_atlas():
+    """``profile(g)`` folds one pass over the sources; ``profile(g, d)``
+    reads the matrix. They agree on every connected graph of 2 to 7
+    vertices in networkx's atlas."""
+    graphs = [
+        Graph.from_edges(a.number_of_nodes(), a.edges())
+        for a in nx.graph_atlas_g() if a.number_of_nodes() >= 2 and nx.is_connected(a)
+    ]
+    assert len(graphs) == 995
+    for g in graphs:
+        assert profile(g) == profile(g, apsp(g))
+
+
+def test_pass_memory_on_a_long_path():
+    """P300 goes to per-source search, whose pass holds a few rows of n
+    entries at a time; the 300 x 300 distance and path-count tables would
+    take over 1.4 MiB."""
+    g = path_graph(300)
+    tracemalloc.start()
+    try:
+        profile(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 19
