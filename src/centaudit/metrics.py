@@ -494,7 +494,14 @@ def is_even_cycle_free(g: Graph) -> bool:
     every biconnected block is a single edge or a single odd cycle. A block is
     a single cycle when it has as many edges as vertices, all of degree 2
     within the block.
+
+    Such a graph is a forest of cacti whose cycles are odd: a component on k
+    vertices with c cycles has k - 1 + c edges, and each cycle brings at
+    least 2 vertices of its own, so c <= (k - 1) // 2. A graph with more
+    than (n - 1) + (n - 1) // 2 edges therefore has an even cycle.
     """
+    if g.n and g.m > (g.n - 1) + (g.n - 1) // 2:
+        return False
     for block in biconnected_blocks(g):
         if len(block) == 1:
             continue

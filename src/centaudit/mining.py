@@ -7,9 +7,13 @@ replayed exactly, and audits the implication between the even-cycle-free and
 geodetic predicates.
 
 Work is embarrassingly parallel: each n's adjacency bitmask range (or the
-trial range) is split into contiguous chunks, each mined as one shard, and
-shard reports merge in a fixed order, so multi-worker runs are
-byte-identical to single-worker runs.
+trial range) is split into one contiguous chunk per worker, each mined as
+one shard, and shard reports merge in a fixed order, so multi-worker runs
+are byte-identical to single-worker runs. With several workers the shards
+are dealt round robin into one share per worker: the calling process mines
+the first share, and each other share runs in one child process that pipes
+its shards back. A child's failure is raised in the caller, and no child
+outlives the call.
 
 An exhaustive shard walks its masks in ascending order against
 :func:`graphs.mask_classes` and evaluates one graph per isomorphism class:
@@ -31,10 +35,10 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from multiprocessing import Pipe, Process
 from typing import Iterator, Mapping, Sequence
 
 from . import relations as rel
@@ -379,11 +383,54 @@ def _merge_shards(
     return merged
 
 
+def _mine_share(share, conn) -> None:
+    """A child's whole work: mine each task of ``share`` and send back
+    ``(True, shards)``, or ``(False, exception)`` on the first failure."""
+    try:
+        reply = True, [_mine_shard(task) for task in share]
+    except Exception as exc:
+        reply = False, exc
+    conn.send(reply)
+    conn.close()
+
+
 def _run_tasks(tasks, workers: int) -> list[_Shard]:
+    """Mine each task into a shard, in task order. With several workers the
+    tasks are dealt round robin into ``workers`` shares: this process mines
+    share 0, and each other non-empty share runs in one child that pipes its
+    shards back. No child outlives the call."""
     if workers <= 1:
         return [_mine_shard(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_mine_shard, tasks))
+    children = []  # (share index, process, read end)
+    try:
+        for index in range(1, min(workers, len(tasks))):
+            reader, writer = Pipe(duplex=False)
+            child = Process(target=_mine_share, args=(tasks[index::workers], writer))
+            try:
+                child.start()
+            finally:
+                writer.close()  # the child's copy is its only writer
+            children.append((index, child, reader))
+        shards = [None] * len(tasks)
+        shards[0::workers] = [_mine_shard(task) for task in tasks[0::workers]]
+        for index, child, reader in children:
+            try:
+                ok, reply = reader.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"mining child exited with code {child.exitcode} before replying"
+                ) from None
+            if not ok:
+                raise reply
+            shards[index::workers] = reply
+        return shards
+    finally:
+        for _, child, reader in children:
+            reader.close()
+            if child.is_alive():
+                child.terminate()
+            child.join()
 
 
 def _check_limits(witness_cap: int, workers: int) -> int:
@@ -430,8 +477,8 @@ def mine_exhaustive(
         for lo in range(0, total, chunk):
             walks.append(partial(_mine_masks, n, lo, min(lo + chunk, total)))
         if workers > 1:
-            # built before the pool starts, so that forked workers share one
-            # read-only table per n instead of each building its own
+            # built before the first child starts, so that forked children
+            # share one read-only table per n instead of each building its own
             mask_classes(n)
     population = {"kind": "exhaustive", "n_min": 2, "n_max": n_max}
     return _report(population, walks, ids, witness_cap, workers)

@@ -318,11 +318,12 @@ class TestMine:
         (["--n-max", "8", "--workers", "2"], "Notes on scale"),
     ])
     def test_invalid_values_exit_2_before_mining(self, argv, message, monkeypatch):
-        # stubs that refuse to work: nothing may be mined, no pool may start
+        # stubs that refuse to work: nothing may be mined, no child may start
         def refuse(*args, **kwargs):
             raise AssertionError("mining started")
 
-        monkeypatch.setattr(mining, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(mining, "Process", refuse)
+        monkeypatch.setattr(mining, "Pipe", refuse)
         monkeypatch.setattr(mining, "enumerate_connected_range", refuse)
         monkeypatch.setattr(mining, "mask_classes", refuse)
         monkeypatch.setattr(mining, "generate", refuse)

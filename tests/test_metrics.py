@@ -365,3 +365,38 @@ class TestEvenCycleFreeExhaustive:
     def test_small_exhaustive(self, n):
         for g in enumerate_connected(n):
             assert is_even_cycle_free(g) == (not has_even_cycle(g))
+
+
+def friendship_graph(k):
+    """k triangles sharing vertex 0: n = 2k + 1 and m = 3k = 3(n - 1)/2."""
+    return Graph.from_edges(2 * k + 1, [e for i in range(1, 2 * k, 2)
+                                        for e in ((0, i), (0, i + 1), (i, i + 1))])
+
+
+class TestEvenCycleFreeEdgeBound:
+    """An even-cycle-free graph has at most (n - 1) + (n - 1) // 2 edges;
+    ``is_even_cycle_free`` answers False above that without decomposing."""
+
+    def test_graphs_on_the_bound_still_pass(self):
+        tight = []
+        for atlas in nx.graph_atlas_g():
+            n = atlas.number_of_nodes()
+            if n and nx.is_connected(atlas):
+                g = Graph.from_edges(n, atlas.edges())
+                if g.m == (n - 1) + (n - 1) // 2 and not has_even_cycle(g):
+                    tight.append(g)
+        assert len(tight) == 10
+        assert all(is_even_cycle_free(g) for g in tight)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 10])
+    def test_friendship_graphs(self, k):
+        g = friendship_graph(k)
+        assert g.m == 3 * (g.n - 1) // 2
+        assert is_even_cycle_free(g)
+        # one chord between two triangles closes a 4-cycle and crosses the bound
+        if k > 1:
+            assert not is_even_cycle_free(Graph.from_edges(g.n, g.edges + ((1, 3),)))
+
+    def test_empty_graph(self):
+        # the bound is -2 at n = 0; the guard keeps the empty graph even-cycle-free
+        assert is_even_cycle_free(Graph.from_edges(0, []))

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import pickle
+import time
 from collections import Counter
 from fractions import Fraction as F
 
@@ -74,30 +78,52 @@ def replay(relation_id, witness):
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """An in-process stand-in for the process pool on a 2-CPU machine: it
-    records each requested pool size and task count and maps the tasks in
-    this process, so no process is started."""
-    sizes = []
+def children(monkeypatch):
+    """An in-process stand-in for the mining children on a 2-CPU machine:
+    each child records its share of tasks when it starts and then runs its
+    target here, on a pickle round trip of target and share (as under spawn
+    or forkserver), into a stand-in pipe, so no process is started."""
+    shares = []
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class PipeEnd:
+        """Both ends of one stand-in one-way pipe."""
 
-        def __enter__(self):
-            return self
+        def __init__(self):
+            self.sent = []
 
-        def __exit__(self, *exc):
+        def send(self, obj):
+            self.sent.append(obj)
+
+        def recv(self):
+            return self.sent.pop(0)
+
+        def close(self):
+            pass
+
+    def pipe(duplex=True):
+        assert not duplex
+        end = PipeEnd()
+        return end, end
+
+    class InProcessChild:
+        def __init__(self, target, args):
+            self.target, (self.share, self.conn) = target, args
+
+        def start(self):
+            shares.append(self.share)
+            target, share = pickle.loads(pickle.dumps((self.target, self.share)))
+            target(share, self.conn)
+
+        def is_alive(self):
             return False
 
-        def map(self, fn, tasks):
-            tasks = list(tasks)
-            sizes.append(len(tasks))
-            return map(fn, tasks)
+        def join(self):
+            pass
 
-    monkeypatch.setattr(mining, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(mining, "Process", InProcessChild)
+    monkeypatch.setattr(mining, "Pipe", pipe)
     monkeypatch.setattr(mining.os, "cpu_count", lambda: 2)
-    return sizes
+    return shares
 
 
 class TestMineExhaustive:
@@ -285,7 +311,7 @@ class TestMaskWalk:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("cap", [0, DEFAULT_WITNESS_CAP])
-    def test_decodes_only_the_graphs_it_reads(self, pools, monkeypatch, cap, workers):
+    def test_decodes_only_the_graphs_it_reads(self, children, monkeypatch, cap, workers):
         decoded = []
         original = mining.mask_graph
 
@@ -300,25 +326,34 @@ class TestMaskWalk:
             total = 1 << n * (n - 1) // 2
             chunk = -(-total // workers)
             shards += [(n, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        assert pools == ([] if workers == 1 else [2, len(shards)])
+        # min(workers, shards) - 1 children, each mining every workers-th shard
+        assert [len(share) for share in children] == (
+            [] if workers == 1 else [len(shards[1::workers])])
         assert report.graphs_evaluated == 771
         assert len(decoded) == walk_decodes(shards, cap)
-        assert decoded == sorted(set(decoded))  # ascending, each mask once
 
-    def test_class_tables_are_built_before_the_pool_starts(self, pools, monkeypatch):
-        """With several workers the parent builds every n's class table
-        first, so that forked workers share it instead of each building its
+        def share(n, mask):
+            return next(i for i, (m, lo, hi) in enumerate(shards)
+                        if m == n and lo <= mask < hi) % workers
+
+        # each mask once, ascending within each share; the stand-in children
+        # mine their shares when they start, before the caller mines share 0
+        assert decoded == sorted(set(decoded), key=lambda nm: ((share(*nm) - 1) % workers, nm))
+
+    def test_class_tables_are_built_before_any_child_starts(self, children, monkeypatch):
+        """With several workers the caller builds every n's class table
+        first, so that forked children share it instead of each building its
         own."""
-        asked = []  # (n, pool entries recorded when the table was asked for)
+        asked = []  # (n, children started when the table was asked for)
         original = mining.mask_classes
         monkeypatch.setattr(mining, "mask_classes", lambda n: (
-            asked.append((n, len(pools))) or original(n)))
+            asked.append((n, len(children))) or original(n)))
         mine_exhaustive(5, workers=2)
         first = {}
-        for n, opened in asked:
-            first.setdefault(n, opened)
+        for n, started in asked:
+            first.setdefault(n, started)
         assert first == {n: 0 for n in range(2, 6)}
-        assert pools[0] == 2
+        assert len(children) == 1
 
 
 class TestFractionsBuilt:
@@ -441,32 +476,116 @@ class TestMineRandom:
 
 class TestWorkerBound:
     """``workers`` is capped at the CPU count; an in-process stand-in for the
-    process pool records the requested size, so no process is started."""
+    mining children records each child's share, so no process is started."""
 
-    def test_exhaustive_clamped(self, pools):
+    def test_exhaustive_clamped(self, children):
         report = mine_exhaustive(3, workers=10**6)
-        # pool size 2, then 2 chunks for each of n = 2 and n = 3
-        assert pools == [2, 4]
+        # 2 workers, so 2 shards for each of n = 2 and n = 3, and one child
+        # mining the second shard of each
+        assert [len(share) for share in children] == [2]
         assert report_fingerprint(report) == report_fingerprint(mine_exhaustive(3))
 
-    def test_random_clamped(self, pools):
+    def test_random_clamped(self, children):
         report = mine_random("gnp", {"n": 5, "p": 0.6}, trials=6, workers=10**6)
-        assert pools == [2, 2]
+        assert [len(share) for share in children] == [1]
         single = mine_random("gnp", {"n": 5, "p": 0.6}, trials=6)
         assert report_fingerprint(report) == report_fingerprint(single)
+
+    def test_no_child_for_a_single_shard(self, children):
+        report = mine_random("gnp", {"n": 5, "p": 0.6}, trials=1, workers=2)
+        assert children == []
+        single = mine_random("gnp", {"n": 5, "p": 0.6}, trials=1)
+        assert report_fingerprint(report) == report_fingerprint(single)
+
+    @pytest.mark.parametrize("mine", [
+        lambda workers: mine_exhaustive(4, workers=workers),
+        lambda workers: mine_random("watts_strogatz", {"n": 8, "k": 2, "p": 0.3}, trials=5,
+                                    seed=7, workers=workers),
+    ])
+    def test_child_target_and_share_pickle(self, children, mine):
+        """Under spawn or forkserver (Python 3.14's default on Linux) a child
+        receives its target and share by pickle; the stand-in children mine
+        what a pickle round trip gives back."""
+        assert pickle.loads(pickle.dumps(mining._mine_share)) is mining._mine_share
+        assert report_fingerprint(mine(2)) == report_fingerprint(mine(1))
+        assert len(children) == 1
+
+
+FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the child must inherit this test's monkeypatch, which only fork passes on")
+
+
+class TestChildFailures:
+    """Real children: a failure in any share reaches the caller, and no
+    child outlives the call."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(mining.os, "cpu_count", lambda: 2)
+
+    @FORK_ONLY
+    def test_child_error_reaches_the_caller(self, monkeypatch):
+        caller = os.getpid()
+        original = mining._connected_sample
+
+        def failing(model, params, seed, trial, attempts):
+            if os.getpid() != caller:
+                raise ConnectivityRetryError(f"no sample for trial {trial} in the child")
+            return original(model, params, seed, trial, attempts)
+
+        monkeypatch.setattr(mining, "_connected_sample", failing)
+        # trials 0..2 are the caller's shard, 3..5 the child's
+        with pytest.raises(ConnectivityRetryError, match=r"^no sample for trial 3 in the child$"):
+            mine_random("gnp", {"n": 5, "p": 0.6}, trials=6, workers=2)
+        assert multiprocessing.active_children() == []
+
+    @FORK_ONLY
+    def test_child_that_exits_without_replying(self, monkeypatch):
+        caller = os.getpid()
+        original = mining._mine_shard
+
+        def dying(task):
+            if os.getpid() != caller:
+                os._exit(1)
+            return original(task)
+
+        monkeypatch.setattr(mining, "_mine_shard", dying)
+        with pytest.raises(RuntimeError, match="exited with code 1 "):
+            mine_exhaustive(4, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_error_reaps_every_child(self, monkeypatch):
+        caller = os.getpid()
+        original = mining._mine_shard
+
+        def failing(task):
+            if os.getpid() == caller:
+                raise ValueError("the caller's share failed")
+            time.sleep(60)  # a forked child is still mining when the caller fails
+            return original(task)
+
+        monkeypatch.setattr(mining, "_mine_shard", failing)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="the caller's share failed"):
+            mine_exhaustive(4, workers=2)
+        assert time.monotonic() - start < 30  # terminated, not waited for
+        assert multiprocessing.active_children() == []
 
 
 class TestLimits:
     """Out-of-range budgets raise ValueError before any graph is mined; the
-    pool, the enumerator, the class table the exhaustive walk starts from and
-    the generator are stubs that refuse to work, so nothing is started."""
+    child process and its pipe, the enumerator, the class table the
+    exhaustive walk starts from and the generator are stubs that refuse to
+    work, so nothing is started."""
 
     @pytest.fixture(autouse=True)
     def refuse_work(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("mining started")
 
-        monkeypatch.setattr(mining, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(mining, "Process", refuse)
+        monkeypatch.setattr(mining, "Pipe", refuse)
         monkeypatch.setattr(mining, "enumerate_connected_range", refuse)
         monkeypatch.setattr(mining, "mask_classes", refuse)
         monkeypatch.setattr(mining, "generate", refuse)
