@@ -23,12 +23,10 @@ from .graphs import (
 from .metrics import (
     CentralityProfile,
     DisconnectedGraphError,
-    DistanceMatrix,
     apsp,
     biconnected_blocks,
     global_clustering,
     is_even_cycle_free,
-    is_geodetic,
     local_clustering,
     profile,
     stress,
@@ -68,7 +66,6 @@ __all__ = [
     "CentralityProfile",
     "ConnectivityRetryError",
     "DisconnectedGraphError",
-    "DistanceMatrix",
     "EQUALITY",
     "EXACT_IDENTITY",
     "EdgeListError",
@@ -97,7 +94,6 @@ __all__ = [
     "global_clustering",
     "gnp_graph",
     "is_even_cycle_free",
-    "is_geodetic",
     "local_clustering",
     "make_result",
     "mine_exhaustive",

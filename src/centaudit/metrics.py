@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import repeat
 from math import lcm
 from operator import add, mul
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -25,32 +25,10 @@ class DisconnectedGraphError(ValueError):
     """Raised when an operation that needs a connected graph gets a disconnected one."""
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs hop distances, shortest-path counts and stress for a
-    connected graph.
-
-    ``dist[s][t]`` is the length of a shortest s-t path; ``sigma[s][t]`` is the
-    number of distinct shortest s-t paths (1 on the diagonal by convention);
-    ``stress[v]`` is the number of shortest paths, over ordered endpoint
-    pairs, on which v lies as an interior vertex (see :func:`apsp`).
-    ``diameter`` is the largest entry of ``dist`` (0 for a single vertex),
-    found once when the matrix is built.
-    """
-
-    n: int
-    dist: tuple[tuple[int, ...], ...]
-    sigma: tuple[tuple[int, ...], ...]
-    stress: tuple[int, ...]
-    diameter: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "diameter", max(map(max, self.dist), default=0))
-
-
-def apsp(g: Graph) -> DistanceMatrix:
-    """Hop distances, shortest-path counts and stress, from one pass over the
-    sources.
+def apsp(g: Graph) -> SourceSums:
+    """Hop distances, stress and every other per-source sum of a connected
+    graph, from one pass over the sources: :func:`_pass_sums` with the
+    distance rows kept, ``dist[s][t]`` the length of a shortest s-t path.
 
     Each source's search runs forward for distances and path counts, then
     backward for Brandes' accumulation of stress (Brandes, "On variants of
@@ -64,39 +42,14 @@ def apsp(g: Graph) -> DistanceMatrix:
     counts the shortest paths from s through v that continue past v, and v
     gains sigma(s,v) * below(v) for every v != s. O(n*m) work in all.
 
-    Graphs with at least LANE_MIN_N vertices run every source at once on
-    packed lanes (:func:`_apsp_lanes`) while the breadth-first levels stay
-    within :func:`_lane_levels`; the rest run one search per source
-    (:func:`_apsp_bfs`). Both return the same matrix, and both raise
-    DisconnectedGraphError with the same message. The lanes are exact because
-    a path-count or below-count lane is summed only while it is below
-    2**(W - bit_length(max degree) - 1), so no sum of up to max degree of
-    them, plus 1, carries into the next lane (see :func:`_apsp_block`).
-
-    The matrix takes O(n**2) memory. :func:`profile` without a matrix folds
-    the same blocks and searches as they are decoded and keeps none of it;
-    the matrix serves ``check``, the miner and the tests.
+    Graphs of at least LANE_MIN_N vertices run it on packed lanes, all
+    sources of a block at once, while the levels allow (:func:`_pass_sums`).
+    The rows take O(n**2) memory; path counts are folded and dropped. R6 is
+    the only reader of the rows, so ``check`` and the miner call this, and
+    :func:`profile` without sums runs the same pass without them. Raises
+    DisconnectedGraphError on a disconnected graph.
     """
-    if g.n >= LANE_MIN_N:
-        try:
-            return _apsp_lanes(g)
-        except _UseSearch:
-            pass
-    return _apsp_bfs(g)
-
-
-def _apsp_bfs(g: Graph) -> DistanceMatrix:
-    """:func:`apsp` one source at a time, O(n + m) memory per source."""
-    adj = [tuple(a) for a in g.adj]  # tuples iterate faster than frozensets
-    dist_rows = []
-    sigma_rows = []
-    total = [0] * g.n
-    for s in range(g.n):
-        dist, sigma, below = _search(adj, s)
-        dist_rows.append(tuple(dist))
-        sigma_rows.append(tuple(sigma))
-        total = list(map(add, total, map(mul, sigma, below)))
-    return DistanceMatrix(g.n, tuple(dist_rows), tuple(sigma_rows), tuple(total))
+    return _pass_sums(g, rows=True)
 
 
 def _search(
@@ -160,11 +113,13 @@ LANE_WIDTHS = (16, 32, 64)
 # so lane state stays within a few such lists, plus one list of level masks
 # per forward level, whatever n and W are, and a graph of up to 512 vertices
 # runs in one block at W = 16. Chosen by measurement on Watts-Strogatz graphs
-# (k = 6) while every caller held the n x n matrices: with fixed blocks of
-# 512 sources, apsp plus stress peaked 20 % (n = 1000) and 17 % (n = 2000)
-# above per-source search in peak RSS, and with this budget 6.5 % and 0.6 %
-# above it. A `compute` run, which now holds no matrix, peaks at 28 MB at
-# n = 1000 and 31 MB at n = 3000 (README, "Notes on scale").
+# (k = 6) while apsp still built n x n distance and path-count tables: with
+# fixed blocks of 512 sources, apsp plus stress peaked 20 % (n = 1000) and
+# 17 % (n = 2000) above per-source search in peak RSS, and with this budget
+# 6.5 % and 0.6 % above it. Today the pass keeps at most the distance rows:
+# `compute`, which keeps none, peaks at 28 MB at n = 1000 and 31 MB at
+# n = 3000, and `check`, which keeps them, at 133 MB at n = 2000 (README,
+# "Notes on scale").
 LANE_BUDGET = 1 << 22
 
 _LANE_CODES = {8 * array(code).itemsize: code for code in "BHILQ"}
@@ -245,30 +200,6 @@ def _lane_constants(count: int, width: int, spread: int) -> tuple[int, int, int]
     their sum to stay below the top bit."""
     ones = byte_lanes(b"\1" * count, width)
     return ones, ones << (width - 1), ((1 << width) - (1 << (width - spread))) * ones
-
-
-def _apsp_lanes(g: Graph) -> DistanceMatrix:
-    """:func:`apsp` on packed lanes, one block of sources at a time. Each
-    vertex's distance lanes are summed from the block's level masks, and its
-    stress gains the dot product of its path-count lanes with its
-    below-lanes, as the lanes are decoded."""
-    n = g.n
-    nbrs = [tuple(a) for a in g.adj]
-    dist_rows: list[tuple[int, ...]] = [()] * n
-    sigma_rows: list[tuple[int, ...]] = [()] * n
-    total = [0] * n
-    for lo, hi, width, (masks, sigma, below) in _source_blocks(nbrs):
-        dist = [0] * n
-        for k, hits in enumerate(masks, 1):
-            dist = list(map(add, dist, map(mul, hits, repeat(k))))
-        masks.clear()  # emptied in place: _lane_blocks still holds the lanes
-        for v in range(n):  # lanes are dropped as they are decoded
-            sig = _unpack_lanes(sigma[v], hi - lo, width)
-            dist_rows[v] += tuple(_unpack_lanes(dist[v], hi - lo, width))
-            sigma_rows[v] += tuple(sig)
-            total[v] += sum(map(mul, sig, _unpack_lanes(below[v], hi - lo, width)))
-            dist[v] = sigma[v] = below[v] = 0
-    return DistanceMatrix(n, tuple(dist_rows), tuple(sigma_rows), tuple(total))
 
 
 def _source_blocks(
@@ -379,14 +310,6 @@ def _apsp_block(
     return masks, sigma, paths
 
 
-def pair_distance_sum(dist: Sequence[Sequence[int]], members: Sequence[int]) -> int:
-    """Sum of dist over the unordered pairs of distinct members; 0 for <= 1 member."""
-    total = 0
-    for u, v in combinations(members, 2):
-        total += dist[u][v]
-    return total
-
-
 # wrapped by perfbench's metrics.clustering span, pinned by tests/test_bench_hooks.py
 def local_clustering(g: Graph, i: int) -> Fraction:
     """Fraction of realized edges among pairs of neighbors of i; 0 when deg <= 1."""
@@ -418,24 +341,14 @@ def global_clustering(g: Graph) -> Fraction:
     return Fraction(2 * per_edge_common, open_triplets)
 
 
-def stress(g: Graph, d: DistanceMatrix | SourceSums) -> tuple[int, ...]:
+def stress(g: Graph, d: SourceSums) -> tuple[int, ...]:
     """Per vertex, the number of shortest paths, over ordered endpoint pairs,
-    on which it lies as an interior vertex: ``d.stress``, which :func:`apsp`,
-    or :func:`profile`'s pass over the sources, finds in the same pass as the
-    distances of ``g``."""
+    on which it lies as an interior vertex: ``d.stress``, which the pass over
+    the sources of ``g`` (:func:`apsp`, or :func:`profile`'s) folds with the
+    distances."""
     if g.n != d.n:
-        raise ValueError(f"distance matrix is for {d.n} vertices, graph has {g.n}")
+        raise ValueError(f"source sums are for {d.n} vertices, graph has {g.n}")
     return d.stress
-
-
-def is_geodetic(d: DistanceMatrix) -> bool:
-    """True iff every vertex pair is joined by a unique shortest path."""
-    for s in range(d.n):
-        row = d.sigma[s]
-        for t in range(s + 1, d.n):
-            if row[t] != 1:
-                return False
-    return True
 
 
 def biconnected_blocks(g: Graph) -> list[tuple[tuple[int, int], ...]]:
@@ -540,9 +453,10 @@ class CentralityProfile:
 
     ``open_pair_sums[i]`` is the sum of ambient distances over the unordered
     pairs of i's neighbors, and ``closed_pair_sums[i]`` the same over N(i) plus
-    i itself. Both are read off the distance matrix entry by entry, never
-    derived from degree or clustering, so the relations that compare them to
-    clustering (R1, R3) test the distances rather than hold by construction.
+    i itself. Both are summed from the distances of the pass over the
+    sources, never derived from degree or clustering, so the relations that
+    compare them to clustering (R1, R3) test the distances rather than hold
+    by construction.
 
     ``local_clustering``, ``closeness``, ``radiality``, ``avg_path_length``,
     ``average_clustering`` and ``global_clustering`` are read-only views that
@@ -617,11 +531,12 @@ class CentralityProfile:
 
 @dataclass(frozen=True)
 class SourceSums:
-    """The per-source quantities of a :class:`CentralityProfile` of a
-    connected graph: per vertex its distance sum, stress and neighborhood
-    pair sums; the diameter; and whether every vertex pair is joined by a
-    unique shortest path. :func:`profile` folds them in one pass over the
-    sources, or reads them off a :class:`DistanceMatrix`."""
+    """The per-source quantities of a connected graph, folded in one pass
+    over the sources (:func:`_pass_sums`): per vertex its distance sum,
+    stress and neighborhood pair sums; the diameter; and whether every
+    vertex pair is joined by a unique shortest path. ``dist`` holds the
+    distance rows, ``dist[s][t]`` the length of a shortest s-t path, when
+    the pass kept them (:func:`apsp`), and is None otherwise."""
 
     n: int
     row_sums: tuple[int, ...]
@@ -630,31 +545,15 @@ class SourceSums:
     closed_pair_sums: tuple[int, ...]
     diameter: int
     geodetic: bool
+    dist: tuple[tuple[int, ...], ...] | None = None
 
 
-def _matrix_sums(g: Graph, d: DistanceMatrix) -> SourceSums:
-    """:class:`SourceSums` read off ``d``, the neighborhood pair sums entry
-    by entry."""
-    dist = d.dist
-    open_sums = []
-    closed_sums = []
-    for nbrs, row in zip(g.adj, dist):
-        members = tuple(nbrs)
-        open_sum = pair_distance_sum(dist, members)
-        open_sums.append(open_sum)
-        closed_sums.append(open_sum + sum([row[j] for j in members]))
-    return SourceSums(
-        d.n, tuple(map(sum, dist)), d.stress, tuple(open_sums), tuple(closed_sums),
-        d.diameter, is_geodetic(d),
-    )
-
-
-def _pass_sums(g: Graph) -> SourceSums:
-    """:class:`SourceSums` from one pass over the sources, with no matrix:
-    the lane blocks of :func:`_source_blocks` where :func:`apsp` takes them,
+def _pass_sums(g: Graph, rows: bool = False) -> SourceSums:
+    """:class:`SourceSums` from one pass over the sources: the lane blocks
+    of :func:`_source_blocks` on graphs of at least LANE_MIN_N vertices,
     then per-source search for the sources no block covered. Each block or
     search is folded as it is decoded and then dropped, so memory stays
-    O(n * block) at any n.
+    O(n * block) at any n, plus the distance rows when ``rows`` keeps them.
 
     Every quantity is a sum over sources, a maximum or a test, so any split
     of the sources into blocks and searches folds to the same result. Each
@@ -667,14 +566,17 @@ def _pass_sums(g: Graph) -> SourceSums:
     vertex's neighbors stays below 2 * max degree < 2**W. Row sums come from
     the masks too, k times the sources at distance k per level; the diameter
     is the largest last level, and a path-count lane above 1 makes the graph
-    non-geodetic.
+    non-geodetic. A kept block's rows are each vertex's distance lanes, the
+    sum of k times its level-k mask, decoded and transposed into source
+    order; a search's row is its distances.
     """
     n = g.n
     nbrs = [tuple(a) for a in g.adj]
-    rows = [0] * n
+    row_sums = [0] * n
     total = [0] * n
     twice_open = [0] * n  # over ordered pairs of distinct neighbors
     near_sums = [0] * n  # distances from each vertex to its neighbors
+    dist_rows: list[tuple[int, ...]] = []  # by source, when kept
     diameter = 0
     geodetic = True
     done = 0
@@ -683,7 +585,12 @@ def _pass_sums(g: Graph) -> SourceSums:
             for lo, hi, width, (masks, sigma, below) in _source_blocks(nbrs):
                 count = hi - lo
                 for k, hits in enumerate(masks, 1):
-                    rows = list(map(add, rows, map(mul, map(int.bit_count, hits), repeat(k))))
+                    row_sums = list(map(add, row_sums, map(mul, map(int.bit_count, hits), repeat(k))))
+                if rows:
+                    dist = [0] * n
+                    for k, hits in enumerate(masks, 1):
+                        dist = list(map(add, dist, map(mul, hits, repeat(k))))
+                    dist_rows += zip(*[_unpack_lanes(x, count, width) for x in dist])
                 diameter = max(diameter, len(masks))
                 above_one = byte_lanes(b"\1" * count, width) * ((1 << width) - 2)
                 geodetic = geodetic and not any(map(above_one.__and__, sigma))
@@ -710,7 +617,7 @@ def _pass_sums(g: Graph) -> SourceSums:
             pass
     for s in range(done, n):
         dist, sigma, below = _search(nbrs, s)
-        rows = list(map(add, rows, dist))
+        row_sums = list(map(add, row_sums, dist))
         total = list(map(add, total, map(mul, sigma, below)))
         diameter = max(diameter, max(dist))
         geodetic = geodetic and max(sigma) == 1
@@ -718,22 +625,25 @@ def _pass_sums(g: Graph) -> SourceSums:
         for i in nbrs[s]:
             twice_open[i] += sum(map(get, nbrs[i]))
         near_sums[s] = sum(map(get, nbrs[s]))
+        if rows:
+            dist_rows.append(tuple(dist))
     open_sums = [t >> 1 for t in twice_open]
     return SourceSums(
-        n, tuple(rows), tuple(total), tuple(open_sums), tuple(map(add, open_sums, near_sums)),
-        diameter, geodetic,
+        n, tuple(row_sums), tuple(total), tuple(open_sums),
+        tuple(map(add, open_sums, near_sums)), diameter, geodetic,
+        tuple(dist_rows) if rows else None,
     )
 
 
-def profile(g: Graph, d: DistanceMatrix | None = None) -> CentralityProfile:
+def profile(g: Graph, d: SourceSums | None = None) -> CentralityProfile:
     """Compute every centrality of a connected graph, each quantity once and
-    in integers. With no matrix, the distance sums, stress, neighborhood
-    pair sums, diameter and geodetic flag come from one pass over the
-    sources that holds no n x n table (:func:`_pass_sums`); given ``d``,
-    they are read off it."""
+    in integers. The distance sums, stress, neighborhood pair sums, diameter
+    and geodetic flag are ``d``'s, read as they are, or, with no ``d``, those
+    of one pass over the sources that keeps no distance rows
+    (:func:`_pass_sums`)."""
     if g.n < 2:
         raise ValueError("profile needs at least 2 vertices")
-    sums = _pass_sums(g) if d is None else _matrix_sums(g, d)
+    sums = _pass_sums(g) if d is None else d
     adj = g.adj
     degrees = []
     links = []

@@ -8,15 +8,17 @@ empirically and violations are reported without failing a run.
 
 Each catalog row holds a relation's comparison and its evaluator. An
 evaluator yields one row per subject, ``(subject, lhs_num, lhs_den, rhs_num,
-rhs_den, precondition_ok)``; a per-subgraph one also takes the number of
-subjects to yield, so that it computes no more than are read. Each side is
-an integer numerator over a positive denominator, not necessarily in lowest
-terms. Evaluators read the integer fields of the :class:`CentralityProfile`
-and never its Fraction views. Neighborhood, subset and vertex-deletion means
-come from integer pair-distance sums over the ambient distance matrix,
-clustering from the profile's edge counts among neighbors and its
-average-clustering pair, and per-graph sums over vertices share one common
-denominator.
+rhs_den, precondition_ok)``, from the graph and its profile; a per-subgraph
+one also takes the distance rows and the number of subjects to yield, so
+that it computes no more than are read. Each side is an integer numerator
+over a positive denominator, not necessarily in lowest terms. Evaluators
+read the integer fields of the :class:`CentralityProfile` and never its
+Fraction views. Neighborhood and vertex-deletion means come from the
+profile's integer pair-distance and row sums, which the pass over the
+sources folds, and subset means from pair-distance sums over the distance
+rows of :func:`apsp`, which only R6 reads. Clustering comes from the
+profile's edge counts among neighbors and its average-clustering pair, and
+per-graph sums over vertices share one common denominator.
 
 :func:`evaluate` decides every status, from the sign of
 ``lhs_num * rhs_den - rhs_num * lhs_den`` oriented by the comparison, and
@@ -59,7 +61,7 @@ from .graphs import (
 )
 from .metrics import (
     CentralityProfile,
-    DistanceMatrix,
+    SourceSums,
     _unpack_lanes,
     apsp,
     byte_lanes,
@@ -91,8 +93,9 @@ Ratio = tuple[int, int]
 Row = tuple[Subject, int, int, int, int, bool]
 # (status, row): what evaluate returns per subject
 Outcome = tuple[str, Row]
-# (graph, profile, distances), and for a per-subgraph relation the number of
-# subjects to yield (None: all) -> one row per subject
+# (graph, profile) -> one row per subject; a per-subgraph relation also takes
+# the source sums with their distance rows and the number of subjects to
+# yield (None: all)
 Evaluator = Callable[..., Iterator[Row]]
 
 
@@ -194,7 +197,7 @@ def _degree_stress_monotone(prof: CentralityProfile) -> bool:
 # and over those of N[i] = N(i) + {i}, from the profile's pair sums
 
 
-def _eval_r1(g, prof, d):
+def _eval_r1(g, prof):
     # local clustering is 2 links / (d(d-1)) (0 below degree 2), over the
     # open mean's denominator
     for i, (deg, open_sum, links) in enumerate(
@@ -204,7 +207,7 @@ def _eval_r1(g, prof, d):
         yield i, 2 * open_sum, pairs, 2 * (pairs - links), pairs, deg >= 2
 
 
-def _eval_r2(g, prof, d):
+def _eval_r2(g, prof):
     # the open means, 2 T(N(i)) / (d(d-1)), and 0 below degree 2
     num, den = _triplet_sum(prof, [2 * t for t in prof.open_pair_sums])
     n = g.n
@@ -212,7 +215,7 @@ def _eval_r2(g, prof, d):
            2 * n * den - num, n * den, min(prof.degrees) >= 2)
 
 
-def _eval_r3(g, prof, d):
+def _eval_r3(g, prof):
     for i, (deg, open_sum, closed_sum) in enumerate(
         zip(prof.degrees, prof.open_pair_sums, prof.closed_pair_sums)
     ):
@@ -221,7 +224,7 @@ def _eval_r3(g, prof, d):
                (deg - 1) * on + 2 * od, (deg + 1) * od, deg >= 1)
 
 
-def _eval_r4(g, prof, d):
+def _eval_r4(g, prof):
     n = g.n
     total = prof.distance_total
     half = total // 2  # each unordered pair once
@@ -231,7 +234,7 @@ def _eval_r4(g, prof, d):
         yield v, total, n * (n - 1), (n - 1) * mn, n * md, True
 
 
-def _eval_r5(g, prof, d):
+def _eval_r5(g, prof):
     for i, (deg, open_sum, closed_sum) in enumerate(
         zip(prof.degrees, prof.open_pair_sums, prof.closed_pair_sums)
     ):
@@ -269,7 +272,7 @@ def _mask_records(masks: list[int], n: int) -> tuple[bytes, int]:
 def _lane_pair_sums(dist, top: int, masks: list[int]) -> tuple[int, int]:
     """``(T, W)``: the pair-distance sum T(S) of each vertex mask S in one
     int T, one W-bit lane per mask in mask order, lowest lane first; ``top``
-    is the largest entry of the matrix ``dist``.
+    is the largest entry of the distance rows ``dist``.
 
     The subsets are the lanes: X_v holds 1 in lane i when v is in mask i
     (the masks transposed, a byte column at a time). X_u & X_v then holds 1
@@ -347,13 +350,13 @@ def _eval_r6(g, prof, d, max_subjects):
     return _r6_rows(n, prof.distance_total, sums)
 
 
-def _eval_r7(g, prof, d):
+def _eval_r7(g, prof):
     n = g.n
     num, den = _ratio_sum(prof.closeness_pairs())
     yield None, prof.distance_total, n * (n - 1), n * den, num, True
 
 
-def _eval_r8(g, prof, d):
+def _eval_r8(g, prof):
     n = g.n
     pairs = n * (n - 1)
     total = prof.distance_total
@@ -379,7 +382,7 @@ def _closed_neighborhood_radiality(prof: CentralityProfile, i: int) -> Ratio:
     return (diam - 1) * deg * deg + deg + 2 * prof.links[i], deg * deg
 
 
-def _eval_r9(g, prof, d):
+def _eval_r9(g, prof):
     cn, cd = prof.average_clustering_pair
     n = g.n
     num, den = _ratio_sum(_closed_neighborhood_radiality(prof, i) for i in range(n))
@@ -387,18 +390,18 @@ def _eval_r9(g, prof, d):
     yield None, cn, 2 * cd, num + (complete - 2 * n) * den, n * den, True
 
 
-def _eval_r10(g, prof, d):
+def _eval_r10(g, prof):
     pairs = g.n * (g.n - 1)
     yield (None, prof.distance_total, pairs,
            pairs + sum(prof.stress), pairs, prof.geodetic)
 
 
-def _eval_r10b(g, prof, d):
+def _eval_r10b(g, prof):
     pairs = g.n * (g.n - 1)
     yield None, prof.distance_total, pairs, pairs + sum(prof.stress), pairs, True
 
 
-def _eval_r11(g, prof, d):
+def _eval_r11(g, prof):
     # pendant terms are 0/0 in the statement; the profile's sum over
     # non-pendant vertices reports them as 0, so that the skipped results
     # still carry both sides
@@ -408,7 +411,7 @@ def _eval_r11(g, prof, d):
            n * den - num, n * den, not any(prof.pendant))
 
 
-def _eval_r11b(g, prof, d):
+def _eval_r11b(g, prof):
     num, den = prof.stress_pair_sum
     n = g.n
     pendants = sum(prof.pendant)
@@ -416,7 +419,7 @@ def _eval_r11b(g, prof, d):
            (n - pendants) * den - num, n * den, True)
 
 
-def _eval_r12(g, prof, d):
+def _eval_r12(g, prof):
     cn, cd = prof.average_clustering_pair
     n = g.n
     # (L - 1)(n - 1) = (ln - ld) (n - 1) / ld, summed with 1 / (d(d-1))
@@ -613,11 +616,12 @@ def evaluate(
     spec: RelationSpec,
     g: Graph,
     prof: CentralityProfile,
-    d: DistanceMatrix,
+    d: SourceSums,
     max_subjects: Optional[int] = None,
 ) -> list[Outcome]:
     """Evaluate one relation on a connected graph: one ``(status, row)``
-    outcome per subject, in the evaluator's subject order.
+    outcome per subject, in the evaluator's subject order. ``d`` is
+    :func:`apsp`'s, and only per-subgraph relations read its distance rows.
 
     ``max_subjects`` truncates the subset stream of per-subgraph relations
     (used by the miner to bound work per graph); other scopes ignore it.
@@ -627,7 +631,7 @@ def evaluate(
     if spec.scope == PER_SUBGRAPH:
         rows = spec.evaluator(g, prof, d, max_subjects)
     else:
-        rows = spec.evaluator(g, prof, d)
+        rows = spec.evaluator(g, prof)
     return _outcomes(spec.sense, rows)
 
 
@@ -667,7 +671,7 @@ def _r6_bounds(dist, row_sums: tuple[int, ...], distance_total: int,
                sizes: list[int]) -> Iterator[tuple[int, int, int]]:
     """``(k, direct, complement)`` for each size k of ``sizes`` (2 <= k < n):
     two upper bounds on 2T(S) over every subset S of k vertices, T(S) its
-    pair-distance sum in the symmetric matrix ``dist``, whose rows sum to
+    pair-distance sum in the symmetric distance rows ``dist``, which sum to
     ``row_sums`` and all of whose entries sum to ``distance_total`` = 2W.
 
     With P_u(j) the sum of the j largest entries of row u:
@@ -713,7 +717,7 @@ def tally(
     spec: RelationSpec,
     g: Graph,
     prof: CentralityProfile,
-    d: DistanceMatrix,
+    d: SourceSums,
     budget: Optional[int],
 ) -> tuple[int, int, int, int, list[Outcome]]:
     """``(holds, equality, violated, skipped, violations)`` of ``spec`` on

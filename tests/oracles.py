@@ -126,6 +126,12 @@ def floyd_warshall(g: Graph) -> list[list[float]]:
     return dist
 
 
+def pair_distance_sum(dist, members) -> int:
+    """Sum of ``dist`` over the unordered pairs of distinct members, pair by
+    pair; 0 for <= 1 member."""
+    return sum(dist[u][v] for u, v in combinations(members, 2))
+
+
 def max_subset_pair_sums(g: Graph) -> dict[int, int]:
     """The largest pair-distance sum T(S) over the vertex subsets S of each
     size k >= 2, by k: every subset of Floyd-Warshall distances summed

@@ -1,12 +1,12 @@
-"""The packed-lane kernels behind ``apsp``, ``stress`` and ``profile``'s pass.
+"""The packed-lane kernels behind ``apsp``, ``stress`` and ``profile``.
 
 Graphs with at least ``LANE_MIN_N`` vertices and few breadth-first levels run
 every source at once on packed integer lanes; the rest run the per-source
-search. These tests hold the lane kernels to the per-source path, called
-directly, and to the independent oracles, on hosts on both sides of that
-choice, and pin which path each kind of host takes. ``profile(g)`` folds the
-same blocks and searches without a matrix, and is held to the profile read
-off ``apsp``'s matrix.
+search. Both are folded by one pass over the sources, which ``apsp`` runs
+with the distance rows kept and ``profile`` without them. These tests hold
+the lane blocks to the same pass forced onto per-source search and to the
+independent oracles, on hosts on both sides of that choice, and pin which
+path each kind of host takes.
 """
 
 import dataclasses
@@ -30,7 +30,7 @@ from centaudit import (
 )
 from centaudit import metrics
 from centaudit.cli import main
-from oracles import brute_force_sigma, floyd_warshall, pair_stress
+from oracles import brute_force_geodetic, floyd_warshall, pair_distance_sum, pair_stress
 
 
 def layered_chain(layers: int, size: int, zero_layer: int) -> tuple[Graph, list[int]]:
@@ -43,6 +43,12 @@ def layered_chain(layers: int, size: int, zero_layer: int) -> tuple[Graph, list[
     members = [[v for v, i in enumerate(layer_of) if i == layer] for layer in range(layers)]
     edges = [(u, w) for a, b in zip(members, members[1:]) for u in a for w in b]
     return Graph.from_edges(layers * size, edges), layer_of
+
+
+def chain_dist(layer_of, s, t):
+    """Distance between s and t in a layered chain, in closed form."""
+    p, q = layer_of[s], layer_of[t]
+    return abs(p - q) if p != q else 2 * (s != t)
 
 
 def chain_sigma(layer_of, layers, size, s, t):
@@ -98,23 +104,45 @@ def connected_gnp(draw, max_n=14):
     return g
 
 
+def spy_searches(monkeypatch):
+    """The sources of every per-source search, in call order."""
+    search = metrics._search
+    sources = []
+    monkeypatch.setattr(metrics, "_search", lambda adj, s: sources.append(s) or search(adj, s))
+    return sources
+
+
 def reference(g):
-    """The per-source path's matrix and stress."""
-    d = metrics._apsp_bfs(g)
-    return d, d.stress
+    """``apsp(g)`` with the lanes off: the same pass, one search per source."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "LANE_MIN_N", g.n + 1)
+        return apsp(g)
 
 
 def lanes(g):
-    """The lane kernel's matrix and stress, with no fallback to search."""
-    d = metrics._apsp_lanes(g)
-    return d, d.stress
+    """``apsp(g)`` on lane blocks alone: no search but the first one from
+    vertex 0, which bounds the levels."""
+    with pytest.MonkeyPatch.context() as patch:
+        sources = spy_searches(patch)
+        d = apsp(g)
+    assert sources == [0]
+    return d
 
 
-def assert_matches_oracles(g, d, total):
-    dist = floyd_warshall(g)
-    assert [list(row) for row in d.dist] == [[int(x) for x in row] for row in dist]
-    assert [list(row) for row in d.sigma] == brute_force_sigma(g)
-    assert list(total) == pair_stress(g)
+def assert_matches_oracles(g, d):
+    """Every field of ``apsp``'s sums against Floyd-Warshall distances,
+    stress by its pair definition and geodesy by path enumeration."""
+    dist = [[int(x) for x in row] for row in floyd_warshall(g)]
+    assert [list(row) for row in d.dist] == dist
+    assert d.row_sums == tuple(map(sum, dist))
+    assert d.diameter == max(map(max, dist))
+    nbrs = [sorted(a) for a in g.adj]
+    assert d.open_pair_sums == tuple(pair_distance_sum(dist, nb) for nb in nbrs)
+    assert d.closed_pair_sums == tuple(
+        pair_distance_sum(dist, sorted([i, *nb])) for i, nb in enumerate(nbrs)
+    )
+    assert list(d.stress) == pair_stress(g)
+    assert d.geodetic == brute_force_geodetic(g)
 
 
 class TestLaneRoundTrip:
@@ -152,9 +180,9 @@ class TestLanesMatchSearchAndOracles:
     @pytest.mark.parametrize("n,k,seed", [(64, 4, 0), (96, 6, 1)])
     def test_small_world_hosts_against_oracles(self, n, k, seed):
         g = watts_strogatz_graph(n, k, 0.1, seed=seed)
-        d, total = lanes(g)
-        assert (d, total) == reference(g)
-        assert_matches_oracles(g, d, total)
+        d = lanes(g)
+        assert d == reference(g)
+        assert_matches_oracles(g, d)
 
     @pytest.mark.parametrize("n,k,seed", [(100, 4, 2), (150, 4, 3), (150, 6, 4)])
     def test_small_world_hosts_against_search(self, n, k, seed):
@@ -170,45 +198,43 @@ class TestLanesMatchSearchAndOracles:
     def test_random_connected_hosts(self, n, p, seed):
         g = gnp_graph(n, p, seed=seed)
         g = Graph.from_edges(n, set(g.edges) | set(path_graph(n).edges))
-        d, total = lanes(g)
-        assert (d, total) == reference(g)
+        d = lanes(g)
+        assert d == reference(g)
         assert [list(row) for row in d.dist] == [
             [int(x) for x in row] for row in floyd_warshall(g)
         ]
 
     def test_complete_graph(self):
         g = complete_graph(80)
-        d, total = lanes(g)
-        assert (d, total) == reference(g)
-        assert_matches_oracles(g, d, total)
-        assert total == (0,) * 80
+        d = lanes(g)
+        assert d == reference(g)
+        assert_matches_oracles(g, d)
+        assert d.stress == (0,) * 80
 
     def test_star(self):
         g = star_graph(100)
-        d, total = lanes(g)
-        assert (d, total) == reference(g)
-        assert_matches_oracles(g, d, total)
-        assert total[0] == 100 * 99
+        d = lanes(g)
+        assert d == reference(g)
+        assert_matches_oracles(g, d)
+        assert d.stress[0] == 100 * 99
 
     @pytest.mark.parametrize("g", [path_graph(100), cycle_graph(101)], ids=["P100", "C101"])
-    def test_long_hosts_go_to_search(self, g):
-        with pytest.raises(metrics._UseSearch):
-            metrics._apsp_lanes(g)
+    def test_long_hosts_go_to_search(self, g, monkeypatch):
+        sources = spy_searches(monkeypatch)
         d = apsp(g)
-        total = stress(g, d)
-        assert (d, total) == reference(g)
-        assert_matches_oracles(g, d, total)
+        assert sources == [0, *range(g.n)]  # vertex 0's search turns the lanes away
+        assert d == reference(g)
+        assert_matches_oracles(g, d)
 
 
 class TestFusedKernelsMatchOracles:
-    """One pass per source gives dist, sigma and stress together; both
-    kernels are held to the oracles on small random hosts."""
+    """One pass per source gives distances, stress and the geodetic flag
+    together; both kernels are held to the oracles on small random hosts."""
 
     @given(connected_gnp())
     @settings(max_examples=40, deadline=None)
     def test_per_source_path(self, g):
-        d = apsp(g)  # n < LANE_MIN_N
-        assert_matches_oracles(g, d, d.stress)
+        assert_matches_oracles(g, apsp(g))  # n < LANE_MIN_N
 
     @given(connected_gnp())
     @settings(max_examples=40, deadline=None)
@@ -219,12 +245,25 @@ class TestFusedKernelsMatchOracles:
             patch.setattr(metrics, "LANE_MIN_N", 2)
             patch.setattr(metrics, "LANE_BUDGET", 3 * 16 * g.n)  # 3 sources at W = 16
             patch.setattr(metrics, "_lane_levels", lambda n, width: n)
-            patch.setattr(metrics, "_apsp_bfs", refuse)
             patch.setattr(metrics, "_apsp_block",
                           lambda *args: calls.append(args) or block(*args))
-            d = apsp(g)
+            d = lanes(g)
         assert len(calls) >= -(-g.n // 3)
-        assert_matches_oracles(g, d, d.stress)
+        assert_matches_oracles(g, d)
+
+
+def spy_blocks(monkeypatch):
+    """``(width, gave way)`` for every lane block run, in call order."""
+    block = metrics._apsp_block
+    passes = []
+
+    def spy(*args):
+        lanes = block(*args)
+        passes.append((args[-1], lanes is None))
+        return lanes
+
+    monkeypatch.setattr(metrics, "_apsp_block", spy)
+    return passes
 
 
 class TestLaneWidths:
@@ -235,33 +274,40 @@ class TestLaneWidths:
     has to catch the growth."""
 
     @staticmethod
-    def assert_chain(layers, size, zero_layer, sources):
+    def assert_chain(layers, size, zero_layer, monkeypatch):
+        """apsp on the chain against the per-source pass and the closed
+        forms; returns the chain's path counts in closed form, from vertex
+        0 and over all pairs, and the lane blocks run."""
         g, layer_of = layered_chain(layers, size, zero_layer)
+        expected = reference(g)
+        passes = spy_blocks(monkeypatch)
         d = apsp(g)
-        total = stress(g, d)
-        assert (d, total) == reference(g)
-        for s in sources(g.n):
-            assert list(d.sigma[s]) == [
-                chain_sigma(layer_of, layers, size, s, t) for t in range(g.n)
-            ]
-        assert list(total) == [chain_stress(layer_of, layers, size, v) for v in range(g.n)]
-        return g, d
+        assert d == expected
+        assert [list(row) for row in d.dist] == [
+            [chain_dist(layer_of, s, t) for t in range(g.n)] for s in range(g.n)
+        ]
+        assert list(stress(g, d)) == [chain_stress(layer_of, layers, size, v) for v in range(g.n)]
+        assert not d.geodetic
+        sigma = [[chain_sigma(layer_of, layers, size, s, t) for t in range(g.n)]
+                 for s in range(g.n)]
+        return max(sigma[0]), max(map(max, sigma)), passes
 
-    def test_chain_needs_32_bits(self):
-        g, d = self.assert_chain(8, 8, 3, range)
-        assert lanes(g) == reference(g)
-        assert max(d.sigma[0]) < 1 << 10 <= max(map(max, d.sigma)) < 1 << 26
+    def test_chain_needs_32_bits(self, monkeypatch):
+        first, widest, passes = self.assert_chain(8, 8, 3, monkeypatch)
+        assert first < 1 << 10 <= widest < 1 << 26
+        assert passes == [(16, True), (32, False)]
 
-    def test_chain_needs_64_bits(self):
-        g, d = self.assert_chain(9, 24, 4, range)
-        assert lanes(g) == reference(g)
-        assert max(d.sigma[0]) < 1 << 25 and 1 << 32 < max(map(max, d.sigma)) < 1 << 57
+    def test_chain_needs_64_bits(self, monkeypatch):
+        first, widest, passes = self.assert_chain(9, 24, 4, monkeypatch)
+        assert first < 1 << 25 and 1 << 32 < widest < 1 << 57
+        assert passes == [(32, True), (64, False)]
 
-    def test_chain_needs_more_than_64_bits(self):
-        g, d = self.assert_chain(24, 8, 12, lambda n: range(0, n, 7))
-        assert max(map(max, d.sigma)) > 1 << 64
-        with pytest.raises(metrics._UseSearch):
-            metrics._apsp_lanes(g)
+    def test_chain_needs_more_than_64_bits(self, monkeypatch):
+        sources = spy_searches(monkeypatch)
+        _, widest, passes = self.assert_chain(24, 8, 12, monkeypatch)
+        assert widest > 1 << 64
+        assert passes == []
+        assert sources == [*range(192), 0, *range(192)]  # the reference's, then apsp's
 
     def test_below_counts_outgrow_what_path_counts_fit(self, monkeypatch):
         """A spider's path counts are all 1, but its below-counts reach
@@ -269,20 +315,13 @@ class TestLaneWidths:
         block fits the forward pass and reruns at 32 bits for the backward
         one."""
         g = spider(64, 5)
-        passes = []
-        block = metrics._apsp_block
-
-        def spy(*args):
-            lanes = block(*args)
-            passes.append((args[-1], lanes is None))
-            return lanes
-
-        monkeypatch.setattr(metrics, "_apsp_block", spy)
-        d, total = lanes(g)
+        expected = reference(g)
+        passes = spy_blocks(monkeypatch)
+        d = lanes(g)
         assert passes == [(16, True), (32, False)]
-        assert (d, total) == reference(g)
-        assert list(total) == [spider_stress(64, 5, v) for v in range(g.n)]
-        assert max(map(max, d.sigma)) == 1
+        assert d == expected
+        assert list(d.stress) == [spider_stress(64, 5, v) for v in range(g.n)]
+        assert d.geodetic
 
     def test_blocks_give_up_past_the_widest_lanes(self):
         blocks = metrics._lane_blocks(100, 1, 2, lambda lo, hi, width: None)
@@ -309,19 +348,16 @@ class TestDispatch:
     def test_large_small_world_host_stays_on_lanes(self, monkeypatch):
         g = watts_strogatz_graph(400, 6, 0.1, seed=0)
         expected = reference(g)
-        search = metrics._search
-        sources = []
-        monkeypatch.setattr(metrics, "_apsp_bfs", refuse)
-        monkeypatch.setattr(metrics, "_search", lambda adj, s: sources.append(s) or search(adj, s))
+        sources = spy_searches(monkeypatch)
         d = apsp(g)
-        assert (d, profile(g, d).stress) == expected
+        assert d == expected
         assert sources == [0]  # the one search that bounds the levels
         sources.clear()
-        assert profile(g).stress == expected[1]
+        assert profile(g).stress == expected.stress
         assert sources == [0]
 
     def test_mining_hosts_stay_on_search(self, monkeypatch):
-        monkeypatch.setattr(metrics, "_apsp_lanes", refuse)
+        monkeypatch.setattr(metrics, "_source_blocks", refuse)
         monkeypatch.setattr(metrics, "_apsp_block", refuse)
         assert main(["mine", "--n-max", "5", "--format", "json"], out=io.StringIO()) == 0
         argv = ["mine", "--model", "watts_strogatz", "--n", "24", "--k", "4", "--p", "0.1",
@@ -333,36 +369,35 @@ class TestDispatch:
         k40 = complete_graph(40).edges
         g = Graph.from_edges(80, [*k40, *((u + 40, v + 40) for u, v in k40)])
         with pytest.raises(DisconnectedGraphError) as searched:
-            metrics._apsp_bfs(g)
-        monkeypatch.setattr(metrics, "_apsp_bfs", refuse)
+            reference(g)
+        blocks = metrics._source_blocks
+        calls = []
+        monkeypatch.setattr(metrics, "_source_blocks",
+                            lambda nbrs: calls.append(len(nbrs)) or blocks(nbrs))
         with pytest.raises(DisconnectedGraphError) as laned:
             apsp(g)
+        assert calls == [80]
         assert str(laned.value) == str(searched.value)
         assert str(laned.value) == "graph is disconnected: vertex 0 reaches only 40 of 80 vertices"
 
 
-def assert_pass_matches_matrix(g):
-    """``profile(g)``, folded in one pass, equals ``profile(g, apsp(g))``,
-    read off the matrix, field by field."""
-    folded, read = profile(g), profile(g, apsp(g))
-    for field in dataclasses.fields(read):
-        assert getattr(folded, field.name) == getattr(read, field.name), field.name
-
-
-def spy_searches(monkeypatch):
-    """The sources of every per-source search, in call order."""
-    search = metrics._search
-    sources = []
-    monkeypatch.setattr(metrics, "_search", lambda adj, s: sources.append(s) or search(adj, s))
-    return sources
+def assert_pass_matches_search(g):
+    """``profile(g)``, folded in one pass without rows, equals the profile
+    of the same pass forced onto per-source search, field by field, and
+    ``apsp(g)``, the pass with rows, folds the same sums."""
+    folded, searched = profile(g), profile(g, reference(g))
+    for field in dataclasses.fields(searched):
+        assert getattr(folded, field.name) == getattr(searched, field.name), field.name
+    assert profile(g, apsp(g)) == folded
 
 
 class TestPassMatchesMatrix:
-    """``profile(g)`` folds every per-source quantity as each lane block or
-    search is decoded and builds no matrix. It must equal the profile read
-    off ``apsp``'s matrix on lane hosts, on hosts that go to search, across
-    several blocks, after a block reruns one width up, and after the lanes
-    give way to search partway, and raise the same errors."""
+    """The pass folds every per-source quantity as each lane block or search
+    is decoded. With rows or without, it must equal the same pass forced
+    onto per-source search on lane hosts, on hosts that go to search,
+    across several blocks, after a block reruns one width up, and after the
+    lanes give way to search partway, where ``apsp``'s rows must still equal
+    the Floyd-Warshall matrix; and raise the same errors."""
 
     @pytest.mark.parametrize("g", [
         layered_chain(8, 8, 3)[0],
@@ -378,45 +413,39 @@ class TestPassMatchesMatrix:
     ], ids=["chain32", "chain64", "chain-over-64", "spider", "K80", "S100", "ws64", "ws150",
             "P100", "C101"])
     def test_lane_and_search_hosts(self, g):
-        assert_pass_matches_matrix(g)
+        assert_pass_matches_search(g)
 
     def test_several_blocks(self, monkeypatch):
         g = watts_strogatz_graph(100, 6, 0.1, seed=2)
-        expected = profile(g, apsp(g))
+        expected = reference(g)
         monkeypatch.setattr(metrics, "LANE_BUDGET", 7 * 16 * g.n)  # 7 sources at W = 16
         block = metrics._apsp_block
         calls = []
         monkeypatch.setattr(metrics, "_apsp_block",
                             lambda *args: calls.append(args[-3:]) or block(*args))
         sources = spy_searches(monkeypatch)
-        assert profile(g) == expected
+        assert profile(g) == profile(g, expected)
         assert sources == [0]
         assert [(lo, hi) for lo, hi, _ in calls] == [(lo, min(lo + 7, 100)) for lo in range(0, 100, 7)]
+        assert apsp(g) == expected  # the blocks' rows, in source order
 
     def test_block_reruns_one_width_up(self, monkeypatch):
         g = spider(64, 5)
-        expected = profile(g, apsp(g))
-        block = metrics._apsp_block
-        passes = []
-
-        def spy(*args):
-            lanes = block(*args)
-            passes.append((args[-1], lanes is None))
-            return lanes
-
-        monkeypatch.setattr(metrics, "_apsp_block", spy)
+        expected = reference(g)
+        passes = spy_blocks(monkeypatch)
         sources = spy_searches(monkeypatch)
-        assert profile(g) == expected
+        assert profile(g) == profile(g, expected)
         assert passes == [(16, True), (32, False)]
         assert sources == [0]
         assert list(expected.stress) == [spider_stress(64, 5, v) for v in range(g.n)]
 
     def test_long_host_goes_to_search_after_its_first_search(self, monkeypatch):
         g = path_graph(100)
+        expected = reference(g)
         sources = spy_searches(monkeypatch)
         folded = profile(g)
         assert sources == [0, *range(100)]
-        assert folded == profile(g, metrics._apsp_bfs(g))
+        assert folded == profile(g, expected)
 
     def test_search_takes_over_partway(self, monkeypatch):
         """With 8 levels allowed, the spider's blocks of sources near the
@@ -424,16 +453,38 @@ class TestPassMatchesMatrix:
         from a leaf gives way: its sources and all later ones are searched
         one by one, and the blocks already folded stay."""
         g = spider(64, 5)
-        expected = profile(g, apsp(g))
+        expected = reference(g)
         monkeypatch.setattr(metrics, "LANE_BUDGET", 4 * 16 * g.n)  # 4 at W = 16, 2 at 32
         monkeypatch.setattr(metrics, "_lane_levels", lambda n, width: 8)
         sources = spy_searches(monkeypatch)
-        assert profile(g) == expected
+        assert profile(g) == profile(g, expected)
         assert sources == [0, *range(4, g.n)]
+        assert apsp(g) == expected
+
+    def test_rows_when_search_takes_over_partway(self, monkeypatch):
+        """The same on a spider small enough for Floyd-Warshall: the block
+        of the centre and the first leg vertex (at most 5 levels away) runs
+        on lanes, the next block needs 6 levels and gives way, and the rows
+        of both paths, in source order, are the distance matrix."""
+        g = spider(8, 4)
+        expected = reference(g)
+        monkeypatch.setattr(metrics, "LANE_MIN_N", 2)
+        monkeypatch.setattr(metrics, "LANE_BUDGET", 2 * 16 * g.n)  # 2 sources at W = 16
+        monkeypatch.setattr(metrics, "_lane_levels", lambda n, width: 5)
+        passes = spy_blocks(monkeypatch)
+        sources = spy_searches(monkeypatch)
+        d = apsp(g)
+        assert passes == [(16, False)]
+        assert sources == [0, *range(2, g.n)]
+        assert d == expected
+        assert [list(row) for row in d.dist] == [
+            [int(x) for x in row] for row in floyd_warshall(g)
+        ]
 
     @given(connected_gnp())
     @settings(max_examples=40, deadline=None)
     def test_small_hosts_on_lanes(self, g):
+        expected = profile(g, reference(g))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(metrics, "LANE_MIN_N", 2)
             patch.setattr(metrics, "LANE_BUDGET", 3 * 16 * g.n)  # 3 sources at W = 16
@@ -441,7 +492,7 @@ class TestPassMatchesMatrix:
             sources = spy_searches(patch)
             folded = profile(g)
         assert sources == [0]
-        assert folded == profile(g, metrics._apsp_bfs(g))
+        assert folded == expected
 
     @pytest.mark.parametrize("n", [6, 80])
     def test_disconnected_hosts_raise_alike(self, n):
@@ -449,9 +500,9 @@ class TestPassMatchesMatrix:
         g = Graph.from_edges(n, [*half, *((u + n // 2, v + n // 2) for u, v in half)])
         with pytest.raises(DisconnectedGraphError) as folded:
             profile(g)
-        with pytest.raises(DisconnectedGraphError) as read:
-            profile(g, apsp(g))
-        assert str(folded.value) == str(read.value) == (
+        with pytest.raises(DisconnectedGraphError) as searched:
+            reference(g)
+        assert str(folded.value) == str(searched.value) == (
             f"graph is disconnected: vertex 0 reaches only {n // 2} of {n} vertices"
         )
 

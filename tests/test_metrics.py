@@ -15,7 +15,6 @@ from centaudit import (
     global_clustering,
     gnp_graph,
     is_even_cycle_free,
-    is_geodetic,
     local_clustering,
     path_graph,
     profile,
@@ -23,12 +22,12 @@ from centaudit import (
     stress,
     watts_strogatz_graph,
 )
-from centaudit.metrics import pair_distance_sum
 from oracles import (
     brute_force_geodetic,
     brute_force_stress,
     closed_neighborhood_distances,
     has_even_cycle,
+    pair_distance_sum,
     pair_stress,
 )
 
@@ -54,16 +53,17 @@ def connected_graphs(draw, min_n=2, max_n=7):
 class TestApsp:
     def test_path3(self):
         d = apsp(path_graph(3))
-        assert d.dist[0][2] == 2 and d.sigma[0][2] == 1
+        assert d.dist[0][2] == 2 and d.geodetic and d.stress == (0, 2, 0)
 
     def test_c4_opposite_pair(self):
+        # two shortest paths join 0 and 2, one through each of 1 and 3
         d = apsp(cycle_graph(4))
-        assert d.dist[0][2] == 2 and d.sigma[0][2] == 2
+        assert d.dist[0][2] == 2 and not d.geodetic and d.stress == (2, 2, 2, 2)
 
     def test_complete(self):
         d = apsp(complete_graph(3))
-        assert all(d.dist[s][t] == 1 and d.sigma[s][t] == 1
-                   for s in range(3) for t in range(3) if s != t)
+        assert all(d.dist[s][t] == 1 for s in range(3) for t in range(3) if s != t)
+        assert d.geodetic and d.stress == (0, 0, 0)
 
     def test_disconnected_raises(self):
         with pytest.raises(DisconnectedGraphError):
@@ -74,32 +74,35 @@ class TestApsp:
     def test_matrix_invariants(self, g):
         d = apsp(g)
         n = g.n
+        assert d.row_sums == tuple(map(sum, d.dist))
+        assert d.diameter == max(map(max, d.dist))
         for s in range(n):
-            assert d.dist[s][s] == 0 and d.sigma[s][s] == 1
+            assert d.dist[s][s] == 0
             for t in range(n):
                 assert d.dist[s][t] == d.dist[t][s]
                 assert (d.dist[s][t] == 1) == (t in g.adj[s]) if s != t else True
-                if s != t:
-                    assert d.sigma[s][t] >= 1
                 for u in range(n):
                     assert d.dist[s][t] <= d.dist[s][u] + d.dist[u][t]
 
     @given(connected_graphs())
     @settings(max_examples=80)
     def test_sigma_recurrence(self, g):
+        """Path counts from apsp's rows by the counting recurrence,
+        sigma(s, t) = sum of sigma(s, u) over the neighbors u of t one step
+        nearer to s, give the stress and geodetic flag apsp folds."""
         d = apsp(g)
-        for s in range(g.n):
-            for t in range(g.n):
-                if s == t:
-                    continue
-                if d.dist[s][t] == 1:
-                    assert d.sigma[s][t] == 1
-                expected = sum(
-                    d.sigma[s][u]
-                    for u in g.adj[t]
-                    if d.dist[s][u] == d.dist[s][t] - 1
-                )
-                assert d.sigma[s][t] == expected
+        n = g.n
+        sigma = [[1 if s == t else 0 for t in range(n)] for s in range(n)]
+        for s in range(n):
+            for t in sorted(range(n), key=d.dist[s].__getitem__)[1:]:
+                sigma[s][t] = sum(sigma[s][u] for u in g.adj[t]
+                                  if d.dist[s][u] == d.dist[s][t] - 1)
+        assert d.geodetic == all(x == 1 for row in sigma for x in row)
+        assert list(d.stress) == [
+            sum(sigma[s][v] * sigma[v][t] for s in range(n) for t in range(n)
+                if len({s, v, t}) == 3 and d.dist[s][v] + d.dist[v][t] == d.dist[s][t])
+            for v in range(n)
+        ]
 
     @given(connected_graphs(max_n=6))
     @settings(max_examples=40)
@@ -130,10 +133,6 @@ class TestGraphLevelMetrics:
     def test_avg_path_length(self, g, expected):
         assert profile(g).avg_path_length == expected
 
-    def test_avg_path_length_needs_two_vertices(self):
-        with pytest.raises(ValueError, match="at least 2 vertices"):
-            profile(Graph.from_edges(1, []))
-
     @pytest.mark.parametrize("leaves", [3, 4, 5, 6])
     def test_star_formula(self, leaves):
         # closed form for the star: L = 2 * leaves / (leaves + 1)
@@ -142,8 +141,8 @@ class TestGraphLevelMetrics:
 
 
 class TestRestrictedLength:
-    """Ambient distance summed over the unordered pairs of a member set, as
-    R1-R6 use it."""
+    """The oracle's ambient distance summed over the unordered pairs of a
+    member set, as the tests of R1-R6 use it, on apsp's rows."""
 
     def test_star_center_neighborhood(self):
         g = star_graph(3)
@@ -258,7 +257,7 @@ class TestPredicates:
         (THETA, False),
     ])
     def test_geodetic(self, g, expected):
-        assert is_geodetic(apsp(g)) is expected
+        assert apsp(g).geodetic is expected
 
     @pytest.mark.parametrize("g,expected", [
         (path_graph(4), True),
@@ -280,17 +279,17 @@ class TestPredicates:
     @given(connected_graphs(max_n=7))
     @settings(max_examples=60)
     def test_geodetic_matches_path_enumeration(self, g):
-        assert is_geodetic(apsp(g)) == brute_force_geodetic(g)
+        assert apsp(g).geodetic == brute_force_geodetic(g)
 
     @given(connected_graphs(max_n=7))
     @settings(max_examples=60)
     def test_even_cycle_free_implies_geodetic(self, g):
         if is_even_cycle_free(g):
-            assert is_geodetic(apsp(g))
+            assert apsp(g).geodetic
 
     def test_converse_fails_at_k4(self):
         k4 = complete_graph(4)
-        assert is_geodetic(apsp(k4)) and not is_even_cycle_free(k4)
+        assert apsp(k4).geodetic and not is_even_cycle_free(k4)
 
 
 class TestProfile:

@@ -17,11 +17,11 @@ import networkx as nx
 import pytest
 
 from centaudit import (
-    DistanceMatrix,
     Graph,
     apsp,
     enumerate_connected,
     gnp_graph,
+    metrics,
     path_graph,
     profile,
     star_graph,
@@ -139,28 +139,24 @@ def test_lane_hosts(n, k, seed):
     assert_profile_matches_oracles(watts_strogatz_graph(n, k, 0.1, seed=seed))
 
 
-def test_diameter_follows_the_matrix_it_is_given():
-    g = path_graph(4)
-    d = apsp(g)
-    assert d.diameter == 3
-    dist = [list(row) for row in d.dist]
-    dist[0][1] = dist[1][0] = 7
-    altered = DistanceMatrix(d.n, tuple(map(tuple, dist)), d.sigma, d.stress)
-    assert altered.diameter == 7
-    assert profile(g, altered).diameter == 7
-
-
-def test_pass_matches_matrix_on_the_graph_atlas():
-    """``profile(g)`` folds one pass over the sources; ``profile(g, d)``
-    reads the matrix. They agree on every connected graph of 2 to 7
-    vertices in networkx's atlas."""
+def test_pass_matches_matrix_on_the_graph_atlas(monkeypatch):
+    """Every connected graph of 2 to 7 vertices in networkx's atlas runs
+    the pass on per-source search. Its rows must equal the Floyd-Warshall
+    matrix, and the same pass forced onto lane blocks of three sources
+    must fold the same sums and rows, and give the same profile."""
     graphs = [
         Graph.from_edges(a.number_of_nodes(), a.edges())
         for a in nx.graph_atlas_g() if a.number_of_nodes() >= 2 and nx.is_connected(a)
     ]
     assert len(graphs) == 995
-    for g in graphs:
-        assert profile(g) == profile(g, apsp(g))
+    searched = [apsp(g) for g in graphs]
+    monkeypatch.setattr(metrics, "LANE_MIN_N", 2)
+    monkeypatch.setattr(metrics, "_lane_levels", lambda n, width: n)
+    for g, d in zip(graphs, searched):
+        assert [list(row) for row in d.dist] == [[int(x) for x in row] for row in floyd_warshall(g)]
+        monkeypatch.setattr(metrics, "LANE_BUDGET", 3 * 16 * g.n)
+        assert apsp(g) == d
+        assert profile(g) == profile(g, d)
 
 
 def test_pass_memory_on_a_long_path():

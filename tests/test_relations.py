@@ -45,12 +45,14 @@ from centaudit.graphs import (
     subset_stream,
     watts_strogatz_graph,
 )
-from centaudit.metrics import DistanceMatrix, _unpack_lanes, pair_distance_sum
+from centaudit import metrics
+from centaudit.metrics import _unpack_lanes
 from centaudit.mining import SUBSET_BUDGET_PER_GRAPH, RelationTally
 from oracles import (
     SENSE,
     floyd_warshall,
     max_subset_pair_sums,
+    pair_distance_sum,
     r9_rhs,
     relation_sides,
     relation_status,
@@ -176,7 +178,7 @@ class TestStatus:
 
     @staticmethod
     def decide(sense, lhs, rhs, ok):
-        def stand_in(g, prof, d):
+        def stand_in(g, prof):
             yield (None, *lhs, *rhs, ok)
 
         spec = replace(relation("R7"), sense=sense, evaluator=stand_in)
@@ -378,37 +380,57 @@ class TestAgainstOracle:
 
 
 def _with_distance(d, i, j, value):
-    """A copy of ``d`` with the symmetric entry (i, j) set to ``value``."""
+    """A copy of ``apsp``'s sums ``d`` with the symmetric distance (i, j)
+    set to ``value``, and the row sums and diameter that R6 reads of the
+    altered rows."""
     dist = [list(row) for row in d.dist]
     dist[i][j] = dist[j][i] = value
-    return DistanceMatrix(d.n, tuple(map(tuple, dist)), d.sigma, d.stress)
+    return replace(d, dist=tuple(map(tuple, dist)), row_sums=tuple(map(sum, dist)),
+                   diameter=max(map(max, dist)))
+
+
+def _search_with_distance(monkeypatch, i, j, value):
+    """Make the pass's per-source search find d(i, j) = d(j, i) = ``value``."""
+    search = metrics._search
+
+    def altered(adj, s):
+        dist, sigma, below = search(adj, s)
+        if s in (i, j):
+            dist[i + j - s] = value
+        return dist, sigma, below
+
+    monkeypatch.setattr(metrics, "_search", altered)
 
 
 class TestNeighborhoodSumsReadDistances:
     """R1 and R3 compare distances inside a neighborhood with clustering and
-    degree. Their sides must be measured from the distance matrix: with one
-    entry of the matrix altered, the identity has to fail at that vertex.
-    Sums derived from degree or clustering would keep it holding."""
+    degree. Their sides must be measured from the distances the pass over
+    the sources finds: with one distance altered in its search, the
+    identity has to fail at that vertex. Sums derived from degree or
+    clustering would keep it holding."""
 
     @staticmethod
-    def status_at(rid, g, d, vertex):
-        (status,) = [status for status, row in evaluate(relation(rid), g, profile(g, d), d)
+    def status_at(rid, g, vertex):
+        d = apsp(g)
+        (status,) = [status for status, row in evaluate(relation(rid), g, profile(g), d)
                      if row[0] == vertex]
         return status
 
-    def test_r3_reads_the_distance_to_each_neighbor(self):
+    def test_r3_reads_the_distance_to_each_neighbor(self, monkeypatch):
         g = cycle_graph(5)
-        d = apsp(g)
-        assert d.dist[0][1] == 1
-        assert self.status_at("R3", g, d, 0) == EQUALITY
-        assert self.status_at("R3", g, _with_distance(d, 0, 1, 2), 0) == VIOLATED
+        assert apsp(g).dist[0][1] == 1
+        assert self.status_at("R3", g, 0) == EQUALITY
+        _search_with_distance(monkeypatch, 0, 1, 2)
+        assert apsp(g).dist[0][1] == 2
+        assert self.status_at("R3", g, 0) == VIOLATED
 
-    def test_r1_reads_the_distance_between_neighbors(self):
+    def test_r1_reads_the_distance_between_neighbors(self, monkeypatch):
         g = cycle_graph(5)  # the neighbors 1 and 4 of vertex 0 are not adjacent
-        d = apsp(g)
-        assert d.dist[1][4] == 2
-        assert self.status_at("R1", g, d, 0) == EQUALITY
-        assert self.status_at("R1", g, _with_distance(d, 1, 4, 3), 0) == VIOLATED
+        assert apsp(g).dist[1][4] == 2
+        assert self.status_at("R1", g, 0) == EQUALITY
+        _search_with_distance(monkeypatch, 1, 4, 3)
+        assert apsp(g).dist[1][4] == 3
+        assert self.status_at("R1", g, 0) == VIOLATED
 
 
 def r6_pair_sums(g, d):
