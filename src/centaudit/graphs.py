@@ -8,8 +8,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import combinations, compress, repeat
+from operator import itemgetter, lshift, or_
 from random import Random
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -53,51 +54,45 @@ class Graph:
         return cls(n, tuple(sorted(canonical)))
 
     @cached_property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        """Adjacency sets indexed by vertex."""
-        neighbors: list[set[int]] = [set() for _ in range(self.n)]
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbors, ascending: the canonical edges, appended
+        to both ends' lists in order, leave every list sorted."""
+        neighbors: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
-            neighbors[u].add(v)
-            neighbors[v].add(u)
-        return tuple(frozenset(s) for s in neighbors)
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        return tuple(map(tuple, neighbors))
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """The set view of ``adj``: bit w of ``rows[v]`` is set when v ~ w.
+        Built on first read; the rows take O(n**2 / 8) bytes."""
+        return tuple(reduce(or_, map(lshift, repeat(1), nbrs), 0) for nbrs in self.adj)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.adj)
+        return tuple(map(len, self.adj))
 
     def is_connected(self) -> bool:
         """True iff every vertex is reachable from vertex 0 (vacuously for n <= 1)."""
-        return _edges_connected(self.n, self.edges)
+        if self.n <= 1:
+            return True
+        seen = bytearray(self.n)
+        seen[0] = 1
+        order = [0]  # the queue: a for loop reads the items appended during it
+        for v in order:
+            for w in self.adj[v]:
+                if not seen[w]:
+                    seen[w] = 1
+                    order.append(w)
+        return len(order) == self.n
 
     def check_vertex(self, v: int) -> None:
         if not (isinstance(v, int) and 0 <= v < self.n):
             raise ValueError(f"invalid vertex id {v!r} for graph on {self.n} vertices")
-
-
-def _edges_connected(n: int, edges: Iterable[tuple[int, int]]) -> bool:
-    """True iff a search from vertex 0 over adjacency lists reaches every
-    vertex of the graph on n vertices with these edges, in O(n + m) time and
-    memory; vacuously true for n <= 1."""
-    if n <= 1:
-        return True
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    reached = 1
-    while stack:
-        for v in neighbors[stack.pop()]:
-            if not seen[v]:
-                seen[v] = 1
-                stack.append(v)
-                reached += 1
-    return reached == n
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +108,13 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
 
     Without a header, the vertex count is 1 + the largest id mentioned.
     Rejects malformed lines, self-loops, duplicate edges, and ids at or above
-    a declared header count, reporting the offending line number.
+    a declared header count, reporting the offending line number, and builds
+    the Graph without :meth:`Graph.from_edges`' second validation.
     """
     lines = text.splitlines() if isinstance(text, str) else list(text)
     declared_n: int | None = None
     header_allowed = True
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    max_id = -1
+    seen: dict[tuple[int, int], None] = {}  # input order: sorted input sorts in O(m)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -155,14 +149,12 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
         key = (u, v) if u < v else (v, u)
         if key in seen:
             raise EdgeListError(f"duplicate edge {key[0]} {key[1]}", lineno)
-        seen.add(key)
-        edges.append(key)
-        max_id = max(max_id, u, v)
+        seen[key] = None
     if declared_n is None:
-        if max_id < 0:
+        if not seen:
             raise EdgeListError("empty edge list and no 'n <count>' header")
-        declared_n = max_id + 1
-    return Graph.from_edges(declared_n, edges)
+        declared_n = 1 + max(map(itemgetter(1), seen))
+    return Graph(declared_n, tuple(sorted(seen)))
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -333,12 +325,6 @@ def _mask_edges(n: int, mask: int) -> tuple[tuple[int, int], ...]:
 def mask_graph(n: int, mask: int) -> Graph:
     """The labeled graph on n vertices with this adjacency bitmask."""
     return Graph(n, _mask_edges(n, mask))
-
-
-def mask_connected(n: int, mask: int) -> bool:
-    """Whether the graph of an adjacency bitmask on n vertices is connected,
-    decided without building it."""
-    return _edges_connected(n, _mask_edges(n, mask))
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:

@@ -314,18 +314,10 @@ def _apsp_block(
 def local_clustering(g: Graph, i: int) -> Fraction:
     """Fraction of realized edges among pairs of neighbors of i; 0 when deg <= 1."""
     g.check_vertex(i)
-    neighbors = sorted(g.adj[i])
-    d = len(neighbors)
-    if d <= 1:
-        return Fraction(0)
-    adj = g.adj
-    links = 0
-    for a in range(d):
-        na = adj[neighbors[a]]
-        for b in range(a + 1, d):
-            if neighbors[b] in na:
-                links += 1
-    return Fraction(2 * links, d * (d - 1))
+    rows, d = g.rows, len(g.adj[i])
+    # an edge among the neighbors is seen from both of its ends
+    links = sum([(rows[i] & rows[j]).bit_count() for j in g.adj[i]]) >> 1
+    return Fraction(2 * links, d * (d - 1)) if d > 1 else Fraction(0)
 
 
 def global_clustering(g: Graph) -> Fraction:
@@ -333,10 +325,8 @@ def global_clustering(g: Graph) -> Fraction:
     open_triplets = sum(d * (d - 1) for d in g.degrees())
     if open_triplets == 0:
         raise ValueError("global clustering undefined: every vertex has degree <= 1")
-    per_edge_common = 0
-    adj = g.adj
-    for u, v in g.edges:
-        per_edge_common += len(adj[u] & adj[v])
+    rows = g.rows
+    per_edge_common = sum([(rows[u] & rows[v]).bit_count() for u, v in g.edges])
     # each triangle is seen from its three edges: closed triplets = 2 * the sum
     return Fraction(2 * per_edge_common, open_triplets)
 
@@ -364,7 +354,7 @@ def biconnected_blocks(g: Graph) -> list[tuple[tuple[int, int], ...]]:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        stack = [(root, -1, iter(sorted(g.adj[root])))]
+        stack = [(root, -1, iter(g.adj[root]))]
         while stack:
             v, parent, neighbors = stack[-1]
             descended = False
@@ -375,7 +365,7 @@ def biconnected_blocks(g: Graph) -> list[tuple[tuple[int, int], ...]]:
                     edge_stack.append((v, w))
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, v, iter(sorted(g.adj[w]))))
+                    stack.append((w, v, iter(g.adj[w])))
                     descended = True
                     break
                 if disc[w] < disc[v]:  # back edge, recorded once
@@ -571,7 +561,7 @@ def _pass_sums(g: Graph, rows: bool = False) -> SourceSums:
     order; a search's row is its distances.
     """
     n = g.n
-    nbrs = [tuple(a) for a in g.adj]
+    nbrs = g.adj
     row_sums = [0] * n
     total = [0] * n
     twice_open = [0] * n  # over ordered pairs of distinct neighbors
@@ -644,13 +634,11 @@ def profile(g: Graph, d: SourceSums | None = None) -> CentralityProfile:
     if g.n < 2:
         raise ValueError("profile needs at least 2 vertices")
     sums = _pass_sums(g) if d is None else d
-    adj = g.adj
-    degrees = []
-    links = []
-    for nbrs in adj:
-        degrees.append(len(nbrs))
-        # an edge among the neighbors is seen from both of its ends
-        links.append(sum([len(nbrs & adj[j]) for j in nbrs]) >> 1)
+    degrees = list(map(len, g.adj))
+    rows = g.rows
+    # an edge among the neighbors is seen from both of its ends
+    links = [sum([(row & rows[j]).bit_count() for j in nbrs]) >> 1
+             for row, nbrs in zip(rows, g.adj)]
     stresses = stress(g, sums)
     # d(d-1) per vertex: 0 below degree 2, where clustering is 0 and the
     # stress term is left out

@@ -19,12 +19,13 @@ An exhaustive shard walks its masks in ascending order against
 :func:`graphs.mask_classes` and evaluates one graph per isomorphism class:
 every status count, and both audit predicates, are the same on all
 relabelled copies of a graph, whose subject statuses are a permutation of
-each other's. A class's first mask decides its connectivity, and its other
-masks add its counts in bulk, from a memo that lives for one shard. A
-labeled graph is decoded only where one is read: the first graph of each
-connected class, and a later one whose class violates a relation that
-still has witness room (that relation is evaluated again on it) or falls in
-an audit category that does. So witnesses, and the whole report, stay
+each other's. A class's first mask is decoded, and that graph decides the
+class's connectivity and, when connected, is evaluated on the adjacency
+that test built; the class's other masks add its counts in bulk, from
+a memo that lives for one shard. A later labeled graph is decoded only
+where one is read: one whose class violates a relation that still has
+witness room (that relation is evaluated again on it) or falls in an audit
+category that does. So witnesses, and the whole report, stay
 byte-identical to evaluating every graph. ``mine --n-max 7`` (1,866,256
 graphs) takes about 2.6 s and 29 MB in one process on a 2-vCPU Xeon, about
 1 s of it building the n = 7 class table. Random shards evaluate every
@@ -47,7 +48,6 @@ from .graphs import (
     enumerate_connected_range,
     generate,
     mask_classes,
-    mask_connected,
     mask_graph,
     model_row,
 )
@@ -272,12 +272,12 @@ def _mine_masks(
     in [lo, hi), walking the masks in ascending order against
     :func:`graphs.mask_classes`.
 
-    A class's first mask decides its connectivity; a connected class's first
-    graph is evaluated, and its later masks add its counts in bulk. A later
-    mask is decoded to a graph only while its class violates a relation that
-    still has witness room (that relation is evaluated again on it) or its
-    audit category does, so it keeps the same witnesses as when every graph
-    is evaluated."""
+    A class's first mask is decoded and its graph asked whether it is
+    connected; a connected class's first graph is then evaluated, and its
+    later masks add its counts in bulk. A later mask is decoded to a graph
+    only while its class violates a relation that still has witness room
+    (that relation is evaluated again on it) or its audit category does, so
+    it keeps the same witnesses as when every graph is evaluated."""
     classes = mask_classes(n)
     # connected class -> (geodetic, even_cycle_free, per-spec counts, the
     # (spec, tally) pairs of the relations it violates), from its first graph
@@ -290,10 +290,10 @@ def _mine_masks(
             continue
         known = memo.get(key)
         if known is None:
-            if not mask_connected(n, mask):
+            g = mask_graph(n, mask)
+            if not g.is_connected():
                 done.add(key)
                 continue
-            g = mask_graph(n, mask)
             geodetic, even_cycle_free, counts = _evaluate_into(g, specs, tallies, shard.audit, cap)
             violated = [(spec, tally) for spec, tally, graph_counts in zip(specs, tallies, counts)
                         if graph_counts[2]]

@@ -7,14 +7,15 @@ of the counting recurrence, stress is summed pair by pair instead of
 accumulated per source, cycle parity is checked by enumerating simple
 cycles instead of block decomposition, clustering scans the edge list for
 edges among each vertex's neighbors and for triangles among all vertex
-triples instead of intersecting adjacency sets, closed-neighborhood
+triples instead of counting common neighbors on bit rows, closed-neighborhood
 radiality is measured on the relabeled induced subgraph instead of read off
 the profile, the relation sides are stated in Fractions straight from
 the catalog statements instead of as integer pairs over common denominators,
 and a graph's isomorphism class is its least bitmask over all n!
 relabellings instead of a flood through adjacent transpositions. R6's
 largest subset pair sums are maxima over every subset, not bounds from
-sorted distance rows.
+sorted distance rows. Neighbors are read off the edge list
+(:func:`neighbor_sets`), never from the graph's own adjacency.
 """
 
 from __future__ import annotations
@@ -144,21 +145,20 @@ def max_subset_pair_sums(g: Graph) -> dict[int, int]:
     }
 
 
-def enumerate_shortest_paths(g: Graph, s: int, t: int, dist=None) -> list[tuple[int, ...]]:
+def enumerate_shortest_paths(nbrs, s: int, t: int, dist) -> list[tuple[int, ...]]:
     """Every shortest s-t path, listed explicitly.
 
-    The walk only ever steps to a neighbor strictly closer to t (per
-    Floyd-Warshall distances), so exactly the shortest paths are produced.
+    The walk only ever steps to a neighbor (``nbrs``, from
+    :func:`neighbor_sets`) strictly closer to t (per Floyd-Warshall
+    distances), so exactly the shortest paths are produced.
     """
-    if dist is None:
-        dist = floyd_warshall(g)
     if s == t:
         return [(s,)]
     paths = []
     stack = [(s, (s,))]
     while stack:
         v, path = stack.pop()
-        for w in sorted(g.adj[v]):
+        for w in sorted(nbrs[v]):
             if dist[w][t] == dist[v][t] - 1:
                 if w == t:
                     paths.append(path + (t,))
@@ -167,8 +167,9 @@ def enumerate_shortest_paths(g: Graph, s: int, t: int, dist=None) -> list[tuple[
     return paths
 
 
-def path_count_capped(g: Graph, s: int, t: int, dist, cap: int) -> int:
-    """Number of shortest s-t paths, giving up (returning cap) once reached.
+def path_count_capped(nbrs, s: int, t: int, dist, cap: int) -> int:
+    """Number of shortest s-t paths, giving up (returning cap) once reached;
+    ``nbrs`` from :func:`neighbor_sets`.
 
     Walks the shortest-path DAG carrying only the head vertex; distance to t
     strictly decreases along every step, so walks and paths coincide.
@@ -177,7 +178,7 @@ def path_count_capped(g: Graph, s: int, t: int, dist, cap: int) -> int:
     frontier = [s]
     while frontier:
         v = frontier.pop()
-        for w in g.adj[v]:
+        for w in nbrs[v]:
             if dist[w][t] == dist[v][t] - 1:
                 if w == t:
                     found += 1
@@ -191,21 +192,23 @@ def path_count_capped(g: Graph, s: int, t: int, dist, cap: int) -> int:
 def brute_force_sigma(g: Graph) -> list[list[int]]:
     """Shortest-path counts for all pairs via explicit enumeration."""
     dist = floyd_warshall(g)
+    nbrs = neighbor_sets(g)
     n = g.n
     sigma = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for s in range(n):
         for t in range(n):
             if s != t:
-                sigma[s][t] = len(enumerate_shortest_paths(g, s, t, dist))
+                sigma[s][t] = len(enumerate_shortest_paths(nbrs, s, t, dist))
     return sigma
 
 
 def brute_force_geodetic(g: Graph) -> bool:
     """True iff no pair has a second shortest path (early-exit enumeration)."""
     dist = floyd_warshall(g)
+    nbrs = neighbor_sets(g)
     for s in range(g.n):
         for t in range(s + 1, g.n):
-            if path_count_capped(g, s, t, dist, 2) != 1:
+            if path_count_capped(nbrs, s, t, dist, 2) != 1:
                 return False
     return True
 
@@ -214,12 +217,13 @@ def brute_force_stress(g: Graph) -> list[int]:
     """Interior-vertex counts over every explicitly enumerated shortest path,
     summed over ordered endpoint pairs."""
     dist = floyd_warshall(g)
+    nbrs = neighbor_sets(g)
     counts = [0] * g.n
     for s in range(g.n):
         for t in range(g.n):
             if s == t:
                 continue
-            for path in enumerate_shortest_paths(g, s, t, dist):
+            for path in enumerate_shortest_paths(nbrs, s, t, dist):
                 for v in path[1:-1]:
                     counts[v] += 1
     return counts
@@ -246,11 +250,12 @@ def has_even_cycle(g: Graph) -> bool:
     Cycles are rooted at their minimum vertex; each is seen twice (once per
     direction), which is harmless for an existence check.
     """
+    nbrs = neighbor_sets(g)
     for s in range(g.n):
         stack = [(s, (s,))]
         while stack:
             v, path = stack.pop()
-            for w in g.adj[v]:
+            for w in nbrs[v]:
                 if w == s and len(path) >= 3:
                     if len(path) % 2 == 0:
                         return True

@@ -100,6 +100,78 @@ class TestRationalStrings:
         assert parse_rational(format_rational(value)) == value
 
 
+class TestLongRationals:
+    """An exact side of 5000 digits, past CPython's default limit of 4300
+    digits on int-to-str conversion (R7's right side passes it on
+    Watts-Strogatz hosts near n = 3600), is written in full by ``check`` in
+    both formats and read back by ``parse_rational``. The CLI runs under the
+    tightest limit the interpreter accepts, 640 digits, where it has one."""
+
+    NUM = 3**10479  # 5000 digits
+    DEN = 3**10479 + 2**64  # coprime to NUM, so lhs is in lowest terms and near 1
+    RESULT = RelationResult("R7", None, HOLDS, relation("R7").sense, NUM, DEN, 2, 3)
+
+    @pytest.fixture
+    def texts(self, monkeypatch):
+        """The lowest-terms strings of lhs, rhs and slack, made with the
+        limit lifted; then the limit is set to 640 until the test ends."""
+        limit = getattr(sys, "get_int_max_str_digits", None)
+        old = limit() if limit else None
+        try:
+            if limit:
+                sys.set_int_max_str_digits(0)
+            values = (self.RESULT.lhs, self.RESULT.rhs, self.RESULT.slack)
+            texts = [f"{v.numerator}/{v.denominator}" for v in values]
+            if limit:
+                sys.set_int_max_str_digits(640)
+            monkeypatch.setattr(cli.rel, "evaluate_all", lambda g, ids: [self.RESULT])
+            yield texts
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(old)
+
+    def test_sizes(self, texts):
+        lhs, _, slack = texts
+        assert len(lhs.partition("/")[0]) == 5000
+        assert len(slack.partition("/")[2]) == 5001
+
+    def test_json_rows(self, texts, star_file):
+        code, payload = run_json(["check", star_file, "--format", "json"])
+        assert code == EXIT_OK
+        (row,) = payload["results"]
+        assert [row[side] for side in ("lhs", "rhs", "slack")] == texts
+        assert row["lhs_approx"] == float(self.RESULT.lhs)
+        assert parse_rational(row["lhs"]) == F(self.NUM, self.DEN)
+        assert parse_rational(row["slack"]) == self.RESULT.slack
+
+    def test_text_rows(self, texts, star_file):
+        code, out, err = run(["check", star_file])
+        assert (code, err) == (EXIT_OK, "")
+        lhs, rhs, slack = texts
+        assert f"R7 graph: holds lhs={lhs} rhs={rhs} slack={slack}\n" in out
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_round_trip(self, texts, sign):
+        value = sign * self.RESULT.slack
+        text = format_rational(value)
+        assert text == ("-" if sign < 0 else "") + texts[2]
+        assert parse_rational(text) == value
+        assert parse_rational("+" + texts[0]) == self.RESULT.lhs
+
+    def test_json_integers(self, texts):
+        """The generic writer, which writes ``compute``'s stress, takes
+        integers of any length alone and in integer lists."""
+        digits = texts[0].partition("/")[0]
+        assert rendered({"stress": self.NUM, "row": [self.NUM, -self.NUM]}) == (
+            '{\n  "stress": ' + digits + ',\n  "row": [\n    ' + digits
+            + ",\n    -" + digits + "\n  ]\n}")
+
+    @pytest.mark.parametrize("text", ["1" * 700 + "x", "1" * 700 + "/-", "--" + "1" * 700])
+    def test_long_garbage_is_rejected(self, texts, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+
 class TestCompute:
     def test_star_json_values(self, star_file):
         code, payload = run_json(["compute", star_file, "--format", "json"])

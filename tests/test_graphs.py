@@ -4,6 +4,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,6 @@ from centaudit.graphs import (
     SUBSET_SAMPLE_COUNT,
     enumerate_connected_range,
     mask_classes,
-    mask_connected,
     mask_graph,
     subset_stream,
 )
@@ -38,6 +38,7 @@ from oracles import (
     count_connected_graphs,
     labeled_connected_masks,
     mask_edges,
+    neighbor_sets,
     union_find_connected,
 )
 
@@ -61,7 +62,7 @@ class TestGraph:
         assert g.m == 2
         assert g.edges == ((0, 1), (1, 2))
         assert g.degrees() == (1, 2, 1)
-        assert g.adj == ({1}, {0, 2}, {1})
+        assert g.adj == ((1,), (0, 2), (1,))
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -100,6 +101,38 @@ class TestGraph:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+
+
+def assert_adjacency_matches_edges(g):
+    """``adj[v]`` is v's neighbors read off the edge list, ascending, and
+    ``rows[v]`` their bitmask."""
+    nbrs = neighbor_sets(g)
+    assert len(g.adj) == len(g.rows) == g.n
+    for v, (adj, row, nb) in enumerate(zip(g.adj, g.rows, nbrs)):
+        assert type(adj) is tuple and list(adj) == sorted(adj)
+        assert set(adj) == nb, v
+        assert row == sum(1 << w for w in nb), v
+
+
+class TestAdjacency:
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_graph_up_to_six_vertices(self, n):
+        for mask in range(1 << n * (n - 1) // 2):
+            assert_adjacency_matches_edges(Graph.from_edges(n, mask_edges(n, mask)))
+
+    @pytest.mark.parametrize("n", [7, 12, 30, 64, 130])
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_gnp_sweep(self, n, p):
+        for seed in range(3):
+            g = gnp_graph(n, p, seed=seed)
+            assert_adjacency_matches_edges(g)
+            # the same edges, shuffled and flipped, through both builders
+            edges = [(v, u) if (u + v + seed) % 2 else (u, v) for u, v in g.edges]
+            Random(seed).shuffle(edges)
+            for h in (Graph.from_edges(n, edges),
+                      parse_edge_list(f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in edges))):
+                assert h == g
+                assert_adjacency_matches_edges(h)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +358,7 @@ class TestMaskClasses:
             for mask in range(1 << n * (n - 1) // 2):
                 g = mask_graph(n, mask)
                 assert g.edges == tuple(mask_edges(n, mask))
-                assert mask_connected(n, mask) == (mask in connected)
+                assert g.is_connected() == (mask in connected)
                 assert list(enumerate_connected_range(n, mask, mask + 1)) == (
                     [g] if mask in connected else [])
 
@@ -342,7 +375,7 @@ class TestMaskClasses:
 class TestViews:
     def test_open_neighborhood_in_triangle(self):
         p = profile(complete_graph(3))
-        assert complete_graph(3).adj[0] == {1, 2}
+        assert complete_graph(3).adj[0] == (1, 2)
         assert p.local_clustering[0] == 1 and p.complete_neighborhood[0]
 
     def test_star_center_open_neighborhood(self):

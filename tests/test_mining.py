@@ -37,8 +37,10 @@ from oracles import (
     canonical_mask,
     has_even_cycle,
     labeled_connected_masks,
+    mask_edges,
     relation_sides,
     relation_status,
+    union_find_connected,
 )
 
 TWELVE_PROVED = ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R10", "R10b", "R11", "R11b")
@@ -277,13 +279,16 @@ class TestClassMemo:
 def walk_decodes(shards, cap):
     """How many graphs exhaustive shards over the (n, lo, hi) mask ranges
     must decode, each shard with its own class memo and witness room: the
-    first connected mask of each isomorphism class, and a later one whose
-    class violates a relation, or falls in an audit category, that still has
-    fewer than ``cap`` witnesses. From the oracles' canonical forms,
-    relation statuses and predicates."""
+    first mask of each isomorphism class, whose graph decides the class's
+    connectivity, and a later one whose connected class violates a relation,
+    or falls in an audit category, that still has fewer than ``cap``
+    witnesses. From the oracles' connectivity, canonical forms, relation
+    statuses and predicates."""
     decodes = 0
     facts = {}  # (n, class) -> the witnesses a graph of it gives, per list
     for n, lo, hi in shards:
+        decodes += len({canonical_mask(n, mask) for mask in range(lo, hi)
+                        if not union_find_connected(n, mask_edges(n, mask))})
         seen, kept = set(), Counter()
         for mask, edges in labeled_connected_masks(n):
             if not lo <= mask < hi:

@@ -19,6 +19,7 @@ import pytest
 from centaudit import (
     Graph,
     apsp,
+    complete_graph,
     enumerate_connected,
     gnp_graph,
     metrics,
@@ -137,6 +138,24 @@ def test_many_distinct_degrees():
 @pytest.mark.parametrize("n,k,seed", [(64, 4, 0), (96, 6, 1), (150, 4, 0)])
 def test_lane_hosts(n, k, seed):
     assert_profile_matches_oracles(watts_strogatz_graph(n, k, 0.1, seed=seed))
+
+
+def clique_with_path(clique, path):
+    """K_clique with a path of ``path`` more vertices hung off its last vertex."""
+    edges = [*combinations(range(clique), 2)]
+    edges += [(v, v + 1) for v in range(clique - 1, clique + path - 1)]
+    return Graph.from_edges(clique + path, edges)
+
+
+@pytest.mark.parametrize("g", [
+    complete_graph(64),
+    complete_graph(100),
+    gnp_graph(80, 0.7, seed=0),
+    clique_with_path(30, 40),
+], ids=["K64", "K100", "G(80, 0.7)", "K30 with a path of 40"])
+def test_dense_hosts(g):
+    """Hosts where each vertex's bit row shares most bits with its neighbors'."""
+    assert_profile_matches_oracles(g)
 
 
 def test_pass_matches_matrix_on_the_graph_atlas(monkeypatch):
