@@ -8,6 +8,7 @@ the accompanying ``*_approx`` decimal fields are display-only.
 JSON is laid out as ``json.dumps(document, indent=2)`` would lay it out.
 ``compute`` and ``mine`` build payload dicts for ``_write_json``; ``check``
 writes its text lines and JSON rows straight from its ``RelationResult``s.
+A JSON document goes to the output a piece at a time as it is laid out.
 
 Exit codes: 0 success (audit findings included), 2 usage or parse error,
 3 disconnected input graph, 4 violation of a non-audit relation.
@@ -201,13 +202,12 @@ def _document(argv: Sequence[str], payload: dict) -> dict:
     return {"schema_version": SCHEMA_VERSION, "command": list(argv), "payload": payload}
 
 
-def _render_json(argv: Sequence[str], payload: dict) -> str:
-    """The bytes of ``json.dumps(document, indent=2) + "\\n"``, where a
+def _write_document(argv: Sequence[str], payload: dict, out) -> None:
+    """Write ``json.dumps(document, indent=2) + "\\n"`` to ``out`` piece by
+    piece as it is laid out, so that no copy of the whole text is built; a
     ``partial`` in the payload stands for the list whose text it writes."""
-    parts: list[str] = []
-    _write_json(_document(argv, payload), "", parts.append)
-    parts.append("\n")
-    return "".join(parts)
+    _write_json(_document(argv, payload), "", out.write)
+    out.write("\n")
 
 
 _INFINITY = float("inf")
@@ -453,7 +453,7 @@ def _cmd_compute(args, argv, out) -> int:
     g = _read_graph(args.input)
     payload = _profile_payload(g)
     if args.format == "json":
-        out.write(_render_json(argv, payload))
+        _write_document(argv, payload, out)
     else:
         out.write(_render_profile_text(argv, payload))
     return EXIT_OK
@@ -476,12 +476,12 @@ def _cmd_check(args, argv, out) -> int:
         (r.relation_id, r.status == rel.VIOLATED) for r in results
     )
     if args.format == "json":
-        out.write(_render_json(argv, {
+        _write_document(argv, {
             "graph": {"n": g.n, "m": g.m},
             "results": partial(_result_rows, results, g.n),
             "non_audit_violations": non_audit,
             "audit_violations": audit,
-        }))
+        }, out)
     else:
         out.write(_render_check_text(g, results, non_audit, audit))
     return EXIT_OK if non_audit == 0 else EXIT_VIOLATION
@@ -533,7 +533,7 @@ def _cmd_mine(args, argv, out) -> int:
         )
     payload = _mine_payload(report)
     if args.format == "json":
-        out.write(_render_json(argv, payload))
+        _write_document(argv, payload, out)
     else:
         out.write(_render_mine_text(argv, payload))
     return EXIT_OK if report.ok else EXIT_VIOLATION

@@ -463,35 +463,28 @@ def subset_stream(n: int, seed: int = 0) -> Iterable[tuple[tuple[int, ...], int]
     return _sampled_subsets(n, seed)
 
 
-def sampled_masks(n: int, seed: int = 0, count: int | None = None) -> list[int]:
-    """The bitmasks of the first ``count`` subsets (all SUBSET_SAMPLE_COUNT
-    when None) of :func:`subset_stream`'s seeded sample on a host with
-    n >= 11 vertices, in stream order, without decoding their members.
+# "0" -> 0 and "1" -> 1, so that a mask's binary digits select its members
+_BIT_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _sampled_subsets(n: int, seed: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """:func:`subset_stream`'s seeded sample on a host with n >= 11 vertices.
 
     The stream draws n random bits at a time and keeps each mask of at least
     two members the first time it is drawn. The draws come in batches of as
     many masks as are still missing, so a batch never draws past the last
     mask kept, and the masks kept are those of drawing one at a time.
     """
-    wanted = SUBSET_SAMPLE_COUNT if count is None else min(count, SUBSET_SAMPLE_COUNT)
     draw = Random(seed).getrandbits
     too_small = (0, *(1 << v for v in range(n)))
     kept: dict[int, None] = {}  # in draw order; a repeat keeps its first place
-    while len(kept) < wanted:
-        kept.update(dict.fromkeys(map(draw, repeat(n, wanted - len(kept)))))
+    while len(kept) < SUBSET_SAMPLE_COUNT:
+        kept.update(dict.fromkeys(map(draw, repeat(n, SUBSET_SAMPLE_COUNT - len(kept)))))
         for mask in too_small:
             kept.pop(mask, None)
-    return list(kept)
-
-
-# "0" -> 0 and "1" -> 1, so that a mask's binary digits select its members
-_BIT_DIGITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _sampled_subsets(n: int, seed: int) -> Iterator[tuple[tuple[int, ...], int]]:
     vertices = range(n)
     digits = f"0{n}b"
-    for mask in sampled_masks(n, seed):
+    for mask in kept:
         # the digits lowest vertex first, as 0/1 bytes
         selected = format(mask, digits)[::-1].encode().translate(_BIT_DIGITS)
         yield tuple(compress(vertices, selected)), mask

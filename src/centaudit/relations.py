@@ -26,14 +26,14 @@ returns one outcome per subject: the pair ``(status, row)``. :func:`tally`
 gives the miner what it keeps of one graph: the four status counts and the
 violated outcomes.
 
-R6 reads the pair-distance sum of every vertex subset it audits. Hosts of up
-to 10 vertices fill one table over all subset masks by inclusion-exclusion.
-Larger hosts audit seeded random subsets, whose pair sums come off subset
-lanes, all subsets at once (:func:`_lane_pair_sums`). :func:`tally` counts
-:func:`evaluate`'s outcomes for every relation and host but R6 on a sampled
-host. There a per-size certificate (:func:`_r6_bounds`), two upper bounds on
-the pair sums of all subsets of a size read off sorted distance rows, decides
-every sampled subset of most sizes at once; only the subsets of the sizes it
+R6 reads the pair-distance sum of every vertex subset it audits: every
+subset of a host of up to 10 vertices, seeded random ones of a larger host
+(:func:`graphs.subset_stream`). On every host their pair sums come off
+subset lanes, all subsets at once (:func:`_lane_pair_sums`). :func:`tally`
+counts :func:`evaluate`'s outcomes for every relation but R6. For R6 a
+per-size certificate (:func:`_r6_bounds`), two upper bounds on the pair sums
+of all subsets of a size read off sorted distance rows, decides every
+audited subset of most sizes at once; only the subsets of the sizes it
 leaves open get pair sums and rows.
 
 :func:`make_result` turns one outcome into a :class:`RelationResult`, whose
@@ -52,13 +52,7 @@ from math import lcm
 from operator import itemgetter, sub
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .graphs import (
-    SUBSET_ENUMERATION_MAX_N,
-    Graph,
-    sampled_masks,
-    subset_masks,
-    subset_stream,
-)
+from .graphs import Graph, subset_stream
 from .metrics import (
     CentralityProfile,
     SourceSums,
@@ -242,18 +236,6 @@ def _eval_r5(g, prof):
         yield i, *_mean_pairs(closed_sum, deg + 1), deg * on, (deg + 1) * od, True
 
 
-@cache
-def _pair_sum_steps(n: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
-    """(S, S - a, S - b, S - a - b, a, b) for each subset mask S of
-    :func:`subset_masks`, in its order, with a < b the two lowest members."""
-    steps = []
-    for members, mask in subset_masks(n):
-        a, b = members[0], members[1]
-        without_a = mask ^ (1 << a)
-        steps.append((mask, without_a, mask ^ (1 << b), without_a ^ (1 << b), a, b))
-    return tuple(steps)
-
-
 _SUBSET_LANE_WIDTHS = (8, 16, 32, 64)
 
 
@@ -315,8 +297,8 @@ def _lane_pair_sums(dist, top: int, masks: list[int]) -> tuple[int, int]:
 
 
 def _sampled_pair_sums(dist, top: int, stream):
-    """``(members, T(S))`` for each ``(members, mask)`` of a sampled subset
-    stream: the stream is read whole and its pair sums come off subset lanes
+    """``(members, T(S))`` for each ``(members, mask)`` of a subset stream:
+    the stream is read whole and its pair sums come off subset lanes
     (:func:`_lane_pair_sums`), all at once."""
     subjects = list(stream)
     sums, width = _lane_pair_sums(dist, top, [mask for _, mask in subjects])
@@ -334,20 +316,8 @@ def _r6_rows(n: int, distance_total: int, sums):
 
 
 def _eval_r6(g, prof, d, max_subjects):
-    n = g.n
-    dist = d.dist
-    stream = islice(subset_stream(n), max_subjects)
-    if n > SUBSET_ENUMERATION_MAX_N:
-        sums = _sampled_pair_sums(dist, d.diameter, stream)
-    else:
-        # T(S), the pair-distance sum of S, for every mask: the pairs of S are
-        # those of S - a and of S - b, less those of S - a - b, counted in
-        # both, plus {a, b}. Smaller subsets come first in subset_masks order.
-        table = [0] * (1 << n)
-        for mask, without_a, without_b, without_ab, a, b in _pair_sum_steps(n):
-            table[mask] = table[without_a] + table[without_b] - table[without_ab] + dist[a][b]
-        sums = ((members, table[mask]) for members, mask in stream)
-    return _r6_rows(n, prof.distance_total, sums)
+    stream = islice(subset_stream(g.n), max_subjects)
+    return _r6_rows(g.n, prof.distance_total, _sampled_pair_sums(d.dist, d.diameter, stream))
 
 
 def _eval_r7(g, prof):
@@ -657,14 +627,14 @@ def _outcomes(sense: str, rows: Iterable[Row]) -> list[Outcome]:
 
 
 @cache
-def _sampled_sizes(n: int, budget: Optional[int],
-                   seed: int = 0) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """``(counts, masks)`` of the first ``budget`` masks of the seeded subset
-    stream on n > SUBSET_ENUMERATION_MAX_N vertices: ``(k, count)`` for each
-    size k, by ascending k, and the masks in stream order. They depend on
-    nothing else, so each process draws them once."""
-    masks = tuple(sampled_masks(n, seed, budget))
-    return tuple(sorted(Counter(map(int.bit_count, masks)).items())), masks
+def _sampled_sizes(n: int, budget: Optional[int]) -> tuple[
+        tuple[tuple[int, int], ...], tuple[tuple[tuple[int, ...], int], ...]]:
+    """``(counts, subjects)`` of the first ``budget`` subjects of R6's subset
+    stream on n vertices: ``(k, count)`` for each size k, by ascending k, and
+    the ``(members, mask)`` pairs in stream order. They depend on nothing
+    else, so each process draws them once."""
+    subjects = tuple(islice(subset_stream(n), budget))
+    return tuple(sorted(Counter(len(members) for members, _ in subjects).items())), subjects
 
 
 def _r6_bounds(dist, row_sums: tuple[int, ...], distance_total: int,
@@ -724,26 +694,25 @@ def tally(
     one connected graph: the status counts of :func:`evaluate`'s outcomes
     with ``max_subjects=budget``, and its violated outcomes in order.
 
-    R6 on a sampled host counts the first ``budget`` subsets of the stream
-    by size, and decides a size at once where :func:`_r6_open_sizes`'s
+    R6 counts the first ``budget`` subsets of the stream by size, on every
+    host, and decides a size at once where :func:`_r6_open_sizes`'s
     certificate shows that all its subsets hold; the whole vertex set is an
     equality. Only the subsets of the other sizes, in stream order, get pair
     sums off subset lanes (:func:`_sampled_pair_sums`) and rows, decided by
     :func:`evaluate`'s sign rule, so that the violated rows are evaluate's.
-    Every other relation and host counts :func:`evaluate`'s outcomes.
+    Every other relation counts :func:`evaluate`'s outcomes.
     """
     decided = whole = 0
-    if spec.evaluator is _eval_r6 and g.n > SUBSET_ENUMERATION_MAX_N:
+    if spec.evaluator is _eval_r6:
         n = g.n
-        counts, masks = _sampled_sizes(n, budget)
+        counts, subjects = _sampled_sizes(n, budget)
         whole = sum(count for k, count in counts if k == n)
         sizes = [k for k, _ in counts if k < n]
         open_sizes = _r6_open_sizes(d.dist, prof.row_sums, prof.distance_total, sizes)
         decided = sum(count for k, count in counts if k < n and k not in open_sizes)
         outcomes = []
         if open_sizes:
-            stream = [(tuple(v for v in range(n) if mask >> v & 1), mask)
-                      for mask in masks if mask.bit_count() in open_sizes]
+            stream = [subject for subject in subjects if len(subject[0]) in open_sizes]
             outcomes = _outcomes(spec.sense, _r6_rows(
                 n, prof.distance_total, _sampled_pair_sums(d.dist, d.diameter, stream)))
     else:

@@ -3,7 +3,9 @@ their callers look them up by (``perfbench/spans.py``). These tests keep those
 hooks live: every wrapped attribute must exist and be callable, a traced
 ``compute`` must report the stress layer, which ``profile`` enters once per
 graph, and a traced ``mine`` must report one span per relation evaluation,
-whose sized result counts the subjects. ``perfbench/`` is only read here, never
+whose sized result counts the subjects. The miner decides R6 by size with its
+certificate and calls no ``evaluate`` for it, so R6 has no span there, while
+the payload still counts its subjects. ``perfbench/`` is only read here, never
 modified.
 
 Random mining evaluates every graph. Exhaustive mining evaluates one graph
@@ -36,6 +38,8 @@ from oracles import SENSE, canonical_mask, labeled_connected_masks, relation_sid
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 RANDOM_MINE = ["mine", "--model", "gnp", "--n", "6", "--p", "0.5", "--trials", "4", "--seed", "1"]
+# the relations whose miner counts come from evaluate: all but R6
+EVALUATED_IDS = tuple(rid for rid in RELATION_IDS if rid != "R6")
 
 
 def class_memo_reads(n_max, relation_ids, cap=DEFAULT_WITNESS_CAP):
@@ -110,8 +114,13 @@ def test_traced_compute_reports_stress_span(spans):
     assert parent == "metrics.profile"
 
 
+def subjects(tally):
+    return tally["holds"] + tally["equality"] + tally["violated"] + tally["skipped"]
+
+
 def traced_mine(spans, argv):
-    """The tracer and JSON payload of one traced ``mine`` call."""
+    """The tracer and JSON payload of one traced ``mine`` call: every
+    relation but R6 has spans, and R6 has subjects."""
     tracer = spans.Tracer()
     out = io.StringIO()
     with spans.traced(tracer):
@@ -124,26 +133,29 @@ def traced_mine(spans, argv):
     assert parents == {"mining"}
     payload = json.loads(out.getvalue())["payload"]
     assert {name for name, *_ in tracer.spans if name.startswith("relations.")} == {
-        f"relations.{rid}" for rid in payload["relations"]
+        f"relations.{rid}" for rid in payload["relations"] if rid != "R6"
     }
+    assert "relations.R6" not in tracer.counts
+    assert subjects(payload["relations"]["R6"]) > 0
     return tracer, payload
 
 
 def test_traced_mine_reports_relation_spans(spans):
     tracer, payload = traced_mine(spans, RANDOM_MINE)
-    tallies = payload["relations"].values()
+    tallies = payload["relations"]
     assert tracer.counts["relations.subjects"] == sum(
-        t["holds"] + t["equality"] + t["violated"] + t["skipped"] for t in tallies
+        subjects(tallies[rid]) for rid in EVALUATED_IDS
     )
     assert payload["graphs_evaluated"] == 4
-    assert {rid: tracer.counts[f"relations.{rid}"] for rid in payload["relations"]} == {
-        rid: 4 for rid in RELATION_IDS
+    assert subjects(tallies["R6"]) == 4 * (2 ** 6 - 6 - 1)  # every subset of each host
+    assert {rid: tracer.counts[f"relations.{rid}"] for rid in EVALUATED_IDS} == {
+        rid: 4 for rid in EVALUATED_IDS
     }
 
     tracer, payload = traced_mine(spans, ["mine", "--n-max", "3"])
-    _, evaluations, subjects = class_memo_reads(3, RELATION_IDS)
-    assert tracer.counts["relations.subjects"] == subjects
-    assert {rid: tracer.counts[f"relations.{rid}"] for rid in payload["relations"]} == evaluations
+    _, evaluations, evaluated = class_memo_reads(3, EVALUATED_IDS)
+    assert tracer.counts["relations.subjects"] == evaluated
+    assert {rid: tracer.counts[f"relations.{rid}"] for rid in EVALUATED_IDS} == evaluations
 
 
 def test_profile_calls_stress_once(stress_calls):

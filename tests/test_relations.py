@@ -42,6 +42,7 @@ from centaudit.relations import (
 from centaudit.graphs import (
     SUBSET_SAMPLE_COUNT,
     gnp_graph,
+    subset_masks,
     subset_stream,
     watts_strogatz_graph,
 )
@@ -354,7 +355,8 @@ class TestAgainstOracle:
         gnp_graph(10, 0.4, seed=3),
     ], ids=["ws9", "gnp10"])
     def test_largest_enumerated_hosts(self, g):
-        """n = 9 and 10 sit at the top of R6's subset-mask table."""
+        """n = 9 and 10 are the largest hosts whose every subset R6 reads,
+        off the same subset lanes as the sampled hosts."""
         assert g.is_connected()
         results = assert_matches_oracle(g)
         assert sum(r.relation_id == "R6" for r in results) == 2 ** g.n - g.n - 1
@@ -593,25 +595,39 @@ def counted(spec, g, prof, d, budget, keep=lambda outcomes: None):
 
 class TestTally:
     """relations.tally, the miner's count path, against a count of evaluate's
-    outcomes. R6 on sampled hosts is counted by size: relations._r6_open_sizes
-    decides most sizes at once, and only the subsets of the sizes it leaves
-    open get pair sums and rows. Every other relation and host goes through
-    evaluate."""
+    outcomes. R6 is counted by size on every host, enumerated or sampled:
+    relations._r6_open_sizes decides most sizes at once, and only the
+    subsets of the sizes it leaves open get pair sums and rows. Every other
+    relation goes through evaluate."""
 
     def test_every_graph_up_to_six_vertices(self, monkeypatch):
+        """Every labeled connected graph on 2 to 6 vertices, and the 853
+        connected atlas graphs on 7, one per isomorphism class."""
         # tally reads the outcomes evaluate gave the reference count, so that
         # each graph is evaluated once
         last = [None]
         monkeypatch.setattr(relations, "evaluate", lambda *args: last[0])
         keep = partial(last.__setitem__, 0)
-        for n in range(2, 7):
-            for g in enumerate_connected(n):
-                d = apsp(g)
-                prof = profile(g, d)
-                for spec in catalog():
-                    expected = counted(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH, keep)
-                    assert tally(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH) == expected, (
-                        g.edges, spec.id)
+        sevens = [Graph.from_edges(7, atlas.edges()) for atlas in nx.graph_atlas_g()
+                  if atlas.number_of_nodes() == 7 and nx.is_connected(atlas)]
+        assert len(sevens) == 853
+        for g in [g for n in range(2, 7) for g in enumerate_connected(n)] + sevens:
+            d = apsp(g)
+            prof = profile(g, d)
+            for spec in catalog():
+                expected = counted(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH, keep)
+                assert tally(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH) == expected, (
+                    g.edges, spec.id)
+
+    @pytest.mark.parametrize("budget", [SUBSET_BUDGET_PER_GRAPH, None])
+    def test_sizes_of_enumerated_hosts(self, budget):
+        """On hosts of up to 10 vertices the sizes counted are those of the
+        first ``budget`` subsets of subset_masks, and so are the subjects."""
+        for n in range(2, 11):
+            prefix = subset_masks(n)[:budget]
+            counts, subjects = relations._sampled_sizes(n, budget)
+            assert counts == tuple(sorted(Counter(len(m) for m, _ in prefix).items()))
+            assert subjects == prefix
 
     # widths: the subset lane width W that n (n - 1) diameter calls for and
     # the count width that n (n - 1) / 2 calls for. The reference count's
@@ -691,30 +707,41 @@ class TestTally:
 
     @pytest.mark.parametrize("budget", [SUBSET_BUDGET_PER_GRAPH, None])
     def test_open_sizes_on_a_lollipop(self, budget, monkeypatch):
-        """K27 with a path of 20 attached leaves a sampled size open: its
-        subsets, and only those, in stream order, get pair sums from the
-        sampled kernel, and the counts still equal evaluate's."""
-        g = Graph.from_edges(47, [*combinations(range(27), 2),
-                                  *((v, v + 1) for v in range(26, 46))])
-        d = apsp(g)
-        prof = profile(g, d)
-        spec = relation("R6")
-        expected = counted(spec, g, prof, d, budget)
-        counts, _ = relations._sampled_sizes(g.n, budget)
-        open_sizes = relations._r6_open_sizes(d.dist, prof.row_sums, prof.distance_total,
-                                              [k for k, _ in counts if k < g.n])
-        assert open_sizes
-        read = []
+        """K27 with a path of 20 attached leaves a sampled size open, and the
+        stars with 7 and 9 leaves, enumerated hosts, leave size n - 1 open,
+        where S = the leaves is R6's equality (the first 512 subsets on 10
+        vertices stop at size 5, so there the star leaves none open). The
+        open sizes' subsets, and only those, in stream order, get pair sums
+        from the subset lanes, and the counts still equal evaluate's."""
+        lollipop = Graph.from_edges(47, [*combinations(range(27), 2),
+                                         *((v, v + 1) for v in range(26, 46))])
         original = relations._sampled_pair_sums
+        read = []
 
         def recorded(dist, top, stream):
+            stream = list(stream)
             read.extend(stream)
-            return original(dist, top, read)
+            return original(dist, top, stream)
 
         monkeypatch.setattr(relations, "_sampled_pair_sums", recorded)
-        assert tally(spec, g, prof, d, budget) == expected
-        assert read == [subject for subject in islice(subset_stream(g.n), budget)
-                        if len(subject[0]) in open_sizes]
+        spec = relation("R6")
+        for g in lollipop, star_graph(7), star_graph(9):
+            d = apsp(g)
+            prof = profile(g, d)
+            expected = counted(spec, g, prof, d, budget)
+            counts, _ = relations._sampled_sizes(g.n, budget)
+            sizes = {k for k, _ in counts if k < g.n}
+            open_sizes = relations._r6_open_sizes(d.dist, prof.row_sums, prof.distance_total,
+                                                  sorted(sizes))
+            if g is lollipop:
+                assert open_sizes
+            else:
+                assert open_sizes == {g.n - 1} & sizes
+                assert (g.n - 1 in sizes) == (g.n == 8 or budget is None)
+            read.clear()
+            assert tally(spec, g, prof, d, budget) == expected
+            assert read == [subject for subject in islice(subset_stream(g.n), budget)
+                            if len(subject[0]) in open_sizes]
 
     @pytest.mark.parametrize("budget", [SUBSET_BUDGET_PER_GRAPH, None])
     def test_lanes_transpose_only_the_subsets_read(self, budget, monkeypatch):
