@@ -24,7 +24,6 @@ from .metrics import (
     CentralityProfile,
     DisconnectedGraphError,
     apsp,
-    biconnected_blocks,
     global_clustering,
     is_even_cycle_free,
     local_clustering,
@@ -82,7 +81,6 @@ __all__ = [
     "VIOLATED",
     "Witness",
     "apsp",
-    "biconnected_blocks",
     "catalog",
     "complete_graph",
     "cycle_graph",

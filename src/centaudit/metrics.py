@@ -118,7 +118,7 @@ LANE_WIDTHS = (16, 32, 64)
 # 17 % (n = 2000) above per-source search in peak RSS, and with this budget
 # 6.5 % and 0.6 % above it. Today the pass keeps at most the distance rows:
 # `compute`, which keeps none, peaks at 28 MB at n = 1000 and 31 MB at
-# n = 3000, and `check`, which keeps them, at 133 MB at n = 2000 (README,
+# n = 3000, and `check`, which keeps them, at 95 MB at n = 2000 (README,
 # "Notes on scale").
 LANE_BUDGET = 1 << 22
 
@@ -341,84 +341,51 @@ def stress(g: Graph, d: SourceSums) -> tuple[int, ...]:
     return d.stress
 
 
-def biconnected_blocks(g: Graph) -> list[tuple[tuple[int, int], ...]]:
-    """Partition the edges into biconnected blocks (bridges are 1-edge blocks)."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    edge_stack: list[tuple[int, int]] = []
-    blocks: list[tuple[tuple[int, int], ...]] = []
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, -1, iter(g.adj[root]))]
-        while stack:
-            v, parent, neighbors = stack[-1]
-            descended = False
-            for w in neighbors:
-                if w == parent:
-                    continue
-                if disc[w] == -1:
-                    edge_stack.append((v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v, iter(g.adj[w])))
-                    descended = True
-                    break
-                if disc[w] < disc[v]:  # back edge, recorded once
-                    edge_stack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if descended:
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= disc[u]:
-                    block = []
-                    while True:
-                        e = edge_stack.pop()
-                        block.append(e)
-                        if e == (u, v):
-                            break
-                    blocks.append(tuple(block))
-    return blocks
-
-
 def is_even_cycle_free(g: Graph) -> bool:
     """True iff no cycle of the graph has even length.
 
-    Decided by block decomposition: a graph is even-cycle-free exactly when
-    every biconnected block is a single edge or a single odd cycle. A block is
-    a single cycle when it has as many edges as vertices, all of degree 2
-    within the block.
+    Decided on one breadth-first spanning forest, whose fundamental cycles
+    span the cycle space. A non-tree edge between adjacent levels closes an
+    even cycle. One inside a level closes an odd cycle; two such cycles that
+    share a tree edge form a theta subgraph, and one of a theta's three
+    cycles is even. Otherwise the fundamental cycles are odd and
+    edge-disjoint, and every cycle of the graph is one of them.
 
     Such a graph is a forest of cacti whose cycles are odd: a component on k
     vertices with c cycles has k - 1 + c edges, and each cycle brings at
     least 2 vertices of its own, so c <= (k - 1) // 2. A graph with more
     than (n - 1) + (n - 1) // 2 edges therefore has an even cycle.
     """
-    if g.n and g.m > (g.n - 1) + (g.n - 1) // 2:
+    n = g.n
+    if n and g.m > (n - 1) + (n - 1) // 2:
         return False
-    for block in biconnected_blocks(g):
-        if len(block) == 1:
+    adj = g.adj
+    depth = [-1] * n
+    parent = [-1] * n
+    on_cycle = bytearray(n)  # v's tree edge, to parent[v], lies on a found cycle
+    for root in range(n):
+        if depth[root] != -1:
             continue
-        degree_in_block: dict[int, int] = {}
-        for u, v in block:
-            degree_in_block[u] = degree_in_block.get(u, 0) + 1
-            degree_in_block[v] = degree_in_block.get(v, 0) + 1
-        vert_count = len(degree_in_block)
-        if vert_count != len(block):
-            return False  # block carries more than one cycle, one of them even
-        if any(deg != 2 for deg in degree_in_block.values()):
-            return False
-        if vert_count % 2 == 0:
-            return False
+        depth[root] = 0
+        order = [root]  # the queue: a for loop reads the items appended during it
+        for v in order:
+            level = depth[v]
+            for w in adj[v]:
+                if depth[w] == -1:
+                    depth[w] = level + 1
+                    parent[w] = v
+                    order.append(w)
+                elif depth[w] > level:
+                    # a non-tree edge down a level (seen from its upper end,
+                    # as the level above is scanned first): an even cycle
+                    return False
+                elif depth[w] == level and v < w:
+                    a, b = v, w
+                    while a != b:  # up both sides to the common ancestor
+                        if on_cycle[a] or on_cycle[b]:
+                            return False
+                        on_cycle[a] = on_cycle[b] = 1
+                        a, b = parent[a], parent[b]
     return True
 
 

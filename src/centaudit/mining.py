@@ -44,6 +44,7 @@ from typing import Iterator, Mapping, Sequence
 
 from . import relations as rel
 from .graphs import (
+    MASK_CLASSES_MAX_N,
     Graph,
     enumerate_connected_range,
     generate,
@@ -58,20 +59,19 @@ DEFAULT_WITNESS_CAP = 16
 SUBSET_BUDGET_PER_GRAPH = 512  # at most this many R6 subsets per graph
 CONNECTIVITY_RETRY_CAP = 1000
 MAX_RETRY_CAP = 1 << 20  # the attempt index fills 20 bits of a derived seed
-# largest exhaustive n: n = 8 has 251,548,592 labeled connected graphs to walk
-# and a 2^28-entry class table; an exact n = 8 audit needs isomorph-free
-# generation instead
-EXHAUSTIVE_N_MAX = 7
+# The largest exhaustive n is the class table's, MASK_CLASSES_MAX_N: n = 8 has
+# 251,548,592 labeled connected graphs to walk and a 2^28-entry class table;
+# an exact n = 8 audit needs isomorph-free generation instead.
 # Exhaustive shards reuse one graph's counts for all its relabelled copies.
 # For R6 that is exact only while the budget covers every vertex subset of a
 # host, 2^n - n - 1 of them (n <= 9), so that relabelling permutes them.
-assert (1 << EXHAUSTIVE_N_MAX) - EXHAUSTIVE_N_MAX - 1 <= SUBSET_BUDGET_PER_GRAPH
+assert (1 << MASK_CLASSES_MAX_N) - MASK_CLASSES_MAX_N - 1 <= SUBSET_BUDGET_PER_GRAPH
 
 
 def _check_n_max(n_max: int) -> None:
-    if not 2 <= n_max <= EXHAUSTIVE_N_MAX:
+    if not 2 <= n_max <= MASK_CLASSES_MAX_N:
         raise ValueError(
-            f"n_max must be in 2..{EXHAUSTIVE_N_MAX}, got {n_max} "
+            f"n_max must be in 2..{MASK_CLASSES_MAX_N}, got {n_max} "
             '(see "Notes on scale" in README.md)'
         )
 

@@ -5,7 +5,7 @@ union-find instead of BFS, distances are Floyd-Warshall instead of per-source
 BFS, path counts come from explicitly enumerating every shortest path instead
 of the counting recurrence, stress is summed pair by pair instead of
 accumulated per source, cycle parity is checked by enumerating simple
-cycles instead of block decomposition, clustering scans the edge list for
+cycles instead of a breadth-first forest, clustering scans the edge list for
 edges among each vertex's neighbors and for triangles among all vertex
 triples instead of counting common neighbors on bit rows, closed-neighborhood
 radiality is measured on the relabeled induced subgraph instead of read off

@@ -11,7 +11,6 @@ from centaudit import (
     apsp,
     complete_graph,
     cycle_graph,
-    enumerate_connected,
     global_clustering,
     gnp_graph,
     is_even_cycle_free,
@@ -267,6 +266,13 @@ class TestPredicates:
         (PAW, True),
         (BOWTIE, True),
         (THETA, False),
+        # disconnected: C5 beside C4; a triangle beside a bowtie; P3 beside a
+        # diamond rooted at a degree-3 vertex, whose two triangles share the
+        # tree edge 3-4 (within the edge bound, and off root 0)
+        (Graph.from_edges(9, cycle_graph(5).edges + ((5, 6), (6, 7), (7, 8), (5, 8))), False),
+        (Graph.from_edges(8, ((0, 1), (0, 2), (1, 2)) + tuple(
+            (u + 3, v + 3) for u, v in BOWTIE.edges)), True),
+        (Graph.from_edges(7, ((0, 1), (1, 2), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6))), False),
     ])
     def test_even_cycle_free(self, g, expected):
         assert is_even_cycle_free(g) is expected
@@ -360,9 +366,13 @@ class TestProfile:
 
 
 class TestEvenCycleFreeExhaustive:
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(8))
     def test_small_exhaustive(self, n):
-        for g in enumerate_connected(n):
+        # every graph of the atlas on n vertices, disconnected ones included
+        for atlas in nx.graph_atlas_g():
+            if atlas.number_of_nodes() != n:
+                continue
+            g = Graph.from_edges(n, atlas.edges())
             assert is_even_cycle_free(g) == (not has_even_cycle(g))
 
 
@@ -374,7 +384,7 @@ def friendship_graph(k):
 
 class TestEvenCycleFreeEdgeBound:
     """An even-cycle-free graph has at most (n - 1) + (n - 1) // 2 edges;
-    ``is_even_cycle_free`` answers False above that without decomposing."""
+    ``is_even_cycle_free`` answers False above that without a search."""
 
     def test_graphs_on_the_bound_still_pass(self):
         tight = []
