@@ -54,8 +54,9 @@ def apsp(g: Graph) -> SourceSums:
 
 def _search(
     adj: Sequence[Iterable[int]], s: int
-) -> tuple[list[int], list[int], list[int]]:
-    """Distances, shortest-path counts and below-counts (0 at s) from s:
+) -> tuple[list[int], list[int], list[int], int]:
+    """Distances, shortest-path counts and below-counts (0 at s) from s, and
+    the eccentricity of s, the distance of the last vertex visited:
     breadth-first search records the shortest-path DAG's edges in visit
     order, and the below-counts are summed over them backward, so every
     vertex's successors are final before it is. Raises DisconnectedGraphError
@@ -71,10 +72,13 @@ def _search(
         dv1 = dist[v] + 1
         sv = sigma[v]
         for w in adj[v]:
-            if dist[w] < 0:
+            dw = dist[w]
+            if dw < 0:
                 dist[w] = dv1
                 order.append(w)
-            if dist[w] == dv1:
+                sigma[w] = sv
+                dag.append((v, w))
+            elif dw == dv1:
                 sigma[w] += sv
                 dag.append((v, w))
     if len(order) != n:
@@ -85,7 +89,7 @@ def _search(
     for v, w in reversed(dag):
         below[v] += 1 + below[w]
     below[s] = 0
-    return dist, sigma, below
+    return dist, sigma, below, dist[order[-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +217,7 @@ def _source_blocks(
     vertex 0's eccentricity, so most long graphs go to per-source search
     before any lane work, and its path counts pick the starting width.
     """
-    dist0, sigma0, _ = _search(nbrs, 0)
-    levels = max(dist0)
+    _, sigma0, _, levels = _search(nbrs, 0)
     spread = max(map(len, nbrs)).bit_length() + 1
     return _lane_blocks(
         len(nbrs), max(sigma0), spread,
@@ -573,10 +576,10 @@ def _pass_sums(g: Graph, rows: bool = False) -> SourceSums:
         except _UseSearch:
             pass
     for s in range(done, n):
-        dist, sigma, below = _search(nbrs, s)
+        dist, sigma, below, eccentricity = _search(nbrs, s)
         row_sums = list(map(add, row_sums, dist))
         total = list(map(add, total, map(mul, sigma, below)))
-        diameter = max(diameter, max(dist))
+        diameter = max(diameter, eccentricity)
         geodetic = geodetic and max(sigma) == 1
         get = dist.__getitem__
         for i in nbrs[s]:

@@ -20,16 +20,19 @@ An exhaustive shard walks its masks in ascending order against
 every status count, and both audit predicates, are the same on all
 relabelled copies of a graph, whose subject statuses are a permutation of
 each other's. A class's first mask is decoded, and that graph decides the
-class's connectivity and, when connected, is evaluated on the adjacency
-that test built; the class's other masks add its counts in bulk, from
-a memo that lives for one shard. A later labeled graph is decoded only
-where one is read: one whose class violates a relation that still has
-witness room (that relation is evaluated again on it) or falls in an audit
-category that does. So witnesses, and the whole report, stay
-byte-identical to evaluating every graph. ``mine --n-max 7`` (1,866,256
-graphs) takes about 2.6 s and 29 MB in one process on a 2-vCPU Xeon, about
-1 s of it building the n = 7 class table. Random shards evaluate every
-graph.
+class's connectivity and, when connected, is evaluated once on the
+adjacency that test built: its counts go into the tallies times the
+number of the class's masks in the shard. A later labeled graph is decoded
+only where one is read: one whose class violates a relation that still has
+witness room or falls in an audit category that does. A per-graph
+relation's row has no subject and sides that are class invariants, so such
+a graph's witness reuses its class's violated rows; only a per-vertex or
+per-subgraph relation, whose subjects follow the labels, is evaluated again
+on it. A memo from class to predicates and violated rows lives for one
+shard. So witnesses, and the whole report, stay byte-identical to
+evaluating every graph. ``mine --n-max 7`` (1,866,256 graphs) takes about
+2.6 s and 29 MB in one process on a 2-vCPU Xeon, about 1 s of it building
+the n = 7 class table. Random shards evaluate every graph.
 """
 
 from __future__ import annotations
@@ -106,19 +109,6 @@ class RelationTally:
     def subjects(self) -> int:
         return self.holds + self.equality + self.violated + self.skipped
 
-    def add(self, holds: int, equality: int, violated: int, skipped: int) -> None:
-        self.holds += holds
-        self.equality += equality
-        self.violated += violated
-        self.skipped += skipped
-
-    def fold(self, spec: RelationSpec, counts: tuple, g: Graph, cap: int) -> None:
-        """Add one graph's :func:`relations.tally` of ``spec`` and keep its
-        violations as witnesses while fewer than ``cap`` are kept."""
-        *statuses, violations = counts
-        self.add(*statuses)
-        self.keep(spec, violations, g, cap)
-
     def keep(self, spec: RelationSpec, violations: list, g: Graph, cap: int) -> None:
         """Keep g's violated outcomes of ``spec`` as witnesses while fewer
         than ``cap`` are kept."""
@@ -127,7 +117,10 @@ class RelationTally:
             self.witnesses.append(Witness(g.n, g.edges, result.subject, result.lhs, result.rhs))
 
     def merge(self, other: "RelationTally", cap: int) -> None:
-        self.add(other.holds, other.equality, other.violated, other.skipped)
+        self.holds += other.holds
+        self.equality += other.equality
+        self.violated += other.violated
+        self.skipped += other.skipped
         room = cap - len(self.witnesses)
         if room > 0:
             self.witnesses.extend(other.witnesses[:room])
@@ -183,10 +176,6 @@ class GeodeticAudit:
         """Keep g as a witness of its category while that has room."""
         if self.room(geodetic, ecf, cap):
             self._witnesses(geodetic, ecf).append(Witness(g.n, g.edges, None, _NO_SIDE, _NO_SIDE))
-
-    def record(self, g: Graph, geodetic: bool, ecf: bool, cap: int) -> None:
-        self.add(geodetic, ecf, 1)
-        self.keep(g, geodetic, ecf, cap)
 
     def merge(self, other: "GeodeticAudit", cap: int) -> None:
         self.graphs += other.graphs
@@ -244,19 +233,30 @@ def _evaluate_into(
     tallies: Sequence[RelationTally],
     audit: GeodeticAudit,
     cap: int,
-) -> tuple[bool, bool, list[tuple[int, int, int, int]]]:
-    """Fold g's tally of each spec into the tally at the same index, record
-    g in the audit, and return g's (geodetic, even_cycle_free, per-spec
-    (holds, equality, violated, skipped))."""
+    times: int,
+) -> tuple[bool, bool, list[tuple[RelationSpec, RelationTally, list]]]:
+    """Add ``times`` copies of g's :func:`relations.tally` of each spec to
+    the tally at the same index and of g's predicates to the audit, keep g's
+    violations and audit category as witnesses while their lists have fewer
+    than ``cap``, and return g's (geodetic, even_cycle_free, the (spec,
+    tally, violated outcomes) of each spec it violates)."""
     d = apsp(g)
     prof = profile(g, d)
-    audit.record(g, prof.geodetic, prof.even_cycle_free, cap)
-    counts = []
+    geodetic, even_cycle_free = prof.geodetic, prof.even_cycle_free
+    audit.add(geodetic, even_cycle_free, times)
+    audit.keep(g, geodetic, even_cycle_free, cap)
+    violated = []
     for spec, tally in zip(specs, tallies):
-        graph_tally = rel.tally(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH)
-        tally.fold(spec, graph_tally, g, cap)
-        counts.append(graph_tally[:4])
-    return prof.geodetic, prof.even_cycle_free, counts
+        holds, equality, violations_count, skipped, violations = rel.tally(
+            spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH)
+        tally.holds += times * holds
+        tally.equality += times * equality
+        tally.violated += times * violations_count
+        tally.skipped += times * skipped
+        if violations:
+            tally.keep(spec, violations, g, cap)
+            violated.append((spec, tally, violations))
+    return geodetic, even_cycle_free, violated
 
 
 def _mine_masks(
@@ -273,14 +273,18 @@ def _mine_masks(
     :func:`graphs.mask_classes`.
 
     A class's first mask is decoded and its graph asked whether it is
-    connected; a connected class's first graph is then evaluated, and its
-    later masks add its counts in bulk. A later mask is decoded to a graph
-    only while its class violates a relation that still has witness room
-    (that relation is evaluated again on it) or its audit category does, so
-    it keeps the same witnesses as when every graph is evaluated."""
+    connected; a connected class's first graph is then evaluated once, and
+    its counts go into the tallies times the class's masks in the range. A
+    later mask is decoded to a graph only while its class violates a
+    relation that still has witness room or its audit category does, so it
+    keeps the same witnesses as when every graph is evaluated. A per-graph
+    relation's row has no subject and sides that are class invariants, so
+    the class's violated rows are that graph's witnesses too; only a
+    per-vertex or per-subgraph relation is evaluated again on it."""
     classes = mask_classes(n)
-    # connected class -> (geodetic, even_cycle_free, per-spec counts, the
-    # (spec, tally) pairs of the relations it violates), from its first graph
+    sizes = Counter(classes[lo:hi])
+    # connected class -> (geodetic, even_cycle_free, the (spec, tally,
+    # violated outcomes) of the relations it violates), from its first graph
     memo: dict[int, tuple] = {}
     # classes whose later masks need no graph: disconnected ones, and those
     # with nothing left to witness (witness room only shrinks)
@@ -294,31 +298,25 @@ def _mine_masks(
             if not g.is_connected():
                 done.add(key)
                 continue
-            geodetic, even_cycle_free, counts = _evaluate_into(g, specs, tallies, shard.audit, cap)
-            violated = [(spec, tally) for spec, tally, graph_counts in zip(specs, tallies, counts)
-                        if graph_counts[2]]
-            memo[key] = geodetic, even_cycle_free, counts, violated
+            shard.graphs += sizes[key]
+            memo[key] = _evaluate_into(g, specs, tallies, shard.audit, cap, sizes[key])
             continue
-        geodetic, even_cycle_free, _, violated = known
-        reread = [(spec, tally) for spec, tally in violated if len(tally.witnesses) < cap]
+        geodetic, even_cycle_free, violated = known
+        room = [(spec, tally, violations) for spec, tally, violations in violated
+                if len(tally.witnesses) < cap]
         audit_room = shard.audit.room(geodetic, even_cycle_free, cap)
-        if not (reread or audit_room):
+        if not (room or audit_room):
             done.add(key)
             continue
         g = mask_graph(n, mask)
         shard.audit.keep(g, geodetic, even_cycle_free, cap)
-        if reread:
+        if any(spec.scope != rel.PER_GRAPH for spec, _, _ in room):
             d = apsp(g)
             prof = profile(g, d)
-            for spec, tally in reread:
-                tally.keep(spec, rel.tally(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH)[4], g, cap)
-    sizes = Counter(classes[lo:hi])
-    for key, (geodetic, even_cycle_free, counts, _) in memo.items():
-        copies = sizes[key] - 1
-        shard.graphs += sizes[key]
-        shard.audit.add(geodetic, even_cycle_free, copies)
-        for tally, graph_counts in zip(tallies, counts):
-            tally.add(*(copies * count for count in graph_counts))
+        for spec, tally, violations in room:
+            if spec.scope != rel.PER_GRAPH:
+                violations = rel.tally(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH)[4]
+            tally.keep(spec, violations, g, cap)
 
 
 def _mine_trials(
@@ -338,7 +336,7 @@ def _mine_trials(
     for trial in range(start, stop):
         g = _connected_sample(model, params, seed, trial, attempts)
         shard.graphs += 1
-        _evaluate_into(g, specs, tallies, shard.audit, cap)
+        _evaluate_into(g, specs, tallies, shard.audit, cap, 1)
 
 
 def _new_tallies(relation_ids: tuple[str, ...]) -> dict[str, RelationTally]:

@@ -20,21 +20,22 @@ rows of :func:`apsp`, which only R6 reads. Clustering comes from the
 profile's edge counts among neighbors and its average-clustering pair, and
 per-graph sums over vertices share one common denominator.
 
-:func:`evaluate` decides every status, from the sign of
-``lhs_num * rhs_den - rhs_num * lhs_den`` oriented by the comparison, and
-returns one outcome per subject: the pair ``(status, row)``. :func:`tally`
-gives the miner what it keeps of one graph: the four status counts and the
-violated outcomes.
+One sign rule, :func:`_outcomes`, decides every status, from the sign of
+``lhs_num * rhs_den - rhs_num * lhs_den`` oriented by the comparison.
+:func:`evaluate` returns its outcome for each subject: the pair ``(status,
+row)``. :func:`tally` gives the miner what it keeps of one graph, the four
+status counts and the violated outcomes, from one counting loop over the
+same rule: it calls no :func:`evaluate` and builds no list of outcomes or
+statuses.
 
 R6 reads the pair-distance sum of every vertex subset it audits: every
 subset of a host of up to 10 vertices, seeded random ones of a larger host
 (:func:`graphs.subset_stream`). On every host their pair sums come off
-subset lanes, all subsets at once (:func:`_lane_pair_sums`). :func:`tally`
-counts :func:`evaluate`'s outcomes for every relation but R6. For R6 a
-per-size certificate (:func:`_r6_bounds`), two upper bounds on the pair sums
-of all subsets of a size read off sorted distance rows, decides every
-audited subset of most sizes at once; only the subsets of the sizes it
-leaves open get pair sums and rows.
+subset lanes, all subsets at once (:func:`_lane_pair_sums`). In
+:func:`tally` a per-size certificate (:func:`_r6_bounds`), two upper bounds
+on the pair sums of all subsets of a size read off sorted distance rows,
+decides every audited subset of most sizes at once; only the subsets of the
+sizes it leaves open get pair sums and rows.
 
 :func:`make_result` turns one outcome into a :class:`RelationResult`, whose
 sides become Fractions only when read; :func:`evaluate_all` (the ``check``
@@ -159,7 +160,7 @@ def _oriented_difference(sense: str, ln: int, ld: int, rn: int, rd: int) -> int:
 def _ratio_sum(terms: Iterable[Ratio]) -> Ratio:
     """Exact sum of integer ratios over the lcm of their denominators."""
     terms = list(terms)
-    den = lcm(*(d for _, d in terms))
+    den = lcm(*{d for _, d in terms})
     return sum(num * (den // d) for num, d in terms), den
 
 
@@ -336,9 +337,9 @@ def _eval_r8(g, prof):
     yield None, total, pairs, (prof.diameter + 1) * n * den - num, n * den, True
 
 
-def _closed_neighborhood_radiality(prof: CentralityProfile, i: int) -> Ratio:
-    """Mean, over the neighbors of i, of their radiality measured inside the
-    subgraph induced by the closed neighborhood N[i].
+def _closed_neighborhood_radialities(prof: CentralityProfile) -> Iterator[Ratio]:
+    """Per vertex i, the mean over its neighbors of their radiality measured
+    inside the subgraph induced by the closed neighborhood N[i].
 
     Inside N[i] a neighbor is at distance 1 from i and from the neighbors it
     is adjacent to, and 2 from the rest, so the internal diameter is 1 for a
@@ -347,15 +348,15 @@ def _closed_neighborhood_radiality(prof: CentralityProfile, i: int) -> Ratio:
     i. With c = 2 links / (d(d - 1)) that is
     ((diam - 1) d^2 + d + 2 links) / d^2.
     """
-    deg = prof.degrees[i]
-    diam = 1 if prof.complete_neighborhood[i] else 2
-    return (diam - 1) * deg * deg + deg + 2 * prof.links[i], deg * deg
+    for deg, links, complete in zip(prof.degrees, prof.links, prof.complete_neighborhood):
+        square = deg * deg
+        yield (0 if complete else square) + deg + 2 * links, square
 
 
 def _eval_r9(g, prof):
     cn, cd = prof.average_clustering_pair
     n = g.n
-    num, den = _ratio_sum(_closed_neighborhood_radiality(prof, i) for i in range(n))
+    num, den = _ratio_sum(_closed_neighborhood_radialities(prof))
     complete = sum(prof.complete_neighborhood)
     yield None, cn, 2 * cd, num + (complete - 2 * n) * den, n * den, True
 
@@ -578,8 +579,24 @@ def violation_counts(violated: Iterable[tuple[str, int]]) -> tuple[int, int]:
     return totals[0], totals[1]
 
 
-# sign of lhs - rhs under which each comparison holds strictly; 0: never
-_HOLDS_SIGN = {">=": 1, "<=": -1, "=": 0}
+# the status of an admissible row by the sign of lhs - rhs, at index 0, 1
+# or -1, under each comparison
+_STATUS_BY_SIGN = {
+    ">=": (EQUALITY, HOLDS, VIOLATED),
+    "<=": (EQUALITY, VIOLATED, HOLDS),
+    "=": (EQUALITY, VIOLATED, VIOLATED),
+}
+
+
+def _rows(spec: RelationSpec, g: Graph, prof: CentralityProfile, d: SourceSums,
+          max_subjects: Optional[int]) -> Iterator[Row]:
+    """The evaluator's rows of ``spec`` on a connected graph; only a
+    per-subgraph evaluator reads ``d`` and ``max_subjects``."""
+    if g.n < 2:
+        raise ValueError("relation evaluation needs at least 2 vertices")
+    if spec.scope == PER_SUBGRAPH:
+        return spec.evaluator(g, prof, d, max_subjects)
+    return spec.evaluator(g, prof)
 
 
 def evaluate(
@@ -596,34 +613,21 @@ def evaluate(
     ``max_subjects`` truncates the subset stream of per-subgraph relations
     (used by the miner to bound work per graph); other scopes ignore it.
     """
-    if g.n < 2:
-        raise ValueError("relation evaluation needs at least 2 vertices")
-    if spec.scope == PER_SUBGRAPH:
-        rows = spec.evaluator(g, prof, d, max_subjects)
-    else:
-        rows = spec.evaluator(g, prof)
-    return _outcomes(spec.sense, rows)
+    return list(_outcomes(spec.sense, _rows(spec, g, prof, d, max_subjects)))
 
 
-def _outcomes(sense: str, rows: Iterable[Row]) -> list[Outcome]:
+def _outcomes(sense: str, rows: Iterable[Row]) -> Iterator[Outcome]:
     """The ``(status, row)`` of each row, decided from the sign of ``lhs_num
-    * rhs_den - rhs_num * lhs_den`` oriented by the comparison ``sense``."""
-    holds_sign = _HOLDS_SIGN[sense]
-    outcomes = []
+    * rhs_den - rhs_num * lhs_den`` oriented by the comparison ``sense``;
+    a row whose precondition fails is skipped."""
+    by_sign = _STATUS_BY_SIGN[sense]
     for row in rows:
         _, ln, ld, rn, rd, ok = row
-        if not ok:
-            status = SKIPPED
-        else:
+        if ok:
             diff = ln * rd - rn * ld
-            if diff == 0:
-                status = EQUALITY
-            elif diff * holds_sign > 0:
-                status = HOLDS
-            else:
-                status = VIOLATED
-        outcomes.append((status, row))
-    return outcomes
+            yield by_sign[(diff > 0) - (diff < 0)], row
+        else:
+            yield SKIPPED, row
 
 
 @cache
@@ -638,11 +642,12 @@ def _sampled_sizes(n: int, budget: Optional[int]) -> tuple[
 
 
 def _r6_bounds(dist, row_sums: tuple[int, ...], distance_total: int,
-               sizes: list[int]) -> Iterator[tuple[int, int, int]]:
-    """``(k, direct, complement)`` for each size k of ``sizes`` (2 <= k < n):
-    two upper bounds on 2T(S) over every subset S of k vertices, T(S) its
-    pair-distance sum in the symmetric distance rows ``dist``, which sum to
-    ``row_sums`` and all of whose entries sum to ``distance_total`` = 2W.
+               sizes: list[int]) -> tuple[Callable[[int], int], Callable[[int], int]]:
+    """``(direct, complement)``: two functions of a size k of ``sizes`` (2 <=
+    k < n, at least one size), each an upper bound on 2T(S) over every
+    subset S of k vertices, T(S) its pair-distance sum in the symmetric
+    distance rows ``dist``, which sum to ``row_sums`` and all of whose
+    entries sum to ``distance_total`` = 2W.
 
     With P_u(j) the sum of the j largest entries of row u:
 
@@ -651,9 +656,10 @@ def _r6_bounds(dist, row_sums: tuple[int, ...], distance_total: int,
     - complement: for S = V - R with |R| = j = n - k, T(S) = W - sum_R
       rowsum + T(R) and 2T(R) is at most sum_R P_r(j - 1), so 2T(S) is at
       most 2W plus the sum of the j largest P_r(j - 1) - 2 rowsum_r.
+
+    The rows are sorted once, and of their prefix sums only the P_u(j) that
+    the sizes read are kept; each bound costs a sort of n sums when read.
     """
-    if not sizes:
-        return
     n = len(dist)
     wanted = sorted({0, *(k - 1 for k in sizes), *(n - k - 1 for k in sizes)})
     pick = itemgetter(*wanted)  # k >= 2 puts some j >= 1 beside 0: a tuple
@@ -661,10 +667,15 @@ def _r6_bounds(dist, row_sums: tuple[int, ...], distance_total: int,
     prefix = dict(zip(wanted, zip(*[pick(list(accumulate(sorted(row, reverse=True), initial=0)))
                                     for row in dist])))
     twice = [2 * s for s in row_sums]
-    for k in sizes:
+
+    def direct(k: int) -> int:
+        return sum(sorted(prefix[k - 1])[-k:])
+
+    def complement(k: int) -> int:
         j = n - k
-        yield (k, sum(sorted(prefix[k - 1])[-k:]),
-               distance_total + sum(sorted(map(sub, prefix[j - 1], twice))[-j:]))
+        return distance_total + sum(sorted(map(sub, prefix[j - 1], twice))[-j:])
+
+    return direct, complement
 
 
 def _r6_open_sizes(dist, row_sums: tuple[int, ...], distance_total: int,
@@ -673,14 +684,18 @@ def _r6_open_sizes(dist, row_sums: tuple[int, ...], distance_total: int,
     not show that every subset of k vertices holds strictly.
 
     S of k members holds strictly when 2T(S) (n - 1) < 2W (k - 1). A size
-    whose lesser :func:`_r6_bounds` bound is below that threshold is
-    decided. Every other stays open, also one whose bound meets it:
-    max-sum dispersion is NP-hard in general, so no bound of this kind
-    decides every size.
+    where either :func:`_r6_bounds` bound is below that threshold is
+    decided; the complement bound is read only where the direct one is not.
+    Every other size stays open, also one whose bounds meet it: max-sum
+    dispersion is NP-hard in general, so no bound of this kind decides
+    every size.
     """
+    if not sizes:
+        return set()
     n = len(dist)
-    return {k for k, direct, complement in _r6_bounds(dist, row_sums, distance_total, sizes)
-            if min(direct, complement) * (n - 1) >= distance_total * (k - 1)}
+    direct, complement = _r6_bounds(dist, row_sums, distance_total, sizes)
+    return {k for k in sizes if direct(k) * (n - 1) >= distance_total * (k - 1)
+            and complement(k) * (n - 1) >= distance_total * (k - 1)}
 
 
 def tally(
@@ -691,37 +706,46 @@ def tally(
     budget: Optional[int],
 ) -> tuple[int, int, int, int, list[Outcome]]:
     """``(holds, equality, violated, skipped, violations)`` of ``spec`` on
-    one connected graph: the status counts of :func:`evaluate`'s outcomes
-    with ``max_subjects=budget``, and its violated outcomes in order.
+    one connected graph: the status counts of the outcomes that
+    :func:`evaluate` gives with ``max_subjects=budget``, and its violated
+    outcomes in order. One loop counts the statuses of the evaluator's rows
+    as :func:`_outcomes` decides them, with no call to :func:`evaluate` and
+    no list of outcomes or statuses; only the violated outcomes are kept.
 
     R6 counts the first ``budget`` subsets of the stream by size, on every
     host, and decides a size at once where :func:`_r6_open_sizes`'s
     certificate shows that all its subsets hold; the whole vertex set is an
     equality. Only the subsets of the other sizes, in stream order, get pair
-    sums off subset lanes (:func:`_sampled_pair_sums`) and rows, decided by
-    :func:`evaluate`'s sign rule, so that the violated rows are evaluate's.
-    Every other relation counts :func:`evaluate`'s outcomes.
+    sums off subset lanes (:func:`_sampled_pair_sums`) and rows, so that the
+    violated rows are evaluate's.
     """
-    decided = whole = 0
+    holds = equality = skipped = 0
     if spec.evaluator is _eval_r6:
         n = g.n
         counts, subjects = _sampled_sizes(n, budget)
-        whole = sum(count for k, count in counts if k == n)
+        equality = sum(count for k, count in counts if k == n)
         sizes = [k for k, _ in counts if k < n]
         open_sizes = _r6_open_sizes(d.dist, prof.row_sums, prof.distance_total, sizes)
-        decided = sum(count for k, count in counts if k < n and k not in open_sizes)
-        outcomes = []
+        holds = sum(count for k, count in counts if k < n and k not in open_sizes)
+        rows = ()
         if open_sizes:
             stream = [subject for subject in subjects if len(subject[0]) in open_sizes]
-            outcomes = _outcomes(spec.sense, _r6_rows(
-                n, prof.distance_total, _sampled_pair_sums(d.dist, d.diameter, stream)))
+            rows = _r6_rows(n, prof.distance_total,
+                            _sampled_pair_sums(d.dist, d.diameter, stream))
     else:
-        outcomes = evaluate(spec, g, prof, d, budget)
-    statuses = [status for status, _ in outcomes]
-    violated = statuses.count(VIOLATED)
-    violations = [out for out in outcomes if out[0] == VIOLATED] if violated else []
-    return (statuses.count(HOLDS) + decided, statuses.count(EQUALITY) + whole, violated,
-            statuses.count(SKIPPED), violations)
+        rows = _rows(spec, g, prof, d, budget)
+    violations = []
+    for outcome in _outcomes(spec.sense, rows):
+        status = outcome[0]
+        if status == HOLDS:
+            holds += 1
+        elif status == EQUALITY:
+            equality += 1
+        elif status == SKIPPED:
+            skipped += 1
+        else:
+            violations.append(outcome)
+    return holds, equality, len(violations), skipped, violations
 
 
 def make_result(spec: RelationSpec, status: str, row: Row) -> RelationResult:

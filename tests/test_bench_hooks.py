@@ -2,15 +2,15 @@
 their callers look them up by (``perfbench/spans.py``). These tests keep those
 hooks live: every wrapped attribute must exist and be callable, a traced
 ``compute`` must report the stress layer, which ``profile`` enters once per
-graph, and a traced ``mine`` must report one span per relation evaluation,
-whose sized result counts the subjects. The miner decides R6 by size with its
-certificate and calls no ``evaluate`` for it, so R6 has no span there, while
-the payload still counts its subjects. ``perfbench/`` is only read here, never
-modified.
+graph, and a traced ``mine`` reports no relation span: the miner counts each
+relation's rows with ``relations.tally``, which calls no ``evaluate``, so its
+subjects are counted through the payload. ``perfbench/`` is only read here,
+never modified.
 
 Random mining evaluates every graph. Exhaustive mining evaluates one graph
-per isomorphism class and re-reads a later one only for its witnesses, so
-its evaluations are counted from the oracles (:func:`class_memo_reads`).
+per isomorphism class, and re-reads a later one only for the witnesses of a
+per-vertex or per-subgraph relation, so its evaluations are counted from the
+oracles (:func:`class_memo_reads`).
 """
 
 import importlib
@@ -28,28 +28,29 @@ from centaudit import (
     apsp,
     metrics,
     profile,
+    relation,
     serialize_edge_list,
     star_graph,
     watts_strogatz_graph,
 )
 from centaudit.cli import main
 from centaudit.mining import DEFAULT_WITNESS_CAP
+from centaudit.relations import PER_GRAPH, PER_VERTEX
 from oracles import SENSE, canonical_mask, labeled_connected_masks, relation_sides, relation_status
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 RANDOM_MINE = ["mine", "--model", "gnp", "--n", "6", "--p", "0.5", "--trials", "4", "--seed", "1"]
-# the relations whose miner counts come from evaluate: all but R6
-EVALUATED_IDS = tuple(rid for rid in RELATION_IDS if rid != "R6")
 
 
 def class_memo_reads(n_max, relation_ids, cap=DEFAULT_WITNESS_CAP):
     """What one-worker exhaustive mining must evaluate: each relation on the
-    first labeled graph of every isomorphism class, and again on a later
-    graph of a class that violates it while fewer than ``cap`` of its
-    witnesses are kept. Returns (graphs evaluated, evaluations per relation,
-    subjects evaluated), from the oracles' canonical forms and relation
-    statuses."""
-    graphs, evaluations, subjects = 0, Counter(), 0
+    first labeled graph of every isomorphism class, and a per-vertex or
+    per-subgraph relation again on a later graph of a class that violates
+    it while fewer than ``cap`` of its witnesses are kept; a per-graph
+    relation's witnesses reuse its class's rows. Returns (graphs evaluated,
+    evaluations per relation), from the oracles' canonical forms and
+    relation statuses."""
+    graphs, evaluations = 0, Counter()
     for n in range(2, n_max + 1):
         seen, kept = set(), Counter()  # one shard per n
         for mask, edges in labeled_connected_masks(n):
@@ -61,13 +62,13 @@ def class_memo_reads(n_max, relation_ids, cap=DEFAULT_WITNESS_CAP):
             for rid in relation_ids:
                 violated = sum(relation_status(SENSE[rid], *s)[0] == "violated"
                                for s in sides[rid].values())
-                if first or (violated and kept[rid] < cap):
+                reread = violated and kept[rid] < cap and relation(rid).scope != PER_GRAPH
+                if first or reread:
                     read = True
                     evaluations[rid] += 1
-                    subjects += len(sides[rid])
                 kept[rid] = min(cap, kept[rid] + violated)
             graphs += first or read
-    return graphs, dict(evaluations), subjects
+    return graphs, dict(evaluations)
 
 
 @pytest.fixture
@@ -119,8 +120,8 @@ def subjects(tally):
 
 
 def traced_mine(spans, argv):
-    """The tracer and JSON payload of one traced ``mine`` call: every
-    relation but R6 has spans, and R6 has subjects."""
+    """The tracer and JSON payload of one traced ``mine`` call, which has no
+    relation span, while every relation has subjects."""
     tracer = spans.Tracer()
     out = io.StringIO()
     with spans.traced(tracer):
@@ -128,34 +129,34 @@ def traced_mine(spans, argv):
         assert main(argv + ["--format", "json"], out=out) == 0
         tracer.close(root)
     assert not spans.nesting_errors(tracer.spans)
-    parents = {tracer.spans[parent][0] for name, parent, *_ in tracer.spans
-               if name.startswith("relations.")}
-    assert parents == {"mining"}
+    assert not [name for name, *_ in tracer.spans if name.startswith("relations.")]
+    assert not [name for name in tracer.counts if name.startswith("relations.")]
     payload = json.loads(out.getvalue())["payload"]
-    assert {name for name, *_ in tracer.spans if name.startswith("relations.")} == {
-        f"relations.{rid}" for rid in payload["relations"] if rid != "R6"
-    }
-    assert "relations.R6" not in tracer.counts
-    assert subjects(payload["relations"]["R6"]) > 0
+    assert all(subjects(tally) > 0 for tally in payload["relations"].values())
     return tracer, payload
 
 
 def test_traced_mine_reports_relation_spans(spans):
-    tracer, payload = traced_mine(spans, RANDOM_MINE)
+    """A traced mine reports no relation span, random or exhaustive, and its
+    subject counts come from the payload: each relation's subjects on every
+    graph evaluated."""
+    _, payload = traced_mine(spans, RANDOM_MINE)
     tallies = payload["relations"]
-    assert tracer.counts["relations.subjects"] == sum(
-        subjects(tallies[rid]) for rid in EVALUATED_IDS
-    )
     assert payload["graphs_evaluated"] == 4
     assert subjects(tallies["R6"]) == 4 * (2 ** 6 - 6 - 1)  # every subset of each host
-    assert {rid: tracer.counts[f"relations.{rid}"] for rid in EVALUATED_IDS} == {
-        rid: 4 for rid in EVALUATED_IDS
-    }
+    per_graph = [rid for rid in RELATION_IDS if relation(rid).scope == PER_GRAPH]
+    assert {rid: subjects(tallies[rid]) for rid in per_graph} == {rid: 4 for rid in per_graph}
+    assert all(subjects(tallies[rid]) == 4 * 6 for rid in RELATION_IDS
+               if relation(rid).scope == PER_VERTEX)
 
-    tracer, payload = traced_mine(spans, ["mine", "--n-max", "3"])
-    _, evaluations, evaluated = class_memo_reads(3, EVALUATED_IDS)
-    assert tracer.counts["relations.subjects"] == evaluated
-    assert {rid: tracer.counts[f"relations.{rid}"] for rid in EVALUATED_IDS} == evaluations
+    _, payload = traced_mine(spans, ["mine", "--n-max", "3"])
+    labeled = {2: 1, 3: 4}  # labeled connected graphs on n vertices
+    assert payload["graphs_evaluated"] == sum(labeled.values())
+    for rid in RELATION_IDS:
+        scope = relation(rid).scope
+        expected = sum(count * (1 if scope == PER_GRAPH else n if scope == PER_VERTEX
+                                else 2 ** n - n - 1) for n, count in labeled.items())
+        assert subjects(payload["relations"][rid]) == expected, rid
 
 
 def test_profile_calls_stress_once(stress_calls):
@@ -177,6 +178,8 @@ def test_mining_calls_stress_once_per_graph(stress_calls):
                 out=out) == 0
     payload = json.loads(out.getvalue())["payload"]
     assert payload["graphs_evaluated"] == 43
-    # 9 classes, and 5 later graphs re-read for R12's witnesses
-    graphs, evaluations, _ = class_memo_reads(4, ["R12"])
-    assert len(stress_calls) == graphs == evaluations["R12"] == 9 + 5
+    assert payload["relations"]["R12"]["witnesses"]
+    # once per connected class: R12 is per-graph, so the later graphs that
+    # give its witnesses reuse their class's rows
+    graphs, evaluations = class_memo_reads(4, ["R12"])
+    assert len(stress_calls) == graphs == evaluations["R12"] == 1 + 2 + 6

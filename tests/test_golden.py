@@ -23,7 +23,10 @@ pair-sum kernel for sampled hosts: the n = 150 one's from digit rows, onto
 16-bit pair counts, the n = 400 one's from bit planes. The documents of hosts
 with at most 10 vertices were recorded while R6 filled a subset-mask table
 by inclusion-exclusion there, which the same lanes, and in the miner the
-per-size certificate, have since replaced. Any refactor must leave these
+per-size certificate, have since replaced. The n = 6 mining document with a
+witness cap of 1000, whose 108 R12 witnesses all come from labeled copies,
+was recorded before a later copy's per-graph witness reused its class's
+rows instead of evaluating the copy again. Any refactor must leave these
 bytes unchanged.
 
 The graphs are fed on stdin so that the echoed ``command`` holds no file path.
@@ -76,6 +79,9 @@ GOLDEN = {
     # every labeled connected graph on up to 6 vertices, one and two shards per n
     "mine-n6-json": "1f64dce07282bb303f9b9bbea3fc69f3989337a1d95c04964b8485e99696a432",
     "mine-n6w2-json": "8406239124d86064bd424cf1ec9b52be4b56dabcb82c450385b493f7623dbd4c",
+    # all 108 R12 violations at n <= 6 kept: every labeled copy of a violating
+    # class gives a witness
+    "mine-n6cap1000-json": "62f529051c3a1502c759b3d157e9716fd8a52759dc2f3f8a873b65661c9673ac",
     "mine-gnp40-json": "7d716f6817ab4f075365a5cf492d781c0a566f66714df2fac318640d441d5e2a",
     "mine-path72-json": "72e392bbc2fae34333407c4bc595caa6456cca032f5eb50a911269f04883b249",
     "mine-ws73-json": "12a995c87c0584fedd833e13c6db2066b8f75adf39883f7a65809bc84280043d",
@@ -85,6 +91,7 @@ MINE_ARGV = {
     "n5": ["mine", "--n-max", "5"],
     "n6": ["mine", "--n-max", "6"],
     "n6w2": ["mine", "--n-max", "6", "--workers", "2"],
+    "n6cap1000": ["mine", "--n-max", "6", "--witness-cap", "1000"],
     "ws24": ["mine", "--model", "watts_strogatz", "--n", "24", "--k", "4",
              "--p", "0.1", "--trials", "6", "--seed", "1"],
     "gnp40": ["mine", "--model", "gnp", "--n", "40", "--p", "0.15", "--trials", "8",

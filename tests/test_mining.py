@@ -1,3 +1,4 @@
+import io
 import multiprocessing
 import os
 import pickle
@@ -7,8 +8,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from centaudit import mining
-from centaudit.relations import tally
+from centaudit import mining, relations
+from centaudit.cli import main
+from centaudit.relations import INEQUALITY, PER_VERTEX, RelationSpec, tally
 from centaudit import (
     EQUALITY,
     VIOLATED,
@@ -219,6 +221,34 @@ class TestMineExhaustive:
                 violated[rid][:report.witness_cap], rid
 
 
+def _eval_pendant(g, prof):
+    # degree against 2: violated at every pendant vertex, an equality at
+    # degree 2, and holding above it
+    for i, deg in enumerate(prof.degrees):
+        yield i, deg, 1, 2, 1, True
+
+
+# a doctored per-vertex relation: only R12, a per-graph one, is violated by
+# real data at n <= 7, so no catalog relation reaches the miner's per-vertex
+# re-read of a later labeled copy
+PENDANT = RelationSpec("RP", "degree is at least 2", (), INEQUALITY, PER_VERTEX, ">=",
+                       _eval_pendant)
+
+
+def per_graph_tallies(n_max, specs):
+    """(graph, geodetic, even-cycle-free, tally per spec) of every labeled
+    connected graph on 2..n_max vertices, in enumeration order."""
+    rows = []
+    for n in range(2, n_max + 1):
+        for g in enumerate_connected(n):
+            d = apsp(g)
+            prof = profile(g, d)
+            rows.append((g, prof.geodetic, prof.even_cycle_free, [
+                tally(spec, g, prof, d, mining.SUBSET_BUDGET_PER_GRAPH) for spec in specs
+            ]))
+    return rows
+
+
 class TestClassMemo:
     """Exhaustive shards evaluate one graph per isomorphism class and reuse
     its counts for the others. Their reports must equal a fold of
@@ -226,42 +256,33 @@ class TestClassMemo:
 
     @pytest.fixture(scope="class")
     def per_graph(self):
-        """(graph, geodetic, even-cycle-free, tally per relation) of every
-        labeled connected graph on 2..6 vertices."""
-        specs = [relation(rid) for rid in RELATION_IDS]
-        rows = []
-        for n in range(2, 7):
-            for g in enumerate_connected(n):
-                d = apsp(g)
-                prof = profile(g, d)
-                rows.append((g, prof.geodetic, prof.even_cycle_free, [
-                    tally(spec, g, prof, d, mining.SUBSET_BUDGET_PER_GRAPH) for spec in specs
-                ]))
-        return rows
+        """Every labeled connected graph on 2..6 vertices, with its tally of
+        every relation."""
+        return per_graph_tallies(6, [relation(rid) for rid in RELATION_IDS])
 
     @staticmethod
-    def fold(per_graph, cap):
+    def fold(per_graph, cap, relation_ids=RELATION_IDS, n_max=6):
         """The report fingerprint of folding every graph's tallies in order,
         keeping the first ``cap`` witnesses of each list."""
-        counts = {rid: [0, 0, 0, 0] for rid in RELATION_IDS}
-        witnesses = {rid: [] for rid in RELATION_IDS}
+        counts = {rid: [0, 0, 0, 0] for rid in relation_ids}
+        witnesses = {rid: [] for rid in relation_ids}
         audit = Counter()
         audit_witnesses = {True: [], False: []}  # keyed by geodetic
         for g, geodetic, ecf, tallies in per_graph:
             audit[geodetic, ecf] += 1
             if geodetic != ecf and len(audit_witnesses[geodetic]) < cap:
                 audit_witnesses[geodetic].append(mining.Witness(g.n, g.edges, None, 0, 0))
-            for rid, (*statuses, violations) in zip(RELATION_IDS, tallies):
+            for rid, (*statuses, violations) in zip(relation_ids, tallies):
                 counts[rid] = [a + b for a, b in zip(counts[rid], statuses)]
                 for status, row in violations:
                     if len(witnesses[rid]) < cap:
                         r = make_result(relation(rid), status, row)
                         witnesses[rid].append(mining.Witness(g.n, g.edges, r.subject, r.lhs, r.rhs))
         return (
-            {"kind": "exhaustive", "n_min": 2, "n_max": 6},
-            RELATION_IDS,
+            {"kind": "exhaustive", "n_min": 2, "n_max": n_max},
+            tuple(relation_ids),
             len(per_graph),
-            {rid: (*counts[rid], tuple(witnesses[rid])) for rid in RELATION_IDS},
+            {rid: (*counts[rid], tuple(witnesses[rid])) for rid in relation_ids},
             (len(per_graph), audit[True, True], audit[True, False], audit[False, True],
              audit[False, False], tuple(audit_witnesses[True]), tuple(audit_witnesses[False])),
         )
@@ -274,6 +295,46 @@ class TestClassMemo:
         assert report_fingerprint(report) == expected
         if cap:
             assert report.tallies["R12"].witnesses and report.geodetic_audit.geodetic_not_ecf_witnesses
+
+    @pytest.fixture
+    def pendant(self, monkeypatch):
+        """PENDANT, in the catalog as relation "RP" for one test."""
+        monkeypatch.setattr(relations, "RELATION_IDS", relations.RELATION_IDS + ("RP",))
+        monkeypatch.setitem(relations._BY_ID, "RP", PENDANT)
+        return PENDANT
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cap", [0, 1, 3, 16])
+    def test_per_vertex_witnesses_reread_later_copies(self, pendant, cap, workers, monkeypatch):
+        """A per-vertex relation violated at every pendant vertex, mined with
+        R12, a per-graph one: a later labeled copy of a violating class is
+        evaluated again for its per-vertex witnesses, whose subjects depend
+        on the labels, and the report still equals the fold over every
+        labeled graph. One worker re-reads copies once a kept list has room
+        after its class's first graph (cap 3 and 16), and never at caps 0
+        and 1, where P2's two pendants fill each n's first list."""
+        calls = []
+        counted_apsp = mining.apsp
+        monkeypatch.setattr(mining, "apsp", lambda g: calls.append(g.n) or counted_apsp(g))
+        report = mine_exhaustive(5, relation_ids=["RP", "R12"], witness_cap=cap,
+                                 workers=workers)
+        per_graph = per_graph_tallies(5, [relation("R12"), pendant])
+        assert report_fingerprint(report) == self.fold(per_graph, cap, ("R12", "RP"), 5)
+        assert report.tallies["RP"].violated > 0
+        if workers == 1:
+            classes = 1 + 2 + 6 + 21  # connected classes on 2..5 vertices
+            assert (len(calls) > classes) == (cap >= 3), (len(calls), cap)
+
+    def test_one_evaluation_per_connected_class(self, monkeypatch):
+        """At the default cap, mine --n-max 5 evaluates each of the 30
+        connected classes on 2..5 vertices once: R12, the only relation
+        violated there, is per-graph, so the later graphs that give its
+        witnesses are not evaluated again."""
+        calls = []
+        counted_apsp = mining.apsp
+        monkeypatch.setattr(mining, "apsp", lambda g: calls.append(g.n) or counted_apsp(g))
+        assert main(["mine", "--n-max", "5", "--format", "json"], out=io.StringIO()) == 0
+        assert Counter(calls) == {2: 1, 3: 2, 4: 6, 5: 21}
 
 
 def walk_decodes(shards, cap):

@@ -1,7 +1,6 @@
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
-from functools import partial
 from itertools import combinations, islice
 from operator import itemgetter
 
@@ -34,7 +33,7 @@ from centaudit import (
 )
 from centaudit import relations
 from centaudit.relations import (
-    _closed_neighborhood_radiality,
+    _closed_neighborhood_radialities,
     select_ids,
     tally,
     violation_counts,
@@ -289,7 +288,7 @@ class TestRestrictedRadialitySum:
 
     @staticmethod
     def both(g, i):
-        return restricted_radiality(g, i), F(*_closed_neighborhood_radiality(profile(g), i))
+        return restricted_radiality(g, i), F(*list(_closed_neighborhood_radialities(profile(g)))[i])
 
     def test_triangle(self):
         assert self.both(complete_graph(3), 0) == (F(1), F(1))
@@ -396,10 +395,10 @@ def _search_with_distance(monkeypatch, i, j, value):
     search = metrics._search
 
     def altered(adj, s):
-        dist, sigma, below = search(adj, s)
+        dist, sigma, below, _ = search(adj, s)
         if s in (i, j):
             dist[i + j - s] = value
-        return dist, sigma, below
+        return dist, sigma, below, max(dist)
 
     monkeypatch.setattr(metrics, "_search", altered)
 
@@ -538,9 +537,10 @@ class TestSampledPairSums:
 class TestR6Certificate:
     """relations._r6_bounds bounds twice the pair-distance sum of every
     subset of each size k < n from above, both its direct and its
-    complement bound, and relations._r6_open_sizes decides a size only where
-    every subset of it holds R6 strictly: the brute-force maximum
-    max T(S) of oracles.max_subset_pair_sums is below W (k - 1) / (n - 1)."""
+    complement bound, each a function of k, and relations._r6_open_sizes
+    decides a size only where every subset of it holds R6 strictly: the
+    brute-force maximum max T(S) of oracles.max_subset_pair_sums is below
+    W (k - 1) / (n - 1)."""
 
     @staticmethod
     def open_sizes(g):
@@ -551,10 +551,10 @@ class TestR6Certificate:
         n = g.n
         best = max_subset_pair_sums(g)
         sizes = list(range(2, n))
-        bounds = list(relations._r6_bounds(d.dist, prof.row_sums, prof.distance_total, sizes))
-        assert [k for k, _, _ in bounds] == sizes
-        for k, direct, complement in bounds:
-            assert min(direct, complement) >= 2 * best[k], (g.edges, k)
+        direct, complement = relations._r6_bounds(d.dist, prof.row_sums, prof.distance_total,
+                                                  sizes)
+        for k in sizes:
+            assert direct(k) >= 2 * best[k] and complement(k) >= 2 * best[k], (g.edges, k)
         open_sizes = relations._r6_open_sizes(d.dist, prof.row_sums, prof.distance_total, sizes)
         assert open_sizes <= set(sizes)
         for k in set(sizes) - open_sizes:
@@ -583,11 +583,10 @@ class TestR6Certificate:
         self.open_sizes(g)
 
 
-def counted(spec, g, prof, d, budget, keep=lambda outcomes: None):
+def counted(spec, g, prof, d, budget):
     """What tally must return: the statuses of evaluate's outcomes counted,
-    and its violated outcomes in order; ``keep`` receives the outcomes."""
+    and its violated outcomes in order."""
     outcomes = evaluate(spec, g, prof, d, budget)
-    keep(outcomes)
     c = Counter(map(itemgetter(0), outcomes))
     return (c[HOLDS], c[EQUALITY], c[VIOLATED], c[SKIPPED],
             [outcome for outcome in outcomes if outcome[0] == VIOLATED])
@@ -595,19 +594,15 @@ def counted(spec, g, prof, d, budget, keep=lambda outcomes: None):
 
 class TestTally:
     """relations.tally, the miner's count path, against a count of evaluate's
-    outcomes. R6 is counted by size on every host, enumerated or sampled:
-    relations._r6_open_sizes decides most sizes at once, and only the
-    subsets of the sizes it leaves open get pair sums and rows. Every other
-    relation goes through evaluate."""
+    outcomes. tally never calls evaluate: one loop counts the statuses of
+    each evaluator's rows. R6 is counted by size on every host, enumerated
+    or sampled: relations._r6_open_sizes decides most sizes at once, and
+    only the subsets of the sizes it leaves open get pair sums and rows."""
 
-    def test_every_graph_up_to_six_vertices(self, monkeypatch):
+    def test_every_graph_up_to_six_vertices(self):
         """Every labeled connected graph on 2 to 6 vertices, and the 853
-        connected atlas graphs on 7, one per isomorphism class."""
-        # tally reads the outcomes evaluate gave the reference count, so that
-        # each graph is evaluated once
-        last = [None]
-        monkeypatch.setattr(relations, "evaluate", lambda *args: last[0])
-        keep = partial(last.__setitem__, 0)
+        connected atlas graphs on 7, one per isomorphism class: the count
+        loop against evaluate's own outcomes."""
         sevens = [Graph.from_edges(7, atlas.edges()) for atlas in nx.graph_atlas_g()
                   if atlas.number_of_nodes() == 7 and nx.is_connected(atlas)]
         assert len(sevens) == 853
@@ -615,7 +610,7 @@ class TestTally:
             d = apsp(g)
             prof = profile(g, d)
             for spec in catalog():
-                expected = counted(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH, keep)
+                expected = counted(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH)
                 assert tally(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH) == expected, (
                     g.edges, spec.id)
 
@@ -699,10 +694,9 @@ class TestTally:
             sizes = [k for k, _ in counts if k < g.n]
             assert not relations._r6_open_sizes(d.dist, prof.row_sums, prof.distance_total,
                                                 sizes)
-        # R6 is counted by size on every sampled host, without evaluate; the
-        # subset lanes ran for the reference count's evaluate only
-        assert evaluated.count("R6") == 0
-        assert len(evaluated) == 2 * (len(catalog()) - 1)
+        # tally calls evaluate for no relation; the subset lanes ran for the
+        # reference count's evaluate only
+        assert evaluated == []
         assert set(lane_widths) == {width}
 
     @pytest.mark.parametrize("budget", [SUBSET_BUDGET_PER_GRAPH, None])
@@ -796,12 +790,12 @@ class TestTally:
             assert got == counted(spec, g, prof, d, budget)
             assert all(row[0][:2] == (0, 1) for _, row in got[4])
             kept = RelationTally()
-            kept.fold(spec, got, g, 5)
+            kept.keep(spec, got[4], g, 5)
             assert [(w.n, w.edges, w.subject, w.lhs, w.rhs) for w in kept.witnesses] == [
                 (g.n, g.edges, r.subject, r.lhs, r.rhs)
                 for r in (make_result(spec, status, row) for status, row in got[4][:5])
             ]
-            assert len(kept.witnesses) == 5 and kept.violated == got[2]
+            assert len(kept.witnesses) == 5
 
 
 class TestProperties:
