@@ -6,9 +6,13 @@ Rationals are serialized as "numerator/denominator" strings in lowest terms;
 the accompanying ``*_approx`` decimal fields are display-only.
 
 JSON is laid out as ``json.dumps(document, indent=2)`` would lay it out.
-``compute`` and ``mine`` build payload dicts for ``_write_json``; ``check``
-writes its text lines and JSON rows straight from its ``RelationResult``s.
-A JSON document goes to the output a piece at a time as it is laid out.
+Each command writes its text lines and its JSON rows straight from what it
+computed, the rows by string templates: ``check`` from its
+``RelationResult``s, ``compute`` from the profile's integer columns and
+``mine`` from its ``MiningReport``. ``_write_json`` lays out only each
+document's small head. A JSON document goes to the output a piece at a time
+as it is laid out. The argument parser is built once, at import, and serves
+every call of :func:`main`.
 
 Exit codes: 0 success (audit findings included), 2 usage or parse error,
 3 disconnected input graph, 4 violation of a non-audit relation.
@@ -95,103 +99,136 @@ def _put_rational(entry: dict, name: str, num: int, den: int) -> None:
     entry[name], entry[name + "_approx"] = _rational(num, den)
 
 
-def _put_fraction(entry: dict, name: str, value: Fraction) -> None:
-    _put_rational(entry, name, value.numerator, value.denominator)
-
-
-def _subject_json(subject: rel.Subject):
-    if subject is None:
-        return None
-    if isinstance(subject, int):
-        return {"vertex": subject}
-    return {"subset": list(subject)}
-
-
 # ---------------------------------------------------------------------------
-# payload builders
+# document heads and row templates
 # ---------------------------------------------------------------------------
 
-def _profile_payload(g: Graph) -> dict:
-    """The ``compute`` payload, formatted from the profile's integer pairs."""
-    prof = profile(g)
+_FLAG = ("false", "true")
+
+
+def _profile_head(g: Graph, prof) -> dict:
+    """The ``compute`` payload's graph-level entries, formatted from the
+    profile's integer pairs."""
     n = g.n
-    payload: dict[str, object] = {"n": n, "m": g.m, "diameter": prof.diameter}
-    _put_rational(payload, "L", prof.distance_total, n * (n - 1))
-    _put_rational(payload, "C_WS", *prof.average_clustering_pair)
+    head: dict[str, object] = {"n": n, "m": g.m, "diameter": prof.diameter}
+    _put_rational(head, "L", prof.distance_total, n * (n - 1))
+    _put_rational(head, "C_WS", *prof.average_clustering_pair)
     if prof.global_clustering_pair is None:
-        payload["C_global"] = None
-        payload["C_global_approx"] = None
+        head["C_global"] = None
+        head["C_global_approx"] = None
     else:
-        _put_rational(payload, "C_global", *prof.global_clustering_pair)
-    payload["geodetic"] = prof.geodetic
-    payload["even_cycle_free"] = prof.even_cycle_free
-    vertices = []
-    columns = zip(
-        prof.degrees, prof.clustering_pairs(), prof.closeness_pairs(),
+        _put_rational(head, "C_global", *prof.global_clustering_pair)
+    head["geodetic"] = prof.geodetic
+    head["even_cycle_free"] = prof.even_cycle_free
+    return head
+
+
+def _vertex_columns(prof):
+    """Per vertex: (id, degree, clustering, closeness, radiality, stress,
+    pendant, complete_neighborhood), each rational as its integer pair."""
+    return zip(
+        range(prof.n), prof.degrees, prof.clustering_pairs(), prof.closeness_pairs(),
         prof.radiality_pairs(), prof.stress, prof.pendant, prof.complete_neighborhood,
     )
-    for v, row in enumerate(columns):
-        deg, clustering, closeness, radiality, stress, pendant, complete = row
-        entry: dict[str, object] = {"id": v, "degree": deg}
-        _put_rational(entry, "clustering", *clustering)
-        _put_rational(entry, "closeness", *closeness)
-        _put_rational(entry, "radiality", *radiality)
-        entry["stress"] = stress
-        entry["pendant"] = pendant
-        entry["complete_neighborhood"] = complete
-        vertices.append(entry)
-    payload["vertices"] = vertices
-    return payload
 
 
-def _witness_payload(w: Witness, with_sides: bool = True) -> dict:
-    entry: dict[str, object] = {
-        "n": w.n,
-        "edges": [[u, v] for u, v in w.edges],
-        "subject": _subject_json(w.subject),
-    }
-    if with_sides:
-        _put_fraction(entry, "lhs", w.lhs)
-        _put_fraction(entry, "rhs", w.rhs)
-    return entry
+def _int_text(value: int) -> str:
+    """``str(value)``, also past the interpreter's int-to-str limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
 
 
-def _mine_payload(report: MiningReport) -> dict:
-    tallies = {}
+def _vertex_rows(prof, pad: str, out) -> None:
+    """Pass ``compute``'s per-vertex entries to ``out`` as :func:`_write_json`
+    lays them out in a list indented by ``pad``: one string per vertex, from
+    the profile's integer columns."""
+    row = pad + "  "  # each entry's braces
+    key = row + "  "  # an entry's keys
+    sep = ",\n" + key
+    text = ("{\n" + key + '"id": %d' + sep + '"degree": %d'
+            + sep + '"clustering": "%s"' + sep + '"clustering_approx": %r'
+            + sep + '"closeness": "%s"' + sep + '"closeness_approx": %r'
+            + sep + '"radiality": "%s"' + sep + '"radiality_approx": %r'
+            + sep + '"stress": %s' + sep + '"pendant": %s'
+            + sep + '"complete_neighborhood": %s\n' + row + "}")
+    lead = "[\n" + row
+    for v, deg, clustering, closeness, radiality, stress, pendant, complete in (
+            _vertex_columns(prof)):
+        out(lead + text % (
+            v, deg, *_rational(*clustering), *_rational(*closeness), *_rational(*radiality),
+            _int_text(stress), _FLAG[pendant], _FLAG[complete],
+        ))
+        lead = ",\n" + row
+    out("\n" + pad + "]")  # a profile has at least two vertices
+
+
+def _witness_rows(witnesses: Sequence[Witness], sides: bool, pad: str, out) -> None:
+    """Pass ``witnesses`` to ``out`` as :func:`_write_json` lays out their
+    entries in a list indented by ``pad``: one string per witness, from its
+    n, its edge pairs, its subject and, with ``sides``, both sides' numerators
+    and denominators."""
+    if not witnesses:
+        out("[]")
+        return
+    row = pad + "  "  # each witness's braces
+    key = row + "  "  # a witness's keys
+    sub = key + "  "  # its edge pairs and its subject's key
+    item = sub + "  "  # an edge's ends and a subset's members
+    sep = ",\n" + key
+    edge = "[\n" + item + "%d,\n" + item + "%d\n" + sub + "]"
+    edge_sep = ",\n" + sub
+    member_sep = ",\n" + item
+    vertex = "{\n" + sub + '"vertex": %d\n' + key + "}"
+    subset = "{\n" + sub + '"subset": [\n' + item + "%s\n" + sub + "]\n" + key + "}"
+    head = "{\n" + key + '"n": %d' + sep + '"edges": [\n' + sub
+    edges_tail = "\n" + key + "]" + sep + '"subject": '
+    both_sides = (sep + '"lhs": "%s"' + sep + '"lhs_approx": %r'
+                  + sep + '"rhs": "%s"' + sep + '"rhs_approx": %r')
+    lead = "[\n" + row
+    for w in witnesses:
+        # a witness graph is connected on at least two vertices, so it has
+        # edges, and a subset subject has at least two members
+        text = lead + head % w.n + edge_sep.join([edge % pair for pair in w.edges]) + edges_tail
+        subject = w.subject
+        if subject is None:
+            text += "null"
+        elif type(subject) is int:
+            text += vertex % subject
+        else:
+            text += subset % member_sep.join(map(str, subject))
+        if sides:
+            lhs, rhs = w.lhs, w.rhs
+            text += both_sides % (*_rational(lhs.numerator, lhs.denominator),
+                                  *_rational(rhs.numerator, rhs.denominator))
+        out(text + "\n" + row + "}")
+        lead = ",\n" + row
+    out("\n" + pad + "]")
+
+
+def _relation_rows(report: MiningReport, pad: str, out) -> None:
+    """Pass ``mine``'s tallies to ``out`` as :func:`_write_json` lays out
+    their dict, keyed by relation id, indented by ``pad``: per relation one
+    string from its fixed head and its four counts, then its witnesses by
+    :func:`_witness_rows`."""
+    if not report.relation_ids:
+        out("{}")
+        return
+    name = pad + "  "  # each relation's id
+    key = name + "  "  # its tally's keys
+    sep = ",\n" + key
+    counts = (sep + '"holds": %d' + sep + '"equality": %d' + sep + '"violated": %d'
+              + sep + '"skipped": %d' + sep + '"witnesses": ')
+    lead = "{\n" + name
     for rid in report.relation_ids:
         tally = report.tallies[rid]
-        tallies[rid] = {
-            "kind": rel.relation(rid).kind,
-            "holds": tally.holds,
-            "equality": tally.equality,
-            "violated": tally.violated,
-            "skipped": tally.skipped,
-            "witnesses": [_witness_payload(w) for w in tally.witnesses],
-        }
-    audit = report.geodetic_audit
-    return {
-        "population": report.population,
-        "graphs_evaluated": report.graphs_evaluated,
-        "witness_cap": report.witness_cap,
-        "relations": tallies,
-        "geodetic_audit": {
-            "graphs": audit.graphs,
-            "ecf_and_geodetic": audit.ecf_and_geodetic,
-            "geodetic_not_ecf": audit.geodetic_not_ecf,
-            "ecf_not_geodetic": audit.ecf_not_geodetic,
-            "neither": audit.neither,
-            "geodetic_not_ecf_witnesses": [
-                _witness_payload(w, with_sides=False)
-                for w in audit.geodetic_not_ecf_witnesses
-            ],
-            "ecf_not_geodetic_witnesses": [
-                _witness_payload(w, with_sides=False)
-                for w in audit.ecf_not_geodetic_witnesses
-            ],
-        },
-        "non_audit_violations": report.non_audit_violations,
-        "audit_violations": report.audit_violations,
-    }
+        out(lead + encode_basestring_ascii(rid) + ": {\n" + key + '"kind": '
+            + encode_basestring_ascii(rel.relation(rid).kind)
+            + counts % (tally.holds, tally.equality, tally.violated, tally.skipped))
+        _witness_rows(tally.witnesses, True, key, out)
+        lead = "\n" + name + "},\n" + name
+    out("\n" + name + "}\n" + pad + "}")
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +242,13 @@ def _document(argv: Sequence[str], payload: dict) -> dict:
 def _write_document(argv: Sequence[str], payload: dict, out) -> None:
     """Write ``json.dumps(document, indent=2) + "\\n"`` to ``out`` piece by
     piece as it is laid out, so that no copy of the whole text is built; a
-    ``partial`` in the payload stands for the list whose text it writes."""
+    ``partial`` in the payload stands for the list or dict whose text it
+    writes by a row template."""
     _write_json(_document(argv, payload), "", out.write)
     out.write("\n")
 
 
 _INFINITY = float("inf")
-_INT_ONLY = frozenset([int])
 
 
 def _json_float(value: float) -> str:
@@ -228,7 +265,7 @@ def _write_json(value, pad: str, out) -> None:
     """Pass ``value`` to ``out`` in pieces, laid out as ``json.dumps`` lays it
     out with ``indent=2`` when the value starts on a line indented by ``pad``.
 
-    Takes the types the payload builders emit: dicts with str keys, lists,
+    Takes the types the document heads hold: dicts with str keys, lists,
     tuples, str, int, float, bool and None. A ``functools.partial`` writes
     itself: it is called with ``pad`` and ``out``, and its text is passed
     through verbatim. Anything else raises TypeError instead of being
@@ -262,9 +299,6 @@ def _write_json(value, pad: str, out) -> None:
                 _write_json(item, inner, out)
                 lead = sep
             out("\n" + pad + "}")
-        elif _INT_ONLY.issuperset(map(type, value)):
-            # R6 subsets and edge pairs: one join, not a call per item
-            out("[\n" + inner + sep.join(map(str, map(Decimal, value))) + "\n" + pad + "]")
         else:
             lead = "[\n" + inner
             for item in value:
@@ -286,23 +320,24 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-def _render_profile_text(argv, payload: dict) -> str:
+def _render_profile_text(head: dict, prof) -> str:
     lines = [
         f"# centaudit compute (schema {SCHEMA_VERSION})",
-        f"graph: n={payload['n']} m={payload['m']}",
-        f"diameter: {payload['diameter']}",
-        f"L: {payload['L']}",
-        f"C_WS: {payload['C_WS']}",
-        f"C_global: {_fmt_value(payload['C_global'])}",
-        f"geodetic: {_fmt_value(payload['geodetic'])}",
-        f"even_cycle_free: {_fmt_value(payload['even_cycle_free'])}",
+        f"graph: n={head['n']} m={head['m']}",
+        f"diameter: {head['diameter']}",
+        f"L: {head['L']}",
+        f"C_WS: {head['C_WS']}",
+        f"C_global: {_fmt_value(head['C_global'])}",
+        f"geodetic: {_fmt_value(head['geodetic'])}",
+        f"even_cycle_free: {_fmt_value(head['even_cycle_free'])}",
     ]
-    for v in payload["vertices"]:
+    for v, deg, clustering, closeness, radiality, stress, pendant, complete in (
+            _vertex_columns(prof)):
         lines.append(
-            f"vertex {v['id']}: degree={v['degree']} clustering={v['clustering']} "
-            f"closeness={v['closeness']} radiality={v['radiality']} "
-            f"stress={Decimal(v['stress'])} pendant={_fmt_value(v['pendant'])} "
-            f"complete_neighborhood={_fmt_value(v['complete_neighborhood'])}"
+            f"vertex {v}: degree={deg} clustering={_rational(*clustering)[0]} "
+            f"closeness={_rational(*closeness)[0]} radiality={_rational(*radiality)[0]} "
+            f"stress={Decimal(stress)} pendant={_fmt_value(pendant)} "
+            f"complete_neighborhood={_fmt_value(complete)}"
         )
     return "".join(line + "\n" for line in lines)
 
@@ -374,16 +409,12 @@ def _subject_text(subject: rel.Subject) -> str:
     return "subset {" + ",".join(map(str, subject)) + "}"
 
 
-def _subject_text_from_json(subject) -> str:
-    return _subject_text(subject and subject.get("vertex", subject.get("subset")))
-
-
 def _edges_text(edges) -> str:
     return ",".join(f"{u}-{v}" for u, v in edges)
 
 
-def _render_mine_text(argv, payload: dict) -> str:
-    pop = payload["population"]
+def _render_mine_text(report: MiningReport) -> str:
+    pop = report.population
     if pop["kind"] == "exhaustive":
         pop_text = f"exhaustive n={pop['n_min']}..{pop['n_max']}"
     else:
@@ -395,37 +426,33 @@ def _render_mine_text(argv, payload: dict) -> str:
     lines = [
         f"# centaudit mine (schema {SCHEMA_VERSION})",
         f"population: {pop_text}",
-        f"graphs: {payload['graphs_evaluated']}",
+        f"graphs: {report.graphs_evaluated}",
     ]
-    for rid, tally in payload["relations"].items():
-        flag = " [audit]" if tally["kind"] == "audit-inequality" else ""
+    for rid in report.relation_ids:
+        tally = report.tallies[rid]
+        flag = " [audit]" if rel.relation(rid).audit else ""
         lines.append(
-            f"{rid}: holds={tally['holds']} equality={tally['equality']} "
-            f"violated={tally['violated']} skipped={tally['skipped']}{flag}"
+            f"{rid}: holds={tally.holds} equality={tally.equality} "
+            f"violated={tally.violated} skipped={tally.skipped}{flag}"
         )
-        for w in tally["witnesses"]:
+        for w in tally.witnesses:
             lines.append(
-                f"  witness n={w['n']} edges={_edges_text(w['edges'])} "
-                f"subject={_subject_text_from_json(w['subject'])} "
-                f"lhs={w['lhs']} rhs={w['rhs']}"
+                f"  witness n={w.n} edges={_edges_text(w.edges)} "
+                f"subject={_subject_text(w.subject)} "
+                f"lhs={format_rational(w.lhs)} rhs={format_rational(w.rhs)}"
             )
-    audit = payload["geodetic_audit"]
+    audit = report.geodetic_audit
     lines.append(
-        "geodetic_audit: ecf_and_geodetic={0} geodetic_not_ecf={1} "
-        "ecf_not_geodetic={2} neither={3}".format(
-            audit["ecf_and_geodetic"],
-            audit["geodetic_not_ecf"],
-            audit["ecf_not_geodetic"],
-            audit["neither"],
-        )
+        f"geodetic_audit: ecf_and_geodetic={audit.ecf_and_geodetic} "
+        f"geodetic_not_ecf={audit.geodetic_not_ecf} "
+        f"ecf_not_geodetic={audit.ecf_not_geodetic} neither={audit.neither}"
     )
-    for kind in ("geodetic_not_ecf", "ecf_not_geodetic"):
-        for w in audit[f"{kind}_witnesses"]:
-            lines.append(f"  {kind} witness n={w['n']} edges={_edges_text(w['edges'])}")
-    lines.append(
-        f"violations: non_audit={payload['non_audit_violations']} "
-        f"audit={payload['audit_violations']}"
-    )
+    for kind, witnesses in (("geodetic_not_ecf", audit.geodetic_not_ecf_witnesses),
+                            ("ecf_not_geodetic", audit.ecf_not_geodetic_witnesses)):
+        for w in witnesses:
+            lines.append(f"  {kind} witness n={w.n} edges={_edges_text(w.edges)}")
+    non_audit, audit_violations = report.violations
+    lines.append(f"violations: non_audit={non_audit} audit={audit_violations}")
     return "".join(line + "\n" for line in lines)
 
 
@@ -451,11 +478,12 @@ def _read_graph(path: str) -> Graph:
 
 def _cmd_compute(args, argv, out) -> int:
     g = _read_graph(args.input)
-    payload = _profile_payload(g)
+    prof = profile(g)
+    head = _profile_head(g, prof)
     if args.format == "json":
-        _write_document(argv, payload, out)
+        _write_document(argv, {**head, "vertices": partial(_vertex_rows, prof)}, out)
     else:
-        out.write(_render_profile_text(argv, payload))
+        out.write(_render_profile_text(head, prof))
     return EXIT_OK
 
 
@@ -531,11 +559,30 @@ def _cmd_mine(args, argv, out) -> int:
             witness_cap=args.witness_cap,
             workers=args.workers,
         )
-    payload = _mine_payload(report)
     if args.format == "json":
-        _write_document(argv, payload, out)
+        audit = report.geodetic_audit
+        non_audit, audit_violations = report.violations
+        _write_document(argv, {
+            "population": report.population,
+            "graphs_evaluated": report.graphs_evaluated,
+            "witness_cap": report.witness_cap,
+            "relations": partial(_relation_rows, report),
+            "geodetic_audit": {
+                "graphs": audit.graphs,
+                "ecf_and_geodetic": audit.ecf_and_geodetic,
+                "geodetic_not_ecf": audit.geodetic_not_ecf,
+                "ecf_not_geodetic": audit.ecf_not_geodetic,
+                "neither": audit.neither,
+                "geodetic_not_ecf_witnesses": partial(
+                    _witness_rows, audit.geodetic_not_ecf_witnesses, False),
+                "ecf_not_geodetic_witnesses": partial(
+                    _witness_rows, audit.ecf_not_geodetic_witnesses, False),
+            },
+            "non_audit_violations": non_audit,
+            "audit_violations": audit_violations,
+        }, out)
     else:
-        out.write(_render_mine_text(argv, payload))
+        out.write(_render_mine_text(report))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
@@ -597,12 +644,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once, at import, and reused by every call of :func:`main`
+PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args, argv, out)
     except EdgeListError as exc:

@@ -49,12 +49,13 @@ from . import relations as rel
 from .graphs import (
     MASK_CLASSES_MAX_N,
     Graph,
-    enumerate_connected_range,
     generate,
     mask_classes,
     mask_graph,
     model_row,
 )
+# wrapped by perfbench's graphs.enumerate span, pinned by tests/test_bench_hooks.py
+from .graphs import enumerate_connected_range  # noqa: F401
 from .metrics import apsp, profile
 from .relations import RelationSpec, Subject
 
@@ -531,13 +532,39 @@ def equality_census(
     relation_id: str, n_max: int
 ) -> Iterator[tuple[Graph, Subject]]:
     """Stream every (graph, subject) with an exact-equality outcome for one
-    relation over all labeled connected graphs with 2..n_max vertices."""
+    relation over all labeled connected graphs with 2..n_max vertices, in
+    ascending adjacency-bitmask order and then subject order.
+
+    Masks are walked against :func:`graphs.mask_classes`: a class's first
+    graph is evaluated once, and a later mask is decoded only when that
+    graph has an equality outcome. A per-graph relation's outcome is then
+    the same on the copy; a per-vertex or per-subgraph relation's subjects
+    follow the labels, so the copy is evaluated again."""
     spec = rel.relation(relation_id)
     _check_n_max(n_max)
+    per_graph = spec.scope == rel.PER_GRAPH
     for n in range(2, n_max + 1):
-        for g in enumerate_connected_range(n, 0, None):
-            d = apsp(g)
-            prof = profile(g, d)
-            for status, row in rel.evaluate(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH):
-                if status == rel.EQUALITY:
-                    yield g, row[0]
+        # class -> whether its graphs are connected and have an equality outcome
+        tight: dict[int, bool] = {}
+        for mask, key in enumerate(mask_classes(n)):
+            known = tight.get(key)
+            if known is False:
+                continue
+            g = mask_graph(n, mask)
+            if known is None:
+                subjects = _equality_subjects(spec, g) if g.is_connected() else []
+                tight[key] = bool(subjects)
+            elif per_graph:
+                subjects = [None]
+            else:
+                subjects = _equality_subjects(spec, g)
+            for subject in subjects:
+                yield g, subject
+
+
+def _equality_subjects(spec: RelationSpec, g: Graph) -> list[Subject]:
+    """The subjects of the connected graph g's equality outcomes of ``spec``,
+    in subject order."""
+    d = apsp(g)
+    return [row[0] for status, row in rel.evaluate(
+        spec, g, profile(g, d), d, SUBSET_BUDGET_PER_GRAPH) if status == rel.EQUALITY]

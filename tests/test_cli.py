@@ -1,15 +1,19 @@
+import dataclasses
 import io
 import json
 import subprocess
 import sys
 from fractions import Fraction as F
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from centaudit import cli, gnp_graph, mining, path_graph, watts_strogatz_graph
+from centaudit import cli, gnp_graph, mining, path_graph, profile, star_graph
+from centaudit import watts_strogatz_graph
 from centaudit.graphs import MODELS, enumerate_connected_range, serialize_edge_list
+from centaudit.mining import GeodeticAudit, MiningReport, RelationTally, Witness
 from centaudit.relations import (
     EQUALITY,
     HOLDS,
@@ -159,12 +163,25 @@ class TestLongRationals:
         assert parse_rational("+" + texts[0]) == self.RESULT.lhs
 
     def test_json_integers(self, texts):
-        """The generic writer, which writes ``compute``'s stress, takes
-        integers of any length alone and in integer lists."""
+        """The generic writer takes integers of any length alone and in
+        integer lists."""
         digits = texts[0].partition("/")[0]
         assert rendered({"stress": self.NUM, "row": [self.NUM, -self.NUM]}) == (
             '{\n  "stress": ' + digits + ',\n  "row": [\n    ' + digits
             + ",\n    -" + digits + "\n  ]\n}")
+
+    def test_compute_stress(self, texts, star_file, monkeypatch):
+        """``compute``'s vertex rows write a stress of any length, in both
+        formats."""
+        digits = texts[0].partition("/")[0]
+        long_stress = dataclasses.replace(profile(star_graph(3)), stress=(self.NUM, 0, 0, 0))
+        monkeypatch.setattr(cli, "profile", lambda g: long_stress)
+        code, out, _ = run(["compute", star_file, "--format", "json"])
+        assert code == EXIT_OK
+        assert '"stress": ' + digits + ",\n" in out
+        code, out, _ = run(["compute", star_file])
+        assert code == EXIT_OK
+        assert f" stress={digits} pendant=false " in out
 
     @pytest.mark.parametrize("text", ["1" * 700 + "x", "1" * 700 + "/-", "--" + "1" * 700])
     def test_long_garbage_is_rejected(self, texts, text):
@@ -209,6 +226,18 @@ class TestCompute:
         assert parse_rational(payload["L"]) == F(3, 2)
         for v in payload["vertices"]:
             assert parse_rational(v["closeness"]) > 0
+
+    def test_documents_lay_out_as_json_dumps(self, monkeypatch):
+        """``compute``'s vertex rows are written by a template; its documents
+        must still be laid out as ``json.dumps(..., indent=2)`` lays them
+        out, on every connected graph with n <= 4 and a few larger ones."""
+        graphs = [g for n in range(2, 5) for g in enumerate_connected_range(n, 0, None)]
+        graphs += [gnp_graph(60, 0.3, seed=0), path_graph(12), star_graph(9)]
+        for g in graphs:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_edge_list(g)))
+            code, doc, _ = run(["compute", "-", "--format", "json"])
+            assert code == EXIT_OK
+            assert_round_trips(doc)
 
     def test_parse_error_exit_2(self, tmp_path):
         path = tmp_path / "bad.edges"
@@ -462,6 +491,141 @@ class TestCheckDocumentLayout:
         assert {r["relation"] for r in json.loads(doc)["payload"]["results"]} == {"R6", "R12"}
 
 
+def witness_entry(w, sides=True):
+    """A witness entry as a dict: the form ``mine`` built before it wrote its
+    rows by templates."""
+    subject = w.subject
+    if subject is not None:
+        subject = {"vertex": subject} if isinstance(subject, int) else {"subset": list(subject)}
+    entry = {"n": w.n, "edges": [list(edge) for edge in w.edges], "subject": subject}
+    if sides:
+        for side in ("lhs", "rhs"):
+            value = getattr(w, side)
+            entry[side] = format_rational(value)
+            entry[f"{side}_approx"] = float(value)
+    return entry
+
+
+def mine_document(argv, report):
+    """``mine``'s JSON document of ``report`` as ``json.dumps`` lays it out."""
+    audit = report.geodetic_audit
+    non_audit, audit_violations = report.violations
+    payload = {
+        "population": report.population,
+        "graphs_evaluated": report.graphs_evaluated,
+        "witness_cap": report.witness_cap,
+        "relations": {rid: {
+            "kind": relation(rid).kind,
+            "holds": tally.holds,
+            "equality": tally.equality,
+            "violated": tally.violated,
+            "skipped": tally.skipped,
+            "witnesses": [witness_entry(w) for w in tally.witnesses],
+        } for rid, tally in ((rid, report.tallies[rid]) for rid in report.relation_ids)},
+        "geodetic_audit": {
+            "graphs": audit.graphs,
+            "ecf_and_geodetic": audit.ecf_and_geodetic,
+            "geodetic_not_ecf": audit.geodetic_not_ecf,
+            "ecf_not_geodetic": audit.ecf_not_geodetic,
+            "neither": audit.neither,
+            "geodetic_not_ecf_witnesses": [
+                witness_entry(w, False) for w in audit.geodetic_not_ecf_witnesses],
+            "ecf_not_geodetic_witnesses": [
+                witness_entry(w, False) for w in audit.ecf_not_geodetic_witnesses],
+        },
+        "non_audit_violations": non_audit,
+        "audit_violations": audit_violations,
+    }
+    doc = {"schema_version": 1, "command": argv, "payload": payload}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def mined_document(argv, report):
+    """The document ``mine`` writes for ``argv``, an exhaustive mine, when its
+    miner returns ``report``."""
+    with mock.patch.object(cli, "mine_exhaustive", lambda *args, **kwargs: report):
+        code, out, err = run(argv)
+    assert code == (EXIT_OK if report.ok else EXIT_VIOLATION) and err == ""
+    return out
+
+
+MINE_ARGV = ["mine", "--n-max", "4", "--format", "json"]
+# a numerator past the interpreter's default int-to-str limit of 4300 digits
+LONG_SIDE = F(3**10479, 3**10479 + 2**64)
+EXHAUSTIVE = {"kind": "exhaustive", "n_min": 2, "n_max": 4}
+C4_EDGES = ((0, 1), (0, 3), (1, 2), (2, 3))
+K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+class TestMineDocumentLayout:
+    """``mine``'s tallies and witnesses are written by row templates; the
+    document must still be laid out as ``json.dumps(..., indent=2)`` lays it
+    out."""
+
+    def test_every_subject_kind_and_long_side(self):
+        witnesses = [
+            Witness(4, C4_EDGES, None, F(5, 3), F(-7, 2)),
+            Witness(4, C4_EDGES, 2, F(0), F(1)),
+            Witness(4, K4_EDGES, (0, 1, 3), LONG_SIDE, -LONG_SIDE),
+        ]
+        tallies = {"R12": RelationTally(3, 0, 1, 0, witnesses[:1]),
+                   "R4": RelationTally(10, 2, 1, 0, witnesses[1:2]),
+                   "R6": RelationTally(2**70, 5, 1, 7, witnesses[2:])}
+        audit = GeodeticAudit(11, 1, 4, 3, 3, [Witness(4, K4_EDGES, None, F(0), F(0))] * 2,
+                              [Witness(4, C4_EDGES, None, F(0), F(0))])
+        report = MiningReport(EXHAUSTIVE, ("R12", "R4", "R6"), 16, 11, tallies, audit)
+        assert mined_document(MINE_ARGV, report) == mine_document(MINE_ARGV, report)
+
+    def test_long_side_digits(self):
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
+        assert len(format_rational(LONG_SIDE).partition("/")[0]) > digits
+
+    def test_witness_cap_zero(self):
+        tallies = {rid: RelationTally(1, 2, 3, 4) for rid in RELATION_IDS}
+        report = MiningReport({"kind": "random", "model": "watts_strogatz",
+                               "params": {"k": 4, "n": 24, "p": 0.1}, "trials": 6, "seed": 1},
+                              RELATION_IDS, 0, 6, tallies, GeodeticAudit(6, 1, 2, 3, 0))
+        doc = mined_document(MINE_ARGV, report)
+        assert doc == mine_document(MINE_ARGV, report)
+        assert '"witnesses": [],' not in doc and '"witnesses": []\n' in doc
+
+    def test_no_relations(self):
+        report = MiningReport(EXHAUSTIVE, (), 16, 0, {}, GeodeticAudit())
+        doc = mined_document(MINE_ARGV, report)
+        assert doc == mine_document(MINE_ARGV, report)
+        assert '"relations": {},' in doc
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_json_dumps(self, data):
+        draw = data.draw
+        count = st.integers(0, 2**70)
+        cap = draw(st.integers(0, 3))
+
+        def witnesses(sides):
+            @st.composite
+            def witness(draw):
+                n = draw(st.integers(2, 30))
+                vertex = st.integers(0, n - 1)
+                edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] < e[1]),
+                                      min_size=1, max_size=6, unique=True))
+                if not sides:
+                    return Witness(n, tuple(sorted(edges)), None, F(0), F(0))
+                subject = draw(st.one_of(st.none(), vertex, st.lists(
+                    vertex, min_size=2, max_size=n, unique=True).map(lambda s: tuple(sorted(s)))))
+                lhs, rhs = (F(*draw(RATIONAL_PAIRS)) for _ in range(2))
+                return Witness(n, tuple(sorted(edges)), subject, lhs, rhs)
+            return st.lists(witness(), max_size=cap)
+
+        ids = tuple(draw(st.lists(st.sampled_from(RELATION_IDS), unique=True)))
+        tallies = {rid: RelationTally(*(draw(count) for _ in range(4)), draw(witnesses(True)))
+                   for rid in ids}
+        audit = GeodeticAudit(*(draw(count) for _ in range(5)),
+                              draw(witnesses(False)), draw(witnesses(False)))
+        report = MiningReport(EXHAUSTIVE, ids, cap, draw(count), tallies, audit)
+        assert mined_document(MINE_ARGV, report) == mine_document(MINE_ARGV, report)
+
+
 def result_entry(result):
     """A result entry as a dict, laid out by the generic writer below: the
     form ``check`` built before it wrote its rows itself."""
@@ -680,6 +844,32 @@ class TestDeterminism:
         _, single = run_json(argv)
         _, multi = run_json(argv + ["--workers", "2"])
         assert single == multi
+
+    def test_one_parser_serves_every_call(self, src_env, monkeypatch, capsys):
+        """In one process, a usage error, ``--help`` and then a call of each
+        command give the bytes and exit codes of separate processes."""
+        calls = [  # (argv, stdin, exit code)
+            (["mine", "--n-max", "3", "--bogus"], "", EXIT_USAGE),
+            (["--help"], "", EXIT_OK),
+            (["compute", "-", "--format", "json"], STAR, EXIT_OK),
+            (["check", "-"], C4, EXIT_OK),
+            (["mine", "--n-max", "4", "--relations", "R11,R12"], "", EXIT_OK),
+            (["gen", "--model", "cycle", "--n", "5"], "", EXIT_OK),
+        ]
+        monkeypatch.setenv("COLUMNS", "80")  # the help text's width
+        env = {**src_env, "COLUMNS": "80"}
+        for argv, stdin, expected in calls:
+            alone = subprocess.run([sys.executable, "-m", "centaudit", *argv], input=stdin,
+                                   capture_output=True, text=True, env=env)
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (
+                alone.returncode, alone.stdout, alone.stderr), argv
+            assert code == expected and captured.out + captured.err
 
     def test_subprocess_byte_identical(self, src_env):
         argv = [sys.executable, "-m", "centaudit", "mine", "--n-max", "4",

@@ -26,8 +26,11 @@ by inclusion-exclusion there, which the same lanes, and in the miner the
 per-size certificate, have since replaced. The n = 6 mining document with a
 witness cap of 1000, whose 108 R12 witnesses all come from labeled copies,
 was recorded before a later copy's per-graph witness reused its class's
-rows instead of evaluating the copy again. Any refactor must leave these
-bytes unchanged.
+rows instead of evaluating the copy again. The text documents of the
+WS(24) random mine, of the n = 6 mine with a witness cap of 1000 and of the
+WS(400) compute were recorded before ``mine`` and ``compute`` wrote their
+rows by templates instead of through payload dicts. Any refactor must leave
+these bytes unchanged.
 
 The graphs are fed on stdin so that the echoed ``command`` holds no file path.
 """
@@ -74,14 +77,17 @@ GOLDEN = {
     "compute-k2-text": "ffda514c2f32a01b7569191059707ea1645fecd858f902a592709aeccaab9aa7",
     "compute-gnp12-json": "cd5c2fa629adfec375b6bd80e289e7316722d0c697f050d31eadfd083f2203c9",
     "compute-gnp12-text": "cf63026866f40e896809cd109840d20c5735a0c3537c934012e13325c949f167",
+    "compute-ws400-text": "86798fb388ad126c0b8a8e5d603a9de28b531e678dcbc7d0db2a066288e3efcc",
     # one worker; six trials cover the trial shard and R6's 512-subject budget
     "mine-ws24-json": "0011fcaa42280519dcc1001c32b19703b56424e526bf0c43395de1f6f2cd565b",
+    "mine-ws24-text": "0f54b1a4749542211a5b8cd28fa00b8257cf8f12a82a83bddcf495c48c6ff61c",
     # every labeled connected graph on up to 6 vertices, one and two shards per n
     "mine-n6-json": "1f64dce07282bb303f9b9bbea3fc69f3989337a1d95c04964b8485e99696a432",
     "mine-n6w2-json": "8406239124d86064bd424cf1ec9b52be4b56dabcb82c450385b493f7623dbd4c",
     # all 108 R12 violations at n <= 6 kept: every labeled copy of a violating
     # class gives a witness
     "mine-n6cap1000-json": "62f529051c3a1502c759b3d157e9716fd8a52759dc2f3f8a873b65661c9673ac",
+    "mine-n6cap1000-text": "2f675fdea1d32dcb0f3e892034c0144fb02334ff7a67b2275b2bb0181c0322f3",
     "mine-gnp40-json": "7d716f6817ab4f075365a5cf492d781c0a566f66714df2fac318640d441d5e2a",
     "mine-path72-json": "72e392bbc2fae34333407c4bc595caa6456cca032f5eb50a911269f04883b249",
     "mine-ws73-json": "12a995c87c0584fedd833e13c6db2066b8f75adf39883f7a65809bc84280043d",

@@ -732,3 +732,32 @@ class TestEqualityCensus:
             list(equality_census("R8", 8))
         with pytest.raises(ValueError):
             list(equality_census("R99", 4))
+
+    def test_census_equals_evaluating_every_graph(self):
+        """For every relation, the census is ``evaluate``'s equality outcomes
+        on each labeled connected graph with n <= 5, in the same order."""
+        expected = {rid: [] for rid in RELATION_IDS}
+        for n in range(2, 6):
+            for g in enumerate_connected(n):
+                d = apsp(g)
+                prof = profile(g, d)
+                for rid in RELATION_IDS:
+                    outcomes = evaluate(relation(rid), g, prof, d, mining.SUBSET_BUDGET_PER_GRAPH)
+                    expected[rid] += [(g, row[0]) for status, row in outcomes
+                                      if status == EQUALITY]
+        for rid in RELATION_IDS:
+            assert list(equality_census(rid, 5)) == expected[rid], rid
+
+    def test_census_evaluates_a_per_graph_relation_once_per_class(self, monkeypatch):
+        """R8 is an equality on every graph; each of the 30 connected classes
+        on 2..5 vertices (1 + 2 + 6 + 21) is evaluated once, and its 771
+        labeled graphs are all yielded."""
+        calls = []
+        evaluate = relations.evaluate
+        monkeypatch.setattr(relations, "evaluate",
+                            lambda spec, g, *args: calls.append(g.n) or evaluate(spec, g, *args))
+        entries = list(equality_census("R8", 5))
+        assert Counter(calls) == {2: 1, 3: 2, 4: 6, 5: 21}
+        assert len(entries) == 771
+        assert [g for g, _ in entries] == [g for n in range(2, 6) for g in enumerate_connected(n)]
+        assert {subject for _, subject in entries} == {None}
