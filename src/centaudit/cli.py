@@ -7,12 +7,14 @@ the accompanying ``*_approx`` decimal fields are display-only.
 
 JSON is laid out as ``json.dumps(document, indent=2)`` would lay it out.
 Each command writes its text lines and its JSON rows straight from what it
-computed, the rows by string templates: ``check`` from its
-``RelationResult``s, ``compute`` from the profile's integer columns and
-``mine`` from its ``MiningReport``. ``_write_json`` lays out only each
-document's small head. A JSON document goes to the output a piece at a time
-as it is laid out. The argument parser is built once, at import, and serves
-every call of :func:`main`.
+computed, the rows by string templates: ``check`` from the ``(status,
+row)`` outcomes of ``relations.evaluate``, one call per selected relation,
+with no ``RelationResult`` built, ``compute`` from the profile's integer
+columns and ``mine`` from its ``MiningReport``. ``check`` builds ``apsp``'s
+distance rows only when R6, the one relation that reads them, is selected.
+``_write_json`` lays out only each document's small head. A JSON document
+goes to the output a piece at a time as it is laid out. The argument parser
+is built once, at import, and serves every call of :func:`main`.
 
 Exit codes: 0 success (audit findings included), 2 usage or parse error,
 3 disconnected input graph, 4 violation of a non-audit relation.
@@ -40,9 +42,7 @@ from .graphs import (
     parse_edge_list,
     serialize_edge_list,
 )
-from .metrics import DisconnectedGraphError, profile
-# wrapped by perfbench's metrics.apsp span, pinned by tests/test_bench_hooks.py
-from .metrics import apsp  # noqa: F401
+from .metrics import DisconnectedGraphError, apsp, profile
 from .mining import (
     DEFAULT_WITNESS_CAP,
     ConnectivityRetryError,
@@ -342,61 +342,65 @@ def _render_profile_text(head: dict, prof) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _result_rows(results: list[rel.RelationResult], n: int, pad: str, out) -> None:
-    """Pass ``check``'s ``results`` on a graph of ``n`` vertices to ``out`` as
-    :func:`_write_json` lays out their entries in a list indented by ``pad``:
-    one string per row, from its relation's fixed head, its subject, its
-    status and its three rationals."""
+def _outcome_sides(spec: rel.RelationSpec, outcomes: list[rel.Outcome]):
+    """Per ``(status, row)`` outcome of ``spec``: its status, its subject and
+    its lhs, rhs and slack as :func:`_rational` pairs, the slack oriented by
+    the comparison. A left side equal to the row before's is formatted once:
+    R6's is L on every row."""
+    sense = spec.sense
+    last = lhs = None
+    for status, (subject, ln, ld, rn, rd, _) in outcomes:
+        if (ln, ld) != last:
+            last, lhs = (ln, ld), _rational(ln, ld)
+        yield (status, subject, lhs, _rational(rn, rd),
+               _rational(rel._oriented_difference(sense, ln, ld, rn, rd), ld * rd))
+
+
+def _result_rows(outcomes, n: int, pad: str, out) -> None:
+    """Pass ``check``'s ``outcomes`` on a graph of ``n`` vertices, each
+    selected relation's spec with its ``(status, row)`` outcomes, to ``out``
+    as :func:`_write_json` lays out their entries in a list indented by
+    ``pad``: one string per outcome, from its relation's template, its
+    subject, its status and its three rationals."""
     row = pad + "  "  # each row's braces
     key = row + "  "  # a row's keys
     sub = key + "  "  # the subject's key
     sep = ",\n" + key
-    heads = {
-        spec.id: "{\n" + key + '"relation": ' + encode_basestring_ascii(spec.id)
-        + sep + '"kind": ' + encode_basestring_ascii(spec.kind)
-        + sep + '"audit": ' + ("true" if spec.audit else "false") + sep + '"subject": '
-        for spec in rel.catalog()
-    }
     # subset members behind their separators: "[" + joined[1:] opens the list
     members = [",\n" + sub + "  " + str(v) for v in range(n)]
     vertex_head = "{\n" + sub + '"vertex": '
     vertex_tail = "\n" + key + "}"
     subset_head = "{\n" + sub + '"subset": ['
     subset_tail = "\n" + sub + "]\n" + key + "}"
-    tail = (sep + '"status": {}' + sep + '"lhs": "{}"' + sep + '"lhs_approx": {}'
-            + sep + '"rhs": "{}"' + sep + '"rhs_approx": {}' + sep + '"slack": "{}"'
-            + sep + '"slack_approx": {}\n' + row + "}}").format
+    tail = (sep + '"status": %s' + sep + '"lhs": "%s"' + sep + '"lhs_approx": %r'
+            + sep + '"rhs": "%s"' + sep + '"rhs_approx": %r' + sep + '"slack": "%s"'
+            + sep + '"slack_approx": %r\n' + row + "}")
     lead = "[\n" + row
-    for r in results:
-        subject = r.subject
-        if subject is None:
-            subject_text = "null"
-        elif type(subject) is int:
-            subject_text = vertex_head + str(subject) + vertex_tail
-        else:  # a subset has at least two members
-            subject_text = (subset_head + "".join(itemgetter(*subject)(members))[1:]
-                            + subset_tail)
-        out(lead + heads[r.relation_id] + subject_text + tail(
-            encode_basestring_ascii(r.status),
-            *_rational(r.lhs_num, r.lhs_den),
-            *_rational(r.rhs_num, r.rhs_den),
-            *_rational(*r.slack_pair),
-        ))
-        lead = ",\n" + row
-    out("\n" + pad + "]" if results else "[]")
+    for spec, spec_outcomes in outcomes:
+        text = ("{\n" + key + '"relation": ' + encode_basestring_ascii(spec.id)
+                + sep + '"kind": ' + encode_basestring_ascii(spec.kind)
+                + sep + '"audit": ' + _FLAG[spec.audit] + sep + '"subject": %s' + tail)
+        for status, subject, lhs, rhs, slack in _outcome_sides(spec, spec_outcomes):
+            if subject is None:
+                subject_text = "null"
+            elif type(subject) is int:
+                subject_text = vertex_head + str(subject) + vertex_tail
+            else:  # a subset has at least two members
+                subject_text = (subset_head + "".join(itemgetter(*subject)(members))[1:]
+                                + subset_tail)
+            out(lead + text % (subject_text, encode_basestring_ascii(status),
+                               *lhs, *rhs, *slack))
+            lead = ",\n" + row
+    out("\n" + pad + "]" if any(spec_outcomes for _, spec_outcomes in outcomes) else "[]")
 
 
-def _render_check_text(g: Graph, results: list[rel.RelationResult],
-                       non_audit: int, audit: int) -> str:
+def _render_check_text(g: Graph, outcomes, non_audit: int, audit: int) -> str:
     lines = [f"# centaudit check (schema {SCHEMA_VERSION})", f"graph: n={g.n} m={g.m}"]
-    for r in results:
-        flag = " [audit]" if rel.relation(r.relation_id).audit else ""
-        lhs, rhs, slack = (_rational(*pair)[0] for pair in (
-            (r.lhs_num, r.lhs_den), (r.rhs_num, r.rhs_den), r.slack_pair))
-        lines.append(
-            f"{r.relation_id} {_subject_text(r.subject)}: {r.status}"
-            f" lhs={lhs} rhs={rhs} slack={slack}{flag}"
-        )
+    for spec, spec_outcomes in outcomes:
+        text = (spec.id + " %s: %s lhs=%s rhs=%s slack=%s"
+                + (" [audit]" if spec.audit else ""))
+        lines += [text % (_subject_text(subject), status, lhs[0], rhs[0], slack[0])
+                  for status, subject, lhs, rhs, slack in _outcome_sides(spec, spec_outcomes)]
     lines.append(f"violations: non_audit={non_audit} audit={audit}")
     return "".join(line + "\n" for line in lines)
 
@@ -497,21 +501,30 @@ def _parse_relation_ids(text: str) -> tuple[str, ...]:
 
 
 def _cmd_check(args, argv, out) -> int:
-    relation_ids = _parse_relation_ids(args.relations)
+    specs = [rel.relation(rid) for rid in _parse_relation_ids(args.relations)]
     g = _read_graph(args.input)
-    results = rel.evaluate_all(g, relation_ids)
+    # only a per-subgraph relation (R6) reads apsp's distance rows; without
+    # one, profile(g) runs the same pass and keeps no row
+    if any(spec.scope == rel.PER_SUBGRAPH for spec in specs):
+        d = apsp(g)
+        prof = profile(g, d)
+    else:
+        d = None
+        prof = profile(g)
+    outcomes = [(spec, rel.evaluate(spec, g, prof, d)) for spec in specs]
     non_audit, audit = rel.violation_counts(
-        (r.relation_id, r.status == rel.VIOLATED) for r in results
+        (spec.id, sum(status == rel.VIOLATED for status, _ in spec_outcomes))
+        for spec, spec_outcomes in outcomes
     )
     if args.format == "json":
         _write_document(argv, {
             "graph": {"n": g.n, "m": g.m},
-            "results": partial(_result_rows, results, g.n),
+            "results": partial(_result_rows, outcomes, g.n),
             "non_audit_violations": non_audit,
             "audit_violations": audit,
         }, out)
     else:
-        out.write(_render_check_text(g, results, non_audit, audit))
+        out.write(_render_check_text(g, outcomes, non_audit, audit))
     return EXIT_OK if non_audit == 0 else EXIT_VIOLATION
 
 

@@ -189,6 +189,15 @@ def byte_lanes(row: bytes, width: int, size: int = 1) -> int:
     return int.from_bytes(spread, "little")
 
 
+def _pack_lanes(values: Iterable[int], width: int) -> int:
+    """One int holding the i-th of ``values`` in lane i of ``width`` bits,
+    lowest first: the inverse of :func:`_unpack_lanes`."""
+    lanes = array(_LANE_CODES[width], values)
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return int.from_bytes(lanes, "little")
+
+
 def _unpack_lanes(x: int, count: int, width: int) -> array:
     """The ``count`` lanes of ``x``, lowest first, each ``width`` bits."""
     lanes = array(_LANE_CODES[width], x.to_bytes(count * width // 8, "little"))

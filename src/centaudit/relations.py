@@ -31,15 +31,20 @@ statuses.
 R6 reads the pair-distance sum of every vertex subset it audits: every
 subset of a host of up to 10 vertices, seeded random ones of a larger host
 (:func:`graphs.subset_stream`). On every host their pair sums come off
-subset lanes, all subsets at once (:func:`_lane_pair_sums`). In
+subset lanes, all subsets at once (:func:`_lane_pair_sums`): pair counts on
+narrow lanes, widened as they fill, and none for the pairs at the distance
+nearest the mean, which each subset's pair count gives. In
 :func:`tally` a per-size certificate (:func:`_r6_bounds`), two upper bounds
 on the pair sums of all subsets of a size read off sorted distance rows,
 decides every audited subset of most sizes at once; only the subsets of the
 sizes it leaves open get pair sums and rows.
 
 :func:`make_result` turns one outcome into a :class:`RelationResult`, whose
-sides become Fractions only when read; :func:`evaluate_all` (the ``check``
-path) and the miner's capped witnesses are its callers.
+sides become Fractions only when read; :func:`evaluate_all`, the library's
+convenience wrapper, and the miner's capped witnesses are its callers.
+``check`` builds none: it writes its rows from :func:`evaluate`'s outcomes.
+:func:`apsp`'s distance rows are built only where a per-subgraph relation
+is selected; otherwise :func:`profile` runs the pass alone and keeps none.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from math import lcm
 from operator import itemgetter, sub
@@ -57,6 +62,7 @@ from .graphs import Graph, subset_stream
 from .metrics import (
     CentralityProfile,
     SourceSums,
+    _pack_lanes,
     _unpack_lanes,
     apsp,
     byte_lanes,
@@ -263,31 +269,73 @@ def _lane_pair_sums(dist, top: int, masks: list[int]) -> tuple[int, int]:
     pairs u < v adds X_u & X_v into one accumulator A_j per distance j =
     d(u, v), so that each lane of A_j counts its subset's pairs at distance
     j, and T(S) = sum_j j A_j in every lane at once. The accumulators are
-    keyed by the distances present, not indexed up to ``top``. The pass
-    costs n (n - 1) / 2 ANDs and additions of ints of (masks x count width)
-    bits, whatever the diameter.
+    keyed by the distances present, not indexed up to ``top``.
 
-    W is the narrowest width with n (n - 1) top < 2^W. The accumulators run
-    on lanes of the count width, the narrowest above n (n - 1) / 2, which no
-    count of pairs overflows. Where that is narrower than W, the bins are summed by
-    distance bit, B_b = sum of the A_j with bit b of j set (again a count of
-    pairs), each B_b is widened to W bits once, and T = sum_b 2^b B_b. No lane
-    carries: every partial sum of T is at most T(S) <= top n (n - 1) / 2 (A_0,
-    from zero distances between distinct vertices, counts for nothing).
+    The pairs at the distance j* nearest the mean, the commonest one on
+    small-world hosts, are never ANDed: every subset of k members has
+    C(k, 2) pairs, so A_j* = C(k, 2) - sum of the other A_j, lane by lane,
+    with C(k, 2) from each mask's popcount. Every A_j is at least 0, so no
+    lane borrows, and any j* would give exact sums. The pass costs one AND
+    and one addition per pair u < v off distance j*, of ints of (masks x
+    narrow width) bits, whatever the diameter.
+
+    The pass runs on narrow lanes, the narrowest width above n - 1, since
+    one row u adds at most n - 1 pairs (u, v > u) to a lane. The count
+    width, the narrowest above n (n - 1) / 2, holds any count of pairs.
+    Where it is wider, each A_j is kept as a narrow part and a count-width
+    part: from the row's distance counts, the narrow part is widened into
+    the other (:func:`metrics.byte_lanes`) just before a row would push the
+    pairs added to it since its last widening past 2^narrow - 1.
+
+    W is the narrowest width with n (n - 1) top < 2^W. Where the count width
+    is narrower than W, the bins are summed by distance bit, B_b = sum of
+    the A_j with bit b of j set (again a count of pairs), each B_b is
+    widened to W bits once, and T = sum_b 2^b B_b. No lane carries: every
+    partial sum of T is at most T(S) <= top n (n - 1) / 2 (A_0, from zero
+    distances between distinct vertices, counts for nothing).
     """
     n = len(dist)
     width = _lane_width(n * (n - 1) * top)
     bins = _lane_width(n * (n - 1) // 2)
+    narrow = _lane_width(n - 1)
     raw, size = _mask_records(masks, n)
-    ones = byte_lanes(b"\1" * len(masks), bins)
+    ones = byte_lanes(b"\1" * len(masks), narrow)
     member = []  # member[v] = X_v
     for c in range(size):
-        column = byte_lanes(raw[c::size], bins)  # byte c of every mask
+        column = byte_lanes(raw[c::size], narrow)  # byte c of every mask
         member += [column >> b & ones for b in range(min(8, n - 8 * c))]
-    by_distance: defaultdict[int, int] = defaultdict(int)  # j -> A_j
+    # the distance nearest the mean: the distance total over n (n - 1), rounded
+    ordered = n * (n - 1)
+    skip = (2 * sum(map(sum, dist)) + ordered) // (2 * ordered)
+    part: defaultdict[int, int] = defaultdict(int)  # j -> A_j, or its narrow part
+    by_distance: defaultdict[int, int] = defaultdict(int)  # j -> A_j, count width
+    widen = narrow < bins
+    if widen:
+        length = len(masks) * narrow // 8
+        limit = (1 << narrow) - 1
+        added: defaultdict[int, int] = defaultdict(int)  # j -> pairs since widened
+
+        def widened(lanes: int) -> int:
+            return byte_lanes(lanes.to_bytes(length, "little"), bins, narrow // 8)
+
     for u, (x, row) in enumerate(zip(member, dist), 1):
-        for j, y in zip(row[u:], member[u:]):
-            by_distance[j] += x & y
+        tail = row[u:]
+        if widen:
+            for j, count in Counter(tail).items():
+                if j != skip and added[j] + count > limit:
+                    by_distance[j] += widened(part.pop(j))
+                    added[j] = 0
+                added[j] += count
+        for j, y in zip(tail, member[u:]):
+            if j != skip:
+                part[j] += x & y
+    if widen:
+        for j, lanes in part.items():
+            by_distance[j] += widened(lanes)
+    else:
+        by_distance = part
+    choose2 = _pack_lanes([k * (k - 1) // 2 for k in map(int.bit_count, masks)], bins)
+    by_distance[skip] = choose2 - sum(by_distance.values())
     if bins < width:
         length = len(masks) * bins // 8
         planes = [sum([pairs for j, pairs in by_distance.items() if j >> b & 1])
@@ -588,7 +636,7 @@ _STATUS_BY_SIGN = {
 }
 
 
-def _rows(spec: RelationSpec, g: Graph, prof: CentralityProfile, d: SourceSums,
+def _rows(spec: RelationSpec, g: Graph, prof: CentralityProfile, d: Optional[SourceSums],
           max_subjects: Optional[int]) -> Iterator[Row]:
     """The evaluator's rows of ``spec`` on a connected graph; only a
     per-subgraph evaluator reads ``d`` and ``max_subjects``."""
@@ -603,12 +651,13 @@ def evaluate(
     spec: RelationSpec,
     g: Graph,
     prof: CentralityProfile,
-    d: SourceSums,
+    d: Optional[SourceSums],
     max_subjects: Optional[int] = None,
 ) -> list[Outcome]:
     """Evaluate one relation on a connected graph: one ``(status, row)``
     outcome per subject, in the evaluator's subject order. ``d`` is
-    :func:`apsp`'s, and only per-subgraph relations read its distance rows.
+    :func:`apsp`'s; only per-subgraph relations read its distance rows, and
+    the others take None as well.
 
     ``max_subjects`` truncates the subset stream of per-subgraph relations
     (used by the miner to bound work per graph); other scopes ignore it.
@@ -630,13 +679,19 @@ def _outcomes(sense: str, rows: Iterable[Row]) -> Iterator[Outcome]:
             yield SKIPPED, row
 
 
-@cache
+# the (n, budget) keys whose draws _sampled_sizes keeps, the most recent
+# ones: a miner reads one key per host size, each for many graphs in a row
+_SAMPLED_SIZES_KEPT = 4
+
+
+@lru_cache(maxsize=_SAMPLED_SIZES_KEPT)
 def _sampled_sizes(n: int, budget: Optional[int]) -> tuple[
         tuple[tuple[int, int], ...], tuple[tuple[tuple[int, ...], int], ...]]:
     """``(counts, subjects)`` of the first ``budget`` subjects of R6's subset
     stream on n vertices: ``(k, count)`` for each size k, by ascending k, and
     the ``(members, mask)`` pairs in stream order. They depend on nothing
-    else, so each process draws them once."""
+    else, so a process draws them once for as long as their key stays among
+    the ``_SAMPLED_SIZES_KEPT`` most recent."""
     subjects = tuple(islice(subset_stream(n), budget))
     return tuple(sorted(Counter(len(members) for members, _ in subjects).items())), subjects
 
@@ -759,14 +814,16 @@ def evaluate_all(
 ) -> list[RelationResult]:
     """Convenience wrapper: profile the graph and evaluate the given relations
     (default: the whole catalog), each once, in catalog order, one
-    :class:`RelationResult` per subject."""
-    ids = select_ids(relation_ids)
-    d = apsp(g)
-    prof = profile(g, d)
-    results = []
-    for rid in ids:
-        spec = relation(rid)
-        results.extend(
-            make_result(spec, status, row) for status, row in evaluate(spec, g, prof, d)
-        )
-    return results
+    :class:`RelationResult` per subject. The distance rows are kept only
+    when R6, which reads them, is among the relations."""
+    specs = [relation(rid) for rid in select_ids(relation_ids)]
+    # only a per-subgraph relation reads apsp's distance rows; without one,
+    # profile(g) runs the same pass and keeps no row
+    if any(spec.scope == PER_SUBGRAPH for spec in specs):
+        d = apsp(g)
+        prof = profile(g, d)
+    else:
+        d = None
+        prof = profile(g)
+    return [make_result(spec, status, row)
+            for spec in specs for status, row in evaluate(spec, g, prof, d)]

@@ -4,13 +4,15 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import groupby
 from math import gcd
+from operator import attrgetter
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from centaudit import cli, gnp_graph, mining, path_graph, profile, star_graph
+from centaudit import apsp, cli, gnp_graph, mining, path_graph, profile, star_graph
 from centaudit import watts_strogatz_graph
 from centaudit.graphs import MODELS, enumerate_connected_range, serialize_edge_list
 from centaudit.mining import GeodeticAudit, MiningReport, RelationTally, Witness
@@ -59,6 +61,16 @@ def check_document(g, *flags):
     stdin, sys.stdin = sys.stdin, io.StringIO(serialize_edge_list(g))
     try:
         code, stdout, _ = run(["check", "-", "--format", "json", *flags])
+    finally:
+        sys.stdin = stdin
+    return code, stdout
+
+
+def run_text(g, *flags):
+    """Exit code and text of ``check -`` on ``g``."""
+    stdin, sys.stdin = sys.stdin, io.StringIO(serialize_edge_list(g))
+    try:
+        code, stdout, _ = run(["check", "-", *flags])
     finally:
         sys.stdin = stdin
     return code, stdout
@@ -128,7 +140,8 @@ class TestLongRationals:
             texts = [f"{v.numerator}/{v.denominator}" for v in values]
             if limit:
                 sys.set_int_max_str_digits(640)
-            monkeypatch.setattr(cli.rel, "evaluate_all", lambda g, ids: [self.RESULT])
+            monkeypatch.setattr(cli.rel, "evaluate", lambda spec, *args: (
+                outcomes([self.RESULT]) if spec.id == "R7" else []))
             yield texts
         finally:
             if limit:
@@ -318,15 +331,38 @@ class TestCheck:
     def test_non_audit_violation_exit_4(self, star_file, monkeypatch):
         # proven relations never violate on real graphs; fabricate one result
         # to pin the exit-code contract
-        def fake_evaluate_all(g, relation_ids=None):
-            return [RelationResult("R8", None, "violated", "=", 1, 1, 2, 1)]
+        def fake_evaluate(spec, *args):
+            return outcomes([RelationResult("R8", None, "violated", "=", 1, 1, 2, 1)]
+                            if spec.id == "R8" else [])
 
-        monkeypatch.setattr(cli.rel, "evaluate_all", fake_evaluate_all)
+        monkeypatch.setattr(cli.rel, "evaluate", fake_evaluate)
         argv = ["check", star_file, "--format", "json"]
         code, payload = run_json(argv)
         assert code == EXIT_VIOLATION
         assert payload["non_audit_violations"] == 1
         assert_round_trips(run(argv)[1])
+
+    def test_distance_rows_only_for_r6(self, monkeypatch):
+        """Only R6 reads apsp's distance rows: without it ``check`` calls no
+        apsp, and its rows are those of a check of every relation."""
+        g = watts_strogatz_graph(60, 4, 0.1, seed=0)
+        _, full = check_document(g)
+        _, full_text = run_text(g)
+        calls = []
+        monkeypatch.setattr(cli, "apsp", lambda g: calls.append(g.n) or apsp(g))
+        code, doc = check_document(g, "--relations", "R1,R2")
+        assert (code, calls) == (EXIT_OK, [])
+        assert_round_trips(doc)
+        payload, full_payload = json.loads(doc)["payload"], json.loads(full)["payload"]
+        assert payload["results"] == [row for row in full_payload["results"]
+                                      if row["relation"] in ("R1", "R2")]
+        assert payload["results"] and payload["graph"] == full_payload["graph"]
+        code, text = run_text(g, "--relations", "R1,R2")
+        assert (code, calls) == (EXIT_OK, [])
+        assert text.splitlines()[2:-1] == [line for line in full_text.splitlines()
+                                           if line.startswith(("R1 ", "R2 "))]
+        assert check_document(g, "--relations", "R2,R6")[0] == EXIT_OK
+        assert calls == [60]
 
     def test_text_flags_audit(self, star_file):
         code, stdout, _ = run(["check", star_file, "--relations", "R12"])
@@ -626,6 +662,12 @@ class TestMineDocumentLayout:
         assert mined_document(MINE_ARGV, report) == mine_document(MINE_ARGV, report)
 
 
+def outcomes(results):
+    """The ``(status, row)`` outcomes that ``results`` were made from."""
+    return [(r.status, (r.subject, r.lhs_num, r.lhs_den, r.rhs_num, r.rhs_den, True))
+            for r in results]
+
+
 def result_entry(result):
     """A result entry as a dict, laid out by the generic writer below: the
     form ``check`` built before it wrote its rows itself."""
@@ -676,7 +718,9 @@ class TestResultRows:
         n, results = case
         pad = "  " * depth
         parts = []
-        cli._result_rows(results, n, pad, parts.append)
+        grouped = [(relation(rid), outcomes(group))
+                   for rid, group in groupby(results, key=attrgetter("relation_id"))]
+        cli._result_rows(grouped, n, pad, parts.append)
         assert "".join(parts) == rendered([result_entry(r) for r in results], pad)
 
 

@@ -155,6 +155,7 @@ class TestLaneRoundTrip:
         values = [0, 1, (1 << (width - 1)) - 1, 1, 0, (1 << width) - 1]
         packed = sum(v << (i * width) for i, v in enumerate(values))
         assert list(metrics._unpack_lanes(packed, len(values), width)) == values
+        assert metrics._pack_lanes(values, width) == packed
 
     @pytest.mark.parametrize("size, width", [
         (size, width) for size in (2, 4) for width in metrics.LANE_WIDTHS if width > 8 * size

@@ -47,7 +47,12 @@ from centaudit.graphs import (
 )
 from centaudit import metrics
 from centaudit.metrics import _unpack_lanes
-from centaudit.mining import SUBSET_BUDGET_PER_GRAPH, RelationTally
+from centaudit.mining import (
+    SUBSET_BUDGET_PER_GRAPH,
+    RelationTally,
+    mine_exhaustive,
+    mine_random,
+)
 from oracles import (
     SENSE,
     floyd_warshall,
@@ -93,6 +98,21 @@ class TestCatalog:
         assert select_ids([]) == ()
         with pytest.raises(ValueError):
             select_ids(["R1", "R99"])
+
+    def test_evaluate_all_keeps_distance_rows_only_for_r6(self, monkeypatch):
+        """Without R6, evaluate_all calls no apsp: profile(g) alone runs the
+        pass, and the results are those read beside apsp's rows."""
+        g = watts_strogatz_graph(60, 4, 0.1, seed=0)
+        d = apsp(g)
+        prof = profile(g, d)
+        expected = [make_result(relation(rid), *outcome) for rid in ("R1", "R7")
+                    for outcome in evaluate(relation(rid), g, prof, d)]
+        calls = []
+        monkeypatch.setattr(relations, "apsp", lambda g: calls.append(g.n) or apsp(g))
+        assert evaluate_all(g, ["R7", "R1"]) == expected
+        assert calls == []
+        evaluate_all(g, ["R6"])
+        assert calls == [60]
 
     def test_evaluate_all_dedups_in_catalog_order(self):
         results = evaluate_all(star_graph(3), ["R12", "R12", "R7"])
@@ -534,6 +554,110 @@ class TestSampledPairSums:
         self.assert_follows_distance(10 ** 12)
 
 
+def lane_pair_sums(dist, masks):
+    """The subset lanes' pair sums of ``masks`` over the rows ``dist``, one
+    per mask."""
+    top = max(map(max, dist))
+    sums, width = relations._lane_pair_sums(dist, top, masks)
+    return list(_unpack_lanes(sums, len(masks), width))
+
+
+def edge_masks(n):
+    """Masks of size 2, n - 1 and n on n vertices: the pairs (0, 1), (0,
+    n - 1) and (n - 2, n - 1), each vertex left out once, and all of them."""
+    full = (1 << n) - 1
+    return [0b11, 1 | 1 << (n - 1), 3 << (n - 2), *(full ^ 1 << v for v in range(n)), full]
+
+
+class TestNarrowPairCounts:
+    """relations._lane_pair_sums ANDs its pairs on narrow lanes, the
+    narrowest of 8, 16, 32 and 64 bits above n - 1, and widens a distance
+    bin into the count width, the narrowest above n (n - 1) / 2, before a
+    row could carry it past 2^narrow - 1. The bin of the distance nearest
+    the mean is never ANDed: it is C(k, 2) less the other bins. Every path
+    is held to exact oracles, with subsets of size 2, n - 1 and n among the
+    masks."""
+
+    @staticmethod
+    def widths(n):
+        return relations._lane_width(n - 1), relations._lane_width(n * (n - 1) // 2)
+
+    @staticmethod
+    def complete_bipartite(a):
+        return Graph.from_edges(2 * a, [(u, v) for u in range(a) for v in range(a, 2 * a)])
+
+    @pytest.mark.parametrize("a, widths", [(100, (8, 16)), (400, (16, 32))],
+                             ids=["K100,100", "K400,400"])
+    def test_complete_bipartite_against_the_closed_form(self, a, widths, monkeypatch):
+        """On K_{a,a} a pair across the sides is 1 apart and a pair on one
+        side 2, so T(S) = xy + 2[C(x, 2) + C(y, 2)] with x and y S's members
+        on each side. The mean distance is below 3/2, so the bin at 1 is
+        skipped, and the bin at 2, with 2 C(a, 2) pairs, is widened more
+        than once on the way."""
+        g = self.complete_bipartite(a)
+        n = g.n
+        assert self.widths(n) == widths
+        narrow, bins = widths
+        d = apsp(g)
+        side = [v >= a for v in range(n)]
+        assert [list(row) for row in d.dist] == [
+            [0 if u == v else 1 + (side[u] == side[v]) for v in range(n)] for u in range(n)]
+        assert 2 * (a * (a - 1)) > (1 << narrow) - 1
+        calls = []
+        original = relations.byte_lanes
+
+        def recorded(row, width, size=1):
+            calls.append((width, size))
+            return original(row, width, size)
+
+        monkeypatch.setattr(relations, "byte_lanes", recorded)
+        masks = [m for _, m in islice(subset_stream(n), 300)] + edge_masks(n)
+        expected = []
+        for mask in masks:
+            x = bin(mask & (1 << a) - 1).count("1")
+            y = bin(mask >> a).count("1")
+            expected.append(x * y + x * (x - 1) + y * (y - 1))
+        assert lane_pair_sums(d.dist, masks) == expected
+        assert calls.count((bins, narrow // 8)) > 1
+
+    @pytest.mark.parametrize("n", [23, 24, 256, 257, 362, 363])
+    def test_small_world_hosts_at_the_width_steps(self, n):
+        """WS(n, 4, 0.1) on each side of a step: the narrow lanes are the
+        count width at n = 23, 257 and 362, and narrower at 24, 256 and
+        363."""
+        narrow, bins = self.widths(n)
+        assert (narrow < bins) == (n in (24, 256, 363))
+        d = apsp(watts_strogatz_graph(n, 4, 0.1, seed=0))
+        subjects = list(islice(subset_stream(n), 200))
+        masks = [m for _, m in subjects] + edge_masks(n)
+        members = [tuple(v for v in range(n) if mask >> v & 1) for mask in masks]
+        assert lane_pair_sums(d.dist, masks) == [pair_distance_sum(d.dist, s) for s in members]
+
+    def test_complete_graph_every_pair_in_the_skipped_bin(self):
+        """On K30 every pair is 1 apart, the bin that is skipped, so each
+        pair sum is C(k, 2) alone."""
+        n = 30
+        d = apsp(complete_graph(n))
+        masks = [m for _, m in islice(subset_stream(n), 200)] + edge_masks(n)
+        assert lane_pair_sums(d.dist, masks) == [
+            bin(m).count("1") * (bin(m).count("1") - 1) // 2 for m in masks]
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_symmetric_rows_against_the_direct_sum(self, data):
+        """Any symmetric rows of positive distances, not only a graph's, and
+        so any bin nearest the mean, empty or not."""
+        n = data.draw(st.integers(2, 40), label="n")
+        top = data.draw(st.sampled_from([1, 3, 40, 10 ** 6]), label="top")
+        dist = [[0] * n for _ in range(n)]
+        for u, v in combinations(range(n), 2):
+            dist[u][v] = dist[v][u] = data.draw(st.integers(1, top))
+        masks = data.draw(st.lists(st.integers(3, (1 << n) - 1).filter(
+            lambda m: bin(m).count("1") >= 2), min_size=1, max_size=20), label="masks")
+        members = [tuple(v for v in range(n) if mask >> v & 1) for mask in masks]
+        assert lane_pair_sums(dist, masks) == [pair_distance_sum(dist, s) for s in members]
+
+
 class TestR6Certificate:
     """relations._r6_bounds bounds twice the pair-distance sum of every
     subset of each size k < n from above, both its direct and its
@@ -623,6 +747,28 @@ class TestTally:
             counts, subjects = relations._sampled_sizes(n, budget)
             assert counts == tuple(sorted(Counter(len(m) for m, _ in prefix).items()))
             assert subjects == prefix
+
+    def test_sampled_sizes_keeps_the_most_recent_keys(self):
+        """The draws of a few host sizes are kept, not of every size seen."""
+        relations._sampled_sizes.cache_clear()
+        for n in range(11, 61):
+            relations._sampled_sizes(n, SUBSET_BUDGET_PER_GRAPH)
+            assert relations._sampled_sizes.cache_info().currsize <= min(
+                n - 10, relations._SAMPLED_SIZES_KEPT)
+        assert relations._sampled_sizes.cache_info().currsize == relations._SAMPLED_SIZES_KEPT
+
+    def test_one_mine_run_draws_each_size_once(self):
+        """A miner's graphs of one size read one draw: random mining draws
+        once for all its trials, and exhaustive mining once per n."""
+        relations._sampled_sizes.cache_clear()
+        mine_random("watts_strogatz", {"n": 24, "k": 4, "p": 0.1}, trials=5,
+                    relation_ids=["R6"])
+        info = relations._sampled_sizes.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+        relations._sampled_sizes.cache_clear()
+        mine_exhaustive(5, relation_ids=["R6"])
+        info = relations._sampled_sizes.cache_info()
+        assert info.misses == 4 and info.hits > 0  # n = 2..5
 
     # widths: the subset lane width W that n (n - 1) diameter calls for and
     # the count width that n (n - 1) / 2 calls for. The reference count's
