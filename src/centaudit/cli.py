@@ -11,7 +11,8 @@ computed, the rows by string templates: ``check`` from the ``(status,
 row)`` outcomes of ``relations.evaluate``, one call per selected relation,
 with no ``RelationResult`` built, ``compute`` from the profile's integer
 columns and ``mine`` from its ``MiningReport``. ``check`` builds ``apsp``'s
-distance rows only when R6, the one relation that reads them, is selected.
+distance rows only when R6, the one relation that reads them, is selected
+(``relations.reads_distance_rows``).
 ``_write_json`` lays out only each document's small head. A JSON document
 goes to the output a piece at a time as it is laid out. The argument parser
 is built once, at import, and serves every call of :func:`main`.
@@ -503,15 +504,8 @@ def _parse_relation_ids(text: str) -> tuple[str, ...]:
 def _cmd_check(args, argv, out) -> int:
     specs = [rel.relation(rid) for rid in _parse_relation_ids(args.relations)]
     g = _read_graph(args.input)
-    # only a per-subgraph relation (R6) reads apsp's distance rows; without
-    # one, profile(g) runs the same pass and keeps no row
-    if any(spec.scope == rel.PER_SUBGRAPH for spec in specs):
-        d = apsp(g)
-        prof = profile(g, d)
-    else:
-        d = None
-        prof = profile(g)
-    outcomes = [(spec, rel.evaluate(spec, g, prof, d)) for spec in specs]
+    prof = profile(g, apsp(g)) if rel.reads_distance_rows(specs) else profile(g)
+    outcomes = [(spec, rel.evaluate(spec, prof)) for spec in specs]
     non_audit, audit = rel.violation_counts(
         (spec.id, sum(status == rel.VIOLATED for status, _ in spec_outcomes))
         for spec, spec_outcomes in outcomes

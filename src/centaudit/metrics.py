@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
@@ -45,9 +45,11 @@ def apsp(g: Graph) -> SourceSums:
     Graphs of at least LANE_MIN_N vertices run it on packed lanes, all
     sources of a block at once, while the levels allow (:func:`_pass_sums`).
     The rows take O(n**2) memory; path counts are folded and dropped. R6 is
-    the only reader of the rows, so ``check`` and the miner call this, and
-    :func:`profile` without sums runs the same pass without them. Raises
-    DisconnectedGraphError on a disconnected graph.
+    the only reader of the rows, which reach it as the ``dist`` of
+    ``profile(g, apsp(g))``: callers build them only where R6 is selected
+    (:func:`relations.reads_distance_rows`), and :func:`profile` without
+    sums runs the same pass without them. Raises DisconnectedGraphError on a
+    disconnected graph.
     """
     return _pass_sums(g, rows=True)
 
@@ -432,6 +434,10 @@ class CentralityProfile:
     build the Fractions from these integers each time they are read; the
     per-vertex ones read the integer pairs of :meth:`clustering_pairs`,
     :meth:`closeness_pairs` and :meth:`radiality_pairs`.
+
+    ``dist`` holds the distance rows of :func:`apsp` when the profile is
+    built as ``profile(g, apsp(g))``, and is None otherwise. It is left out
+    of equality and repr: both profiles of a graph are equal.
     """
 
     degrees: tuple[int, ...]
@@ -449,6 +455,7 @@ class CentralityProfile:
     stress_pair_sum: tuple[int, int]
     geodetic: bool
     even_cycle_free: bool
+    dist: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -606,9 +613,9 @@ def _pass_sums(g: Graph, rows: bool = False) -> SourceSums:
 
 def profile(g: Graph, d: SourceSums | None = None) -> CentralityProfile:
     """Compute every centrality of a connected graph, each quantity once and
-    in integers. The distance sums, stress, neighborhood pair sums, diameter
-    and geodetic flag are ``d``'s, read as they are, or, with no ``d``, those
-    of one pass over the sources that keeps no distance rows
+    in integers. The distance sums, stress, neighborhood pair sums, diameter,
+    geodetic flag and distance rows are ``d``'s, read as they are, or, with
+    no ``d``, those of one pass over the sources that keeps no distance rows
     (:func:`_pass_sums`)."""
     if g.n < 2:
         raise ValueError("profile needs at least 2 vertices")
@@ -646,4 +653,5 @@ def profile(g: Graph, d: SourceSums | None = None) -> CentralityProfile:
         stress_pair_sum=(stress_num, den),
         geodetic=sums.geodetic,
         even_cycle_free=is_even_cycle_free(g),
+        dist=sums.dist,
     )

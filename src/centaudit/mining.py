@@ -4,7 +4,10 @@ The miner walks a graph population (every labeled connected graph up to a
 size bound, or seeded random samples), evaluates the selected relations on
 each graph, tallies outcomes, keeps capped violation witnesses that can be
 replayed exactly, and audits the implication between the even-cycle-free and
-geodetic predicates.
+geodetic predicates. Every relation reads the graph's profile alone, and a
+graph is profiled with :func:`metrics.apsp`'s distance rows only when R6,
+their one reader, is among the selected relations
+(:func:`relations.reads_distance_rows`).
 
 Work is embarrassingly parallel: each n's adjacency bitmask range (or the
 trial range) is split into one contiguous chunk per worker, each mined as
@@ -228,6 +231,12 @@ class _Shard:
     audit: GeodeticAudit
 
 
+def _profile(g: Graph, specs: Sequence[RelationSpec]):
+    """g's profile, with :func:`apsp`'s distance rows only where one of
+    ``specs`` reads them (:func:`relations.reads_distance_rows`)."""
+    return profile(g, apsp(g)) if rel.reads_distance_rows(specs) else profile(g)
+
+
 def _evaluate_into(
     g: Graph,
     specs: Sequence[RelationSpec],
@@ -241,15 +250,14 @@ def _evaluate_into(
     violations and audit category as witnesses while their lists have fewer
     than ``cap``, and return g's (geodetic, even_cycle_free, the (spec,
     tally, violated outcomes) of each spec it violates)."""
-    d = apsp(g)
-    prof = profile(g, d)
+    prof = _profile(g, specs)
     geodetic, even_cycle_free = prof.geodetic, prof.even_cycle_free
     audit.add(geodetic, even_cycle_free, times)
     audit.keep(g, geodetic, even_cycle_free, cap)
     violated = []
     for spec, tally in zip(specs, tallies):
         holds, equality, violations_count, skipped, violations = rel.tally(
-            spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH)
+            spec, prof, SUBSET_BUDGET_PER_GRAPH)
         tally.holds += times * holds
         tally.equality += times * equality
         tally.violated += times * violations_count
@@ -311,12 +319,12 @@ def _mine_masks(
             continue
         g = mask_graph(n, mask)
         shard.audit.keep(g, geodetic, even_cycle_free, cap)
-        if any(spec.scope != rel.PER_GRAPH for spec, _, _ in room):
-            d = apsp(g)
-            prof = profile(g, d)
+        reread = [spec for spec, _, _ in room if spec.scope != rel.PER_GRAPH]
+        if reread:
+            prof = _profile(g, reread)
         for spec, tally, violations in room:
             if spec.scope != rel.PER_GRAPH:
-                violations = rel.tally(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH)[4]
+                violations = rel.tally(spec, prof, SUBSET_BUDGET_PER_GRAPH)[4]
             tally.keep(spec, violations, g, cap)
 
 
@@ -434,11 +442,14 @@ def _run_tasks(tasks, workers: int) -> list[_Shard]:
 
 def _check_limits(witness_cap: int, workers: int) -> int:
     """Reject a negative witness cap or fewer than one worker; return
-    ``workers`` capped at the CPU count."""
+    ``workers`` capped at the CPUs this process may use: its affinity set
+    where the platform reports one, else the CPU count."""
     if witness_cap < 0:
         raise ValueError(f"witness_cap must be >= 0, got {witness_cap}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if hasattr(os, "sched_getaffinity"):
+        return min(workers, len(os.sched_getaffinity(0)))
     return min(workers, os.cpu_count() or 1)
 
 
@@ -465,7 +476,7 @@ def mine_exhaustive(
 ) -> MiningReport:
     """Evaluate the selected relations on every labeled connected graph with
     2..n_max vertices. Deterministic; reports carry replayable witnesses.
-    ``workers`` is capped at the CPU count."""
+    ``workers`` is capped at the CPUs this process may use."""
     _check_n_max(n_max)
     workers = _check_limits(witness_cap, workers)
     ids = rel.select_ids(relation_ids)
@@ -500,8 +511,8 @@ def mine_random(
     deterministic for a fixed (model, params, trials, seed) regardless of
     worker count. A seedless model (path, cycle, star, complete) draws the
     same graph every time, so its first failed draw is final.
-    ``workers`` is capped at the CPU count; ``retry_cap`` must be in
-    1..``MAX_RETRY_CAP``; ``seed`` must be >= 0.
+    ``workers`` is capped at the CPUs this process may use; ``retry_cap``
+    must be in 1..``MAX_RETRY_CAP``; ``seed`` must be >= 0.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -564,7 +575,8 @@ def equality_census(
 
 def _equality_subjects(spec: RelationSpec, g: Graph) -> list[Subject]:
     """The subjects of the connected graph g's equality outcomes of ``spec``,
-    in subject order."""
-    d = apsp(g)
-    return [row[0] for status, row in rel.evaluate(
-        spec, g, profile(g, d), d, SUBSET_BUDGET_PER_GRAPH) if status == rel.EQUALITY]
+    in subject order. The census's hosts, of at most MASK_CLASSES_MAX_N
+    vertices, have fewer vertex subsets than the miner's R6 budget, so R6's
+    subjects here are every subset, as in the miner."""
+    return [row[0] for status, row in rel.evaluate(spec, _profile(g, (spec,)))
+            if status == rel.EQUALITY]

@@ -7,18 +7,17 @@ entries are marked ``audit-inequality``: their statements are checked
 empirically and violations are reported without failing a run.
 
 Each catalog row holds a relation's comparison and its evaluator. An
-evaluator yields one row per subject, ``(subject, lhs_num, lhs_den, rhs_num,
-rhs_den, precondition_ok)``, from the graph and its profile; a per-subgraph
-one also takes the distance rows and the number of subjects to yield, so
-that it computes no more than are read. Each side is an integer numerator
-over a positive denominator, not necessarily in lowest terms. Evaluators
-read the integer fields of the :class:`CentralityProfile` and never its
-Fraction views. Neighborhood and vertex-deletion means come from the
-profile's integer pair-distance and row sums, which the pass over the
-sources folds, and subset means from pair-distance sums over the distance
-rows of :func:`apsp`, which only R6 reads. Clustering comes from the
-profile's edge counts among neighbors and its average-clustering pair, and
-per-graph sums over vertices share one common denominator.
+evaluator takes the graph's :class:`CentralityProfile` alone and yields one
+row per subject, ``(subject, lhs_num, lhs_den, rhs_num, rhs_den,
+precondition_ok)``. Each side is an integer numerator over a positive
+denominator, not necessarily in lowest terms. Evaluators read the integer
+fields of the profile and never its Fraction views. Neighborhood and
+vertex-deletion means come from the profile's integer pair-distance and row
+sums, which the pass over the sources folds, and subset means from
+pair-distance sums over the profile's distance rows, ``dist``, which only
+R6 reads. Clustering comes from the profile's edge counts among neighbors
+and its average-clustering pair, and per-graph sums over vertices share one
+common denominator.
 
 One sign rule, :func:`_outcomes`, decides every status, from the sign of
 ``lhs_num * rhs_den - rhs_num * lhs_den`` oriented by the comparison.
@@ -43,8 +42,10 @@ sizes it leaves open get pair sums and rows.
 sides become Fractions only when read; :func:`evaluate_all`, the library's
 convenience wrapper, and the miner's capped witnesses are its callers.
 ``check`` builds none: it writes its rows from :func:`evaluate`'s outcomes.
-:func:`apsp`'s distance rows are built only where a per-subgraph relation
-is selected; otherwise :func:`profile` runs the pass alone and keeps none.
+A profile carries :func:`apsp`'s distance rows only where
+:func:`reads_distance_rows` says the selected relations read them; otherwise
+:func:`profile` runs the pass alone and keeps none, and R6 raises ValueError
+on such a profile.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 from .graphs import Graph, subset_stream
 from .metrics import (
     CentralityProfile,
-    SourceSums,
     _pack_lanes,
     _unpack_lanes,
     apsp,
@@ -94,10 +94,8 @@ Ratio = tuple[int, int]
 Row = tuple[Subject, int, int, int, int, bool]
 # (status, row): what evaluate returns per subject
 Outcome = tuple[str, Row]
-# (graph, profile) -> one row per subject; a per-subgraph relation also takes
-# the source sums with their distance rows and the number of subjects to
-# yield (None: all)
-Evaluator = Callable[..., Iterator[Row]]
+# profile -> one row per subject
+Evaluator = Callable[[CentralityProfile], Iterator[Row]]
 
 
 @dataclass(frozen=True)
@@ -198,7 +196,7 @@ def _degree_stress_monotone(prof: CentralityProfile) -> bool:
 # and over those of N[i] = N(i) + {i}, from the profile's pair sums
 
 
-def _eval_r1(g, prof):
+def _eval_r1(prof):
     # local clustering is 2 links / (d(d-1)) (0 below degree 2), over the
     # open mean's denominator
     for i, (deg, open_sum, links) in enumerate(
@@ -208,15 +206,15 @@ def _eval_r1(g, prof):
         yield i, 2 * open_sum, pairs, 2 * (pairs - links), pairs, deg >= 2
 
 
-def _eval_r2(g, prof):
+def _eval_r2(prof):
     # the open means, 2 T(N(i)) / (d(d-1)), and 0 below degree 2
     num, den = _triplet_sum(prof, [2 * t for t in prof.open_pair_sums])
-    n = g.n
+    n = prof.n
     yield (None, *prof.average_clustering_pair,
            2 * n * den - num, n * den, min(prof.degrees) >= 2)
 
 
-def _eval_r3(g, prof):
+def _eval_r3(prof):
     for i, (deg, open_sum, closed_sum) in enumerate(
         zip(prof.degrees, prof.open_pair_sums, prof.closed_pair_sums)
     ):
@@ -225,8 +223,8 @@ def _eval_r3(g, prof):
                (deg - 1) * on + 2 * od, (deg + 1) * od, deg >= 1)
 
 
-def _eval_r4(g, prof):
-    n = g.n
+def _eval_r4(prof):
+    n = prof.n
     total = prof.distance_total
     half = total // 2  # each unordered pair once
     for v, row_sum in enumerate(prof.row_sums):
@@ -235,7 +233,7 @@ def _eval_r4(g, prof):
         yield v, total, n * (n - 1), (n - 1) * mn, n * md, True
 
 
-def _eval_r5(g, prof):
+def _eval_r5(prof):
     for i, (deg, open_sum, closed_sum) in enumerate(
         zip(prof.degrees, prof.open_pair_sums, prof.closed_pair_sums)
     ):
@@ -258,10 +256,11 @@ def _mask_records(masks: list[int], n: int) -> tuple[bytes, int]:
     return b"".join([mask.to_bytes(size, "little") for mask in masks]), size
 
 
-def _lane_pair_sums(dist, top: int, masks: list[int]) -> tuple[int, int]:
+def _lane_pair_sums(dist, top: int, total: int, masks: list[int]) -> tuple[int, int]:
     """``(T, W)``: the pair-distance sum T(S) of each vertex mask S in one
     int T, one W-bit lane per mask in mask order, lowest lane first; ``top``
-    is the largest entry of the distance rows ``dist``.
+    is the largest entry of the distance rows ``dist`` and ``total`` the sum
+    of all their entries (a profile's ``distance_total``).
 
     The subsets are the lanes: X_v holds 1 in lane i when v is in mask i
     (the masks transposed, a byte column at a time). X_u & X_v then holds 1
@@ -271,11 +270,11 @@ def _lane_pair_sums(dist, top: int, masks: list[int]) -> tuple[int, int]:
     j, and T(S) = sum_j j A_j in every lane at once. The accumulators are
     keyed by the distances present, not indexed up to ``top``.
 
-    The pairs at the distance j* nearest the mean, the commonest one on
-    small-world hosts, are never ANDed: every subset of k members has
-    C(k, 2) pairs, so A_j* = C(k, 2) - sum of the other A_j, lane by lane,
-    with C(k, 2) from each mask's popcount. Every A_j is at least 0, so no
-    lane borrows, and any j* would give exact sums. The pass costs one AND
+    The pairs at the distance j* nearest the mean, ``total`` over n (n - 1)
+    rounded, the commonest one on small-world hosts, are never ANDed: every
+    subset of k members has C(k, 2) pairs, so A_j* = C(k, 2) - sum of the
+    other A_j, lane by lane, with C(k, 2) from each mask's popcount. Every
+    A_j is at least 0, so no lane borrows, and any j* would give exact sums. The pass costs one AND
     and one addition per pair u < v off distance j*, of ints of (masks x
     narrow width) bits, whatever the diameter.
 
@@ -304,9 +303,8 @@ def _lane_pair_sums(dist, top: int, masks: list[int]) -> tuple[int, int]:
     for c in range(size):
         column = byte_lanes(raw[c::size], narrow)  # byte c of every mask
         member += [column >> b & ones for b in range(min(8, n - 8 * c))]
-    # the distance nearest the mean: the distance total over n (n - 1), rounded
     ordered = n * (n - 1)
-    skip = (2 * sum(map(sum, dist)) + ordered) // (2 * ordered)
+    skip = (2 * total + ordered) // (2 * ordered)  # the distance nearest the mean
     part: defaultdict[int, int] = defaultdict(int)  # j -> A_j, or its narrow part
     by_distance: defaultdict[int, int] = defaultdict(int)  # j -> A_j, count width
     widen = narrow < bins
@@ -345,38 +343,41 @@ def _lane_pair_sums(dist, top: int, masks: list[int]) -> tuple[int, int]:
     return sum([j * pairs for j, pairs in by_distance.items()]), width
 
 
-def _sampled_pair_sums(dist, top: int, stream):
-    """``(members, T(S))`` for each ``(members, mask)`` of a subset stream:
-    the stream is read whole and its pair sums come off subset lanes
-    (:func:`_lane_pair_sums`), all at once."""
+def _distance_rows(prof: CentralityProfile):
+    """The profile's distance rows; ValueError when it was built without."""
+    if prof.dist is None:
+        raise ValueError("R6 reads the distance rows: profile the graph as profile(g, apsp(g))")
+    return prof.dist
+
+
+def _r6_rows(prof: CentralityProfile, stream):
+    """R6's row for each ``(members, mask)`` of a subset stream: the graph's
+    mean distance against k/n times S's mean pair distance, for S of k
+    members. The stream is read whole, and the pair-distance sums T(S) of
+    all its subsets come off subset lanes (:func:`_lane_pair_sums`) at once."""
     subjects = list(stream)
-    sums, width = _lane_pair_sums(dist, top, [mask for _, mask in subjects])
-    return zip([members for members, _ in subjects], _unpack_lanes(sums, len(subjects), width))
-
-
-def _r6_rows(n: int, distance_total: int, sums):
-    """R6's row for each ``(members, T(S))`` of ``sums``: the graph's mean
-    distance against k/n times S's mean pair distance, for S of k members."""
+    n, total = prof.n, prof.distance_total
+    sums, width = _lane_pair_sums(_distance_rows(prof), prof.diameter, total,
+                                  [mask for _, mask in subjects])
     ld = n * (n - 1)
-    for members, pair_sum in sums:
+    for (members, _), pair_sum in zip(subjects, _unpack_lanes(sums, len(subjects), width)):
         k = len(members)  # >= 2
         mn, md = _mean_pairs(pair_sum, k)
-        yield members, distance_total, ld, k * mn, n * md, True
+        yield members, total, ld, k * mn, n * md, True
 
 
-def _eval_r6(g, prof, d, max_subjects):
-    stream = islice(subset_stream(g.n), max_subjects)
-    return _r6_rows(g.n, prof.distance_total, _sampled_pair_sums(d.dist, d.diameter, stream))
+def _eval_r6(prof):
+    return _r6_rows(prof, subset_stream(prof.n))
 
 
-def _eval_r7(g, prof):
-    n = g.n
+def _eval_r7(prof):
+    n = prof.n
     num, den = _ratio_sum(prof.closeness_pairs())
     yield None, prof.distance_total, n * (n - 1), n * den, num, True
 
 
-def _eval_r8(g, prof):
-    n = g.n
+def _eval_r8(prof):
+    n = prof.n
     pairs = n * (n - 1)
     total = prof.distance_total
     # radiality is ((n - 1)(diam + 1) - row sum) / (n - 1); summed over the
@@ -401,46 +402,46 @@ def _closed_neighborhood_radialities(prof: CentralityProfile) -> Iterator[Ratio]
         yield (0 if complete else square) + deg + 2 * links, square
 
 
-def _eval_r9(g, prof):
+def _eval_r9(prof):
     cn, cd = prof.average_clustering_pair
-    n = g.n
+    n = prof.n
     num, den = _ratio_sum(_closed_neighborhood_radialities(prof))
     complete = sum(prof.complete_neighborhood)
     yield None, cn, 2 * cd, num + (complete - 2 * n) * den, n * den, True
 
 
-def _eval_r10(g, prof):
-    pairs = g.n * (g.n - 1)
+def _eval_r10(prof):
+    pairs = prof.n * (prof.n - 1)
     yield (None, prof.distance_total, pairs,
            pairs + sum(prof.stress), pairs, prof.geodetic)
 
 
-def _eval_r10b(g, prof):
-    pairs = g.n * (g.n - 1)
+def _eval_r10b(prof):
+    pairs = prof.n * (prof.n - 1)
     yield None, prof.distance_total, pairs, pairs + sum(prof.stress), pairs, True
 
 
-def _eval_r11(g, prof):
+def _eval_r11(prof):
     # pendant terms are 0/0 in the statement; the profile's sum over
     # non-pendant vertices reports them as 0, so that the skipped results
     # still carry both sides
     num, den = prof.stress_pair_sum
-    n = g.n
+    n = prof.n
     yield (None, *prof.average_clustering_pair,
            n * den - num, n * den, not any(prof.pendant))
 
 
-def _eval_r11b(g, prof):
+def _eval_r11b(prof):
     num, den = prof.stress_pair_sum
-    n = g.n
+    n = prof.n
     pendants = sum(prof.pendant)
     yield (None, *prof.average_clustering_pair,
            (n - pendants) * den - num, n * den, True)
 
 
-def _eval_r12(g, prof):
+def _eval_r12(prof):
     cn, cd = prof.average_clustering_pair
-    n = g.n
+    n = prof.n
     # (L - 1)(n - 1) = (ln - ld) (n - 1) / ld, summed with 1 / (d(d-1))
     ln, ld = prof.distance_total, n * (n - 1)
     num, den = _triplet_sum(prof, repeat(1))
@@ -636,33 +637,19 @@ _STATUS_BY_SIGN = {
 }
 
 
-def _rows(spec: RelationSpec, g: Graph, prof: CentralityProfile, d: Optional[SourceSums],
-          max_subjects: Optional[int]) -> Iterator[Row]:
-    """The evaluator's rows of ``spec`` on a connected graph; only a
-    per-subgraph evaluator reads ``d`` and ``max_subjects``."""
-    if g.n < 2:
-        raise ValueError("relation evaluation needs at least 2 vertices")
-    if spec.scope == PER_SUBGRAPH:
-        return spec.evaluator(g, prof, d, max_subjects)
-    return spec.evaluator(g, prof)
+def reads_distance_rows(specs: Iterable[RelationSpec]) -> bool:
+    """True when one of ``specs`` reads the profile's distance rows: only
+    then is a graph profiled as ``profile(g, apsp(g))`` rather than
+    ``profile(g)``. R6, the one per-subgraph relation, is the only reader."""
+    return any(spec.scope == PER_SUBGRAPH for spec in specs)
 
 
-def evaluate(
-    spec: RelationSpec,
-    g: Graph,
-    prof: CentralityProfile,
-    d: Optional[SourceSums],
-    max_subjects: Optional[int] = None,
-) -> list[Outcome]:
-    """Evaluate one relation on a connected graph: one ``(status, row)``
-    outcome per subject, in the evaluator's subject order. ``d`` is
-    :func:`apsp`'s; only per-subgraph relations read its distance rows, and
-    the others take None as well.
-
-    ``max_subjects`` truncates the subset stream of per-subgraph relations
-    (used by the miner to bound work per graph); other scopes ignore it.
-    """
-    return list(_outcomes(spec.sense, _rows(spec, g, prof, d, max_subjects)))
+def evaluate(spec: RelationSpec, prof: CentralityProfile) -> list[Outcome]:
+    """Evaluate one relation on a connected graph's profile: one ``(status,
+    row)`` outcome per subject, in the evaluator's subject order. R6 reads
+    the profile's distance rows and raises ValueError on a profile without
+    them."""
+    return list(_outcomes(spec.sense, spec.evaluator(prof)))
 
 
 def _outcomes(sense: str, rows: Iterable[Row]) -> Iterator[Outcome]:
@@ -754,41 +741,37 @@ def _r6_open_sizes(dist, row_sums: tuple[int, ...], distance_total: int,
 
 
 def tally(
-    spec: RelationSpec,
-    g: Graph,
-    prof: CentralityProfile,
-    d: SourceSums,
-    budget: Optional[int],
+    spec: RelationSpec, prof: CentralityProfile, budget: Optional[int]
 ) -> tuple[int, int, int, int, list[Outcome]]:
     """``(holds, equality, violated, skipped, violations)`` of ``spec`` on
-    one connected graph: the status counts of the outcomes that
-    :func:`evaluate` gives with ``max_subjects=budget``, and its violated
-    outcomes in order. One loop counts the statuses of the evaluator's rows
-    as :func:`_outcomes` decides them, with no call to :func:`evaluate` and
-    no list of outcomes or statuses; only the violated outcomes are kept.
+    one connected graph's profile: the status counts of :func:`evaluate`'s
+    outcomes, R6's cut to its first ``budget`` subjects, and the violated
+    ones in order. One loop counts the statuses of the evaluator's rows as
+    :func:`_outcomes` decides them, with no call to :func:`evaluate` and no
+    list of outcomes or statuses; only the violated outcomes are kept.
 
     R6 counts the first ``budget`` subsets of the stream by size, on every
     host, and decides a size at once where :func:`_r6_open_sizes`'s
     certificate shows that all its subsets hold; the whole vertex set is an
     equality. Only the subsets of the other sizes, in stream order, get pair
-    sums off subset lanes (:func:`_sampled_pair_sums`) and rows, so that the
-    violated rows are evaluate's.
+    sums off subset lanes and rows (:func:`_r6_rows`), so that the violated
+    rows are evaluate's.
     """
     holds = equality = skipped = 0
     if spec.evaluator is _eval_r6:
-        n = g.n
+        n = prof.n
         counts, subjects = _sampled_sizes(n, budget)
         equality = sum(count for k, count in counts if k == n)
         sizes = [k for k, _ in counts if k < n]
-        open_sizes = _r6_open_sizes(d.dist, prof.row_sums, prof.distance_total, sizes)
+        open_sizes = _r6_open_sizes(_distance_rows(prof), prof.row_sums, prof.distance_total,
+                                    sizes)
         holds = sum(count for k, count in counts if k < n and k not in open_sizes)
         rows = ()
         if open_sizes:
-            stream = [subject for subject in subjects if len(subject[0]) in open_sizes]
-            rows = _r6_rows(n, prof.distance_total,
-                            _sampled_pair_sums(d.dist, d.diameter, stream))
+            rows = _r6_rows(prof, [subject for subject in subjects
+                                   if len(subject[0]) in open_sizes])
     else:
-        rows = _rows(spec, g, prof, d, budget)
+        rows = spec.evaluator(prof)
     violations = []
     for outcome in _outcomes(spec.sense, rows):
         status = outcome[0]
@@ -817,13 +800,6 @@ def evaluate_all(
     :class:`RelationResult` per subject. The distance rows are kept only
     when R6, which reads them, is among the relations."""
     specs = [relation(rid) for rid in select_ids(relation_ids)]
-    # only a per-subgraph relation reads apsp's distance rows; without one,
-    # profile(g) runs the same pass and keeps no row
-    if any(spec.scope == PER_SUBGRAPH for spec in specs):
-        d = apsp(g)
-        prof = profile(g, d)
-    else:
-        d = None
-        prof = profile(g)
+    prof = profile(g, apsp(g)) if reads_distance_rows(specs) else profile(g)
     return [make_result(spec, status, row)
-            for spec in specs for status, row in evaluate(spec, g, prof, d)]
+            for spec in specs for status, row in evaluate(spec, prof)]

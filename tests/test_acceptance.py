@@ -43,9 +43,9 @@ TWELVE_PROVED = ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R10", "R10b", 
 EXHAUSTIVE_RUNTIME_BUDGET_SECONDS = 300.0
 
 
-def results(spec, g, prof, d):
+def results(spec, prof):
     """One RelationResult per outcome of ``evaluate``."""
-    return [make_result(spec, status, row) for status, row in evaluate(spec, g, prof, d)]
+    return [make_result(spec, status, row) for status, row in evaluate(spec, prof)]
 
 
 @contextmanager
@@ -101,14 +101,13 @@ def sweep6():
     for n in range(2, 7):
         for g in enumerate_connected(n):
             facts.graphs += 1
-            d = apsp(g)
-            prof = profile(g, d)
+            prof = profile(g)
             if prof.geodetic != brute_force_geodetic(g):
                 facts.geodetic_flag_mismatches += 1
             if prof.geodetic:
                 facts.geodetic += 1
-            (res10,) = results(r10, g, prof, d)
-            (res10b,) = results(r10b, g, prof, d)
+            (res10,) = results(r10, prof)
+            (res10b,) = results(r10b, prof)
             if prof.geodetic:
                 if res10.status != EQUALITY or res10b.status != EQUALITY:
                     facts.r10_census_mismatches += 1
@@ -119,7 +118,7 @@ def sweep6():
                     facts.r10b_slack_mismatches += 1
             if not any(prof.pendant) and prof.diameter == 2:
                 facts.diam2_pendant_free += 1
-                (res11,) = results(r11, g, prof, d)
+                (res11,) = results(r11, prof)
                 if res11.status != EQUALITY:
                     facts.r11_diam2_failures += 1
     return facts
@@ -140,8 +139,7 @@ def test_criterion_4_diameter_two_equality(sweep6):
         assert sweep6.r11_diam2_failures == 0
         # named fixture: the 4-cycle sits exactly on the bound
         c4 = cycle_graph(4)
-        d = apsp(c4)
-        (res,) = results(relation("R11"), c4, profile(c4, d), d)
+        (res,) = results(relation("R11"), profile(c4))
         assert res.status == EQUALITY
         assert res.lhs == res.rhs == F(0)
         print(f"  (pendant-free diameter-2 graphs: {sweep6.diam2_pendant_free})")
@@ -150,8 +148,7 @@ def test_criterion_4_diameter_two_equality(sweep6):
 def test_criterion_5_audit_findings():
     with criterion(5, "audit findings (R12 star, R9 population)"):
         star = star_graph(3)
-        d = apsp(star)
-        (res,) = results(relation("R12"), star, profile(star, d), d)
+        (res,) = results(relation("R12"), profile(star))
         assert res.status == VIOLATED
         assert res.lhs == F(1) and res.rhs == F(13, 16)
         assert relation("R12").audit
@@ -177,8 +174,7 @@ def test_criterion_5_audit_findings():
         assert report.tallies["R9"].violated == 0
         for witness in report.tallies["R9"].witnesses:
             g = witness.graph()
-            dm = apsp(g)
-            (replayed,) = results(relation("R9"), g, profile(g, dm), dm)
+            (replayed,) = results(relation("R9"), profile(g))
             assert replayed.status == VIOLATED
             assert (replayed.lhs, replayed.rhs) == (witness.lhs, witness.rhs)
 

@@ -384,12 +384,17 @@ class TestDispatch:
 
 def assert_pass_matches_search(g):
     """``profile(g)``, folded in one pass without rows, equals the profile
-    of the same pass forced onto per-source search, field by field, and
-    ``apsp(g)``, the pass with rows, folds the same sums."""
+    of the same pass forced onto per-source search, field by field but the
+    distance rows, and ``apsp(g)``, the pass with rows, folds the same sums
+    and the same rows as the search."""
     folded, searched = profile(g), profile(g, reference(g))
     for field in dataclasses.fields(searched):
-        assert getattr(folded, field.name) == getattr(searched, field.name), field.name
-    assert profile(g, apsp(g)) == folded
+        if field.name != "dist":
+            assert getattr(folded, field.name) == getattr(searched, field.name), field.name
+    laned = profile(g, apsp(g))
+    assert laned == folded
+    assert folded.dist is None
+    assert laned.dist == searched.dist and searched.dist is not None
 
 
 class TestPassMatchesMatrix:

@@ -71,10 +71,9 @@ def report_fingerprint(report):
 def replay(relation_id, witness):
     """Re-run one relation on a witness graph and return the matching result."""
     g = witness.graph()
-    d = apsp(g)
-    prof = profile(g, d)
+    prof = profile(g, apsp(g))
     spec = relation(relation_id)
-    for status, row in evaluate(spec, g, prof, d):
+    for status, row in evaluate(spec, prof):
         result = make_result(spec, status, row)
         if result.subject == witness.subject:
             return result
@@ -126,7 +125,7 @@ def children(monkeypatch):
 
     monkeypatch.setattr(mining, "Process", InProcessChild)
     monkeypatch.setattr(mining, "Pipe", pipe)
-    monkeypatch.setattr(mining.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(mining.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return shares
 
 
@@ -160,6 +159,20 @@ class TestMineExhaustive:
             if (w.n, w.edges) == (star.n, star.edges)
         ]
         assert matches and matches[0].lhs == F(1) and matches[0].rhs == F(13, 16)
+
+    def test_distance_rows_only_for_r6(self, monkeypatch):
+        """Without R6 the miner profiles every graph without apsp's rows:
+        ``mine --n-max 5 --relations R1,R12`` calls no apsp, and its tallies
+        and witnesses are those of the whole catalog's run, which calls apsp
+        once per connected class (1 + 2 + 6 + 21)."""
+        calls = []
+        monkeypatch.setattr(mining, "apsp", lambda g: calls.append(g.n) or apsp(g))
+        report = mine_exhaustive(5, relation_ids=("R1", "R12"))
+        assert calls == []
+        full = mine_exhaustive(5)
+        assert len(calls) == 30
+        for rid in ("R1", "R12"):
+            assert report.tallies[rid] == full.tallies[rid], rid
 
     def test_witness_cap_bounds_list_not_tally(self):
         capped = mine_exhaustive(4, relation_ids=("R12",), witness_cap=2)
@@ -221,7 +234,7 @@ class TestMineExhaustive:
                 violated[rid][:report.witness_cap], rid
 
 
-def _eval_pendant(g, prof):
+def _eval_pendant(prof):
     # degree against 2: violated at every pendant vertex, an equality at
     # degree 2, and holding above it
     for i, deg in enumerate(prof.degrees):
@@ -241,10 +254,9 @@ def per_graph_tallies(n_max, specs):
     rows = []
     for n in range(2, n_max + 1):
         for g in enumerate_connected(n):
-            d = apsp(g)
-            prof = profile(g, d)
+            prof = profile(g, apsp(g))
             rows.append((g, prof.geodetic, prof.even_cycle_free, [
-                tally(spec, g, prof, d, mining.SUBSET_BUDGET_PER_GRAPH) for spec in specs
+                tally(spec, prof, mining.SUBSET_BUDGET_PER_GRAPH) for spec in specs
             ]))
     return rows
 
@@ -312,10 +324,12 @@ class TestClassMemo:
         on the labels, and the report still equals the fold over every
         labeled graph. One worker re-reads copies once a kept list has room
         after its class's first graph (cap 3 and 16), and never at caps 0
-        and 1, where P2's two pendants fill each n's first list."""
+        and 1, where P2's two pendants fill each n's first list. Without R6
+        no graph's rows are built, so the profiles count the evaluations."""
         calls = []
-        counted_apsp = mining.apsp
-        monkeypatch.setattr(mining, "apsp", lambda g: calls.append(g.n) or counted_apsp(g))
+        counted_profile = mining.profile
+        monkeypatch.setattr(mining, "profile",
+                            lambda g, *args: calls.append(g.n) or counted_profile(g, *args))
         report = mine_exhaustive(5, relation_ids=["RP", "R12"], witness_cap=cap,
                                  workers=workers)
         per_graph = per_graph_tallies(5, [relation("R12"), pendant])
@@ -489,11 +503,13 @@ class TestMineRandom:
         for trial in range(10):
             g = mining._connected_sample("watts_strogatz", params, 4, trial,
                                          mining.CONNECTIVITY_RETRY_CAP)
-            d = apsp(g)
-            prof = profile(g, d)
+            prof = profile(g, apsp(g))
             for rid in RELATION_IDS:
                 spec = relation(rid)
-                for status, row in evaluate(spec, g, prof, d, mining.SUBSET_BUDGET_PER_GRAPH):
+                outcomes = evaluate(spec, prof)
+                if rid == "R6":
+                    outcomes = outcomes[:mining.SUBSET_BUDGET_PER_GRAPH]
+                for status, row in outcomes:
                     counts[rid][status] += 1
                     if status == VIOLATED:
                         r = make_result(spec, status, row)
@@ -541,8 +557,28 @@ class TestMineRandom:
 
 
 class TestWorkerBound:
-    """``workers`` is capped at the CPU count; an in-process stand-in for the
-    mining children records each child's share, so no process is started."""
+    """``workers`` is capped at the CPUs this process may use; an in-process
+    stand-in for the mining children records each child's share, so no
+    process is started."""
+
+    def test_capped_at_the_affinity_not_the_host(self, children, monkeypatch):
+        """A process allowed one CPU of a host that counts eight mines in
+        itself and starts no child."""
+        monkeypatch.setattr(mining.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(mining.os, "cpu_count", lambda: 8)
+        assert mining._check_limits(0, 8) == 1
+        report = mine_exhaustive(3, workers=8)
+        assert children == []
+        assert report_fingerprint(report) == report_fingerprint(mine_exhaustive(3))
+
+    def test_cpu_count_without_an_affinity(self, monkeypatch):
+        """Where the platform reports no affinity set, the CPU count caps,
+        and one worker when that is unknown."""
+        monkeypatch.delattr(mining.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(mining.os, "cpu_count", lambda: 3)
+        assert mining._check_limits(0, 8) == 3
+        monkeypatch.setattr(mining.os, "cpu_count", lambda: None)
+        assert mining._check_limits(0, 8) == 1
 
     def test_exhaustive_clamped(self, children):
         report = mine_exhaustive(3, workers=10**6)
@@ -588,7 +624,7 @@ class TestChildFailures:
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(mining.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(mining.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
     @FORK_ONLY
     def test_child_error_reaches_the_caller(self, monkeypatch):
@@ -720,12 +756,18 @@ class TestEqualityCensus:
 
     def test_census_entries_replay(self):
         for g, subject in equality_census("R11", 4):
-            d = apsp(g)
-            prof = profile(g, d)
             spec = relation("R11")
-            results = [make_result(spec, *outcome) for outcome in evaluate(spec, g, prof, d)]
+            results = [make_result(spec, *outcome) for outcome in evaluate(spec, profile(g))]
             results = [r for r in results if r.subject == subject]
             assert results and results[0].status == EQUALITY
+
+    def test_census_keeps_distance_rows_only_for_r6(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mining, "apsp", lambda g: calls.append(g.n) or apsp(g))
+        assert sum(1 for _ in equality_census("R8", 5)) == 771
+        assert calls == []
+        assert list(equality_census("R6", 4))
+        assert calls
 
     def test_census_bounds(self):
         with pytest.raises(ValueError):
@@ -739,10 +781,9 @@ class TestEqualityCensus:
         expected = {rid: [] for rid in RELATION_IDS}
         for n in range(2, 6):
             for g in enumerate_connected(n):
-                d = apsp(g)
-                prof = profile(g, d)
+                prof = profile(g, apsp(g))
                 for rid in RELATION_IDS:
-                    outcomes = evaluate(relation(rid), g, prof, d, mining.SUBSET_BUDGET_PER_GRAPH)
+                    outcomes = evaluate(relation(rid), prof)
                     expected[rid] += [(g, row[0]) for status, row in outcomes
                                       if status == EQUALITY]
         for rid in RELATION_IDS:
@@ -755,7 +796,7 @@ class TestEqualityCensus:
         calls = []
         evaluate = relations.evaluate
         monkeypatch.setattr(relations, "evaluate",
-                            lambda spec, g, *args: calls.append(g.n) or evaluate(spec, g, *args))
+                            lambda spec, prof: calls.append(prof.n) or evaluate(spec, prof))
         entries = list(equality_census("R8", 5))
         assert Counter(calls) == {2: 1, 3: 2, 4: 6, 5: 21}
         assert len(entries) == 771

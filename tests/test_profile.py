@@ -190,3 +190,15 @@ def test_pass_memory_on_a_long_path():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 19
+
+
+def test_distance_rows_ride_outside_equality():
+    """``profile(g, apsp(g))`` carries apsp's distance rows, ``profile(g)``
+    none; the rows take no part in equality, hashing or repr, so both
+    profiles of a graph are equal."""
+    g = watts_strogatz_graph(60, 4, 0.1, seed=0)
+    d = apsp(g)
+    with_rows, without = profile(g, d), profile(g)
+    assert with_rows.dist is d.dist and without.dist is None
+    assert with_rows == without and hash(with_rows) == hash(without)
+    assert repr(with_rows) == repr(without) and " dist=" not in repr(with_rows)

@@ -103,10 +103,9 @@ class TestCatalog:
         """Without R6, evaluate_all calls no apsp: profile(g) alone runs the
         pass, and the results are those read beside apsp's rows."""
         g = watts_strogatz_graph(60, 4, 0.1, seed=0)
-        d = apsp(g)
-        prof = profile(g, d)
+        prof = profile(g, apsp(g))
         expected = [make_result(relation(rid), *outcome) for rid in ("R1", "R7")
-                    for outcome in evaluate(relation(rid), g, prof, d)]
+                    for outcome in evaluate(relation(rid), prof)]
         calls = []
         monkeypatch.setattr(relations, "apsp", lambda g: calls.append(g.n) or apsp(g))
         assert evaluate_all(g, ["R7", "R1"]) == expected
@@ -198,13 +197,11 @@ class TestStatus:
 
     @staticmethod
     def decide(sense, lhs, rhs, ok):
-        def stand_in(g, prof):
+        def stand_in(prof):
             yield (None, *lhs, *rhs, ok)
 
         spec = replace(relation("R7"), sense=sense, evaluator=stand_in)
-        g = path_graph(3)
-        d = apsp(g)
-        ((status, row),) = evaluate(spec, g, profile(g, d), d)
+        ((status, row),) = evaluate(spec, profile(path_graph(3)))
         return make_result(spec, status, row)
 
 
@@ -248,11 +245,8 @@ class TestExamples:
         }
 
     def test_r6_respects_subject_budget(self):
-        spec = relation("R6")
         g = path_graph(3)
-        d = apsp(g)
-        prof = profile(g, d)
-        assert len(evaluate(spec, g, prof, d, max_subjects=2)) == 2
+        assert sum(tally(relation("R6"), profile(g, apsp(g)), 2)[:4]) == 2
 
     def test_r7_equality_on_vertex_transitive(self):
         r = single(cycle_graph(5), "R7")
@@ -381,18 +375,18 @@ class TestAgainstOracle:
         assert sum(r.relation_id == "R6" for r in results) == 2 ** g.n - g.n - 1
 
     def test_miner_budget_on_ten_vertices(self):
-        """The miner's R6 budget keeps the first 512 subsets of the stream."""
+        """The miner's R6 budget counts the first 512 subsets of the stream."""
         g = gnp_graph(10, 0.4, seed=3)
-        d = apsp(g)
-        outcomes = evaluate(relation("R6"), g, profile(g, d), d,
-                            max_subjects=SUBSET_BUDGET_PER_GRAPH)
+        prof = profile(g, apsp(g))
         sides = relation_sides(g)["R6"]
         expected = list(sides)[:SUBSET_BUDGET_PER_GRAPH]
         assert len(expected) == 512 < len(sides)
-        assert [row[0] for _, row in outcomes] == expected
-        assert [status for status, _ in outcomes] == [
-            relation_status(SENSE["R6"], *sides[subset])[0] for subset in expected
-        ]
+        outcomes = evaluate(relation("R6"), prof)
+        assert [row[0] for _, row in outcomes] == list(sides)
+        statuses = Counter(relation_status(SENSE["R6"], *sides[subset])[0]
+                           for subset in expected)
+        assert tally(relation("R6"), prof, SUBSET_BUDGET_PER_GRAPH) == (
+            statuses[HOLDS], statuses[EQUALITY], statuses[VIOLATED], statuses[SKIPPED], [])
 
     def test_sampled_subsets_on_twelve_vertices(self):
         g = watts_strogatz_graph(12, 4, 0.3, seed=2)
@@ -400,14 +394,15 @@ class TestAgainstOracle:
         assert sum(r.relation_id == "R6" for r in results) == SUBSET_SAMPLE_COUNT
 
 
-def _with_distance(d, i, j, value):
-    """A copy of ``apsp``'s sums ``d`` with the symmetric distance (i, j)
-    set to ``value``, and the row sums and diameter that R6 reads of the
-    altered rows."""
-    dist = [list(row) for row in d.dist]
+def _with_distance(prof, i, j, value):
+    """A copy of the profile ``prof``, built with distance rows, with the
+    symmetric distance (i, j) set to ``value``, and the row sums, distance
+    total and diameter that R6 reads of the altered rows."""
+    dist = [list(row) for row in prof.dist]
     dist[i][j] = dist[j][i] = value
-    return replace(d, dist=tuple(map(tuple, dist)), row_sums=tuple(map(sum, dist)),
-                   diameter=max(map(max, dist)))
+    row_sums = tuple(map(sum, dist))
+    return replace(prof, dist=tuple(map(tuple, dist)), row_sums=row_sums,
+                   distance_total=sum(row_sums), diameter=max(map(max, dist)))
 
 
 def _search_with_distance(monkeypatch, i, j, value):
@@ -432,8 +427,7 @@ class TestNeighborhoodSumsReadDistances:
 
     @staticmethod
     def status_at(rid, g, vertex):
-        d = apsp(g)
-        (status,) = [status for status, row in evaluate(relation(rid), g, profile(g), d)
+        (status,) = [status for status, row in evaluate(relation(rid), profile(g))
                      if row[0] == vertex]
         return status
 
@@ -454,13 +448,13 @@ class TestNeighborhoodSumsReadDistances:
         assert self.status_at("R1", g, 0) == VIOLATED
 
 
-def r6_pair_sums(g, d):
+def r6_pair_sums(prof):
     """Each R6 subject with the pair-distance sum T(S) its row carries: the
     rhs is k * 2T / (n * k (k - 1)) for a subject of k members."""
     sums = []
-    for _, (members, _, _, rn, rd, _) in evaluate(relation("R6"), g, profile(g, d), d):
+    for _, (members, _, _, rn, rd, _) in evaluate(relation("R6"), prof):
         k = len(members)
-        assert rd == g.n * k * (k - 1) and rn % (2 * k) == 0
+        assert rd == prof.n * k * (k - 1) and rn % (2 * k) == 0
         sums.append((members, rn // (2 * k)))
     return sums
 
@@ -503,7 +497,7 @@ class TestSampledPairSums:
     def test_every_subject_matches_a_direct_sum(self, g, planes):
         d = apsp(g)
         assert max(map(max, d.dist)).bit_length() == planes
-        sums = r6_pair_sums(g, d)
+        sums = r6_pair_sums(profile(g, d))
         assert [members for members, _ in sums] == [m for m, _ in subset_stream(g.n)]
         assert len(sums) == SUBSET_SAMPLE_COUNT
         if g.n <= 40:
@@ -521,12 +515,14 @@ class TestSampledPairSums:
     def test_pair_counts_widened_to_sums(self, g):
         """WS(150) and G(299, 0.3) take 16-bit pair counts widened to 32-bit
         sums on lanes."""
-        d = apsp(g)
+        prof = profile(g, apsp(g))
+        d = prof.dist
         assert 8 < (g.n * (g.n - 1) // 2).bit_length() <= 16
         subjects = list(islice(subset_stream(g.n), SUBSET_SAMPLE_COUNT))
-        sums, width = relations._lane_pair_sums(d.dist, d.diameter, [m for _, m in subjects])
+        sums, width = relations._lane_pair_sums(d, prof.diameter, prof.distance_total,
+                                                [m for _, m in subjects])
         assert width == 32
-        direct = [pair_distance_sum(d.dist, members) for members, _ in subjects]
+        direct = [pair_distance_sum(d, members) for members, _ in subjects]
         assert list(_unpack_lanes(sums, len(subjects), width)) == direct
 
     @staticmethod
@@ -534,13 +530,13 @@ class TestSampledPairSums:
         """With d(0, 1) of C33 set to ``far``, the pair sums change exactly
         for the subsets that hold both 0 and 1."""
         g = cycle_graph(33)
-        d = apsp(g)
-        mutated = _with_distance(d, 0, 1, far)
-        sums = r6_pair_sums(g, mutated)
+        prof = profile(g, apsp(g))
+        mutated = _with_distance(prof, 0, 1, far)
+        sums = r6_pair_sums(mutated)
         assert [pair_sum for _, pair_sum in sums] == [
             pair_distance_sum(mutated.dist, members) for members, _ in sums
         ]
-        changed = [a != b for a, b in zip(sums, r6_pair_sums(g, d))]
+        changed = [a != b for a, b in zip(sums, r6_pair_sums(prof))]
         assert changed == [members[:2] == (0, 1) for members, _ in sums]
         assert any(changed)
 
@@ -554,11 +550,14 @@ class TestSampledPairSums:
         self.assert_follows_distance(10 ** 12)
 
 
-def lane_pair_sums(dist, masks):
+def lane_pair_sums(dist, masks, total=None):
     """The subset lanes' pair sums of ``masks`` over the rows ``dist``, one
-    per mask."""
+    per mask; ``total`` stands in for the sum of the rows' entries, from
+    which the kernel picks the distance it skips."""
     top = max(map(max, dist))
-    sums, width = relations._lane_pair_sums(dist, top, masks)
+    if total is None:
+        total = sum(map(sum, dist))
+    sums, width = relations._lane_pair_sums(dist, top, total, masks)
     return list(_unpack_lanes(sums, len(masks), width))
 
 
@@ -642,6 +641,32 @@ class TestNarrowPairCounts:
         assert lane_pair_sums(d.dist, masks) == [
             bin(m).count("1") * (bin(m).count("1") - 1) // 2 for m in masks]
 
+    @pytest.mark.parametrize("g", [
+        watts_strogatz_graph(150, 4, 0.1, seed=0),
+        Graph.from_edges(200, [(u, v) for u in range(100) for v in range(100, 200)]),
+        _gnp_connected(72, 0.3),
+    ], ids=["ws150", "K100,100", "gnp72"])
+    def test_every_skipped_distance_gives_the_same_sums(self, g, monkeypatch):
+        """The kernel skips the distance nearest ``total`` / (n (n - 1)).
+        Forced through the total onto each distance 1..diameter, the sums
+        stay the direct ones, while which bins are widened changes."""
+        prof = profile(g, apsp(g))
+        n = g.n
+        masks = [m for _, m in islice(subset_stream(n), 200)] + edge_masks(n)
+        members = [tuple(v for v in range(n) if mask >> v & 1) for mask in masks]
+        expected = [pair_distance_sum(prof.dist, s) for s in members]
+        calls = []
+        original = relations.byte_lanes
+        monkeypatch.setattr(relations, "byte_lanes",
+                            lambda *args: calls.append(args[1:]) or original(*args))
+        widened = []
+        for skip in range(1, prof.diameter + 1):
+            calls.clear()
+            assert lane_pair_sums(prof.dist, masks, skip * n * (n - 1)) == expected, skip
+            widened.append(len(calls))
+        assert lane_pair_sums(prof.dist, masks, prof.distance_total) == expected
+        assert len(set(widened)) > 1
+
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_symmetric_rows_against_the_direct_sum(self, data):
@@ -707,10 +732,12 @@ class TestR6Certificate:
         self.open_sizes(g)
 
 
-def counted(spec, g, prof, d, budget):
-    """What tally must return: the statuses of evaluate's outcomes counted,
-    and its violated outcomes in order."""
-    outcomes = evaluate(spec, g, prof, d, budget)
+def counted(spec, prof, budget):
+    """What tally must return: the statuses of evaluate's outcomes, R6's cut
+    to the first ``budget``, counted, and the violated ones in order."""
+    outcomes = evaluate(spec, prof)
+    if spec.scope == relations.PER_SUBGRAPH:
+        outcomes = outcomes[:budget]
     c = Counter(map(itemgetter(0), outcomes))
     return (c[HOLDS], c[EQUALITY], c[VIOLATED], c[SKIPPED],
             [outcome for outcome in outcomes if outcome[0] == VIOLATED])
@@ -731,11 +758,10 @@ class TestTally:
                   if atlas.number_of_nodes() == 7 and nx.is_connected(atlas)]
         assert len(sevens) == 853
         for g in [g for n in range(2, 7) for g in enumerate_connected(n)] + sevens:
-            d = apsp(g)
-            prof = profile(g, d)
+            prof = profile(g, apsp(g))
             for spec in catalog():
-                expected = counted(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH)
-                assert tally(spec, g, prof, d, SUBSET_BUDGET_PER_GRAPH) == expected, (
+                expected = counted(spec, prof, SUBSET_BUDGET_PER_GRAPH)
+                assert tally(spec, prof, SUBSET_BUDGET_PER_GRAPH) == expected, (
                     g.edges, spec.id)
 
     @pytest.mark.parametrize("budget", [SUBSET_BUDGET_PER_GRAPH, None])
@@ -830,8 +856,8 @@ class TestTally:
             spec.id) or evaluate(spec, *args))
         for budget in (SUBSET_BUDGET_PER_GRAPH, None):
             for spec in catalog():
-                got = tally(spec, g, prof, d, budget)
-                assert got == counted(spec, g, prof, d, budget), spec.id
+                got = tally(spec, prof, budget)
+                assert got == counted(spec, prof, budget), spec.id
                 if spec.id == "R6":
                     assert sum(got[:4]) == (budget or SUBSET_SAMPLE_COUNT)
                     # the whole vertex set, the stream's 964th draw at n = 11
@@ -855,20 +881,19 @@ class TestTally:
         from the subset lanes, and the counts still equal evaluate's."""
         lollipop = Graph.from_edges(47, [*combinations(range(27), 2),
                                          *((v, v + 1) for v in range(26, 46))])
-        original = relations._sampled_pair_sums
+        original = relations._lane_pair_sums
         read = []
 
-        def recorded(dist, top, stream):
-            stream = list(stream)
-            read.extend(stream)
-            return original(dist, top, stream)
+        def recorded(dist, top, total, masks):
+            read.extend(masks)
+            return original(dist, top, total, masks)
 
-        monkeypatch.setattr(relations, "_sampled_pair_sums", recorded)
+        monkeypatch.setattr(relations, "_lane_pair_sums", recorded)
         spec = relation("R6")
         for g in lollipop, star_graph(7), star_graph(9):
             d = apsp(g)
             prof = profile(g, d)
-            expected = counted(spec, g, prof, d, budget)
+            expected = counted(spec, prof, budget)
             counts, _ = relations._sampled_sizes(g.n, budget)
             sizes = {k for k, _ in counts if k < g.n}
             open_sizes = relations._r6_open_sizes(d.dist, prof.row_sums, prof.distance_total,
@@ -879,23 +904,28 @@ class TestTally:
                 assert open_sizes == {g.n - 1} & sizes
                 assert (g.n - 1 in sizes) == (g.n == 8 or budget is None)
             read.clear()
-            assert tally(spec, g, prof, d, budget) == expected
-            assert read == [subject for subject in islice(subset_stream(g.n), budget)
-                            if len(subject[0]) in open_sizes]
+            assert tally(spec, prof, budget) == expected
+            assert read == [mask for members, mask in islice(subset_stream(g.n), budget)
+                            if len(members) in open_sizes]
 
     @pytest.mark.parametrize("budget", [SUBSET_BUDGET_PER_GRAPH, None])
     def test_lanes_transpose_only_the_subsets_read(self, budget, monkeypatch):
-        """A budgeted evaluate hands the subset lanes only the masks it keeps."""
+        """With the certificate deciding no size, a budgeted tally hands the
+        subset lanes only the masks of the first ``budget`` subsets below
+        the whole vertex set, and evaluate the whole stream's."""
         g = watts_strogatz_graph(24, 4, 0.1, seed=0)
-        d = apsp(g)
-        prof = profile(g, d)
+        prof = profile(g, apsp(g))
         lanes = []
         original = relations._lane_pair_sums
-        monkeypatch.setattr(relations, "_lane_pair_sums", lambda dist, top, masks: (
-            lanes.append(len(masks)) or original(dist, top, masks)))
+        monkeypatch.setattr(relations, "_lane_pair_sums", lambda dist, top, total, masks: (
+            lanes.append(len(masks)) or original(dist, top, total, masks)))
+        monkeypatch.setattr(relations, "_r6_open_sizes",
+                            lambda dist, row_sums, total, sizes: set(sizes))
         read = budget or SUBSET_SAMPLE_COUNT
-        assert len(evaluate(relation("R6"), g, prof, d, budget)) == read
-        assert lanes == [read]
+        below = sum(count for k, count in relations._sampled_sizes(g.n, budget)[0] if k < g.n)
+        assert sum(tally(relation("R6"), prof, budget)[:4]) == read
+        assert len(evaluate(relation("R6"), prof)) == SUBSET_SAMPLE_COUNT
+        assert lanes == [below, SUBSET_SAMPLE_COUNT]
 
     def test_violations_on_a_doctored_matrix(self):
         """With d(0, 1) of C33 raised far past the diameter, the subsets
@@ -915,25 +945,23 @@ class TestTally:
         the counts of both paths add up to evaluate's, and the violated
         rows are evaluate's."""
         g = cycle_graph(33)
-        d = _with_distance(apsp(g), 0, 1, 2000)
-        prof = profile(g, d)
+        prof = _with_distance(profile(g, apsp(g)), 0, 1, 2000)
         for budget in (SUBSET_BUDGET_PER_GRAPH, None):
             counts, _ = relations._sampled_sizes(g.n, budget)
             sizes = {k for k, _ in counts if k < g.n}
-            assert set() < relations._r6_open_sizes(d.dist, prof.row_sums,
+            assert set() < relations._r6_open_sizes(prof.dist, prof.row_sums,
                                                     prof.distance_total, sorted(sizes)) < sizes
         self.assert_counts_doctored_matrix(2000)
 
     @staticmethod
     def assert_counts_doctored_matrix(far):
         g = cycle_graph(33)
-        d = _with_distance(apsp(g), 0, 1, far)
-        prof = profile(g, d)
+        prof = _with_distance(profile(g, apsp(g)), 0, 1, far)
         spec = relation("R6")
         for budget in (SUBSET_BUDGET_PER_GRAPH, None):
-            got = tally(spec, g, prof, d, budget)
+            got = tally(spec, prof, budget)
             assert got[0] > 0 and got[2] > 0
-            assert got == counted(spec, g, prof, d, budget)
+            assert got == counted(spec, prof, budget)
             assert all(row[0][:2] == (0, 1) for _, row in got[4])
             kept = RelationTally()
             kept.keep(spec, got[4], g, 5)
@@ -997,6 +1025,27 @@ class TestProperties:
 
 
 class TestEvaluateValidation:
+    def test_r6_needs_distance_rows(self):
+        """A profile built without apsp's rows carries none, and R6, their
+        one reader, says so; every other relation reads the profile alone."""
+        g = cycle_graph(5)
+        prof = profile(g)
+        assert prof.dist is None
+        for call in (lambda: evaluate(relation("R6"), prof),
+                     lambda: tally(relation("R6"), prof, SUBSET_BUDGET_PER_GRAPH)):
+            with pytest.raises(ValueError, match="R6 reads the distance rows"):
+                call()
+        with_rows = profile(g, apsp(g))
+        for spec in catalog():
+            if spec.id != "R6":
+                assert evaluate(spec, prof) == evaluate(spec, with_rows), spec.id
+
+    def test_reads_distance_rows_only_with_r6(self):
+        assert relations.reads_distance_rows([relation("R1"), relation("R6")])
+        assert not relations.reads_distance_rows(
+            [spec for spec in catalog() if spec.id != "R6"])
+        assert not relations.reads_distance_rows([])
+
     def test_needs_two_vertices(self):
         g = Graph.from_edges(1, [])
         with pytest.raises(ValueError):
